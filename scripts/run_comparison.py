@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from greenlight import harness, metrics  # noqa: E402
+from greenlight import dqn, harness, metrics  # noqa: E402
 
 
 def parse_seed_range(raw: str) -> list[int]:
@@ -35,7 +35,7 @@ def main() -> int:
     parser.add_argument("--episodes", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--eval-seeds", default="1000-1019")
-    parser.add_argument("--reward-mode", choices=["literal", "balanced"], default="balanced")
+    parser.add_argument("--reward-mode", choices=dqn.REWARD_MODES, default="balanced")
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 

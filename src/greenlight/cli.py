@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, metrics
+from . import dqn, harness, metrics
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--scenario", required=True)
     p_train.add_argument("--episodes", type=int, required=True)
     p_train.add_argument("--seed", type=int, required=True)
-    p_train.add_argument("--reward-mode", choices=["literal", "balanced"], default="balanced")
+    p_train.add_argument("--reward-mode", choices=dqn.REWARD_MODES, default="balanced")
     p_train.add_argument("--weights-out", required=True)
     p_train.add_argument("--curve-out", default=None)
     p_train.add_argument("--hp", action="append", default=[], metavar="KEY=VAL")

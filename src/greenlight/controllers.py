@@ -9,14 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .netmodel import Junction
-
-GREEN, YELLOW, RED = "green", "yellow", "red"
+from .netmodel import DT, GREEN, RED, YELLOW, Junction
 
 #: The three requests a controller may issue, in agent-action order.
 REQUESTS = ("serve_a", "serve_b", "all_red")
-
-DT = 1.0
 
 
 @dataclass(frozen=True)
@@ -70,18 +66,6 @@ class SignalAssignment:
         if self.phase == "serve_b":
             return (0.0, 1.0, 0.0)
         return (0.0, 0.0, 1.0)
-
-
-def fixed_time_decide(clock: float, plan: FixedTimePlan) -> tuple[str, str]:
-    """Signal colors (axis A, axis B) of the fixed cycle at a given time."""
-    c = clock % plan.cycle
-    if c < plan.green_a:
-        return (GREEN, RED)
-    if c < plan.green_a + plan.yellow:
-        return (YELLOW, RED)
-    if c < plan.green_a + plan.yellow + plan.green_b:
-        return (RED, GREEN)
-    return (RED, YELLOW)
 
 
 def apply_interlock(request: str, state: SignalAssignment, junction: Junction) -> SignalAssignment:

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qnet
+from .controllers import REQUESTS
 from .qnet import QNetwork
-
-GREEN, YELLOW, RED = "green", "yellow", "red"
-
-#: Agent actions in index order; request names match controllers.REQUESTS.
-ACTIONS = ("serve_a", "serve_b", "all_red")
 
 #: Saturation constants for the normalized state components.
 WAIT_CAP = 300.0  # s of summed per-lane halt time
@@ -32,15 +28,14 @@ REWARD_MODES = ("literal", "balanced")
 class JunctionView:
     """Snapshot of one junction's incoming lanes (axis A lanes, then axis B).
 
-    Per lane: vehicle count, capacity, halted count, summed accumulated halt
-    time of the vehicles currently on it, and its displayed signal color.
+    Per lane: vehicle count, capacity, halted count and summed accumulated
+    halt time of the vehicles currently on it.
     """
 
     lane_counts: tuple[int, ...]
     lane_capacities: tuple[int, ...]
     lane_halted: tuple[int, ...]
     lane_waits: tuple[float, ...]
-    lane_colors: tuple[str, ...]
     phase_onehot: tuple[float, float, float]
     time_in_phase: float
 
@@ -91,18 +86,6 @@ def reward_from_counts(greens: int, reds: int, mean_wait: float, mode: str = "ba
     return -0.2 * abs(diff) + w
 
 
-def reward(view: JunctionView, action: int, mode: str = "balanced") -> float:
-    """Reward for the junction state reached after taking ``action``.
-
-    The action itself does not enter the formula; it is part of the interface
-    because the reward is attributed to the (state, action) pair.
-    """
-    greens = sum(1 for c in view.lane_colors if c == GREEN)
-    reds = sum(1 for c in view.lane_colors if c == RED)
-    mean_wait = sum(view.lane_waits) / len(view.lane_waits)
-    return reward_from_counts(greens, reds, mean_wait, mode)
-
-
 def select_action(q_values, epsilon: float, rng) -> int:
     """Epsilon-greedy over the q-values; greedy ties break to the lowest index."""
     if epsilon > 0.0 and rng.random() < epsilon:
@@ -150,13 +133,6 @@ class ReplayBuffer:
         return self._items[self._next :] + self._items[: self._next]
 
 
-def td_target(transition: Transition, target_net: QNetwork, gamma: float) -> float:
-    """Bootstrapped target: r, plus the discounted best target-net value."""
-    if transition.terminal:
-        return transition.reward
-    return transition.reward + gamma * float(np.max(qnet.forward(target_net, transition.next_state)))
-
-
 def td_targets_batch(batch: list[Transition], target_net: QNetwork, gamma: float) -> np.ndarray:
     next_states = np.stack([t.next_state for t in batch])
     best = qnet.forward_batch(target_net, next_states).max(axis=1)
@@ -183,20 +159,36 @@ class EpsilonSchedule:
         return self.start + (self.final - self.start) * frac
 
 
+def observe(make_views) -> dict[str, np.ndarray]:
+    """Feature vector of every junction, keyed by junction id."""
+    return {jid: featurize(view) for jid, view in make_views().items()}
+
+
 class GreedyPolicy:
-    """Evaluation-time controller: argmax actions, recomputed on a cadence."""
+    """Controller acting on each junction's q-values at clock 0, interval, 2 * interval, ...
+
+    With ``epsilon`` 0, as at evaluation, each action is the argmax; training
+    sets ``epsilon`` and ``rng`` and extends ``act``.
+    """
 
     def __init__(self, nets: dict[str, QNetwork], interval: float):
         self.nets = nets
         self.interval = interval
-        self._current: dict[str, str] = {jid: ACTIONS[0] for jid in nets}
-        self._next_decision = 0.0
+        self.epsilon = 0.0
+        self.rng = None
+        self.actions = {jid: 0 for jid in nets}
+        self.requests = {jid: REQUESTS[0] for jid in nets}
+        self.next_decision = 0.0
 
     def decide(self, clock: float, make_views) -> dict[str, str]:
-        if clock >= self._next_decision:
-            views = make_views()
-            for jid, net in self.nets.items():
-                q = qnet.forward(net, featurize(views[jid]))
-                self._current[jid] = ACTIONS[select_action(q, 0.0, None)]
-            self._next_decision = clock + self.interval
-        return dict(self._current)
+        """Requests per junction; the returned dict is reused between calls."""
+        if clock >= self.next_decision:
+            self.act(observe(make_views))
+            self.next_decision = clock + self.interval
+        return self.requests
+
+    def act(self, obs: dict[str, np.ndarray]) -> None:
+        for jid, net in self.nets.items():
+            action = select_action(qnet.forward(net, obs[jid]), self.epsilon, self.rng)
+            self.actions[jid] = action
+            self.requests[jid] = REQUESTS[action]

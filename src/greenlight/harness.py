@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import dqn, metrics, qnet
-from .controllers import GREEN, RED, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
-from .dqn import ACTIONS, JunctionView, ReplayBuffer, Transition
-from .netmodel import Junction, Scenario, load_scenario
-from .simcore import DT, Simulation
+from .controllers import REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
+from .dqn import JunctionView, ReplayBuffer, Transition
+from .netmodel import DT, GREEN, RED, Junction, Scenario, is_whole_steps, load_scenario
+from .simcore import Simulation
 
 
 class TrainingDivergedError(RuntimeError):
@@ -52,6 +52,16 @@ class Hyperparams:
     warmup: int = 500
     decision_interval: float = 5.0
     hidden: tuple[int, ...] = (64, 64)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "hidden" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"hyperparameter {f.name}: expected a number, got {value!r}")
+        if not is_whole_steps(self.decision_interval):
+            raise ValueError(
+                f"hyperparameter decision_interval: {self.decision_interval} is not a positive multiple of {DT} s"
+            )
 
     def with_overrides(self, overrides: dict) -> "Hyperparams":
         known = {f.name for f in fields(self)}
@@ -126,27 +136,24 @@ def _junction_infos(scenario: Scenario) -> list[_JunctionInfo]:
 
 
 def junction_view(sim: Simulation, info: _JunctionInfo, state: SignalAssignment) -> JunctionView:
-    counts, halted, waits, colors = [], [], [], []
-    color_a, color_b = state.colors()
-    for i, edge in enumerate(info.lane_edges):
+    counts, halted, waits = [], [], []
+    for edge in info.lane_edges:
         lane = sim.vehicles_on[edge.id]
         counts.append(len(lane))
         halted.append(sum(1 for v in lane if v.speed < metrics.HALT_SPEED))
         waits.append(sum(v.waiting_time for v in lane))
-        colors.append(color_a if i < info.n_axis_a else color_b)
     return JunctionView(
         lane_counts=tuple(counts),
         lane_capacities=tuple(info.capacities),
         lane_halted=tuple(halted),
         lane_waits=tuple(waits),
-        lane_colors=tuple(colors),
         phase_onehot=state.phase_onehot(),
         time_in_phase=state.time_in_phase,
     )
 
 
-def _step_reward(sim: Simulation, info: _JunctionInfo, state: SignalAssignment, mode: str) -> float:
-    color_a, color_b = state.colors()
+def _step_reward(sim: Simulation, info: _JunctionInfo, mode: str) -> float:
+    color_a, color_b = sim.assignment[info.junction.id]
     n_a, n_b = info.n_axis_a, len(info.lane_edges) - info.n_axis_a
     greens = (n_a if color_a == GREEN else 0) + (n_b if color_b == GREEN else 0)
     reds = (n_a if color_a == RED else 0) + (n_b if color_b == RED else 0)
@@ -157,14 +164,109 @@ def _step_reward(sim: Simulation, info: _JunctionInfo, state: SignalAssignment, 
     return dqn.reward_from_counts(greens, reds, total_wait / len(info.lane_edges), mode)
 
 
+def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_step=None) -> Simulation:
+    """Run one episode under ``controller``; this is the only per-step loop.
+
+    ``on_step(sim, make_views, done)``, if given, runs after every step.
+    """
+    sim = Simulation(scenario, rng)
+    states = {info.junction.id: SignalAssignment() for info in infos}
+
+    def make_views() -> dict[str, JunctionView]:
+        return {info.junction.id: junction_view(sim, info, states[info.junction.id]) for info in infos}
+
+    total_steps = int(round(scenario.duration / DT))
+    for step in range(1, total_steps + 1):
+        requests = controller.decide(sim.clock, make_views)
+        assignment = {}
+        for info in infos:
+            jid = info.junction.id
+            states[jid] = apply_interlock(requests[jid], states[jid], info.junction)
+            assignment[jid] = states[jid].colors()
+        sim.step(assignment)
+        if on_step is not None:
+            on_step(sim, make_views, step == total_steps)
+    return sim
+
+
 @dataclass
-class _Agent:
+class _Learner:
     info: _JunctionInfo
     net: qnet.QNetwork
     target: qnet.QNetwork
     buffer: ReplayBuffer
     opt: qnet.Adam
     updates: int = 0
+    reward_sum: float = 0.0  # over the current decision interval
+
+
+class _TrainingAgent(dqn.GreedyPolicy):
+    """The DQN controller while it learns, with epsilon from the schedule.
+
+    Each decision, and the episode's end, closes the interval just ended: every
+    junction stores its transition, rewarded with the interval's mean per-step
+    reward, then takes one gradient step once the replay warmup is filled.
+    """
+
+    def __init__(self, learners: list[_Learner], hp: Hyperparams, config: TrainConfig, decisions: int):
+        super().__init__({ln.info.junction.id: ln.net for ln in learners}, hp.decision_interval)
+        self.learners = learners
+        self.hp = hp
+        self.reward_mode = config.reward_mode
+        self.rng = _generator(config.seed, _NS_ACTION)
+        self.sample_rng = _generator(config.seed, _NS_SAMPLE)
+        self.schedule = dqn.EpsilonSchedule(hp.eps_start, hp.eps_final, decisions, hp.eps_fraction)
+        self.decisions = 0
+        self.steps = 0  # in the current decision interval
+
+    def start_episode(self, episode: int) -> None:
+        self.episode = episode
+        self.next_decision = 0.0
+        self.obs = None
+        self.episode_return = 0.0
+        self.losses: list[float] = []
+
+    def act(self, obs: dict) -> None:
+        if self.obs is not None:
+            self._close_interval(obs, terminal=False)
+        self.epsilon = self.schedule.value(self.decisions)
+        super().act(obs)
+        self.obs = obs
+
+    def on_step(self, sim: Simulation, make_views, done: bool) -> None:
+        for ln in self.learners:
+            ln.reward_sum += _step_reward(sim, ln.info, self.reward_mode)
+        self.steps += 1
+        if done:
+            self._close_interval(dqn.observe(make_views), terminal=True)
+
+    def _close_interval(self, next_obs: dict, terminal: bool) -> None:
+        rewards = []
+        for ln in self.learners:
+            jid = ln.info.junction.id
+            rewards.append(ln.reward_sum / self.steps)
+            ln.buffer.push(Transition(self.obs[jid], self.actions[jid], rewards[-1], next_obs[jid], terminal))
+            ln.reward_sum = 0.0
+        self.episode_return += sum(rewards) / len(rewards)
+        self.steps = 0
+        self.decisions += 1
+        hp = self.hp
+        for ln in self.learners:
+            if len(ln.buffer) < max(hp.warmup, hp.batch_size):
+                continue
+            batch = ln.buffer.sample(hp.batch_size, self.sample_rng)
+            targets = dqn.td_targets_batch(batch, ln.target, hp.gamma)
+            xs = np.stack([t.state for t in batch])
+            loss, grads = qnet.backward_batch(ln.net, xs, targets, [t.action for t in batch])
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss at episode {self.episode}, decision {self.decisions}: {loss}"
+                )
+            ln.opt.step(ln.net, grads, hp.lr)
+            ln.updates += 1
+            self.losses.append(loss)
+            if ln.updates % hp.target_sync == 0:
+                ln.target = dqn.sync_target(ln.net)
 
 
 @dataclass
@@ -174,13 +276,7 @@ class TrainResult:
 
 
 def train(config: TrainConfig) -> TrainResult:
-    """Run the DQN training loop and export final weights plus curve rows.
-
-    Per decision: featurize, pick an epsilon-greedy action, drive the
-    interlocked signals for one decision interval, average the per-step reward
-    over the interval, store the transition, then take one gradient step per
-    junction agent once the warmup is filled.
-    """
+    """Train one DQN agent per signalized junction through ``rollout``; return weights and curve rows."""
     with open(config.scenario_path, encoding="utf-8") as fh:
         scenario = load_scenario(fh.read())
     hp = resolve_hyperparams(scenario, config.hp_overrides)
@@ -188,112 +284,36 @@ def train(config: TrainConfig) -> TrainResult:
     if not infos:
         raise ValueError("scenario has no signalized junction to control")
 
-    agents: list[_Agent] = []
+    learners = []
     for idx, info in enumerate(infos):
         d_in = dqn.state_dim(len(info.lane_edges))
-        net = qnet.init_network((d_in, *hp.hidden, len(ACTIONS)), _generator(config.seed, _NS_NET, idx))
-        agents.append(
-            _Agent(
-                info=info,
-                net=net,
-                target=dqn.sync_target(net),
-                buffer=ReplayBuffer(hp.buffer_capacity),
-                opt=qnet.Adam(net),
-            )
-        )
-    action_rng = _generator(config.seed, _NS_ACTION)
-    sample_rng = _generator(config.seed, _NS_SAMPLE)
-
-    total_steps = int(round(scenario.duration / DT))
-    interval_steps = max(1, int(round(hp.decision_interval / DT)))
-    decisions_per_ep = math.ceil(total_steps / interval_steps)
-    schedule = dqn.EpsilonSchedule(
-        hp.eps_start, hp.eps_final, config.episodes * decisions_per_ep, hp.eps_fraction
-    )
+        net = qnet.init_network((d_in, *hp.hidden, len(REQUESTS)), _generator(config.seed, _NS_NET, idx))
+        learners.append(_Learner(info, net, dqn.sync_target(net), ReplayBuffer(hp.buffer_capacity), qnet.Adam(net)))
+    agent = _TrainingAgent(learners, hp, config, config.episodes * math.ceil(scenario.duration / hp.decision_interval))
 
     curve: list[dict] = []
-    global_k = 0
     for episode in range(config.episodes):
-        sim = Simulation(scenario, _generator(config.seed, _NS_EPISODE, episode))
-        states = {a.info.junction.id: SignalAssignment() for a in agents}
-        obs = {a.info.junction.id: dqn.featurize(junction_view(sim, a.info, states[a.info.junction.id])) for a in agents}
-        episode_return = 0.0
-        episode_losses: list[float] = []
-        eps_at_start = schedule.value(global_k)
-
-        steps_done = 0
-        while steps_done < total_steps:
-            epsilon = schedule.value(global_k)
-            actions = {}
-            requests = {}
-            for agent in agents:
-                jid = agent.info.junction.id
-                q = qnet.forward(agent.net, obs[jid])
-                actions[jid] = dqn.select_action(q, epsilon, action_rng)
-                requests[jid] = ACTIONS[actions[jid]]
-
-            interval = min(interval_steps, total_steps - steps_done)
-            reward_sums = {a.info.junction.id: 0.0 for a in agents}
-            for _ in range(interval):
-                assignment = {}
-                for agent in agents:
-                    jid = agent.info.junction.id
-                    states[jid] = apply_interlock(requests[jid], states[jid], agent.info.junction)
-                    assignment[jid] = states[jid].colors()
-                sim.step(assignment)
-                for agent in agents:
-                    jid = agent.info.junction.id
-                    reward_sums[jid] += _step_reward(sim, agent.info, states[jid], config.reward_mode)
-            steps_done += interval
-            terminal = steps_done >= total_steps
-
-            decision_rewards = []
-            for agent in agents:
-                jid = agent.info.junction.id
-                next_ob = dqn.featurize(junction_view(sim, agent.info, states[jid]))
-                r = reward_sums[jid] / interval
-                agent.buffer.push(Transition(obs[jid], actions[jid], r, next_ob, terminal))
-                obs[jid] = next_ob
-                decision_rewards.append(r)
-            episode_return += sum(decision_rewards) / len(decision_rewards)
-            global_k += 1
-
-            for agent in agents:
-                if len(agent.buffer) < max(hp.warmup, hp.batch_size):
-                    continue
-                batch = agent.buffer.sample(hp.batch_size, sample_rng)
-                targets = dqn.td_targets_batch(batch, agent.target, hp.gamma)
-                xs = np.stack([t.state for t in batch])
-                acts = [t.action for t in batch]
-                loss, grads = qnet.backward_batch(agent.net, xs, targets, acts)
-                if not math.isfinite(loss):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at episode {episode}, decision {global_k}: {loss}"
-                    )
-                agent.opt.step(agent.net, grads, hp.lr)
-                agent.updates += 1
-                episode_losses.append(loss)
-                if agent.updates % hp.target_sync == 0:
-                    agent.target = dqn.sync_target(agent.net)
-
+        agent.start_episode(episode)
+        epsilon = agent.schedule.value(agent.decisions)
+        rollout(scenario, infos, agent, _generator(config.seed, _NS_EPISODE, episode), agent.on_step)
+        losses = agent.losses
         curve.append(
             {
                 "episode": episode,
-                "return": episode_return,
-                "epsilon": eps_at_start,
-                "mean_loss": (sum(episode_losses) / len(episode_losses)) if episode_losses else float("nan"),
+                "return": agent.episode_return,
+                "epsilon": epsilon,
+                "mean_loss": (sum(losses) / len(losses)) if losses else float("nan"),
             }
         )
+    return TrainResult(weights_doc=_weights_doc(learners), curve=curve)
 
-    return TrainResult(weights_doc=_weights_doc(agents), curve=curve)
 
-
-def _weights_doc(agents: list[_Agent]) -> str:
-    if len(agents) == 1:
-        return qnet.serialize(agents[0].net)
+def _weights_doc(learners: list[_Learner]) -> str:
+    if len(learners) == 1:
+        return qnet.serialize(learners[0].net)
     doc = {
         "format_version": qnet.FORMAT_VERSION,
-        "multi": {a.info.junction.id: json.loads(qnet.serialize(a.net)) for a in agents},
+        "multi": {ln.info.junction.id: json.loads(qnet.serialize(ln.net)) for ln in learners},
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -328,25 +348,6 @@ def load_weights(text: str, infos: list[_JunctionInfo]) -> dict[str, qnet.QNetwo
     return nets
 
 
-def _run_episode(scenario: Scenario, infos: list[_JunctionInfo], controller, seed: int) -> Simulation:
-    sim = Simulation(scenario, _generator(seed))
-    states = {info.junction.id: SignalAssignment() for info in infos}
-
-    def make_views() -> dict[str, JunctionView]:
-        return {info.junction.id: junction_view(sim, info, states[info.junction.id]) for info in infos}
-
-    total_steps = int(round(scenario.duration / DT))
-    for _ in range(total_steps):
-        requests = controller.decide(sim.clock, make_views)
-        assignment = {}
-        for info in infos:
-            jid = info.junction.id
-            states[jid] = apply_interlock(requests[jid], states[jid], info.junction)
-            assignment[jid] = states[jid].colors()
-        sim.step(assignment)
-    return sim
-
-
 def evaluate(config: EvalConfig) -> metrics.RunReport:
     """Run one full simulation per seed and pool the results, Table-1 shaped."""
     with open(config.scenario_path, encoding="utf-8") as fh:
@@ -365,7 +366,7 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
     vehicles: list[metrics.VehicleMetrics] = []
     for episode_idx, seed in enumerate(config.seeds):
         # fresh controller per seed so no decision state leaks across episodes
-        sim = _run_episode(scenario, infos, make_controller(), seed)
+        sim = rollout(scenario, infos, make_controller(), _generator(seed))
         finalized = [metrics.finalize(v, scenario.duration) for v in sim.vehicles]
         vehicles.extend(finalized)
         episodes.append(

@@ -11,6 +11,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+DT = 1.0  # s, simulation step; every scenario duration is a whole number of steps
+GREEN, YELLOW, RED = "green", "yellow", "red"
+
 
 class ParseError(ValueError):
     """Scenario document is not well-formed (bad JSON, missing or mistyped keys)."""
@@ -127,6 +130,11 @@ def conflicting_pairs(junction: Junction) -> set[tuple[str, str]]:
     return {(a, b) for a in junction.axis_a for b in junction.axis_b}
 
 
+def is_whole_steps(seconds: float) -> bool:
+    """True for a positive whole number of simulation steps."""
+    return seconds > 0 and (seconds / DT).is_integer()
+
+
 def validate(network: Network) -> list[str]:
     """Check all network invariants; returns one description per violation."""
     violations: list[str] = []
@@ -166,12 +174,14 @@ def validate(network: Network) -> list[str]:
                 violations.append(f"junction {j.id}: axis references unknown edge {eid!r}")
             elif network.edge(eid).to_junction != j.id:
                 violations.append(f"junction {j.id}: edge {eid} is not incoming to it")
-        if not j.yellow >= 1.0:
-            violations.append(f"junction {j.id}: yellow-duration ≥ 1 s required, got {j.yellow}")
-        if not j.min_green >= 1.0:
-            violations.append(f"junction {j.id}: min-green ≥ 1 s required, got {j.min_green}")
-        if j.fixed_plan is not None and any(d < 1.0 for d in j.fixed_plan):
-            violations.append(f"junction {j.id}: fixed plan durations must be ≥ 1 s, got {j.fixed_plan}")
+        if not is_whole_steps(j.yellow):
+            violations.append(f"junction {j.id}: yellow-duration must be a positive multiple of {DT} s, got {j.yellow}")
+        if not is_whole_steps(j.min_green):
+            violations.append(f"junction {j.id}: min-green must be a positive multiple of {DT} s, got {j.min_green}")
+        if j.fixed_plan is not None and not all(is_whole_steps(d) for d in j.fixed_plan):
+            violations.append(f"junction {j.id}: fixed plan {j.fixed_plan} must be in positive multiples of {DT} s")
+        if j.fixed_plan is not None and j.fixed_plan[1] != j.yellow:
+            violations.append(f"junction {j.id}: fixed plan yellow {j.fixed_plan[1]} is not the junction's {j.yellow}")
 
     return violations
 
@@ -195,8 +205,8 @@ def _validate_scenario(sc: Scenario) -> list[str]:
 
     violations.extend(_route_connectivity(sc))
 
-    if not sc.duration > 0:
-        violations.append(f"scenario: duration must be > 0, got {sc.duration}")
+    if not is_whole_steps(sc.duration):
+        violations.append(f"scenario: duration must be a positive multiple of {DT} s, got {sc.duration}")
     p = sc.vehicle
     if not p.accel > 0:
         violations.append(f"vehicle: accel a must be > 0, got {p.accel}")

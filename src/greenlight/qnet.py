@@ -100,42 +100,11 @@ def _forward_cached(net: QNetwork, a: np.ndarray):
     return activations, pre
 
 
-def backward(net: QNetwork, x, td_target: float, action: int) -> tuple[float, Gradients]:
-    """Loss (q[action] - target)^2 and its gradients for one sample."""
-    if not 0 <= action < net.d_out:
-        raise ValueError(f"action {action} out of range for {net.d_out} outputs")
-    a = _check_input(net, np.asarray(x, dtype=np.float64))
-    activations = [a]
-    pre = []
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = w @ a + b
-        if i < last:
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-        else:
-            a = z
-        activations.append(a)
-
-    error = activations[-1][action] - td_target
-    loss = float(error * error)
-    delta = np.zeros(net.d_out)
-    delta[action] = 2.0 * error
-
-    grad_w = [np.empty(0)] * len(net.weights)
-    grad_b = [np.empty(0)] * len(net.biases)
-    for layer in range(len(net.weights) - 1, -1, -1):
-        grad_w[layer] = np.outer(delta, activations[layer])
-        grad_b[layer] = delta.copy()
-        if layer > 0:
-            delta = (net.weights[layer].T @ delta) * (pre[layer - 1] > 0.0)
-    return loss, Gradients(grad_w, grad_b)
-
-
 def backward_batch(net: QNetwork, xs, td_targets, actions) -> tuple[float, Gradients]:
     """Mean squared TD loss over a batch and its mean gradients.
 
-    Equivalent to averaging per-sample backward() results.
+    Equivalent to averaging the loss (q[action] - target)^2 and its gradients
+    over the samples one at a time.
     """
     xs = _check_input(net, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
     targets = np.asarray(td_targets, dtype=np.float64)

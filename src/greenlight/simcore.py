@@ -20,10 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import metrics
-from .netmodel import Edge, Scenario, VehicleParams
-
-DT = 1.0
-GREEN, YELLOW, RED = "green", "yellow", "red"
+from .netmodel import DT, GREEN, RED, Edge, Scenario, VehicleParams
 
 _EPS = 1e-9
 
@@ -133,7 +130,6 @@ class Simulation:
         self.scenario = scenario
         self.params = scenario.vehicle
         self.clock = 0.0
-        self.rng = rng
 
         net = scenario.network
         self.edge_order: tuple[Edge, ...] = tuple(sorted(net.edges, key=lambda e: e.id))

@@ -1,11 +1,15 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written straight-line (plain loops, no shared
-code with the package) so a bug in the implementation cannot hide in its own
-oracle.
+Everything here is deliberately written straight-line (plain loops, or the
+one-sample form of a batched computation) and shares no code with what it
+checks, so a bug in the implementation cannot hide in its own oracle.
 """
 
 import math
+
+import numpy as np
+
+from greenlight import qnet
 
 
 def straight_line_forward(sizes, weights, biases, x):
@@ -107,3 +111,59 @@ def exponential_arrivals(uniforms, rate, duration):
             break
         times.append(t)
     return times
+
+
+def backward(net, x, td_target, action):
+    """Loss (q[action] - target)^2 and its gradients for one sample.
+
+    The single-sample form of ``qnet.backward_batch``, vector by vector.
+    """
+    if not 0 <= action < net.d_out:
+        raise ValueError(f"action {action} out of range for {net.d_out} outputs")
+    a = np.asarray(x, dtype=np.float64)
+    if a.shape[-1] != net.d_in:
+        raise ValueError(f"input dimension {a.shape[-1]} does not match network d_in {net.d_in}")
+    activations = [a]
+    pre = []
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = w @ a + b
+        if i < last:
+            pre.append(z)
+            a = np.maximum(z, 0.0)
+        else:
+            a = z
+        activations.append(a)
+
+    error = activations[-1][action] - td_target
+    loss = float(error * error)
+    delta = np.zeros(net.d_out)
+    delta[action] = 2.0 * error
+
+    grad_w = [np.empty(0)] * len(net.weights)
+    grad_b = [np.empty(0)] * len(net.biases)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        grad_w[layer] = np.outer(delta, activations[layer])
+        grad_b[layer] = delta.copy()
+        if layer > 0:
+            delta = (net.weights[layer].T @ delta) * (pre[layer - 1] > 0.0)
+    return loss, qnet.Gradients(grad_w, grad_b)
+
+
+def td_target(transition, target_net, gamma):
+    """Bootstrapped target of one transition: r, plus the discounted best target-net value."""
+    if transition.terminal:
+        return transition.reward
+    return transition.reward + gamma * float(np.max(qnet.forward(target_net, transition.next_state)))
+
+
+def fixed_time_decide(clock, plan):
+    """Signal colors (axis A, axis B) of a fixed green/yellow/green/yellow cycle at a given time."""
+    c = clock % (plan.green_a + plan.yellow + plan.green_b + plan.yellow)
+    if c < plan.green_a:
+        return ("green", "red")
+    if c < plan.green_a + plan.yellow:
+        return ("yellow", "red")
+    if c < plan.green_a + plan.yellow + plan.green_b:
+        return ("red", "green")
+    return ("red", "yellow")

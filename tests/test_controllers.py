@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import fixed_time_decide
 from greenlight.controllers import (
     GREEN,
     RED,
@@ -11,7 +12,6 @@ from greenlight.controllers import (
     FixedTimePlan,
     SignalAssignment,
     apply_interlock,
-    fixed_time_decide,
 )
 from greenlight.netmodel import Junction
 

@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_rng
+from oracles import backward, td_target
 from greenlight import dqn, harness, netmodel, qnet, simcore
 from greenlight.controllers import SignalAssignment
 from greenlight.dqn import (
@@ -12,22 +14,19 @@ from greenlight.dqn import (
     ReplayBuffer,
     Transition,
     featurize,
-    reward,
     reward_from_counts,
     select_action,
     state_dim,
     sync_target,
-    td_target,
 )
 
 
-def _view(counts, caps, halted, waits, colors, onehot=(1.0, 0.0, 0.0), t=0.0):
+def _view(counts, caps, halted, waits, onehot=(1.0, 0.0, 0.0), t=0.0):
     return JunctionView(
         lane_counts=tuple(counts),
         lane_capacities=tuple(caps),
         lane_halted=tuple(halted),
         lane_waits=tuple(waits),
-        lane_colors=tuple(colors),
         phase_onehot=onehot,
         time_in_phase=t,
     )
@@ -37,14 +36,14 @@ def _view(counts, caps, halted, waits, colors, onehot=(1.0, 0.0, 0.0), t=0.0):
 
 
 def test_featurize_empty_junction_serving_a():
-    view = _view([0, 0], [10, 10], [0, 0], [0.0, 0.0], ["green", "red"])
+    view = _view([0, 0], [10, 10], [0, 0], [0.0, 0.0])
     vec = featurize(view)
     assert vec.shape == (state_dim(2),)
     assert vec == pytest.approx([0, 0, 0, 0, 0, 0, 1, 0, 0, 0])
 
 
 def test_featurize_saturated_lane_clamps_to_one():
-    view = _view([25], [12], [25], [9999.0], ["red"], onehot=(0.0, 0.0, 1.0), t=600.0)
+    view = _view([25], [12], [25], [9999.0], onehot=(0.0, 0.0, 1.0), t=600.0)
     vec = featurize(view)
     assert vec == pytest.approx([1, 1, 1, 0, 0, 1, 1])
 
@@ -72,7 +71,7 @@ def test_featurize_counts_from_scripted_mini_scenario(single_scenario):
     assert vec[3 * lane + 0] == pytest.approx(0.25)  # density 3/12
     assert vec[3 * lane + 1] == pytest.approx(2.0 / 12.0)  # queue
     assert vec[3 * lane + 2] == pytest.approx(20.0 / 300.0)  # summed halt wait
-    assert view.lane_colors[lane] == "green"  # axis A serving
+    assert view.phase_onehot == (1.0, 0.0, 0.0)  # axis A serving
 
 
 @settings(max_examples=100, deadline=None)
@@ -85,10 +84,9 @@ def test_featurize_components_stay_in_unit_interval(caps, data):
     counts = [data.draw(st.integers(0, 3 * c)) for c in caps]
     halted = [data.draw(st.integers(0, counts[i])) for i in range(n)]
     waits = [data.draw(st.floats(0, 2000)) for _ in range(n)]
-    colors = [data.draw(st.sampled_from(["green", "yellow", "red"])) for _ in range(n)]
     onehot = data.draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]))
     t = data.draw(st.floats(0, 500))
-    vec = featurize(_view(counts, caps, halted, waits, colors, onehot, t))
+    vec = featurize(_view(counts, caps, halted, waits, onehot, t))
     assert vec.shape == (state_dim(n),)
     assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
@@ -125,12 +123,16 @@ def test_reward_unknown_mode_rejected():
 
 
 def test_reward_from_view_counts_lanes():
-    view = _view([0, 0, 0], [5, 5, 5], [0, 0, 0], [0.0, 0.0, 0.0], ["green", "green", "red"])
+    def step_reward(n_a, n_b, colors):
+        edges = [netmodel.Edge(f"e{i}", "x", "c", 100.0, 10.0) for i in range(n_a + n_b)]
+        info = harness._JunctionInfo(netmodel.Junction("c", signalized=True), edges, n_a, [13] * len(edges))
+        sim = types.SimpleNamespace(assignment={"c": colors}, vehicles_on={e.id: [] for e in edges})
+        return harness._step_reward(sim, info, "balanced")
+
     # 2 green vs 1 red, no waiting
-    assert reward(view, action=0, mode="balanced") == pytest.approx(-0.2)
-    view_yellow = _view([0, 0], [5, 5], [0, 0], [0.0, 0.0], ["yellow", "red"])
+    assert step_reward(2, 1, ("green", "red")) == pytest.approx(-0.2)
     # yellow counts in neither sum
-    assert reward(view_yellow, action=2, mode="balanced") == pytest.approx(-0.2)
+    assert step_reward(1, 1, ("yellow", "red")) == pytest.approx(-0.2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -278,7 +280,7 @@ def test_sync_target_copies_and_freezes():
         assert qnet.forward(net, x) == pytest.approx(qnet.forward(target, x), abs=0.0)
     # a training step moves the online net but not the frozen copy
     opt = qnet.Adam(net)
-    _, grads = qnet.backward(net, xs[0], 1.0, 0)
+    _, grads = backward(net, xs[0], 1.0, 0)
     opt.step(net, grads, lr=0.05)
     assert not np.array_equal(net.weights[0], target.weights[0])
     resynced = sync_target(net)

@@ -27,6 +27,32 @@ def test_hyperparams_overrides_and_unknown_keys():
         Hyperparams().with_overrides({"learning_rate": 0.01})
 
 
+def test_hyperparams_decision_interval_must_be_whole_steps(tmp_path, single_text):
+    for bad in (2.5, 0.0, -5.0):
+        with pytest.raises(ValueError, match="decision_interval"):
+            Hyperparams().with_overrides({"decision_interval": bad})
+    assert Hyperparams().with_overrides({"decision_interval": 3}).decision_interval == 3
+    doc = json.loads(single_text)
+    doc["train"] = {"decision_interval": 2.5}
+    path = tmp_path / "bad_interval.xn"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="decision_interval"):
+        harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0, weights_out="unused"))
+
+
+def test_hyperparams_non_numeric_value_names_the_key(tmp_path, short_scenario, capsys):
+    with pytest.raises(ValueError, match="lr"):
+        Hyperparams().with_overrides({"lr": "abc"})
+    with pytest.raises(ValueError, match="warmup"):
+        Hyperparams().with_overrides({"warmup": True})
+    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
+                   "--weights-out", str(tmp_path / "w.json"), "--hp", "lr=abc"])
+    assert rc == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "lr" in error and "abc" in error
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_train_without_updates_keeps_initial_weights(short_scenario):
     config = TrainConfig(
         scenario_path=short_scenario,

@@ -117,6 +117,12 @@ def test_serialize_round_trip(name, single_text, grid_text):
     assert again.content_id() == sc.content_id()
 
 
+def _set_yellow(doc, seconds):
+    """Junction and fixed-plan yellow together, so the two stay equal."""
+    doc["network"]["junctions"][0]["yellow"] = seconds
+    doc["network"]["junctions"][0]["fixed_plan"]["yellow"] = seconds
+
+
 MUTATIONS = [
     ("short_edge", lambda d: d["network"]["edges"][0].__setitem__("length", 5), "length ≥ 10"),
     ("zero_speed", lambda d: d["network"]["edges"][0].__setitem__("speed_limit", 0), "speed limit"),
@@ -138,6 +144,23 @@ MUTATIONS = [
     ("negative_rate", lambda d: d["routes"][0].__setitem__("rate", -1), "rate"),
     ("broken_route", lambda d: d["routes"][0].__setitem__("edges", ["n_out", "s_out"]), "not connected"),
     ("zero_duration", lambda d: d.__setitem__("duration", 0), "duration"),
+    ("fractional_duration", lambda d: d.__setitem__("duration", 999.5), "duration must be a positive multiple"),
+    ("fractional_yellow", lambda d: _set_yellow(d, 2.5), "yellow-duration must be a positive multiple"),
+    (
+        "fractional_min_green",
+        lambda d: d["network"]["junctions"][0].__setitem__("min_green", 4.5),
+        "min-green must be a positive multiple",
+    ),
+    (
+        "fractional_plan_green",
+        lambda d: d["network"]["junctions"][0]["fixed_plan"].__setitem__("green_a", 30.5),
+        "must be in positive multiples",
+    ),
+    (
+        "plan_yellow_differs",
+        lambda d: d["network"]["junctions"][0]["fixed_plan"].__setitem__("yellow", 5.0),
+        "fixed plan yellow",
+    ),
     ("soft_emergency", lambda d: d["vehicle"].__setitem__("b_emergency", 1.0), "emergency"),
     ("zero_accel", lambda d: d["vehicle"].__setitem__("a", 0), "accel"),
 ]
