@@ -50,7 +50,6 @@ def main() -> int:
             scenario_path=args.scenario,
             episodes=args.episodes,
             seed=args.seed,
-            weights_out=str(out / "weights.json"),
             reward_mode=args.reward_mode,
         )
     )
@@ -60,7 +59,7 @@ def main() -> int:
           f"return {result.curve[0]['return']:.1f} -> {result.curve[-1]['return']:.1f}")
 
     reports = {}
-    for controller in ("fixed", "dqn"):
+    for controller in harness.CONTROLLERS:
         print(f"evaluating {controller} on {len(eval_seeds)} seeds ...")
         reports[controller] = harness.evaluate(
             harness.EvalConfig(
@@ -73,9 +72,9 @@ def main() -> int:
         (out / f"{controller}.json").write_text(metrics.report_to_json(reports[controller]))
         (out / f"{controller}.report.csv").write_text(metrics.report_csv(reports[controller]))
 
-    summary = metrics.summary_csv([reports["fixed"], reports["dqn"]])
+    summary = metrics.summary_csv(list(reports.values()))
     (out / "summary.csv").write_text(summary)
-    comparison = harness.compare(reports["fixed"], reports["dqn"])
+    comparison = harness.compare(*reports.values())
     (out / "comparison.json").write_text(json.dumps(comparison, sort_keys=True, indent=2))
 
     print("\nsummary (per-vehicle statistics, pooled over evaluation seeds):")

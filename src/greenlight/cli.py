@@ -20,6 +20,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
+def _parse_value(raw: str):
+    """An int or float where ``raw`` reads as one, else the string for ``Hyperparams`` to reject."""
+    for kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    return raw
+
+
 def _parse_hp(pairs: list[str]) -> dict:
     overrides: dict = {}
     for pair in pairs:
@@ -27,15 +37,9 @@ def _parse_hp(pairs: list[str]) -> dict:
             raise ValueError(f"--hp expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         if key == "hidden":
-            overrides[key] = tuple(int(x) for x in raw.split(",") if x)
-            continue
-        try:
-            overrides[key] = int(raw)
-        except ValueError:
-            try:
-                overrides[key] = float(raw)
-            except ValueError:
-                overrides[key] = raw
+            overrides[key] = [_parse_value(x) for x in raw.split(",") if x]
+        else:
+            overrides[key] = _parse_value(raw)
     return overrides
 
 
@@ -58,15 +62,14 @@ def _cmd_train(args) -> int:
         scenario_path=args.scenario,
         episodes=args.episodes,
         seed=args.seed,
-        weights_out=args.weights_out,
         reward_mode=args.reward_mode,
         hp_overrides=_parse_hp(args.hp),
     )
     result = harness.train(config)
-    _write(config.weights_out, result.weights_doc)
-    curve_path = args.curve_out or str(Path(config.weights_out).with_suffix("")) + ".curve.csv"
+    _write(args.weights_out, result.weights_doc)
+    curve_path = args.curve_out or str(Path(args.weights_out).with_suffix("")) + ".curve.csv"
     _write(curve_path, harness.curve_csv(result.curve))
-    print(f"wrote weights to {config.weights_out} and curve to {curve_path}")
+    print(f"wrote weights to {args.weights_out} and curve to {curve_path}")
     return 0
 
 
@@ -118,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a controller over held-out seeds")
     p_eval.add_argument("--scenario", required=True)
-    p_eval.add_argument("--controller", choices=["fixed", "dqn"], required=True)
+    p_eval.add_argument("--controller", choices=harness.CONTROLLERS, required=True)
     p_eval.add_argument("--weights", default=None)
     p_eval.add_argument("--seeds", required=True, help="comma-separated seed list")
     p_eval.add_argument("--out", required=True)

@@ -93,57 +93,47 @@ def select_action(q_values, epsilon: float, rng) -> int:
     return int(np.argmax(q_values))
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-
-
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions; uniform sampling with replacement."""
+    """FIFO ring of transitions in preallocated arrays, one row each; uniform sampling with replacement."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, state_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self._items: list[Transition] = []
-        self._next = 0
+        self.states = np.zeros((capacity, state_dim))
+        self.actions = np.zeros(capacity, dtype=np.intp)
+        self.rewards = np.zeros(capacity)
+        self.next_states = np.zeros((capacity, state_dim))
+        self.nonterminal = np.zeros(capacity)
+        self.pushes = 0  # row pushes % capacity is written next, and once full is the oldest
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self.pushes, self.capacity)
 
-    def push(self, transition: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._next] = transition  # FIFO eviction
-            self._next = (self._next + 1) % self.capacity
+    def push(self, state, action: int, reward: float, next_state, terminal: bool) -> None:
+        i = self.pushes % self.capacity
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.nonterminal[i] = 0.0 if terminal else 1.0
+        self.pushes += 1
 
-    def sample(self, batch_size: int, rng) -> list[Transition]:
-        if batch_size > len(self._items):
-            raise ValueError(f"cannot sample {batch_size} from a buffer of size {len(self._items)}")
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+    def sample(self, batch_size: int, rng) -> np.ndarray:
+        """Row indices of ``batch_size`` transitions drawn uniformly."""
+        if batch_size > len(self):
+            raise ValueError(f"cannot sample {batch_size} from a buffer of size {len(self)}")
+        return rng.integers(0, len(self), size=batch_size)
 
-    def contents(self) -> list[Transition]:
-        """Buffer contents oldest-first (test and inspection helper)."""
-        return self._items[self._next :] + self._items[: self._next]
-
-
-def td_targets_batch(batch: list[Transition], target_net: QNetwork, gamma: float) -> np.ndarray:
-    next_states = np.stack([t.next_state for t in batch])
-    best = qnet.forward_batch(target_net, next_states).max(axis=1)
-    rewards = np.array([t.reward for t in batch])
-    nonterminal = np.array([0.0 if t.terminal else 1.0 for t in batch])
-    return rewards + gamma * best * nonterminal
+    def contents(self) -> np.ndarray:
+        """Row indices oldest-first (test and inspection helper)."""
+        return (max(0, self.pushes - self.capacity) + np.arange(len(self))) % self.capacity
 
 
-def sync_target(online: QNetwork) -> QNetwork:
-    """Frozen deep copy of the online network."""
-    return qnet.clone(online)
+def td_targets_batch(buffer: ReplayBuffer, rows: np.ndarray, target_net: QNetwork, gamma: float) -> np.ndarray:
+    """Bootstrapped targets of the given buffer rows under the target network."""
+    best = qnet.forward_batch(target_net, buffer.next_states[rows]).max(axis=1)
+    return buffer.rewards[rows] + gamma * best * buffer.nonterminal[rows]
 
 
 class EpsilonSchedule:

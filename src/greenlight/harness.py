@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dqn, metrics, qnet
 from .controllers import REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
-from .dqn import JunctionView, ReplayBuffer, Transition
+from .dqn import JunctionView, ReplayBuffer
 from .netmodel import DT, GREEN, RED, Junction, Scenario, is_whole_steps, load_scenario
 from .simcore import Simulation
 
@@ -33,6 +33,9 @@ _NS_EPISODE = 1
 _NS_NET = 2
 _NS_ACTION = 3
 _NS_SAMPLE = 4
+
+#: Evaluation controllers: the fixed-time baseline, then the trained DQN.
+CONTROLLERS = ("fixed", "dqn")
 
 
 def _generator(*entropy: int) -> np.random.Generator:
@@ -52,12 +55,20 @@ class Hyperparams:
     warmup: int = 500
     decision_interval: float = 5.0
     hidden: tuple[int, ...] = (64, 64)
+    _COUNTS = ("buffer_capacity", "batch_size", "target_sync")  # must be positive integers
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name != "hidden" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            if f.name == "hidden":
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"hyperparameter hidden: expected a list of layer widths, got {value!r}")
+                value = tuple(qnet.positive_int(h, "hyperparameter hidden") for h in value)
+            elif f.name in self._COUNTS:
+                value = qnet.positive_int(value, f"hyperparameter {f.name}")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"hyperparameter {f.name}: expected a number, got {value!r}")
+            object.__setattr__(self, f.name, value)
         if not is_whole_steps(self.decision_interval):
             raise ValueError(
                 f"hyperparameter decision_interval: {self.decision_interval} is not a positive multiple of {DT} s"
@@ -68,10 +79,7 @@ class Hyperparams:
         unknown = set(overrides) - known
         if unknown:
             raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
-        coerced = dict(overrides)
-        if "hidden" in coerced:
-            coerced["hidden"] = tuple(int(h) for h in coerced["hidden"])
-        return replace(self, **coerced)
+        return replace(self, **overrides)
 
 
 def resolve_hyperparams(scenario: Scenario, overrides: dict | None = None) -> Hyperparams:
@@ -87,15 +95,14 @@ class TrainConfig:
     scenario_path: str
     episodes: int
     seed: int
-    weights_out: str
     reward_mode: str = "balanced"
     hp_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.episodes < 1:
             raise ValueError("episodes must be ≥ 1")
-        if not self.scenario_path or not self.weights_out:
-            raise ValueError("scenario and weights paths must be non-empty")
+        if not self.scenario_path:
+            raise ValueError("scenario path must be non-empty")
         if self.reward_mode not in dqn.REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
 
@@ -103,12 +110,12 @@ class TrainConfig:
 @dataclass
 class EvalConfig:
     scenario_path: str
-    controller: str  # "fixed" | "dqn"
+    controller: str  # one of CONTROLLERS
     seeds: list[int]
     weights: str | None = None  # weights document text for the dqn controller
 
     def __post_init__(self):
-        if self.controller not in ("fixed", "dqn"):
+        if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
         if not self.seeds:
             raise ValueError("at least one evaluation seed is required")
@@ -245,7 +252,7 @@ class _TrainingAgent(dqn.GreedyPolicy):
         for ln in self.learners:
             jid = ln.info.junction.id
             rewards.append(ln.reward_sum / self.steps)
-            ln.buffer.push(Transition(self.obs[jid], self.actions[jid], rewards[-1], next_obs[jid], terminal))
+            ln.buffer.push(self.obs[jid], self.actions[jid], rewards[-1], next_obs[jid], terminal)
             ln.reward_sum = 0.0
         self.episode_return += sum(rewards) / len(rewards)
         self.steps = 0
@@ -254,10 +261,9 @@ class _TrainingAgent(dqn.GreedyPolicy):
         for ln in self.learners:
             if len(ln.buffer) < max(hp.warmup, hp.batch_size):
                 continue
-            batch = ln.buffer.sample(hp.batch_size, self.sample_rng)
-            targets = dqn.td_targets_batch(batch, ln.target, hp.gamma)
-            xs = np.stack([t.state for t in batch])
-            loss, grads = qnet.backward_batch(ln.net, xs, targets, [t.action for t in batch])
+            rows = ln.buffer.sample(hp.batch_size, self.sample_rng)
+            targets = dqn.td_targets_batch(ln.buffer, rows, ln.target, hp.gamma)
+            loss, grads = qnet.backward_batch(ln.net, ln.buffer.states[rows], targets, ln.buffer.actions[rows])
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at episode {self.episode}, decision {self.decisions}: {loss}"
@@ -266,7 +272,7 @@ class _TrainingAgent(dqn.GreedyPolicy):
             ln.updates += 1
             self.losses.append(loss)
             if ln.updates % hp.target_sync == 0:
-                ln.target = dqn.sync_target(ln.net)
+                ln.target = qnet.clone(ln.net)
 
 
 @dataclass
@@ -288,7 +294,7 @@ def train(config: TrainConfig) -> TrainResult:
     for idx, info in enumerate(infos):
         d_in = dqn.state_dim(len(info.lane_edges))
         net = qnet.init_network((d_in, *hp.hidden, len(REQUESTS)), _generator(config.seed, _NS_NET, idx))
-        learners.append(_Learner(info, net, dqn.sync_target(net), ReplayBuffer(hp.buffer_capacity), qnet.Adam(net)))
+        learners.append(_Learner(info, net, qnet.clone(net), ReplayBuffer(hp.buffer_capacity, d_in), qnet.Adam(net)))
     agent = _TrainingAgent(learners, hp, config, config.episodes * math.ceil(scenario.duration / hp.decision_interval))
 
     curve: list[dict] = []

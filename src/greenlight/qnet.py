@@ -2,15 +2,15 @@
 
 Rectifier hidden layers, linear output, 64-bit floats throughout.  The loss is
 the squared TD error on the single taken action, so the output gradient is
-zero everywhere except that action's entry.  An Adam optimizer carries its
-moment state per network.  Weights serialize to a small JSON document.
+zero everywhere except that action's entry.  A network's parameters, its
+gradients and Adam's moments are each one flat vector.  Weights serialize to a
+small JSON document.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,22 @@ class WeightsFormatError(ValueError):
     """Weights document is malformed or internally inconsistent."""
 
 
-@dataclass
 class QNetwork:
-    sizes: tuple[int, ...]
-    weights: list[np.ndarray]  # per layer, shape (out, in)
-    biases: list[np.ndarray]  # per layer, shape (out,)
+    """Parameters in one contiguous vector ``flat``, laid out W0, b0, W1, b1, ...
+
+    ``weights[i]`` (shape (out, in)) and ``biases[i]`` (shape (out,)) are views
+    into ``flat``.  Gradients share this layout, so Adam and cloning act on
+    ``flat`` alone.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], flat: np.ndarray | None = None):
+        self.sizes = tuple(sizes)
+        shapes = list(zip(self.sizes[1:], self.sizes[:-1]))
+        lengths = [n for fan_out, fan_in in shapes for n in (fan_out * fan_in, fan_out)]
+        self.flat = np.zeros(sum(lengths)) if flat is None else flat
+        parts = np.split(self.flat, np.cumsum(lengths)[:-1])
+        self.weights = [w.reshape(shape) for w, shape in zip(parts[::2], shapes)]
+        self.biases = parts[1::2]
 
     @property
     def d_in(self) -> int:
@@ -36,10 +47,12 @@ class QNetwork:
         return self.sizes[-1]
 
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+def positive_int(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int; bools, fractions and values below 1 raise ``error`` naming ``what``."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < 1:
+        raise error(f"{what}: expected a positive integer, got {value!r}")
+    return int(value)
 
 
 def init_network(sizes, rng) -> QNetwork:
@@ -47,12 +60,11 @@ def init_network(sizes, rng) -> QNetwork:
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"need at least input and output dimensions, got {sizes}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return QNetwork(sizes, weights, biases)
+    net = QNetwork(sizes)
+    for w in net.weights:
+        limit = math.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return net
 
 
 def _check_input(net: QNetwork, x: np.ndarray) -> np.ndarray:
@@ -75,13 +87,8 @@ def forward(net: QNetwork, x) -> np.ndarray:
 
 def forward_batch(net: QNetwork, xs) -> np.ndarray:
     """Q-values for a (n, d_in) batch of states."""
-    a = _check_input(net, xs)
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w.T + b
-        if i < last:
-            np.maximum(a, 0.0, out=a)
-    return a
+    activations, _ = _forward_cached(net, _check_input(net, xs))
+    return activations[-1]
 
 
 def _forward_cached(net: QNetwork, a: np.ndarray):
@@ -100,8 +107,8 @@ def _forward_cached(net: QNetwork, a: np.ndarray):
     return activations, pre
 
 
-def backward_batch(net: QNetwork, xs, td_targets, actions) -> tuple[float, Gradients]:
-    """Mean squared TD loss over a batch and its mean gradients.
+def backward_batch(net: QNetwork, xs, td_targets, actions) -> tuple[float, QNetwork]:
+    """Mean squared TD loss over a batch and its mean gradients, laid out as ``net``.
 
     Equivalent to averaging the loss (q[action] - target)^2 and its gradients
     over the samples one at a time.
@@ -118,14 +125,13 @@ def backward_batch(net: QNetwork, xs, td_targets, actions) -> tuple[float, Gradi
     delta = np.zeros_like(q)
     delta[np.arange(n), acts] = 2.0 * errors / n
 
-    grad_w = [np.empty(0)] * len(net.weights)
-    grad_b = [np.empty(0)] * len(net.biases)
+    grads = QNetwork(net.sizes)
     for layer in range(len(net.weights) - 1, -1, -1):
-        grad_w[layer] = delta.T @ activations[layer]
-        grad_b[layer] = delta.sum(axis=0)
+        grads.weights[layer][...] = delta.T @ activations[layer]
+        grads.biases[layer][...] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ net.weights[layer]) * (pre[layer - 1] > 0.0)
-    return loss, Gradients(grad_w, grad_b)
+    return loss, grads
 
 
 class Adam:
@@ -136,33 +142,24 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in net.weights]
-        self.v_w = [np.zeros_like(w) for w in net.weights]
-        self.m_b = [np.zeros_like(b) for b in net.biases]
-        self.v_b = [np.zeros_like(b) for b in net.biases]
+        self.m = np.zeros_like(net.flat)
+        self.v = np.zeros_like(net.flat)
 
-    def step(self, net: QNetwork, grads: Gradients, lr: float) -> None:
-        if len(grads.weights) != len(net.weights):
-            raise ValueError("gradient shapes do not match the network")
+    def step(self, net: QNetwork, grads: QNetwork, lr: float) -> None:
+        if grads.sizes != net.sizes:
+            raise ValueError(f"gradient sizes {grads.sizes} do not match the network's {net.sizes}")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for params, gs, ms, vs in (
-            (net.weights, grads.weights, self.m_w, self.v_w),
-            (net.biases, grads.biases, self.m_b, self.v_b),
-        ):
-            for p, g, m, v in zip(params, gs, ms, vs):
-                if p.shape != g.shape:
-                    raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads.flat
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (grads.flat * grads.flat)
+        net.flat -= lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 def clone(net: QNetwork) -> QNetwork:
-    return QNetwork(net.sizes, [w.copy() for w in net.weights], [b.copy() for b in net.biases])
+    return QNetwork(net.sizes, net.flat.copy())
 
 
 def serialize(net: QNetwork) -> str:
@@ -185,13 +182,16 @@ def deserialize(text: str) -> QNetwork:
         raise WeightsFormatError(f"weights document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "arch" not in doc or "layers" not in doc:
         raise WeightsFormatError("weights document must contain 'arch' and 'layers'")
-    arch = tuple(int(s) for s in doc["arch"])
+    arch = doc["arch"]
+    if not isinstance(arch, list) or len(arch) < 2:
+        raise WeightsFormatError(f"arch: expected a list of at least two layer widths, got {arch!r}")
+    arch = tuple(positive_int(s, "arch", WeightsFormatError) for s in arch)
     layers = doc["layers"]
     if len(layers) != len(arch) - 1:
         raise WeightsFormatError(f"arch {list(arch)} expects {len(arch) - 1} layers, document has {len(layers)}")
-    weights, biases = [], []
+    parts = []
     for i, layer in enumerate(layers):
-        rows, cols = int(layer["rows"]), int(layer["cols"])
+        rows, cols = (positive_int(layer[k], f"layer {i}: {k}", WeightsFormatError) for k in ("rows", "cols"))
         if rows != arch[i + 1] or cols != arch[i]:
             raise WeightsFormatError(
                 f"layer {i}: shape ({rows}, {cols}) does not chain with arch {list(arch)}"
@@ -204,6 +204,5 @@ def deserialize(text: str) -> QNetwork:
             raise WeightsFormatError(f"layer {i}: expected {rows} biases, got {b.size}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise WeightsFormatError(f"layer {i}: non-finite parameters")
-        weights.append(w.reshape(rows, cols))
-        biases.append(b)
-    return QNetwork(arch, weights, biases)
+        parts += [w.ravel(), b.ravel()]
+    return QNetwork(arch, np.concatenate(parts))

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from greenlight import netmodel
+from greenlight import netmodel, qnet
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -26,3 +26,14 @@ def single_scenario(single_text) -> netmodel.Scenario:
 
 def make_rng(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def make_net(weights, biases) -> qnet.QNetwork:
+    """A network (or gradient) holding the given per-layer weights, shape (out, in), and biases."""
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    net = qnet.QNetwork((weights[0].shape[1], *(w.shape[0] for w in weights)))
+    for view, w in zip(net.weights, weights):
+        view[...] = w
+    for view, b in zip(net.biases, biases):
+        view[...] = b
+    return net

@@ -6,6 +6,7 @@ checks, so a bug in the implementation cannot hide in its own oracle.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,14 +141,57 @@ def backward(net, x, td_target, action):
     delta = np.zeros(net.d_out)
     delta[action] = 2.0 * error
 
-    grad_w = [np.empty(0)] * len(net.weights)
-    grad_b = [np.empty(0)] * len(net.biases)
+    grads = qnet.QNetwork(net.sizes)
     for layer in range(len(net.weights) - 1, -1, -1):
-        grad_w[layer] = np.outer(delta, activations[layer])
-        grad_b[layer] = delta.copy()
+        grads.weights[layer][...] = np.outer(delta, activations[layer])
+        grads.biases[layer][...] = delta
         if layer > 0:
             delta = (net.weights[layer].T @ delta) * (pre[layer - 1] > 0.0)
-    return loss, qnet.Gradients(grad_w, grad_b)
+    return loss, grads
+
+
+@dataclass(frozen=True)
+class Transition:
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
+    terminal: bool
+
+
+class ReplayBuffer:
+    """Fixed-capacity list of transitions with FIFO eviction; uniform sampling with replacement.
+
+    The per-transition form of ``dqn.ReplayBuffer``: slot ``i`` of the list
+    holds what row ``i`` of the ring holds, and sampling draws the same slots.
+    """
+
+    def __init__(self, capacity):
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        self.capacity = capacity
+        self._items = []
+        self._next = 0
+
+    def __len__(self):
+        return len(self._items)
+
+    def push(self, transition):
+        if len(self._items) < self.capacity:
+            self._items.append(transition)
+        else:
+            self._items[self._next] = transition  # FIFO eviction
+            self._next = (self._next + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        if batch_size > len(self._items):
+            raise ValueError(f"cannot sample {batch_size} from a buffer of size {len(self._items)}")
+        idx = rng.integers(0, len(self._items), size=batch_size)
+        return [self._items[i] for i in idx]
+
+    def contents(self):
+        """Buffer contents oldest-first."""
+        return self._items[self._next :] + self._items[: self._next]
 
 
 def td_target(transition, target_net, gamma):

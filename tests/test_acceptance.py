@@ -16,7 +16,7 @@ import oracles
 import scenario_gen
 from conftest import SCENARIOS, make_rng
 from greenlight import cli, dqn, harness, metrics, qnet
-from greenlight.dqn import ReplayBuffer, Transition
+from greenlight.dqn import ReplayBuffer
 from greenlight.harness import EvalConfig, TrainConfig
 
 TRAIN_SEED = 7
@@ -37,7 +37,6 @@ def training_run():
             scenario_path=str(SCENARIOS / "single.xn"),
             episodes=TRAIN_EPISODES,
             seed=TRAIN_SEED,
-            weights_out="unused",
         )
     )
     return result, time.perf_counter() - start
@@ -188,20 +187,20 @@ def test_criterion_7_determinism(tmp_path):
 
 
 def test_criterion_8_replay_buffer():
-    buf = ReplayBuffer(3)
+    buf = ReplayBuffer(3, 1)
     for i in (1, 2, 3, 4):
-        buf.push(Transition(np.array([float(i)]), 0, float(i), np.array([float(i)]), False))
-    assert [t.reward for t in buf.contents()] == [2.0, 3.0, 4.0]
+        buf.push(np.array([float(i)]), 0, float(i), np.array([float(i)]), False)
+    assert list(buf.rewards[buf.contents()]) == [2.0, 3.0, 4.0]
 
-    buf = ReplayBuffer(10)
+    buf = ReplayBuffer(10, 1)
     for i in range(10):
-        buf.push(Transition(np.array([float(i)]), 0, float(i), np.array([float(i)]), False))
+        buf.push(np.array([float(i)]), 0, float(i), np.array([float(i)]), False)
     rng = make_rng(2718)
     counts = np.zeros(10, dtype=int)
     draws = 100_000
     for _ in range(draws // 10):  # sample() requires batch <= size, so draw in batches of 10
-        for t in buf.sample(10, rng):
-            counts[int(t.reward)] += 1
+        for reward in buf.rewards[buf.sample(10, rng)]:
+            counts[int(reward)] += 1
     stat = float(((counts - draws / 10.0) ** 2 / (draws / 10.0)).sum())
     p = float(scipy.stats.chi2.sf(stat, df=9))
     assert p > 0.001, f"chi-square p={p:.5f} rejects uniform sampling"

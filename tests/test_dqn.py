@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_rng
-from oracles import backward, td_target
+import oracles
+from conftest import make_net, make_rng
+from oracles import Transition, td_target
 from greenlight import dqn, harness, netmodel, qnet, simcore
 from greenlight.controllers import SignalAssignment
 from greenlight.dqn import (
     JunctionView,
     ReplayBuffer,
-    Transition,
     featurize,
     reward_from_counts,
     select_action,
     state_dim,
-    sync_target,
 )
 
 
@@ -182,41 +181,41 @@ def test_select_action_uniform_at_epsilon_one():
 # --- replay buffer ---------------------------------------------------------------
 
 
-def _tr(i):
-    return Transition(np.array([float(i)]), 0, float(i), np.array([float(i)]), False)
+def _push(buf, i):
+    buf.push(np.array([float(i)]), 0, float(i), np.array([float(i)]), False)
 
 
 def test_buffer_fifo_eviction_capacity_three():
-    buf = ReplayBuffer(3)
+    buf = ReplayBuffer(3, 1)
     for i in (1, 2, 3, 4):
-        buf.push(_tr(i))
-    assert [t.reward for t in buf.contents()] == [2.0, 3.0, 4.0]
+        _push(buf, i)
+    assert list(buf.rewards[buf.contents()]) == [2.0, 3.0, 4.0]
     assert len(buf) == 3
 
 
 def test_buffer_sample_single():
-    buf = ReplayBuffer(8)
-    buf.push(_tr(42))
+    buf = ReplayBuffer(8, 1)
+    _push(buf, 42)
     out = buf.sample(1, make_rng(0))
-    assert len(out) == 1 and out[0].reward == 42.0
+    assert len(out) == 1 and buf.rewards[out[0]] == 42.0
 
 
 def test_buffer_underfilled_sampling_errors():
-    buf = ReplayBuffer(8)
-    buf.push(_tr(1))
+    buf = ReplayBuffer(8, 1)
+    _push(buf, 1)
     with pytest.raises(ValueError):
         buf.sample(2, make_rng(0))
 
 
 def test_buffer_sampling_is_with_replacement():
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, 1)
     for i in range(3):
-        buf.push(_tr(i))
+        _push(buf, i)
     # P(all distinct) = 2/9 per draw; over 20 seeded batches a duplicate is certain
     saw_duplicate = False
     rng = make_rng(1)
     for _ in range(20):
-        rewards = [t.reward for t in buf.sample(3, rng)]
+        rewards = list(buf.rewards[buf.sample(3, rng)])
         saw_duplicate = saw_duplicate or len(set(rewards)) < 3
     assert saw_duplicate
 
@@ -224,21 +223,51 @@ def test_buffer_sampling_is_with_replacement():
 @settings(max_examples=50, deadline=None)
 @given(capacity=st.integers(1, 20), extra=st.integers(0, 30))
 def test_buffer_never_exceeds_capacity_and_drops_oldest(capacity, extra):
-    buf = ReplayBuffer(capacity)
+    buf = ReplayBuffer(capacity, 1)
     total = capacity + extra
     for i in range(total):
-        buf.push(_tr(i))
+        _push(buf, i)
         assert len(buf) <= capacity
-    kept = [t.reward for t in buf.contents()]
+    kept = list(buf.rewards[buf.contents()])
     assert kept == [float(i) for i in range(extra, total)]
 
 
-# --- targets and syncing ----------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.integers(1, 12),
+    pushes=st.integers(1, 40),
+    batch=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ring_buffer_matches_list_oracle(capacity, pushes, batch, seed):
+    rng = make_rng(seed)
+    net = qnet.init_network((3, 5, 3), rng)
+    ring, oracle = ReplayBuffer(capacity, 3), oracles.ReplayBuffer(capacity)
+    for _ in range(pushes):  # wraps around whenever pushes > capacity
+        t = Transition(rng.normal(size=3), int(rng.integers(0, 3)), float(rng.normal()), rng.normal(size=3),
+                       bool(rng.random() < 0.3))
+        ring.push(t.state, t.action, t.reward, t.next_state, t.terminal)
+        oracle.push(t)
+    assert len(ring) == len(oracle)
+    assert list(ring.rewards[ring.contents()]) == [t.reward for t in oracle.contents()]
+    batch = min(batch, len(oracle))
+    rows = ring.sample(batch, make_rng(seed + 1))
+    sampled = oracle.sample(batch, make_rng(seed + 1))
+    assert np.array_equal(ring.states[rows], np.stack([t.state for t in sampled]))
+    assert list(ring.actions[rows]) == [t.action for t in sampled]
+    assert list(ring.rewards[rows]) == [t.reward for t in sampled]
+    assert np.array_equal(ring.next_states[rows], np.stack([t.next_state for t in sampled]))
+    assert list(ring.nonterminal[rows]) == [0.0 if t.terminal else 1.0 for t in sampled]
+    targets = dqn.td_targets_batch(ring, rows, net, 0.9)
+    assert targets == pytest.approx([td_target(t, net, 0.9) for t in sampled], abs=1e-12)
+
+
+# --- TD targets -------------------------------------------------------------------
 
 
 def _const_net(outputs):
     # zero weights, biases = outputs: forward() returns the biases for any input
-    return qnet.QNetwork((1, len(outputs)), [np.zeros((len(outputs), 1))], [np.array(outputs, dtype=float)])
+    return make_net([np.zeros((len(outputs), 1))], [outputs])
 
 
 def test_td_target_terminal_is_reward():
@@ -266,22 +295,9 @@ def test_td_targets_batch_matches_scalar():
         Transition(rng.normal(size=3), int(rng.integers(0, 3)), float(rng.normal()), rng.normal(size=3), bool(i % 2))
         for i in range(6)
     ]
-    vec = dqn.td_targets_batch(batch, net, 0.9)
+    buf = ReplayBuffer(6, 3)
+    for t in batch:
+        buf.push(t.state, t.action, t.reward, t.next_state, t.terminal)
+    vec = dqn.td_targets_batch(buf, np.arange(6), net, 0.9)
     for i, t in enumerate(batch):
         assert vec[i] == pytest.approx(td_target(t, net, 0.9), abs=1e-12)
-
-
-def test_sync_target_copies_and_freezes():
-    rng = make_rng(6)
-    net = qnet.init_network((3, 4, 2), rng)
-    target = sync_target(net)
-    xs = rng.normal(size=(5, 3))
-    for x in xs:
-        assert qnet.forward(net, x) == pytest.approx(qnet.forward(target, x), abs=0.0)
-    # a training step moves the online net but not the frozen copy
-    opt = qnet.Adam(net)
-    _, grads = backward(net, xs[0], 1.0, 0)
-    opt.step(net, grads, lr=0.05)
-    assert not np.array_equal(net.weights[0], target.weights[0])
-    resynced = sync_target(net)
-    assert np.array_equal(net.weights[0], resynced.weights[0])

@@ -37,7 +37,7 @@ def test_hyperparams_decision_interval_must_be_whole_steps(tmp_path, single_text
     path = tmp_path / "bad_interval.xn"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="decision_interval"):
-        harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0, weights_out="unused"))
+        harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0))
 
 
 def test_hyperparams_non_numeric_value_names_the_key(tmp_path, short_scenario, capsys):
@@ -53,12 +53,55 @@ def test_hyperparams_non_numeric_value_names_the_key(tmp_path, short_scenario, c
     assert not (tmp_path / "w.json").exists()
 
 
+@pytest.mark.parametrize("bad", [[64.5, 32.9], [True, 2], [64, 0], [-8], ["64"], 64, "64,64"])
+def test_hyperparams_hidden_must_be_positive_integers(bad):
+    with pytest.raises(ValueError, match="hidden"):
+        Hyperparams().with_overrides({"hidden": bad})
+
+
+def test_hyperparams_integral_values_become_ints():
+    hp = Hyperparams().with_overrides({"hidden": [64.0, 32], "buffer_capacity": 100.0, "batch_size": 16})
+    assert hp.hidden == (64, 32) and all(type(h) is int for h in hp.hidden)
+    assert hp.buffer_capacity == 100 and type(hp.buffer_capacity) is int
+
+
+@pytest.mark.parametrize("key, bad", [("buffer_capacity", 100.5), ("batch_size", 0), ("target_sync", True)])
+def test_hyperparams_counts_must_be_positive_integers(key, bad):
+    with pytest.raises(ValueError, match=key):
+        Hyperparams().with_overrides({key: bad})
+
+
+def test_fractional_hidden_in_train_block_is_rejected(tmp_path, single_text):
+    doc = json.loads(single_text)
+    doc["train"] = {"hidden": [64.5, 32.9]}
+    path = tmp_path / "fractional_hidden.xn"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="hidden"):
+        harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0))
+
+
+@pytest.mark.parametrize("raw", ["a,b", "64.5,32", "true,2"])
+def test_cli_hidden_override_names_the_key(tmp_path, short_scenario, capsys, raw):
+    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
+                   "--weights-out", str(tmp_path / "w.json"), "--hp", f"hidden={raw}"])
+    assert rc == 1
+    assert "hidden" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_cli_hidden_override_sets_the_architecture(tmp_path, short_scenario):
+    out = tmp_path / "w.json"
+    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
+                   "--weights-out", str(out), "--hp", "hidden=16,8", "--hp", "warmup=10000"])
+    assert rc == 0
+    assert qnet.deserialize(out.read_text()).sizes == (harness.dqn.state_dim(4), 16, 8, 3)
+
+
 def test_train_without_updates_keeps_initial_weights(short_scenario):
     config = TrainConfig(
         scenario_path=short_scenario,
         episodes=1,
         seed=11,
-        weights_out="unused",
         hp_overrides={"warmup": 10_000},  # larger than all transitions of the episode
     )
     result = harness.train(config)
@@ -75,7 +118,6 @@ def test_train_is_deterministic(short_scenario):
         scenario_path=short_scenario,
         episodes=2,
         seed=3,
-        weights_out="unused",
         hp_overrides={"warmup": 20},  # low enough that gradient steps actually run
     )
     a = harness.train(TrainConfig(**config))
@@ -86,8 +128,7 @@ def test_train_is_deterministic(short_scenario):
 
 
 def test_train_literal_reward_mode_runs(short_scenario):
-    base = dict(scenario_path=short_scenario, episodes=1, seed=4, weights_out="unused",
-                hp_overrides={"warmup": 20})
+    base = dict(scenario_path=short_scenario, episodes=1, seed=4, hp_overrides={"warmup": 20})
     literal = harness.train(TrainConfig(reward_mode="literal", **base))
     balanced = harness.train(TrainConfig(reward_mode="balanced", **base))
     assert literal.curve[0]["return"] != balanced.curve[0]["return"]
@@ -127,7 +168,7 @@ def test_eval_empty_demand_reports_zeroes(tmp_path, single_text):
 
 def test_trained_dqn_evaluates_and_weights_file_untouched(tmp_path, short_scenario):
     result = harness.train(
-        TrainConfig(scenario_path=short_scenario, episodes=2, seed=9, weights_out="unused")
+        TrainConfig(scenario_path=short_scenario, episodes=2, seed=9)
     )
     weights = tmp_path / "w.json"
     weights.write_text(result.weights_doc)
@@ -145,8 +186,7 @@ def test_trained_dqn_evaluates_and_weights_file_untouched(tmp_path, short_scenar
 
 def test_dqn_weights_junction_mismatch(short_scenario):
     result = harness.train(
-        TrainConfig(scenario_path=short_scenario, episodes=1, seed=9, weights_out="unused",
-                    hp_overrides={"warmup": 10_000})
+        TrainConfig(scenario_path=short_scenario, episodes=1, seed=9, hp_overrides={"warmup": 10_000})
     )
     with pytest.raises(WeightsMismatchError):
         harness.evaluate(

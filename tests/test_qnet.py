@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_rng
+from conftest import make_net, make_rng
 from oracles import backward
 from greenlight.qnet import (
     Adam,
-    Gradients,
     QNetwork,
     WeightsFormatError,
     backward_batch,
+    clone,
     deserialize,
     forward,
     forward_batch,
@@ -21,11 +21,7 @@ from greenlight.qnet import (
 
 
 def _linear_net(w, b):
-    return QNetwork(
-        (len(w[0]), len(w)),
-        [np.asarray(w, dtype=np.float64)],
-        [np.asarray(b, dtype=np.float64)],
-    )
+    return make_net([w], [b])
 
 
 def test_forward_identity_layer():
@@ -34,11 +30,7 @@ def test_forward_identity_layer():
 
 
 def test_forward_rectifier_clips_hidden():
-    net = QNetwork(
-        (2, 2, 2),
-        [np.eye(2), np.eye(2)],
-        [np.zeros(2), np.zeros(2)],
-    )
+    net = make_net([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
     # hidden activation of (-1, 2) is (0, 2); the linear output passes it through
     assert forward(net, [-1.0, 2.0]) == pytest.approx([0.0, 2.0])
 
@@ -152,7 +144,7 @@ def test_adam_zero_gradients_leave_parameters_unchanged():
     before_w = net.weights[0].copy()
     before_b = net.biases[0].copy()
     opt = Adam(net)
-    zero = Gradients([np.zeros_like(net.weights[0])], [np.zeros_like(net.biases[0])])
+    zero = QNetwork(net.sizes)
     opt.step(net, zero, lr=0.1)
     assert np.array_equal(net.weights[0], before_w)
     assert np.array_equal(net.biases[0], before_b)
@@ -161,7 +153,7 @@ def test_adam_zero_gradients_leave_parameters_unchanged():
 def test_adam_first_step_is_signed_lr():
     net = _linear_net([[1.0, 1.0]], [1.0])
     opt = Adam(net)
-    grads = Gradients([np.array([[0.5, -2.0]])], [np.array([3.0])])
+    grads = make_net([[[0.5, -2.0]]], [[3.0]])
     opt.step(net, grads, lr=0.01)
     # bias-corrected first step moves each parameter by ~lr against the gradient sign
     assert net.weights[0] == pytest.approx(np.array([[1.0 - 0.01, 1.0 + 0.01]]), rel=1e-5)
@@ -171,8 +163,8 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_two_steps_match_reference_trace():
     net = _linear_net([[1.0, -1.0]], [0.5])
     opt = Adam(net)
-    g1 = Gradients([np.array([[0.3, -0.7]])], [np.array([0.1])])
-    g2 = Gradients([np.array([[-0.2, 0.4]])], [np.array([0.6])])
+    g1 = make_net([[[0.3, -0.7]]], [[0.1]])
+    g2 = make_net([[[-0.2, 0.4]]], [[0.6]])
     opt.step(net, g1, lr=0.05)
     after_one = (net.weights[0].copy(), net.biases[0].copy())
     opt.step(net, g2, lr=0.05)
@@ -191,9 +183,14 @@ def test_adam_two_steps_match_reference_trace():
 def test_adam_rejects_shape_mismatch():
     net = _linear_net([[1.0, 1.0]], [1.0])
     opt = Adam(net)
-    bad = Gradients([np.zeros((2, 2))], [np.zeros(1)])
-    with pytest.raises(ValueError):
-        opt.step(net, bad, lr=0.1)
+    with pytest.raises(ValueError, match="sizes"):
+        opt.step(net, QNetwork((2, 2)), lr=0.1)
+    # a layout with as many parameters but other sizes is rejected too
+    net = _linear_net([[1.0], [1.0]], [1.0, 1.0])
+    bad = QNetwork((1, 1, 1))
+    assert bad.flat.size == net.flat.size
+    with pytest.raises(ValueError, match="sizes"):
+        Adam(net).step(net, bad, lr=0.1)
 
 
 def test_serialize_round_trip_is_bitwise():
@@ -233,3 +230,68 @@ def test_init_network_is_deterministic_per_seed():
     a = init_network((4, 8, 3), make_rng(5))
     b = init_network((4, 8, 3), make_rng(5))
     assert serialize(a) == serialize(b)
+
+
+# --- parameter layout -------------------------------------------------------------
+
+
+def test_layers_are_views_into_flat_in_order():
+    net = init_network((4, 8, 3), make_rng(8))
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.flat) and np.shares_memory(b, net.flat)
+    layout = np.concatenate([p.ravel() for w, b in zip(net.weights, net.biases) for p in (w, b)])
+    assert np.array_equal(layout, net.flat)
+    assert net.flat.size == (4 * 8 + 8) + (8 * 3 + 3)
+    net.flat[4 * 8] = 7.0  # first entry after W0 is b0[0]
+    assert net.biases[0][0] == 7.0
+
+
+def test_backward_batch_gradients_share_the_network_layout():
+    rng = make_rng(9)
+    net = init_network((4, 8, 3), rng)
+    _, grads = backward_batch(net, rng.normal(size=(5, 4)), rng.normal(size=5), [0, 1, 2, 0, 1])
+    assert grads.sizes == net.sizes and grads.flat.size == net.flat.size
+    for w, b in zip(grads.weights, grads.biases):
+        assert np.shares_memory(w, grads.flat) and np.shares_memory(b, grads.flat)
+
+
+def test_clone_copies_and_freezes():
+    rng = make_rng(6)
+    net = init_network((3, 4, 2), rng)
+    target = clone(net)
+    assert not np.shares_memory(target.flat, net.flat)
+    for w, b in zip(target.weights, target.biases):
+        assert np.shares_memory(w, target.flat) and np.shares_memory(b, target.flat)
+    xs = rng.normal(size=(5, 3))
+    for x in xs:
+        assert forward(net, x) == pytest.approx(forward(target, x), abs=0.0)
+    # a training step moves the online net but not the frozen copy
+    opt = Adam(net)
+    _, grads = backward(net, xs[0], 1.0, 0)
+    opt.step(net, grads, lr=0.05)
+    assert not np.array_equal(net.weights[0], target.weights[0])
+    resynced = clone(net)
+    assert np.array_equal(net.weights[0], resynced.weights[0])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("arch", [4, 8.5, 3]), ("arch", [4.2, 8, 3]), ("arch", [4, True, 3]), ("arch", [4, 0, 3]), ("arch", "483"),
+     ("arch", [4]), ("rows", 8.5), ("rows", -8), ("cols", True), ("cols", "4")],
+)
+def test_deserialize_rejects_non_integral_dimensions(field, value):
+    doc = json.loads(serialize(init_network((4, 8, 3), make_rng(4))))
+    if field == "arch":
+        doc["arch"] = value
+    else:
+        doc["layers"][0][field] = value
+    with pytest.raises(WeightsFormatError, match=field):
+        deserialize(json.dumps(doc))
+
+
+def test_deserialize_accepts_integral_float_dimensions():
+    doc = json.loads(serialize(init_network((2, 3, 2), make_rng(4))))
+    doc["arch"] = [2.0, 3.0, 2.0]
+    doc["layers"][0]["rows"] = 3.0
+    net = deserialize(json.dumps(doc))
+    assert net.sizes == (2, 3, 2) and all(type(s) is int for s in net.sizes)
