@@ -94,46 +94,60 @@ def select_action(q_values, epsilon: float, rng) -> int:
 
 
 class ReplayBuffer:
-    """FIFO ring of transitions in preallocated arrays, one row each; uniform sampling with replacement."""
+    """FIFO ring of transitions in preallocated arrays; uniform sampling with replacement.
 
-    def __init__(self, capacity: int, state_dim: int):
+    ``agents`` agents that act together share the ring: row ``i`` holds one
+    transition per agent, ``states[k, i]`` being agent k's state, zero-padded
+    to ``state_dim`` when agents see states of different lengths.
+    """
+
+    def __init__(self, capacity: int, state_dim: int, agents: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros(capacity, dtype=np.intp)
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
-        self.nonterminal = np.zeros(capacity)
+        self.agents = agents
+        self.states = np.zeros((agents, capacity, state_dim))
+        self.actions = np.zeros((agents, capacity), dtype=np.intp)
+        self.rewards = np.zeros((agents, capacity))
+        self.next_states = np.zeros((agents, capacity, state_dim))
+        self.nonterminal = np.zeros((agents, capacity))
         self.pushes = 0  # row pushes % capacity is written next, and once full is the oldest
 
     def __len__(self) -> int:
         return min(self.pushes, self.capacity)
 
-    def push(self, state, action: int, reward: float, next_state, terminal: bool) -> None:
+    def push(self, states, actions, rewards, next_states, terminal: bool) -> None:
+        """One transition per agent: sequences of ``agents`` states, actions, rewards and next states."""
         i = self.pushes % self.capacity
-        self.states[i] = state
-        self.actions[i] = action
-        self.rewards[i] = reward
-        self.next_states[i] = next_state
-        self.nonterminal[i] = 0.0 if terminal else 1.0
+        for k, (state, next_state) in enumerate(zip(states, next_states)):
+            self.states[k, i, : len(state)] = state
+            self.next_states[k, i, : len(next_state)] = next_state
+        self.actions[:, i] = actions
+        self.rewards[:, i] = rewards
+        self.nonterminal[:, i] = 0.0 if terminal else 1.0
         self.pushes += 1
 
     def sample(self, batch_size: int, rng) -> np.ndarray:
-        """Row indices of ``batch_size`` transitions drawn uniformly."""
+        """(agents, batch_size) row indices, drawn uniformly for agent 0, then agent 1, ..."""
         if batch_size > len(self):
             raise ValueError(f"cannot sample {batch_size} from a buffer of size {len(self)}")
-        return rng.integers(0, len(self), size=batch_size)
+        return rng.integers(0, len(self), size=(self.agents, batch_size))
 
     def contents(self) -> np.ndarray:
         """Row indices oldest-first (test and inspection helper)."""
         return (max(0, self.pushes - self.capacity) + np.arange(len(self))) % self.capacity
 
 
-def td_targets_batch(buffer: ReplayBuffer, rows: np.ndarray, target_net: QNetwork, gamma: float) -> np.ndarray:
-    """Bootstrapped targets of the given buffer rows under the target network."""
-    best = qnet.forward_batch(target_net, buffer.next_states[rows]).max(axis=1)
-    return buffer.rewards[rows] + gamma * best * buffer.nonterminal[rows]
+def td_targets_batch(buffer: ReplayBuffer, agents, rows: np.ndarray, target_net: QNetwork, gamma: float) -> np.ndarray:
+    """Bootstrapped targets of buffer rows ``rows`` of agents ``agents`` under the target network.
+
+    ``agents`` broadcasts against ``rows``: an agent index with (n,) rows and a
+    (P,) network, or a (K, 1) column of agents with (K, n) rows and a (K, P)
+    network holding agent k's target network in row k.
+    """
+    next_states = buffer.next_states[agents, rows, : target_net.d_in]
+    best = qnet.forward_batch(target_net, next_states).max(axis=-1)
+    return buffer.rewards[agents, rows] + gamma * best * buffer.nonterminal[agents, rows]
 
 
 class EpsilonSchedule:

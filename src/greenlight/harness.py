@@ -55,7 +55,8 @@ class Hyperparams:
     warmup: int = 500
     decision_interval: float = 5.0
     hidden: tuple[int, ...] = (64, 64)
-    _COUNTS = ("buffer_capacity", "batch_size", "target_sync")  # must be positive integers
+    _COUNTS = {"buffer_capacity": 1, "batch_size": 1, "target_sync": 1, "warmup": 0}  # smallest allowed
+    _FRACTIONS = ("gamma", "eps_start", "eps_final", "eps_fraction")  # must lie in [0, 1]
 
     def __post_init__(self):
         for f in fields(self):
@@ -63,12 +64,16 @@ class Hyperparams:
             if f.name == "hidden":
                 if not isinstance(value, (list, tuple)):
                     raise ValueError(f"hyperparameter hidden: expected a list of layer widths, got {value!r}")
-                value = tuple(qnet.positive_int(h, "hyperparameter hidden") for h in value)
+                value = tuple(qnet.integer_at_least(h, 1, "hyperparameter hidden") for h in value)
             elif f.name in self._COUNTS:
-                value = qnet.positive_int(value, f"hyperparameter {f.name}")
+                value = qnet.integer_at_least(value, self._COUNTS[f.name], f"hyperparameter {f.name}")
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"hyperparameter {f.name}: expected a number, got {value!r}")
+            elif f.name in self._FRACTIONS and not 0.0 <= value <= 1.0:
+                raise ValueError(f"hyperparameter {f.name}: expected a number in [0, 1], got {value!r}")
             object.__setattr__(self, f.name, value)
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"hyperparameter lr: expected a finite number above 0, got {self.lr!r}")
         if not is_whole_steps(self.decision_interval):
             raise ValueError(
                 f"hyperparameter decision_interval: {self.decision_interval} is not a positive multiple of {DT} s"
@@ -196,15 +201,54 @@ def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_
     return sim
 
 
-@dataclass
 class _Learner:
-    info: _JunctionInfo
-    net: qnet.QNetwork
-    target: qnet.QNetwork
-    buffer: ReplayBuffer
-    opt: qnet.Adam
-    updates: int = 0
-    reward_sum: float = 0.0  # over the current decision interval
+    """One independent DQN learner per junction, all stacked together.
+
+    Junctions whose networks share sizes form one architecture group, held as
+    one (count, P) QNetwork; ``nets[k]`` is junction k's row of it, a view that
+    the policy acts with.  All groups live in one flat Stack with one Adam, one
+    target copy and one gradient buffer, and all junctions share one replay
+    ring.  So each update trains every junction's network on its own sample
+    with one batched call per group.
+    """
+
+    def __init__(self, initial: list[qnet.QNetwork], hp: Hyperparams):
+        archs = [net.sizes for net in initial]
+        layout = list(dict.fromkeys(archs))
+        self.members = [np.flatnonzero([a == sizes for a in archs]) for sizes in layout]
+        self.params = qnet.Stack([(sizes, len(m)) for sizes, m in zip(layout, self.members)])
+        self.nets: list[qnet.QNetwork] = [None] * len(initial)
+        for group, members in zip(self.params.groups, self.members):
+            for row, k in enumerate(members):
+                group.flat[row] = initial[k].flat
+                self.nets[k] = qnet.QNetwork(group.sizes, group.flat[row])
+        self.target = qnet.clone(self.params)
+        self.grads = qnet.Stack(self.params.sizes)
+        self.opt = qnet.Adam(self.params)
+        self.buffer = ReplayBuffer(hp.buffer_capacity, max(a[0] for a in archs), len(initial))
+        self.hp = hp
+        self.updates = 0
+
+    def update(self, rng) -> np.ndarray:
+        """One gradient step for every junction once the replay warmup is filled.
+
+        Returns the junctions' losses in junction order; before warmup, no losses.
+        """
+        hp, buffer = self.hp, self.buffer
+        if len(buffer) < max(hp.warmup, hp.batch_size):
+            return np.empty(0)
+        rows = buffer.sample(hp.batch_size, rng)
+        losses = np.empty(len(self.nets))
+        for net, target, grads, members in zip(self.params.groups, self.target.groups, self.grads.groups, self.members):
+            agents, group_rows = members[:, None], rows[members]
+            targets = dqn.td_targets_batch(buffer, agents, group_rows, target, hp.gamma)
+            states = buffer.states[agents, group_rows, : net.d_in]
+            losses[members] = qnet.backward_batch(net, states, targets, buffer.actions[agents, group_rows], grads)
+        self.opt.step(self.params, self.grads, hp.lr)
+        self.updates += 1
+        if self.updates % hp.target_sync == 0:
+            self.target.flat[...] = self.params.flat
+        return losses
 
 
 class _TrainingAgent(dqn.GreedyPolicy):
@@ -212,19 +256,22 @@ class _TrainingAgent(dqn.GreedyPolicy):
 
     Each decision, and the episode's end, closes the interval just ended: every
     junction stores its transition, rewarded with the interval's mean per-step
-    reward, then takes one gradient step once the replay warmup is filled.
+    reward, then every junction takes one gradient step once the replay warmup
+    is filled.
     """
 
-    def __init__(self, learners: list[_Learner], hp: Hyperparams, config: TrainConfig, decisions: int):
-        super().__init__({ln.info.junction.id: ln.net for ln in learners}, hp.decision_interval)
-        self.learners = learners
-        self.hp = hp
+    def __init__(self, infos: list[_JunctionInfo], learner: _Learner, hp: Hyperparams, config: TrainConfig,
+                 decisions: int):
+        super().__init__({info.junction.id: net for info, net in zip(infos, learner.nets)}, hp.decision_interval)
+        self.infos = infos
+        self.learner = learner
         self.reward_mode = config.reward_mode
         self.rng = _generator(config.seed, _NS_ACTION)
         self.sample_rng = _generator(config.seed, _NS_SAMPLE)
         self.schedule = dqn.EpsilonSchedule(hp.eps_start, hp.eps_final, decisions, hp.eps_fraction)
         self.decisions = 0
         self.steps = 0  # in the current decision interval
+        self.reward_sums = [0.0] * len(infos)  # per junction, over the current decision interval
 
     def start_episode(self, episode: int) -> None:
         self.episode = episode
@@ -241,38 +288,30 @@ class _TrainingAgent(dqn.GreedyPolicy):
         self.obs = obs
 
     def on_step(self, sim: Simulation, make_views, done: bool) -> None:
-        for ln in self.learners:
-            ln.reward_sum += _step_reward(sim, ln.info, self.reward_mode)
+        for k, info in enumerate(self.infos):
+            self.reward_sums[k] += _step_reward(sim, info, self.reward_mode)
         self.steps += 1
         if done:
             self._close_interval(dqn.observe(make_views), terminal=True)
 
     def _close_interval(self, next_obs: dict, terminal: bool) -> None:
-        rewards = []
-        for ln in self.learners:
-            jid = ln.info.junction.id
-            rewards.append(ln.reward_sum / self.steps)
-            ln.buffer.push(self.obs[jid], self.actions[jid], rewards[-1], next_obs[jid], terminal)
-            ln.reward_sum = 0.0
+        jids = list(self.nets)
+        rewards = [total / self.steps for total in self.reward_sums]
+        self.learner.buffer.push(
+            [self.obs[j] for j in jids], [self.actions[j] for j in jids], rewards, [next_obs[j] for j in jids], terminal
+        )
+        self.reward_sums = [0.0] * len(jids)
         self.episode_return += sum(rewards) / len(rewards)
         self.steps = 0
         self.decisions += 1
-        hp = self.hp
-        for ln in self.learners:
-            if len(ln.buffer) < max(hp.warmup, hp.batch_size):
-                continue
-            rows = ln.buffer.sample(hp.batch_size, self.sample_rng)
-            targets = dqn.td_targets_batch(ln.buffer, rows, ln.target, hp.gamma)
-            loss, grads = qnet.backward_batch(ln.net, ln.buffer.states[rows], targets, ln.buffer.actions[rows])
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at episode {self.episode}, decision {self.decisions}: {loss}"
-                )
-            ln.opt.step(ln.net, grads, hp.lr)
-            ln.updates += 1
-            self.losses.append(loss)
-            if ln.updates % hp.target_sync == 0:
-                ln.target = qnet.clone(ln.net)
+        losses = self.learner.update(self.sample_rng)
+        diverged = np.flatnonzero(~np.isfinite(losses))
+        if diverged.size:
+            k = diverged[0]
+            raise TrainingDivergedError(
+                f"junction {jids[k]}: non-finite loss at episode {self.episode}, decision {self.decisions}: {losses[k]}"
+            )
+        self.losses.extend(losses.tolist())
 
 
 @dataclass
@@ -290,12 +329,14 @@ def train(config: TrainConfig) -> TrainResult:
     if not infos:
         raise ValueError("scenario has no signalized junction to control")
 
-    learners = []
-    for idx, info in enumerate(infos):
-        d_in = dqn.state_dim(len(info.lane_edges))
-        net = qnet.init_network((d_in, *hp.hidden, len(REQUESTS)), _generator(config.seed, _NS_NET, idx))
-        learners.append(_Learner(info, net, qnet.clone(net), ReplayBuffer(hp.buffer_capacity, d_in), qnet.Adam(net)))
-    agent = _TrainingAgent(learners, hp, config, config.episodes * math.ceil(scenario.duration / hp.decision_interval))
+    initial = [
+        qnet.init_network(
+            (dqn.state_dim(len(info.lane_edges)), *hp.hidden, len(REQUESTS)), _generator(config.seed, _NS_NET, idx)
+        )
+        for idx, info in enumerate(infos)
+    ]
+    decisions = config.episodes * math.ceil(scenario.duration / hp.decision_interval)
+    agent = _TrainingAgent(infos, _Learner(initial, hp), hp, config, decisions)
 
     curve: list[dict] = []
     for episode in range(config.episodes):
@@ -311,15 +352,15 @@ def train(config: TrainConfig) -> TrainResult:
                 "mean_loss": (sum(losses) / len(losses)) if losses else float("nan"),
             }
         )
-    return TrainResult(weights_doc=_weights_doc(learners), curve=curve)
+    return TrainResult(weights_doc=_weights_doc(agent.nets), curve=curve)
 
 
-def _weights_doc(learners: list[_Learner]) -> str:
-    if len(learners) == 1:
-        return qnet.serialize(learners[0].net)
+def _weights_doc(nets: dict[str, qnet.QNetwork]) -> str:
+    if len(nets) == 1:
+        return qnet.serialize(*nets.values())
     doc = {
         "format_version": qnet.FORMAT_VERSION,
-        "multi": {ln.info.junction.id: json.loads(qnet.serialize(ln.net)) for ln in learners},
+        "multi": {jid: json.loads(qnet.serialize(net)) for jid, net in nets.items()},
     }
     return json.dumps(doc, sort_keys=True)
 

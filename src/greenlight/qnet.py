@@ -3,8 +3,10 @@
 Rectifier hidden layers, linear output, 64-bit floats throughout.  The loss is
 the squared TD error on the single taken action, so the output gradient is
 zero everywhere except that action's entry.  A network's parameters, its
-gradients and Adam's moments are each one flat vector.  Weights serialize to a
-small JSON document.
+gradients and Adam's moments are each one flat vector; a leading axis on that
+vector stacks several networks of one architecture, which the batched
+functions then evaluate and train together.  Weights serialize to a small
+JSON document.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ class WeightsFormatError(ValueError):
 class QNetwork:
     """Parameters in one contiguous vector ``flat``, laid out W0, b0, W1, b1, ...
 
-    ``weights[i]`` (shape (out, in)) and ``biases[i]`` (shape (out,)) are views
-    into ``flat``.  Gradients share this layout, so Adam and cloning act on
-    ``flat`` alone.
+    ``flat`` has shape (P,) for one network or (K, P) for K networks of the
+    same sizes, one per row.  ``weights[i]`` (shape (..., out, in)) and
+    ``biases[i]`` (shape (..., out)) are views into ``flat``.  Gradients share
+    this layout, so Adam and cloning act on ``flat`` alone.
     """
 
     def __init__(self, sizes: tuple[int, ...], flat: np.ndarray | None = None):
@@ -34,8 +37,11 @@ class QNetwork:
         shapes = list(zip(self.sizes[1:], self.sizes[:-1]))
         lengths = [n for fan_out, fan_in in shapes for n in (fan_out * fan_in, fan_out)]
         self.flat = np.zeros(sum(lengths)) if flat is None else flat
-        parts = np.split(self.flat, np.cumsum(lengths)[:-1])
-        self.weights = [w.reshape(shape) for w, shape in zip(parts[::2], shapes)]
+        if self.flat.shape[-1] != sum(lengths):
+            raise ValueError(f"sizes {self.sizes} need {sum(lengths)} parameters, got {self.flat.shape[-1]}")
+        lead = self.flat.shape[:-1]
+        parts = np.split(self.flat, np.cumsum(lengths)[:-1], axis=-1)
+        self.weights = [w.reshape(lead + shape) for w, shape in zip(parts[::2], shapes)]
         self.biases = parts[1::2]
 
     @property
@@ -47,11 +53,41 @@ class QNetwork:
         return self.sizes[-1]
 
 
-def positive_int(value, what: str, error: type[ValueError] = ValueError) -> int:
-    """``value`` as an int; bools, fractions and values below 1 raise ``error`` naming ``what``."""
+def n_params(sizes) -> int:
+    """Parameter count of one network of the given layer sizes."""
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+class Stack:
+    """Networks of one or more architectures in one contiguous vector ``flat``.
+
+    ``layout`` lists ``(sizes, count)`` per architecture.  ``groups[g]`` is a
+    QNetwork whose (count, P) ``flat`` is the slice of ``flat`` holding that
+    architecture's networks, one per row.  ``sizes`` is the layout, so Adam and
+    cloning treat a stack as they treat a single network.
+    """
+
+    def __init__(self, layout, flat: np.ndarray | None = None):
+        self.sizes = tuple((tuple(sizes), count) for sizes, count in layout)
+        lengths = [count * n_params(sizes) for sizes, count in self.sizes]
+        self.flat = np.zeros(sum(lengths)) if flat is None else flat
+        parts = np.split(self.flat, np.cumsum(lengths)[:-1])
+        self.groups = [QNetwork(sizes, part.reshape(count, -1)) for (sizes, count), part in zip(self.sizes, parts)]
+
+
+def _check_layout(net, other, what: str) -> None:
+    if other.sizes != net.sizes or other.flat.shape != net.flat.shape:
+        raise ValueError(
+            f"{what} sizes {other.sizes} (shape {other.flat.shape}) do not match the network's "
+            f"{net.sizes} (shape {net.flat.shape})"
+        )
+
+
+def integer_at_least(value, minimum: int, what: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int; bools, fractions and values below ``minimum`` raise ``error`` naming ``what``."""
     whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole or value < 1:
-        raise error(f"{what}: expected a positive integer, got {value!r}")
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise error(f"{what}: expected an integer of at least {minimum}, got {value!r}")
     return int(value)
 
 
@@ -86,7 +122,7 @@ def forward(net: QNetwork, x) -> np.ndarray:
 
 
 def forward_batch(net: QNetwork, xs) -> np.ndarray:
-    """Q-values for a (n, d_in) batch of states."""
+    """Q-values for a (..., n, d_in) batch of states; a (K, P) network takes K batches."""
     activations, _ = _forward_cached(net, _check_input(net, xs))
     return activations[-1]
 
@@ -97,7 +133,7 @@ def _forward_cached(net: QNetwork, a: np.ndarray):
     pre = []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
         if i < last:
             pre.append(z)
             a = np.maximum(z, 0.0)
@@ -107,59 +143,76 @@ def _forward_cached(net: QNetwork, a: np.ndarray):
     return activations, pre
 
 
-def backward_batch(net: QNetwork, xs, td_targets, actions) -> tuple[float, QNetwork]:
-    """Mean squared TD loss over a batch and its mean gradients, laid out as ``net``.
+def backward_batch(net: QNetwork, xs, td_targets, actions, grads: QNetwork):
+    """Mean squared TD loss over a batch; its mean gradients go into ``grads``, laid out as ``net``.
 
     Equivalent to averaging the loss (q[action] - target)^2 and its gradients
-    over the samples one at a time.
+    over the samples one at a time.  A (K, P) network takes (K, n, d_in)
+    states and (K, n) targets and actions and returns K losses, network k
+    trained on batch k.
     """
+    _check_layout(net, grads, "gradient")
     xs = _check_input(net, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
     targets = np.asarray(td_targets, dtype=np.float64)
     acts = np.asarray(actions, dtype=np.intp)
-    n = xs.shape[0]
+    n = xs.shape[-2]
     activations, pre = _forward_cached(net, xs)
     q = activations[-1]
-    errors = q[np.arange(n), acts] - targets
-    loss = float(np.mean(errors * errors))
+    taken = np.arange(net.d_out) == acts[..., None]  # one-hot of each sample's action
+    errors = q[taken].reshape(acts.shape) - targets
+    losses = np.add.reduce(errors * errors, axis=-1) / n  # np.mean, without its dispatch
 
-    delta = np.zeros_like(q)
-    delta[np.arange(n), acts] = 2.0 * errors / n
-
-    grads = QNetwork(net.sizes)
+    delta = np.where(taken, (2.0 * errors / n)[..., None], 0.0)
     for layer in range(len(net.weights) - 1, -1, -1):
-        grads.weights[layer][...] = delta.T @ activations[layer]
-        grads.biases[layer][...] = delta.sum(axis=0)
+        np.matmul(delta.swapaxes(-1, -2), activations[layer], out=grads.weights[layer])
+        np.add.reduce(delta, axis=-2, out=grads.biases[layer])
         if layer > 0:
             delta = (delta @ net.weights[layer]) * (pre[layer - 1] > 0.0)
-    return loss, grads
+    return losses
 
 
 class Adam:
-    """Adam with bias correction; moment state lives with this object."""
+    """Adam with bias correction; moment state and scratch space live with this object.
 
-    def __init__(self, net: QNetwork, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    ``net`` is a QNetwork or a Stack; one step updates all of its parameters.
+    """
+
+    def __init__(self, net, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
+        self._step = np.empty_like(net.flat)
+        self._scale = np.empty_like(net.flat)
 
-    def step(self, net: QNetwork, grads: QNetwork, lr: float) -> None:
-        if grads.sizes != net.sizes:
-            raise ValueError(f"gradient sizes {grads.sizes} do not match the network's {net.sizes}")
+    def step(self, net, grads, lr: float) -> None:
+        """``net.flat -= lr * (m / c1) / (sqrt(v / c2) + eps)``, computed in place."""
+        _check_layout(net, grads, "gradient")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
+        g, step, scale = grads.flat, self._step, self._scale
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads.flat
+        np.multiply(g, 1.0 - self.beta1, out=step)
+        self.m += step
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (grads.flat * grads.flat)
-        net.flat -= lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        np.multiply(g, g, out=step)
+        step *= 1.0 - self.beta2
+        self.v += step
+        np.divide(self.m, c1, out=step)
+        step *= lr
+        np.divide(self.v, c2, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += self.eps
+        step /= scale
+        net.flat -= step
 
 
-def clone(net: QNetwork) -> QNetwork:
-    return QNetwork(net.sizes, net.flat.copy())
+def clone(net):
+    """A QNetwork or Stack of the same layout holding a copy of the parameters."""
+    return type(net)(net.sizes, net.flat.copy())
 
 
 def serialize(net: QNetwork) -> str:
@@ -175,6 +228,17 @@ def serialize(net: QNetwork) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _numbers(layer: dict, i: int, key: str) -> np.ndarray:
+    value = layer[key]
+    try:
+        values = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged nesting
+        values = None
+    if values is None or values.dtype.kind not in "iuf":
+        raise WeightsFormatError(f"layer {i}: {key}: expected a list of numbers, got {value!r:.60}")
+    return values.astype(np.float64, copy=False).ravel()
+
+
 def deserialize(text: str) -> QNetwork:
     try:
         doc = json.loads(text)
@@ -185,24 +249,30 @@ def deserialize(text: str) -> QNetwork:
     arch = doc["arch"]
     if not isinstance(arch, list) or len(arch) < 2:
         raise WeightsFormatError(f"arch: expected a list of at least two layer widths, got {arch!r}")
-    arch = tuple(positive_int(s, "arch", WeightsFormatError) for s in arch)
+    arch = tuple(integer_at_least(s, 1, "arch", WeightsFormatError) for s in arch)
     layers = doc["layers"]
+    if not isinstance(layers, list):
+        raise WeightsFormatError(f"layers: expected a list of layer objects, got {layers!r:.60}")
     if len(layers) != len(arch) - 1:
         raise WeightsFormatError(f"arch {list(arch)} expects {len(arch) - 1} layers, document has {len(layers)}")
     parts = []
     for i, layer in enumerate(layers):
-        rows, cols = (positive_int(layer[k], f"layer {i}: {k}", WeightsFormatError) for k in ("rows", "cols"))
+        if not isinstance(layer, dict):
+            raise WeightsFormatError(f"layer {i}: expected an object with rows, cols, w and b, got {layer!r:.60}")
+        missing = [k for k in ("rows", "cols", "w", "b") if k not in layer]
+        if missing:
+            raise WeightsFormatError(f"layer {i}: missing key {missing[0]!r}")
+        rows, cols = (integer_at_least(layer[k], 1, f"layer {i}: {k}", WeightsFormatError) for k in ("rows", "cols"))
         if rows != arch[i + 1] or cols != arch[i]:
             raise WeightsFormatError(
                 f"layer {i}: shape ({rows}, {cols}) does not chain with arch {list(arch)}"
             )
-        w = np.asarray(layer["w"], dtype=np.float64)
-        b = np.asarray(layer["b"], dtype=np.float64)
+        w, b = _numbers(layer, i, "w"), _numbers(layer, i, "b")
         if w.size != rows * cols:
             raise WeightsFormatError(f"layer {i}: expected {rows * cols} weights, got {w.size}")
         if b.size != rows:
             raise WeightsFormatError(f"layer {i}: expected {rows} biases, got {b.size}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise WeightsFormatError(f"layer {i}: non-finite parameters")
-        parts += [w.ravel(), b.ravel()]
+        parts += [w, b]
     return QNetwork(arch, np.concatenate(parts))

@@ -7,6 +7,8 @@ from greenlight import netmodel, qnet
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
+#: Two signalized junctions with different lane counts, so two network architectures.
+MIXED_SCENARIO = REPO / "tests" / "data" / "mixed.xn"
 
 
 @pytest.fixture(scope="session")

@@ -201,6 +201,48 @@ def td_target(transition, target_net, gamma):
     return transition.reward + gamma * float(np.max(qnet.forward(target_net, transition.next_state)))
 
 
+class IndependentLearner:
+    """One junction's DQN learner on its own: a list replay memory, a frozen target network and an Adam.
+
+    The per-junction form of ``harness._Learner``, which holds every
+    junction's learner in one stack and updates them all in one batched step.
+    """
+
+    def __init__(self, net, capacity):
+        self.net = net
+        self.target = qnet.clone(net)
+        self.opt = qnet.Adam(net)
+        self.buffer = ReplayBuffer(capacity)
+        self.updates = 0
+
+
+def independent_updates(learners, hp, rng):
+    """One gradient step of each learner in junction order, each on its own sample; their losses.
+
+    Sample, TD targets, backward pass and Adam step run one learner at a time,
+    all draws coming from the one generator, so learner k's batch is the k-th
+    draw of ``batch_size`` indices.
+    """
+    if len(learners[0].buffer) < max(hp.warmup, hp.batch_size):
+        return []
+    losses = []
+    for ln in learners:
+        batch = ln.buffer.sample(hp.batch_size, rng)
+        rewards = np.array([t.reward for t in batch])
+        nonterminal = np.array([0.0 if t.terminal else 1.0 for t in batch])
+        best = qnet.forward_batch(ln.target, np.stack([t.next_state for t in batch])).max(axis=1)
+        targets = rewards + hp.gamma * best * nonterminal
+        grads = qnet.QNetwork(ln.net.sizes)
+        states = np.stack([t.state for t in batch])
+        loss = qnet.backward_batch(ln.net, states, targets, [t.action for t in batch], grads)
+        ln.opt.step(ln.net, grads, hp.lr)
+        ln.updates += 1
+        if ln.updates % hp.target_sync == 0:
+            ln.target = qnet.clone(ln.net)
+        losses.append(float(loss))
+    return losses
+
+
 def fixed_time_decide(clock, plan):
     """Signal colors (axis A, axis B) of a fixed green/yellow/green/yellow cycle at a given time."""
     c = clock % (plan.green_a + plan.yellow + plan.green_b + plan.yellow)

@@ -189,17 +189,17 @@ def test_criterion_7_determinism(tmp_path):
 def test_criterion_8_replay_buffer():
     buf = ReplayBuffer(3, 1)
     for i in (1, 2, 3, 4):
-        buf.push(np.array([float(i)]), 0, float(i), np.array([float(i)]), False)
-    assert list(buf.rewards[buf.contents()]) == [2.0, 3.0, 4.0]
+        buf.push([np.array([float(i)])], [0], [float(i)], [np.array([float(i)])], False)
+    assert list(buf.rewards[0, buf.contents()]) == [2.0, 3.0, 4.0]
 
     buf = ReplayBuffer(10, 1)
     for i in range(10):
-        buf.push(np.array([float(i)]), 0, float(i), np.array([float(i)]), False)
+        buf.push([np.array([float(i)])], [0], [float(i)], [np.array([float(i)])], False)
     rng = make_rng(2718)
     counts = np.zeros(10, dtype=int)
     draws = 100_000
     for _ in range(draws // 10):  # sample() requires batch <= size, so draw in batches of 10
-        for reward in buf.rewards[buf.sample(10, rng)]:
+        for reward in buf.rewards[0, buf.sample(10, rng)[0]]:
             counts[int(reward)] += 1
     stat = float(((counts - draws / 10.0) ** 2 / (draws / 10.0)).sum())
     p = float(scipy.stats.chi2.sf(stat, df=9))

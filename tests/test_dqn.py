@@ -182,14 +182,14 @@ def test_select_action_uniform_at_epsilon_one():
 
 
 def _push(buf, i):
-    buf.push(np.array([float(i)]), 0, float(i), np.array([float(i)]), False)
+    buf.push([np.array([float(i)])], [0], [float(i)], [np.array([float(i)])], False)
 
 
 def test_buffer_fifo_eviction_capacity_three():
     buf = ReplayBuffer(3, 1)
     for i in (1, 2, 3, 4):
         _push(buf, i)
-    assert list(buf.rewards[buf.contents()]) == [2.0, 3.0, 4.0]
+    assert list(buf.rewards[0, buf.contents()]) == [2.0, 3.0, 4.0]
     assert len(buf) == 3
 
 
@@ -197,7 +197,7 @@ def test_buffer_sample_single():
     buf = ReplayBuffer(8, 1)
     _push(buf, 42)
     out = buf.sample(1, make_rng(0))
-    assert len(out) == 1 and buf.rewards[out[0]] == 42.0
+    assert out.shape == (1, 1) and buf.rewards[0, out[0, 0]] == 42.0
 
 
 def test_buffer_underfilled_sampling_errors():
@@ -215,7 +215,7 @@ def test_buffer_sampling_is_with_replacement():
     saw_duplicate = False
     rng = make_rng(1)
     for _ in range(20):
-        rewards = list(buf.rewards[buf.sample(3, rng)])
+        rewards = list(buf.rewards[0, buf.sample(3, rng)[0]])
         saw_duplicate = saw_duplicate or len(set(rewards)) < 3
     assert saw_duplicate
 
@@ -228,7 +228,7 @@ def test_buffer_never_exceeds_capacity_and_drops_oldest(capacity, extra):
     for i in range(total):
         _push(buf, i)
         assert len(buf) <= capacity
-    kept = list(buf.rewards[buf.contents()])
+    kept = list(buf.rewards[0, buf.contents()])
     assert kept == [float(i) for i in range(extra, total)]
 
 
@@ -246,19 +246,19 @@ def test_ring_buffer_matches_list_oracle(capacity, pushes, batch, seed):
     for _ in range(pushes):  # wraps around whenever pushes > capacity
         t = Transition(rng.normal(size=3), int(rng.integers(0, 3)), float(rng.normal()), rng.normal(size=3),
                        bool(rng.random() < 0.3))
-        ring.push(t.state, t.action, t.reward, t.next_state, t.terminal)
+        ring.push([t.state], [t.action], [t.reward], [t.next_state], t.terminal)
         oracle.push(t)
     assert len(ring) == len(oracle)
-    assert list(ring.rewards[ring.contents()]) == [t.reward for t in oracle.contents()]
+    assert list(ring.rewards[0, ring.contents()]) == [t.reward for t in oracle.contents()]
     batch = min(batch, len(oracle))
-    rows = ring.sample(batch, make_rng(seed + 1))
+    rows = ring.sample(batch, make_rng(seed + 1))[0]
     sampled = oracle.sample(batch, make_rng(seed + 1))
-    assert np.array_equal(ring.states[rows], np.stack([t.state for t in sampled]))
-    assert list(ring.actions[rows]) == [t.action for t in sampled]
-    assert list(ring.rewards[rows]) == [t.reward for t in sampled]
-    assert np.array_equal(ring.next_states[rows], np.stack([t.next_state for t in sampled]))
-    assert list(ring.nonterminal[rows]) == [0.0 if t.terminal else 1.0 for t in sampled]
-    targets = dqn.td_targets_batch(ring, rows, net, 0.9)
+    assert np.array_equal(ring.states[0, rows], np.stack([t.state for t in sampled]))
+    assert list(ring.actions[0, rows]) == [t.action for t in sampled]
+    assert list(ring.rewards[0, rows]) == [t.reward for t in sampled]
+    assert np.array_equal(ring.next_states[0, rows], np.stack([t.next_state for t in sampled]))
+    assert list(ring.nonterminal[0, rows]) == [0.0 if t.terminal else 1.0 for t in sampled]
+    targets = dqn.td_targets_batch(ring, 0, rows, net, 0.9)
     assert targets == pytest.approx([td_target(t, net, 0.9) for t in sampled], abs=1e-12)
 
 
@@ -297,7 +297,7 @@ def test_td_targets_batch_matches_scalar():
     ]
     buf = ReplayBuffer(6, 3)
     for t in batch:
-        buf.push(t.state, t.action, t.reward, t.next_state, t.terminal)
-    vec = dqn.td_targets_batch(buf, np.arange(6), net, 0.9)
+        buf.push([t.state], [t.action], [t.reward], [t.next_state], t.terminal)
+    vec = dqn.td_targets_batch(buf, 0, np.arange(6), net, 0.9)
     for i, t in enumerate(batch):
         assert vec[i] == pytest.approx(td_target(t, net, 0.9), abs=1e-12)

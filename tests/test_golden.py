@@ -1,15 +1,19 @@
-"""Byte-level regression pins for the fixed-time evaluation artifacts.
+"""Byte-level regression pins for the fixed-time evaluation and training artifacts.
 
 The fixed-time path runs no BLAS code: the simulator, the interlock and the
 report statistics (``math.fsum``) are plain IEEE double arithmetic, so these
-digests hold on any machine.  A change that alters them changes behaviour.
+digests hold on any machine.  The training digests also depend on the matrix
+products of the learner, so they hold for one BLAS build and CPU kernel
+(recorded with OpenBLAS on x86-64, one thread); on another kernel they may
+differ in the last bits.  A change that alters them on the recording
+machine changes behaviour.
 """
 
 import hashlib
 
 import pytest
 
-from conftest import SCENARIOS
+from conftest import MIXED_SCENARIO, SCENARIOS
 from greenlight import cli
 
 SEEDS = "1,2,3"
@@ -40,3 +44,35 @@ def test_fixed_time_eval_artifacts_are_pinned(tmp_path, scenario, capsys):
         for suffix in GOLDEN[scenario]
     }
     assert digests == GOLDEN[scenario]
+
+
+#: ``greenlight train --episodes 4 --seed 7``: four episodes fill the replay
+#: warmup, so the digests cover learner updates, not only the initial weights.
+TRAIN_GOLDEN = {
+    "single": (
+        SCENARIOS / "single.xn",
+        "76e06758b5ae288ba4de122a34c0f18a7dd80a1499d5c84d8ef103a519727a1f",
+        "1ab2f254c81f58a3ab51ec19186aa31e886780caeb1ec0d4b7fe0870c18cae50",
+    ),
+    "grid2x2": (
+        SCENARIOS / "grid2x2.xn",
+        "89b4749e2f8356f8d31e7633a43755ec44daa2b932ade02638cb462b03019ee6",
+        "0e3540915092e22bc173cb9d47f9c820b4a97436a574bf83bf512a2601edd9af",
+    ),
+    "mixed": (  # two architectures: the junctions have 3 and 2 incoming lanes
+        MIXED_SCENARIO,
+        "5f0a68c9ccc31bd920cf02dadd1363376f71b58c491b862f0be87c40781c7eeb",
+        "8527d1126967a19a44ff5924a6eafc83cfdadb8378949d390cb2a1fb322bfcbd",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TRAIN_GOLDEN))
+def test_training_artifacts_are_pinned(tmp_path, scenario, capsys):
+    path, weights_digest, curve_digest = TRAIN_GOLDEN[scenario]
+    out = tmp_path / "w.json"
+    argv = ["train", "--scenario", str(path), "--episodes", "4", "--seed", "7", "--weights-out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == weights_digest
+    assert hashlib.sha256((tmp_path / "w.curve.csv").read_bytes()).hexdigest() == curve_digest

@@ -2,9 +2,12 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import SCENARIOS
+import oracles
+from conftest import MIXED_SCENARIO, SCENARIOS, make_rng
 from greenlight import cli, harness, metrics, qnet
 from greenlight.harness import EvalConfig, Hyperparams, TrainConfig, WeightsMismatchError
 from greenlight.metrics import RunReport, StatSummary
@@ -71,6 +74,33 @@ def test_hyperparams_counts_must_be_positive_integers(key, bad):
         Hyperparams().with_overrides({key: bad})
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [("gamma", -3), ("gamma", 1.5), ("gamma", math.nan), ("eps_start", 7), ("eps_final", -0.1),
+     ("eps_fraction", 1.01), ("eps_fraction", math.inf), ("lr", math.nan), ("lr", 0.0), ("lr", -1e-3),
+     ("lr", math.inf), ("warmup", -2.5), ("warmup", -1), ("warmup", 2.5)],
+)
+def test_hyperparams_out_of_range_names_the_key(key, bad):
+    with pytest.raises(ValueError, match=key):
+        Hyperparams().with_overrides({key: bad})
+
+
+def test_hyperparams_range_bounds_are_accepted_unrounded():
+    hp = Hyperparams().with_overrides(
+        {"gamma": 1, "eps_start": 0.0, "eps_final": 0, "eps_fraction": 1.0, "lr": 1e-9, "warmup": 0}
+    )
+    assert (hp.gamma, hp.eps_start, hp.eps_final, hp.eps_fraction, hp.lr, hp.warmup) == (1, 0.0, 0, 1.0, 1e-9, 0)
+    assert Hyperparams().with_overrides({"warmup": 20.0}).warmup == 20
+
+
+def test_cli_out_of_range_override_names_the_key(tmp_path, short_scenario, capsys):
+    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
+                   "--weights-out", str(tmp_path / "w.json"), "--hp", "gamma=-3"])
+    assert rc == 1
+    assert "gamma" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_fractional_hidden_in_train_block_is_rejected(tmp_path, single_text):
     doc = json.loads(single_text)
     doc["train"] = {"hidden": [64.5, 32.9]}
@@ -134,6 +164,96 @@ def test_train_literal_reward_mode_runs(short_scenario):
     assert literal.curve[0]["return"] != balanced.curve[0]["return"]
     with pytest.raises(ValueError):
         TrainConfig(reward_mode="bogus", **base)
+
+
+# --- the stacked learner ------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.lists(st.sampled_from([4, 7]), min_size=1, max_size=4),
+    two_archs=st.booleans(),
+    capacity=st.integers(1, 10),
+    pushes=st.integers(1, 30),
+    batch=st.integers(1, 5),
+    warmup=st.integers(0, 6),
+    target_sync=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_learner_matches_independent_learners(dims, two_archs, capacity, pushes, batch, warmup,
+                                                      target_sync, seed):
+    if not two_archs:
+        dims = [4] * len(dims)
+    hp = Hyperparams(buffer_capacity=capacity, batch_size=batch, warmup=warmup, target_sync=target_sync,
+                     hidden=(5,), lr=0.05)
+    rng = make_rng(seed)
+    initial = [qnet.init_network((d, 5, 3), rng) for d in dims]
+    learner = harness._Learner([qnet.clone(net) for net in initial], hp)
+    independent = [oracles.IndependentLearner(qnet.clone(net), capacity) for net in initial]
+    stacked_rng, oracle_rng = make_rng(seed + 1), make_rng(seed + 1)
+    for _ in range(pushes):  # the ring wraps whenever pushes > capacity
+        terminal = bool(rng.random() < 0.3)
+        batch_of = [oracles.Transition(rng.normal(size=d), int(rng.integers(0, 3)), float(rng.normal()),
+                                       rng.normal(size=d), terminal) for d in dims]
+        learner.buffer.push([t.state for t in batch_of], [t.action for t in batch_of],
+                            [t.reward for t in batch_of], [t.next_state for t in batch_of], terminal)
+        for ln, t in zip(independent, batch_of):
+            ln.buffer.push(t)
+        losses = learner.update(stacked_rng)
+        assert losses.tolist() == oracles.independent_updates(independent, hp, oracle_rng)
+    targets = {}
+    for group, members in zip(learner.target.groups, learner.members):
+        targets.update({k: group.flat[row] for row, k in enumerate(members)})
+    for k, ln in enumerate(independent):
+        assert np.array_equal(learner.nets[k].flat, ln.net.flat)
+        assert np.array_equal(targets[k], ln.target.flat)
+
+
+def test_learner_groups_junctions_by_architecture_in_one_buffer():
+    rng = make_rng(4)
+    initial = [qnet.init_network(sizes, rng) for sizes in [(4, 5, 3), (7, 5, 3), (4, 5, 3)]]
+    learner = harness._Learner(initial, Hyperparams(hidden=(5,)))
+    assert learner.params.sizes == (((4, 5, 3), 2), ((7, 5, 3), 1))
+    assert [m.tolist() for m in learner.members] == [[0, 2], [1]]
+    assert learner.buffer.states.shape == (3, Hyperparams().buffer_capacity, 7)
+    for net, init in zip(learner.nets, initial):
+        assert net.sizes == init.sizes and np.array_equal(net.flat, init.flat)
+        assert np.shares_memory(net.flat, learner.params.flat)
+    learner.params.flat += 1.0  # what the optimizer writes, the policy's networks see
+    for net, init in zip(learner.nets, initial):
+        assert np.array_equal(net.flat, init.flat + 1.0)
+    assert not np.shares_memory(learner.target.flat, learner.params.flat)
+
+
+def test_training_policy_acts_with_the_learner_views():
+    config = TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=1, seed=2)
+    scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
+    infos = harness._junction_infos(scenario)
+    hp = harness.resolve_hyperparams(scenario)
+    initial = [qnet.init_network((harness.dqn.state_dim(len(i.lane_edges)), 5, 3), make_rng(k))
+               for k, i in enumerate(infos)]
+    learner = harness._Learner(initial, hp)
+    agent = harness._TrainingAgent(infos, learner, hp, config, decisions=10)
+    assert list(agent.nets) == [i.junction.id for i in infos]
+    for net, view in zip(agent.nets.values(), learner.nets):
+        assert net is view and np.shares_memory(net.flat, learner.params.flat)
+
+
+def test_divergence_names_the_junction(monkeypatch):
+    real_init = qnet.init_network
+    made = []
+
+    def init_network(sizes, rng):
+        net = real_init(sizes, rng)
+        if made:  # the second junction, "e", gets weights whose q-values overflow
+            net.flat *= 1e200
+        made.append(net)
+        return net
+
+    monkeypatch.setattr(harness.qnet, "init_network", init_network)
+    config = TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=2, seed=1)
+    with np.errstate(all="ignore"), pytest.raises(harness.TrainingDivergedError, match="junction e: non-finite"):
+        harness.train(config)
 
 
 def test_eval_is_deterministic(short_scenario):

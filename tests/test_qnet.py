@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_net, make_rng
+from conftest import SCENARIOS, make_net, make_rng
 from oracles import backward
+from greenlight import cli
 from greenlight.qnet import (
     Adam,
     QNetwork,
+    Stack,
     WeightsFormatError,
     backward_batch,
     clone,
@@ -122,7 +124,8 @@ def test_batch_gradients_equal_mean_of_single_gradients():
     xs = rng.normal(size=(8, 5))
     targets = rng.normal(size=8)
     actions = rng.integers(0, 3, size=8)
-    batch_loss, batch_grads = backward_batch(net, xs, targets, actions)
+    batch_grads = QNetwork(net.sizes)
+    batch_loss = backward_batch(net, xs, targets, actions, batch_grads)
 
     losses = []
     acc_w = [np.zeros_like(w) for w in net.weights]
@@ -249,8 +252,10 @@ def test_layers_are_views_into_flat_in_order():
 def test_backward_batch_gradients_share_the_network_layout():
     rng = make_rng(9)
     net = init_network((4, 8, 3), rng)
-    _, grads = backward_batch(net, rng.normal(size=(5, 4)), rng.normal(size=5), [0, 1, 2, 0, 1])
-    assert grads.sizes == net.sizes and grads.flat.size == net.flat.size
+    grads = QNetwork(net.sizes)
+    buffer = grads.flat
+    backward_batch(net, rng.normal(size=(5, 4)), rng.normal(size=5), [0, 1, 2, 0, 1], grads)
+    assert grads.sizes == net.sizes and grads.flat is buffer and np.any(buffer != 0.0)
     for w, b in zip(grads.weights, grads.biases):
         assert np.shares_memory(w, grads.flat) and np.shares_memory(b, grads.flat)
 
@@ -295,3 +300,109 @@ def test_deserialize_accepts_integral_float_dimensions():
     doc["layers"][0]["rows"] = 3.0
     net = deserialize(json.dumps(doc))
     assert net.sizes == (2, 3, 2) and all(type(s) is int for s in net.sizes)
+
+
+@pytest.mark.parametrize(
+    "fault, where",
+    [
+        (lambda doc: doc["layers"][1].pop("rows"), "layer 1: missing key 'rows'"),
+        (lambda doc: doc["layers"][0].pop("b"), "layer 0: missing key 'b'"),
+        (lambda doc: doc.update(layers=5), "layers"),
+        (lambda doc: doc.update(layers={"0": 1}), "layers"),
+        (lambda doc: doc["layers"].__setitem__(1, 7), "layer 1: expected an object"),
+        (lambda doc: doc["layers"][0].update(w="abc"), "layer 0: w"),
+        (lambda doc: doc["layers"][1].update(b=["0.5", 1.0, 2.0]), "layer 1: b"),
+        (lambda doc: doc["layers"][0].update(w=[[1.0, 2.0], [3.0]]), "layer 0: w"),
+        (lambda doc: doc["layers"][0].update(w=None), "layer 0: w"),
+        (lambda doc: doc["layers"][1].update(b=[True, False, True]), "layer 1: b"),
+    ],
+)
+def test_deserialize_structural_faults_name_layer_and_key(fault, where):
+    doc = json.loads(serialize(init_network((2, 2, 3), make_rng(4))))
+    fault(doc)
+    with pytest.raises(WeightsFormatError) as err:
+        deserialize(json.dumps(doc))
+    assert where in str(err.value)
+
+
+def test_cli_eval_reports_structural_weights_fault(tmp_path, capsys):
+    doc = json.loads(serialize(init_network((16, 64, 64, 3), make_rng(4))))
+    del doc["layers"][0]["rows"]
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps(doc))
+    rc = cli.main(["eval", "--scenario", str(SCENARIOS / "single.xn"), "--controller", "dqn", "--weights", str(weights),
+                   "--seeds", "1", "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    error = json.loads(capsys.readouterr().err.strip())
+    assert error["kind"] == "WeightsFormatError" and "layer 0" in error["error"] and "rows" in error["error"]
+
+
+# --- stacked networks -------------------------------------------------------------
+
+
+def _stacked(nets):
+    return QNetwork(nets[0].sizes, np.stack([net.flat for net in nets]))
+
+
+def test_stacked_layers_are_views_per_network():
+    nets = [init_network((4, 8, 3), make_rng(seed)) for seed in range(3)]
+    stacked = _stacked(nets)
+    for layer in range(2):
+        assert stacked.weights[layer].shape == (3, *nets[0].weights[layer].shape)
+        assert stacked.biases[layer].shape == (3, *nets[0].biases[layer].shape)
+        assert np.shares_memory(stacked.weights[layer], stacked.flat)
+        assert np.shares_memory(stacked.biases[layer], stacked.flat)
+        for k, net in enumerate(nets):
+            assert np.array_equal(stacked.weights[layer][k], net.weights[layer])
+            assert np.array_equal(stacked.biases[layer][k], net.biases[layer])
+    with pytest.raises(ValueError, match="parameters"):
+        QNetwork((4, 8, 3), np.zeros((3, 10)))
+
+
+def test_stacked_batches_match_each_network_bit_for_bit():
+    rng = make_rng(13)
+    nets = [init_network((5, 6, 3), rng) for _ in range(3)]
+    stacked = _stacked(nets)
+    xs = rng.normal(size=(3, 8, 5))
+    targets = rng.normal(size=(3, 8))
+    actions = rng.integers(0, 3, size=(3, 8))
+    assert np.array_equal(forward_batch(stacked, xs), np.stack([forward_batch(n, x) for n, x in zip(nets, xs)]))
+    grads = QNetwork(stacked.sizes, np.zeros_like(stacked.flat))
+    losses = backward_batch(stacked, xs, targets, actions, grads)
+    assert losses.shape == (3,)
+    for k, net in enumerate(nets):
+        one = QNetwork(net.sizes)
+        assert losses[k] == backward_batch(net, xs[k], targets[k], actions[k], one)
+        assert np.array_equal(grads.flat[k], one.flat)
+
+
+def test_backward_batch_rejects_gradients_of_another_layout():
+    rng = make_rng(14)
+    net = init_network((4, 8, 3), rng)
+    xs, targets = rng.normal(size=(5, 4)), rng.normal(size=5)
+    for bad in (QNetwork((4, 8, 2)), QNetwork(net.sizes, np.zeros((2, net.flat.size)))):
+        with pytest.raises(ValueError, match="sizes"):
+            backward_batch(net, xs, targets, [0, 1, 2, 0, 1], bad)
+
+
+def test_adam_over_a_stack_matches_one_adam_per_network():
+    rng = make_rng(15)
+    nets = [init_network(sizes, rng) for sizes in [(3, 4, 2), (5, 4, 2), (3, 4, 2)]]
+    stack = Stack([((3, 4, 2), 2), ((5, 4, 2), 1)])
+    stack.groups[0].flat[...] = [nets[0].flat, nets[2].flat]
+    stack.groups[1].flat[0] = nets[1].flat
+    assert stack.flat.size == 2 * nets[0].flat.size + nets[1].flat.size
+    opt, opts = Adam(stack), [Adam(net) for net in nets]
+    for _ in range(3):
+        grads = Stack(stack.sizes, rng.normal(size=stack.flat.size))
+        opt.step(stack, grads, lr=0.01)
+        per_net = [grads.groups[0].flat[0], grads.groups[1].flat[0], grads.groups[0].flat[1]]
+        for net, one, g in zip(nets, opts, per_net):
+            one.step(net, QNetwork(net.sizes, g.copy()), lr=0.01)
+    assert np.array_equal(stack.groups[0].flat, np.stack([nets[0].flat, nets[2].flat]))
+    assert np.array_equal(stack.groups[1].flat[0], nets[1].flat)
+    copy = clone(stack)
+    assert copy.sizes == stack.sizes and np.array_equal(copy.flat, stack.flat)
+    assert not np.shares_memory(copy.flat, stack.flat)
+    with pytest.raises(ValueError, match="sizes"):
+        opt.step(stack, Stack([((3, 4, 2), 3)]), lr=0.01)
