@@ -93,6 +93,8 @@ def main() -> int:
     change = es_ep["change_pct"]
     shown = "n/a" if change is None else f"{change:+.2f}%"
     print(f"  {'ES / episode':>16}: {es_ep['baseline_mean']:9.3f} -> {es_ep['candidate_mean']:9.3f}   {shown}")
+    never = comparison["never_departed"]
+    print(f"  {'never departed':>16}: {never['baseline']:9d} -> {never['candidate']:9d}   (vehicles, all seeds)")
     print(f"\nartifacts in {out}/")
     return 0
 

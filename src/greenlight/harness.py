@@ -411,15 +411,14 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
 
     episodes: list[metrics.EpisodeTotals] = []
     vehicles: list[metrics.VehicleMetrics] = []
-    for episode_idx, seed in enumerate(config.seeds):
+    for episode, seed in enumerate(config.seeds):
         # fresh controller per seed so no decision state leaks across episodes
         sim = rollout(scenario, infos, make_controller(), _generator(seed))
-        finalized = [metrics.finalize(v, scenario.duration) for v in sim.vehicles]
-        vehicles.extend(finalized)
+        vehicles.extend(metrics.finalize(v, scenario.duration, seed, episode) for v in sim.vehicles)
         episodes.append(
             metrics.EpisodeTotals(
                 seed=seed,
-                episode=episode_idx,
+                episode=episode,
                 spawned=len(sim.vehicles),
                 departed=sim.inserted_count,
                 arrived=sim.arrived_count,
@@ -440,7 +439,9 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
 def compare(baseline: metrics.RunReport, candidate: metrics.RunReport) -> dict:
     """Side-by-side means with the signed percent change per metric.
 
-    Negative change means the candidate reduced the metric.
+    Negative change means the candidate reduced the metric.  Vehicles that
+    never departed are left out of the means, so their totals over the
+    episodes are listed next to them.
     """
     if baseline.scenario_id != candidate.scenario_id:
         raise ValueError(
@@ -464,6 +465,10 @@ def compare(baseline: metrics.RunReport, candidate: metrics.RunReport) -> dict:
             for key in metrics.METRIC_KEYS
         },
         "es_per_episode": change_entry(baseline.es_per_episode.mean, candidate.es_per_episode.mean),
+        "never_departed": {
+            "baseline": sum(ep.never_departed for ep in baseline.episodes),
+            "candidate": sum(ep.never_departed for ep in candidate.episodes),
+        },
     }
     return doc
 

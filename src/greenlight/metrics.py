@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 #: Speed below which a vehicle counts as halted (SUMO convention), m/s.
 HALT_SPEED = 0.1
@@ -21,14 +21,27 @@ HALT_SPEED = 0.1
 METRIC_KEYS = ("wt", "tl", "es", "dd")
 
 
+class ReportFormatError(ValueError):
+    """A report document is not JSON, or its keys do not match the report layout."""
+
+
 @dataclass
 class VehicleMetrics:
-    vehicle_id: int
-    waiting_time: float
-    time_loss: float
-    emergency_stops: int
-    depart_delay: float
-    never_departed: bool = False
+    """One vehicle's report row, its fields named as the report files name them.
+
+    ``wt`` waiting time (s), ``tl`` time loss (s), ``es`` emergency stops and
+    ``dd`` depart delay (s), for vehicle ``id`` of evaluation episode
+    ``episode``, which ran with ``seed``.
+    """
+
+    id: int
+    wt: float
+    tl: float
+    es: int
+    dd: float
+    never_departed: bool
+    seed: int
+    episode: int
 
 
 @dataclass(frozen=True)
@@ -41,8 +54,17 @@ class StatSummary:
     vmax: float
     n: int
 
+    #: The fields in order, as the report files name them.
+    KEYS = ("mean", "sd", "min", "max", "n")
+
     def as_dict(self) -> dict:
-        return {"mean": self.mean, "sd": self.sd, "min": self.vmin, "max": self.vmax, "n": self.n}
+        return dict(zip(self.KEYS, vars(self).values()))
+
+    @classmethod
+    def from_dict(cls, doc, where: str) -> "StatSummary":
+        """Invert ``as_dict``; ``where`` names the summary in errors."""
+        _check_keys(doc, cls.KEYS, where)
+        return cls(*(doc[k] for k in cls.KEYS))
 
 
 EMPTY_SUMMARY = StatSummary(0.0, 0.0, 0.0, 0.0, 0)
@@ -84,27 +106,18 @@ def record_step(tracker, speed: float, allowed_speed: float, dt: float) -> None:
     tracker.time_loss += (1.0 - speed / allowed_speed) * dt
 
 
-def finalize(vehicle, duration: float) -> VehicleMetrics:
+def finalize(vehicle, duration: float, seed: int, episode: int) -> VehicleMetrics:
     """Close out a vehicle's metrics at arrival or simulation end.
 
     Vehicles that never got inserted are flagged and charged the delay they
-    accrued up to the end of the run.
+    accrued up to the end of the run; their counters are still zero, because
+    only vehicles on a lane accumulate them.
     """
-    if vehicle.actual_depart is None:
-        return VehicleMetrics(
-            vehicle_id=vehicle.vid,
-            waiting_time=0.0,
-            time_loss=0.0,
-            emergency_stops=0,
-            depart_delay=duration - vehicle.scheduled_depart,
-            never_departed=True,
-        )
+    depart = vehicle.actual_depart
+    dd = (duration if depart is None else depart) - vehicle.scheduled_depart
+    # positional: keyword arguments take twice as long, and this runs once per vehicle
     return VehicleMetrics(
-        vehicle_id=vehicle.vid,
-        waiting_time=vehicle.waiting_time,
-        time_loss=vehicle.time_loss,
-        emergency_stops=vehicle.emergency_stops,
-        depart_delay=vehicle.actual_depart - vehicle.scheduled_depart,
+        vehicle.vid, vehicle.waiting_time, vehicle.time_loss, vehicle.emergency_stops, dd, depart is None, seed, episode
     )
 
 
@@ -147,12 +160,8 @@ def build_report(
     inserted stay visible through their flagged rows and the episode totals.
     """
     departed = [v for v in vehicles if not v.never_departed]
-    per_metric = {
-        "wt": [v.waiting_time for v in departed],
-        "tl": [v.time_loss for v in departed],
-        "es": [float(v.emergency_stops) for v in departed],
-        "dd": [v.depart_delay for v in departed],
-    }
+    # float(): an integer es would print its min and max as 2, not 2.0
+    per_metric = {k: [float(getattr(v, k)) for v in departed] for k in METRIC_KEYS}
     summaries = {k: aggregate(vals) if vals else EMPTY_SUMMARY for k, vals in per_metric.items()}
     es_totals = [float(ep.emergency_stops) for ep in episodes]
     return RunReport(
@@ -173,94 +182,57 @@ def report_to_json(report: RunReport) -> str:
         "seeds": report.seeds,
         "summaries": {k: report.summaries[k].as_dict() for k in METRIC_KEYS},
         "es_per_episode": report.es_per_episode.as_dict(),
-        "episodes": [
-            {
-                "seed": ep.seed,
-                "episode": ep.episode,
-                "spawned": ep.spawned,
-                "departed": ep.departed,
-                "arrived": ep.arrived,
-                "never_departed": ep.never_departed,
-                "emergency_stops": ep.emergency_stops,
-            }
-            for ep in report.episodes
-        ],
-        "vehicles": [
-            {
-                "id": v.vehicle_id,
-                "wt": v.waiting_time,
-                "tl": v.time_loss,
-                "es": v.emergency_stops,
-                "dd": v.depart_delay,
-                "never_departed": v.never_departed,
-                "seed": seed,
-                "episode": episode,
-            }
-            for (v, seed, episode) in _vehicle_rows(report)
-        ],
+        "episodes": [vars(ep) for ep in report.episodes],
+        "vehicles": [vars(v) for v in report.vehicles],
     }
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def report_from_json(text: str) -> RunReport:
-    doc = json.loads(text)
-    episodes = [
-        EpisodeTotals(
-            seed=ep["seed"],
-            episode=ep["episode"],
-            spawned=ep["spawned"],
-            departed=ep["departed"],
-            arrived=ep["arrived"],
-            never_departed=ep["never_departed"],
-            emergency_stops=ep["emergency_stops"],
-        )
-        for ep in doc["episodes"]
-    ]
-    vehicles = [
-        VehicleMetrics(
-            vehicle_id=v["id"],
-            waiting_time=v["wt"],
-            time_loss=v["tl"],
-            emergency_stops=v["es"],
-            depart_delay=v["dd"],
-            never_departed=v["never_departed"],
-        )
-        for v in doc["vehicles"]
-    ]
-    summaries = {
-        k: StatSummary(
-            mean=doc["summaries"][k]["mean"],
-            sd=doc["summaries"][k]["sd"],
-            vmin=doc["summaries"][k]["min"],
-            vmax=doc["summaries"][k]["max"],
-            n=doc["summaries"][k]["n"],
-        )
-        for k in METRIC_KEYS
-    }
-    es = doc["es_per_episode"]
+    """Read a report written by ``report_to_json``.
+
+    Raises ReportFormatError for text that is not JSON, and for a missing or
+    unknown key, naming it and where it is.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ReportFormatError(f"report is not valid JSON: {exc}") from exc
+    _check_keys(doc, [f.name for f in fields(RunReport)], "report")
+    _check_keys(doc["summaries"], METRIC_KEYS, "summaries")
     return RunReport(
         controller=doc["controller"],
         scenario_id=doc["scenario_id"],
         seeds=list(doc["seeds"]),
-        summaries=summaries,
-        es_per_episode=StatSummary(es["mean"], es["sd"], es["min"], es["max"], es["n"]),
-        episodes=episodes,
-        vehicles=vehicles,
+        summaries={k: StatSummary.from_dict(doc["summaries"][k], f"summaries.{k}") for k in METRIC_KEYS},
+        es_per_episode=StatSummary.from_dict(doc["es_per_episode"], "es_per_episode"),
+        episodes=_records(EpisodeTotals, doc["episodes"], "episodes"),
+        vehicles=_records(VehicleMetrics, doc["vehicles"], "vehicles"),
     )
 
 
-def _vehicle_rows(report: RunReport):
-    """Vehicles paired with their (seed, episode); order follows the episodes."""
-    rows = []
-    idx = 0
-    for ep in report.episodes:
-        for _ in range(ep.spawned):
-            rows.append((report.vehicles[idx], ep.seed, ep.episode))
-            idx += 1
-    # vehicles not covered by episode bookkeeping (hand-built reports)
-    for v in report.vehicles[idx:]:
-        rows.append((v, report.seeds[0] if report.seeds else 0, 0))
-    return rows
+def _check_keys(doc, keys, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ReportFormatError(f"{where}: expected an object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ReportFormatError(f"{where}: missing key {key!r}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ReportFormatError(f"{where}: unknown key {unknown[0]!r}")
+
+
+def _records(cls, rows, where: str) -> list:
+    """One ``cls`` per row object; a row whose keys differ from the fields is named."""
+    if not isinstance(rows, list):
+        raise ReportFormatError(f"{where}: expected a list, got {type(rows).__name__}")
+    try:
+        return [cls(**row) for row in rows]
+    except TypeError:
+        names = [f.name for f in fields(cls)]
+        for i, row in enumerate(rows):
+            _check_keys(row, names, f"{where}[{i}]")
+        raise
 
 
 def report_csv(report: RunReport) -> str:
@@ -268,8 +240,7 @@ def report_csv(report: RunReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["vehicle_id", "waiting_time", "time_loss", "emergency_stops", "depart_delay", "seed", "episode"])
-    for v, seed, episode in _vehicle_rows(report):
-        writer.writerow([v.vehicle_id, v.waiting_time, v.time_loss, v.emergency_stops, v.depart_delay, seed, episode])
+    writer.writerows((v.id, v.wt, v.tl, v.es, v.dd, v.seed, v.episode) for v in report.vehicles)
     return out.getvalue()
 
 
@@ -281,15 +252,8 @@ def summary_csv(reports: list[RunReport]) -> str:
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    header = ["statistic"]
-    for r in reports:
-        header.extend(f"{r.controller}_{k}" for k in METRIC_KEYS)
-    writer.writerow(header)
+    writer.writerow(["statistic", *(f"{r.controller}_{k}" for r in reports for k in METRIC_KEYS)])
+    columns = [r.summaries[k].as_dict() for r in reports for k in METRIC_KEYS]
     for stat in ("mean", "sd", "min", "max"):
-        row: list = [stat]
-        for r in reports:
-            for k in METRIC_KEYS:
-                s = r.summaries[k]
-                row.append({"mean": s.mean, "sd": s.sd, "min": s.vmin, "max": s.vmax}[stat])
-        writer.writerow(row)
+        writer.writerow([stat, *(column[stat] for column in columns)])
     return out.getvalue()

@@ -1,4 +1,4 @@
-"""Byte-level regression pins for the fixed-time evaluation and training artifacts.
+"""Byte-level regression pins for the evaluation and training artifacts.
 
 The fixed-time path runs no BLAS code: the simulator, the interlock and the
 report statistics (``math.fsum``) are plain IEEE double arithmetic, so these
@@ -10,10 +10,11 @@ machine changes behaviour.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from conftest import MIXED_SCENARIO, SCENARIOS
+from conftest import MIXED_SCENARIO, REPO, SCENARIOS
 from greenlight import cli
 
 SEEDS = "1,2,3"
@@ -44,6 +45,33 @@ def test_fixed_time_eval_artifacts_are_pinned(tmp_path, scenario, capsys):
         for suffix in GOLDEN[scenario]
     }
     assert digests == GOLDEN[scenario]
+
+
+#: ``eval --controller dqn`` with the 200-episode seed-7 ``single.xn`` weights
+#: from the benchmark inputs; seeds 1003 and 1014 leave 1 and 35 vehicles
+#: never departed, so these digests pin the flagged rows.
+DQN_WEIGHTS = REPO / "perfbench" / "inputs" / "single-seed7-ep200.weights.json"
+DQN_GOLDEN = {
+    ".json": "ba674485209bfbe490ed233aabba17d250b70ff109f5e67e8fd2a680f44aee86",
+    ".report.csv": "4fe303bb575355f707657946b71af31b51712eb55eb3078ed0926aece01bbec8",
+    ".summary.csv": "7c2b55f2aa72abae68b07e6f7c38fb621c07db1f4af965c1273707e6b3550eb7",
+}
+
+
+def test_dqn_eval_artifacts_with_never_departed_rows_are_pinned(tmp_path, capsys):
+    """The greedy forward pass runs matrix products, so like the training
+    digests these hold for one BLAS build and CPU kernel (recorded with
+    OpenBLAS on x86-64, one thread) and may differ in the last bits on another.
+    """
+    out = tmp_path / "dqn.json"
+    argv = ["eval", "--scenario", str(SCENARIOS / "single.xn"), "--controller", "dqn",
+            "--weights", str(DQN_WEIGHTS), "--seeds", "1003,1014", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    digests = {suffix: hashlib.sha256((tmp_path / f"dqn{suffix}").read_bytes()).hexdigest() for suffix in DQN_GOLDEN}
+    assert digests == DQN_GOLDEN
+    report = json.loads(out.read_text())
+    assert [ep["never_departed"] for ep in report["episodes"]] == [1, 35]
 
 
 #: ``greenlight train --episodes 4 --seed 7``: four episodes fill the replay

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +274,15 @@ def test_eval_seed_order_changes_layout_not_results(short_scenario):
     assert fwd.summaries["wt"].mean == pytest.approx(rev.summaries["wt"].mean)
 
 
+def test_eval_rows_carry_their_own_episode(short_scenario):
+    report = harness.evaluate(EvalConfig(scenario_path=short_scenario, controller="fixed", seeds=[6, 5]))
+    assert [(ep.seed, ep.episode) for ep in report.episodes] == [(6, 0), (5, 1)]
+    expected = [(ep.seed, ep.episode) for ep in report.episodes for _ in range(ep.spawned)]
+    assert [(v.seed, v.episode) for v in report.vehicles] == expected
+    rows = metrics.report_csv(report).strip().split("\n")[1:]
+    assert [tuple(int(c) for c in row.split(",")[-2:]) for row in rows] == expected
+
+
 def test_eval_empty_demand_reports_zeroes(tmp_path, single_text):
     doc = json.loads(single_text)
     for r in doc["routes"]:
@@ -349,6 +359,19 @@ def test_compare_reference_reduction_values():
     assert doc["metrics"]["dd"]["change_pct"] == pytest.approx(-2.238, abs=1e-3)
     assert doc["es_per_episode"]["change_pct"] == pytest.approx(-44.1637, abs=1e-4)
     assert doc["baseline"] == "fixed" and doc["candidate"] == "dqn"
+
+
+def test_compare_totals_never_departed_over_episodes():
+    def episodes(*never):
+        return [
+            metrics.EpisodeTotals(seed=k, episode=k, spawned=50, departed=50 - n, arrived=40, never_departed=n,
+                                  emergency_stops=0)
+            for k, n in enumerate(never)
+        ]
+
+    base = replace(_report_with_means("fixed", 3.0, 1.0, 3.0), episodes=episodes(0, 2))
+    cand = replace(_report_with_means("dqn", 3.0, 1.0, 3.0), episodes=episodes(7, 0))
+    assert harness.compare(base, cand)["never_departed"] == {"baseline": 2, "candidate": 7}
 
 
 def test_compare_identical_reports_zero_change():

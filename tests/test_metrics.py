@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from greenlight import metrics
+from greenlight import cli, metrics
 from greenlight.metrics import (
     VehicleMetrics,
     aggregate,
@@ -52,20 +54,20 @@ def test_record_step_half_speed_loses_half():
 
 
 def test_finalize_delay_zero():
-    m = finalize(VehicleStub(1, scheduled=10.0, actual=10.0), duration=1000.0)
-    assert m.depart_delay == 0.0 and not m.never_departed
+    m = finalize(VehicleStub(1, scheduled=10.0, actual=10.0), duration=1000.0, seed=1, episode=0)
+    assert m.dd == 0.0 and not m.never_departed
 
 
 def test_finalize_delay_subtraction():
-    m = finalize(VehicleStub(1, scheduled=10.0, actual=14.0), duration=1000.0)
-    assert m.depart_delay == pytest.approx(4.0)
+    m = finalize(VehicleStub(1, scheduled=10.0, actual=14.0), duration=1000.0, seed=1, episode=0)
+    assert m.dd == pytest.approx(4.0)
 
 
 def test_finalize_never_inserted_flagged():
-    m = finalize(VehicleStub(1, scheduled=900.0, actual=None), duration=1000.0)
+    m = finalize(VehicleStub(1, scheduled=900.0, actual=None), duration=1000.0, seed=1, episode=0)
     assert m.never_departed
-    assert m.depart_delay == pytest.approx(100.0)
-    assert m.waiting_time == 0.0 and m.time_loss == 0.0 and m.emergency_stops == 0
+    assert m.dd == pytest.approx(100.0)
+    assert m.wt == 0.0 and m.tl == 0.0 and m.es == 0
 
 
 def test_aggregate_small_example():
@@ -119,8 +121,8 @@ def test_percent_change_zero_baseline_errors():
         percent_change(0.0, 1.0)
 
 
-def _vm(vid, wt, tl, es, dd, never=False):
-    return VehicleMetrics(vid, wt, tl, es, dd, never)
+def _vm(vid, wt, tl, es, dd, never=False, seed=1, episode=0):
+    return VehicleMetrics(vid, wt, tl, es, dd, never, seed, episode)
 
 
 def test_build_report_pools_departed_only():
@@ -156,7 +158,8 @@ def test_report_csv_shape():
     episodes = [
         metrics.EpisodeTotals(seed=7, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=0)
     ]
-    report = build_report("fixed", "abc", [7], episodes, [_vm(0, 1.0, 2.0, 0, 0.0), _vm(1, 3.0, 4.0, 0, 1.0)])
+    rows = [_vm(0, 1.0, 2.0, 0, 0.0, seed=7), _vm(1, 3.0, 4.0, 0, 1.0, seed=7)]
+    report = build_report("fixed", "abc", [7], episodes, rows)
     lines = metrics.report_csv(report).strip().split("\n")
     assert lines[0] == "vehicle_id,waiting_time,time_loss,emergency_stops,depart_delay,seed,episode"
     assert len(lines) == 3
@@ -177,3 +180,64 @@ def test_summary_csv_two_controllers():
         "dqn_wt", "dqn_tl", "dqn_es", "dqn_dd",
     ]
     assert [row.split(",")[0] for row in lines[1:]] == ["mean", "sd", "min", "max"]
+
+
+def _report_doc() -> dict:
+    episodes = [
+        metrics.EpisodeTotals(seed=1, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=1)
+    ]
+    report = build_report("fixed", "abc", [1], episodes, [_vm(0, 1.0, 2.0, 1, 0.0), _vm(1, 3.0, 4.0, 0, 1.0)])
+    return json.loads(metrics.report_to_json(report))
+
+
+def _drop(path, key):
+    def mutate(doc):
+        target = doc
+        for step in path:
+            target = target[step]
+        del target[key]
+
+    return mutate
+
+
+MALFORMED = {
+    "no vehicles": (_drop([], "vehicles"), "report: missing key 'vehicles'"),
+    "row without dd": (_drop(["vehicles", 1], "dd"), r"vehicles\[1\]: missing key 'dd'"),
+    "row with unknown key": (lambda doc: doc["vehicles"][0].update(speed=3.0), r"vehicles\[0\]: unknown key 'speed'"),
+    "episode without seed": (_drop(["episodes", 0], "seed"), r"episodes\[0\]: missing key 'seed'"),
+    "summary without min": (_drop(["summaries", "tl"], "min"), "summaries.tl: missing key 'min'"),
+    "summaries without es": (_drop(["summaries"], "es"), "summaries: missing key 'es'"),
+    "es_per_episode with unknown key": (
+        lambda doc: doc["es_per_episode"].update(vmin=0.0),
+        "es_per_episode: unknown key 'vmin'",
+    ),
+    "row that is not an object": (lambda doc: doc["vehicles"].append(5), r"vehicles\[2\]: expected an object"),
+    "unknown top-level key": (lambda doc: doc.update(version=2), "report: unknown key 'version'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_report_from_json_names_the_bad_key(case):
+    mutate, message = MALFORMED[case]
+    doc = _report_doc()
+    mutate(doc)
+    with pytest.raises(metrics.ReportFormatError, match=message):
+        metrics.report_from_json(json.dumps(doc))
+
+
+def test_report_from_json_rejects_invalid_json():
+    with pytest.raises(metrics.ReportFormatError, match="not valid JSON"):
+        metrics.report_from_json('{"controller": ')
+    assert issubclass(metrics.ReportFormatError, ValueError)
+
+
+def test_compare_cli_reports_the_bad_key(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_report_doc()))
+    doc = _report_doc()
+    del doc["vehicles"][0]["dd"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["compare", str(good), str(bad), "--out", str(tmp_path / "c.json")]) == 1
+    error = json.loads(capsys.readouterr().err.strip())
+    assert error == {"error": "vehicles[0]: missing key 'dd'", "kind": "ReportFormatError"}
