@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -39,20 +40,18 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
+    eval_seeds = parse_seed_range(args.eval_seeds)
+    # both configs check their seeds here, before any training or output
+    train_config = harness.TrainConfig(
+        scenario_path=args.scenario, episodes=args.episodes, seed=args.seed, reward_mode=args.reward_mode
+    )
+    eval_config = harness.EvalConfig(scenario_path=args.scenario, controller="fixed", seeds=eval_seeds)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    eval_seeds = parse_seed_range(args.eval_seeds)
 
     print(f"training {args.episodes} episodes (seed {args.seed}) on {args.scenario} ...")
     t0 = time.perf_counter()
-    result = harness.train(
-        harness.TrainConfig(
-            scenario_path=args.scenario,
-            episodes=args.episodes,
-            seed=args.seed,
-            reward_mode=args.reward_mode,
-        )
-    )
+    result = harness.train(train_config)
     (out / "weights.json").write_text(result.weights_doc)
     (out / "curve.csv").write_text(harness.curve_csv(result.curve))
     print(f"  done in {time.perf_counter() - t0:.1f}s; "
@@ -61,14 +60,8 @@ def main() -> int:
     reports = {}
     for controller in harness.CONTROLLERS:
         print(f"evaluating {controller} on {len(eval_seeds)} seeds ...")
-        reports[controller] = harness.evaluate(
-            harness.EvalConfig(
-                scenario_path=args.scenario,
-                controller=controller,
-                seeds=eval_seeds,
-                weights=result.weights_doc if controller == "dqn" else None,
-            )
-        )
+        weights = result.weights_doc if controller == "dqn" else None
+        reports[controller] = harness.evaluate(replace(eval_config, controller=controller, weights=weights))
         (out / f"{controller}.json").write_text(metrics.report_to_json(reports[controller]))
         (out / f"{controller}.report.csv").write_text(metrics.report_csv(reports[controller]))
 

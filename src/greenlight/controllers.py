@@ -110,7 +110,7 @@ class FixedTimeController:
     def __init__(self, plans: dict[str, FixedTimePlan]):
         self.plans = plans
 
-    def decide(self, clock: float, make_views) -> dict[str, str]:
+    def decide(self, clock: float, lane_stats, states) -> dict[str, str]:
         requests = {}
         for jid, plan in self.plans.items():
             c = clock % plan.cycle

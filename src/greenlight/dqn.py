@@ -9,7 +9,6 @@ a raw agent action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,39 +23,24 @@ PHASE_TIME_CAP = 60.0  # s in current phase
 REWARD_MODES = ("literal", "balanced")
 
 
-@dataclass(frozen=True)
-class JunctionView:
-    """Snapshot of one junction's incoming lanes (axis A lanes, then axis B).
-
-    Per lane: vehicle count, capacity, halted count and summed accumulated
-    halt time of the vehicles currently on it.
-    """
-
-    lane_counts: tuple[int, ...]
-    lane_capacities: tuple[int, ...]
-    lane_halted: tuple[int, ...]
-    lane_waits: tuple[float, ...]
-    phase_onehot: tuple[float, float, float]
-    time_in_phase: float
-
-
 def state_dim(n_lanes: int) -> int:
     """Three features per incoming lane plus phase one-hot and phase time."""
     return 3 * n_lanes + 4
 
 
-def featurize(view: JunctionView) -> np.ndarray:
-    """Normalized state vector; every component lands in [0, 1]."""
-    parts = []
-    for count, cap, halted, wait in zip(
-        view.lane_counts, view.lane_capacities, view.lane_halted, view.lane_waits
-    ):
-        parts.append(min(1.0, count / cap))
-        parts.append(min(1.0, halted / cap))
-        parts.append(min(wait, WAIT_CAP) / WAIT_CAP)
-    parts.extend(view.phase_onehot)
-    parts.append(min(view.time_in_phase, PHASE_TIME_CAP) / PHASE_TIME_CAP)
-    return np.asarray(parts, dtype=np.float64)
+def featurize(stats: np.ndarray, capacities: np.ndarray, state) -> np.ndarray:
+    """One junction's state vector from its lane-statistics rows; every component lands in [0, 1].
+
+    Per lane min(1, count/cap), min(1, halted/cap) and min(1, wait/WAIT_CAP) = min(wait, WAIT_CAP)/WAIT_CAP.
+    """
+    x = np.empty(state_dim(len(stats)))
+    lanes = x[:-4].reshape(-1, 3)
+    np.divide(stats, capacities[:, None], out=lanes)
+    lanes[:, 2] = stats[:, 2] / WAIT_CAP
+    np.minimum(lanes, 1.0, out=lanes)
+    x[-4:-1] = state.phase_onehot()
+    x[-1] = min(state.time_in_phase, PHASE_TIME_CAP) / PHASE_TIME_CAP
+    return x
 
 
 def waiting_penalty(mean_wait: float) -> float:
@@ -163,33 +147,34 @@ class EpsilonSchedule:
         return self.start + (self.final - self.start) * frac
 
 
-def observe(make_views) -> dict[str, np.ndarray]:
-    """Feature vector of every junction, keyed by junction id."""
-    return {jid: featurize(view) for jid, view in make_views().items()}
-
-
 class GreedyPolicy:
     """Controller acting on each junction's q-values at clock 0, interval, 2 * interval, ...
 
-    With ``epsilon`` 0, as at evaluation, each action is the argmax; training
-    sets ``epsilon`` and ``rng`` and extends ``act``.
+    ``rows[jid]`` are junction jid's lanes in the lane-statistics array and ``capacities``.  With ``epsilon``
+    0, as at evaluation, each action is the argmax; training sets ``epsilon`` and ``rng`` and extends ``act``.
     """
 
-    def __init__(self, nets: dict[str, QNetwork], interval: float):
+    def __init__(self, nets: dict[str, QNetwork], interval: float, rows: dict[str, slice], capacities: np.ndarray):
         self.nets = nets
         self.interval = interval
+        self.rows = rows
+        self.capacities = capacities
         self.epsilon = 0.0
         self.rng = None
         self.actions = {jid: 0 for jid in nets}
         self.requests = {jid: REQUESTS[0] for jid in nets}
         self.next_decision = 0.0
 
-    def decide(self, clock: float, make_views) -> dict[str, str]:
+    def decide(self, clock: float, lane_stats, states) -> dict[str, str]:
         """Requests per junction; the returned dict is reused between calls."""
         if clock >= self.next_decision:
-            self.act(observe(make_views))
+            self.act(self.features(lane_stats(), states))
             self.next_decision = clock + self.interval
         return self.requests
+
+    def features(self, stats: np.ndarray, states) -> dict[str, np.ndarray]:
+        """Every junction's state vector, keyed by junction id."""
+        return {jid: featurize(stats[rows], self.capacities[rows], states[jid]) for jid, rows in self.rows.items()}
 
     def act(self, obs: dict[str, np.ndarray]) -> None:
         for jid, net in self.nets.items():

@@ -7,6 +7,7 @@ seeds are used verbatim, and no output embeds wall-clock state.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import dqn, metrics, qnet
 from .controllers import REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
-from .dqn import JunctionView, ReplayBuffer
+from .dqn import ReplayBuffer
 from .netmodel import DT, GREEN, RED, Junction, Scenario, is_whole_steps, load_scenario
 from .simcore import Simulation
 
@@ -110,6 +111,7 @@ class TrainConfig:
             raise ValueError("scenario path must be non-empty")
         if self.reward_mode not in dqn.REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
+        self.seed = qnet.integer_at_least(self.seed, 0, "seed")
 
 
 @dataclass
@@ -124,72 +126,86 @@ class EvalConfig:
             raise ValueError(f"unknown controller {self.controller!r}")
         if not self.seeds:
             raise ValueError("at least one evaluation seed is required")
+        self.seeds = [qnet.integer_at_least(seed, 0, "seeds") for seed in self.seeds]
+        repeated = [seed for i, seed in enumerate(self.seeds) if seed in self.seeds[:i]]
+        if repeated:
+            raise ValueError(f"seeds: {repeated[0]} is listed more than once; each episode needs its own seed")
         if self.controller == "dqn" and self.weights is None:
             raise ValueError("the dqn controller needs a weights document")
 
 
 @dataclass
 class _JunctionInfo:
-    """Per-junction constants shared by featurization and reward."""
+    """A signalized junction and its rows in the lane-statistics array."""
 
     junction: Junction
-    lane_edges: list  # Edge objects, axis A then axis B
-    n_axis_a: int
-    capacities: list[int]
+    rows: slice  # its incoming lanes, axis A then axis B
+
+    @property
+    def n_lanes(self) -> int:
+        return self.rows.stop - self.rows.start
 
 
 def _junction_infos(scenario: Scenario) -> list[_JunctionInfo]:
-    infos = []
+    infos, start = [], 0
     for j in scenario.network.signalized_junctions():
-        edges = [scenario.network.edge(eid) for eid in j.axis_a + j.axis_b]
-        caps = [e.capacity(scenario.vehicle.length, scenario.vehicle.min_gap) for e in edges]
-        infos.append(_JunctionInfo(j, edges, len(j.axis_a), caps))
+        n = len(j.incoming_signal_edges)
+        infos.append(_JunctionInfo(j, slice(start, start + n)))
+        start += n
     return infos
 
 
-def junction_view(sim: Simulation, info: _JunctionInfo, state: SignalAssignment) -> JunctionView:
-    counts, halted, waits = [], [], []
-    for edge in info.lane_edges:
-        lane = sim.vehicles_on[edge.id]
-        counts.append(len(lane))
-        halted.append(sum(1 for v in lane if v.speed < metrics.HALT_SPEED))
-        waits.append(sum(v.waiting_time for v in lane))
-    return JunctionView(
-        lane_counts=tuple(counts),
-        lane_capacities=tuple(info.capacities),
-        lane_halted=tuple(halted),
-        lane_waits=tuple(waits),
-        phase_onehot=state.phase_onehot(),
-        time_in_phase=state.time_in_phase,
-    )
+def _lane_ids(infos: list[_JunctionInfo]) -> list[str]:
+    return [eid for info in infos for eid in info.junction.incoming_signal_edges]
 
 
-def _step_reward(sim: Simulation, info: _JunctionInfo, mode: str) -> float:
+def _capacities(scenario: Scenario, infos: list[_JunctionInfo]) -> np.ndarray:
+    vehicle = scenario.vehicle
+    edges = map(scenario.network.edge, _lane_ids(infos))
+    return np.array([e.capacity(vehicle.length, vehicle.min_gap) for e in edges], dtype=float)
+
+
+def junction_view(sim: Simulation, lanes: list[str]) -> np.ndarray:
+    """The lane-statistics array at the current clock, one row per lane of ``lanes``.
+
+    Columns: vehicle count, halted count (speed below ``metrics.HALT_SPEED``) and summed ``waiting_time``.
+    """
+    flat = []
+    for lane in lanes:
+        vehicles = sim.vehicles_on[lane]
+        halted, wait = 0, 0.0
+        for v in vehicles:
+            halted += v.speed < metrics.HALT_SPEED
+            wait += v.waiting_time
+        flat += (len(vehicles), halted, wait)
+    return np.array(flat, dtype=float).reshape(-1, 3)
+
+
+def _step_reward(sim: Simulation, info: _JunctionInfo, stats: np.ndarray, mode: str) -> float:
     color_a, color_b = sim.assignment[info.junction.id]
-    n_a, n_b = info.n_axis_a, len(info.lane_edges) - info.n_axis_a
+    n_a, n_b = len(info.junction.axis_a), len(info.junction.axis_b)
     greens = (n_a if color_a == GREEN else 0) + (n_b if color_b == GREEN else 0)
     reds = (n_a if color_a == RED else 0) + (n_b if color_b == RED else 0)
-    total_wait = 0.0
-    for edge in info.lane_edges:
-        for v in sim.vehicles_on[edge.id]:
-            total_wait += v.waiting_time
-    return dqn.reward_from_counts(greens, reds, total_wait / len(info.lane_edges), mode)
+    # summed in Python: a numpy sum and numpy scalars cost more than the few lanes
+    return dqn.reward_from_counts(greens, reds, sum(stats[info.rows, 2].tolist()) / info.n_lanes, mode)
 
 
 def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_step=None) -> Simulation:
     """Run one episode under ``controller``; this is the only per-step loop.
 
-    ``on_step(sim, make_views, done)``, if given, runs after every step.
+    ``controller.decide(clock, lane_stats, states)`` runs before each step and ``on_step(sim, lane_stats, states,
+    done)``, if given, after it.  ``lane_stats()`` is the clock's ``junction_view`` array, computed at most once
+    and shared by every caller at that clock, so none may write to it.
     """
     sim = Simulation(scenario, rng)
     states = {info.junction.id: SignalAssignment() for info in infos}
-
-    def make_views() -> dict[str, JunctionView]:
-        return {info.junction.id: junction_view(sim, info, states[info.junction.id]) for info in infos}
+    lanes = _lane_ids(infos)
+    stats_at = functools.lru_cache(maxsize=1)(lambda clock: junction_view(sim, lanes))
+    lane_stats = lambda: stats_at(sim.clock)  # noqa: E731
 
     total_steps = int(round(scenario.duration / DT))
     for step in range(1, total_steps + 1):
-        requests = controller.decide(sim.clock, make_views)
+        requests = controller.decide(sim.clock, lane_stats, states)
         assignment = {}
         for info in infos:
             jid = info.junction.id
@@ -197,7 +213,7 @@ def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_
             assignment[jid] = states[jid].colors()
         sim.step(assignment)
         if on_step is not None:
-            on_step(sim, make_views, step == total_steps)
+            on_step(sim, lane_stats, states, step == total_steps)
     return sim
 
 
@@ -260,9 +276,10 @@ class _TrainingAgent(dqn.GreedyPolicy):
     is filled.
     """
 
-    def __init__(self, infos: list[_JunctionInfo], learner: _Learner, hp: Hyperparams, config: TrainConfig,
-                 decisions: int):
-        super().__init__({info.junction.id: net for info, net in zip(infos, learner.nets)}, hp.decision_interval)
+    def __init__(self, infos: list[_JunctionInfo], capacities: np.ndarray, learner: _Learner, hp: Hyperparams,
+                 config: TrainConfig, decisions: int):
+        nets = {info.junction.id: net for info, net in zip(infos, learner.nets)}
+        super().__init__(nets, hp.decision_interval, {info.junction.id: info.rows for info in infos}, capacities)
         self.infos = infos
         self.learner = learner
         self.reward_mode = config.reward_mode
@@ -287,12 +304,13 @@ class _TrainingAgent(dqn.GreedyPolicy):
         super().act(obs)
         self.obs = obs
 
-    def on_step(self, sim: Simulation, make_views, done: bool) -> None:
+    def on_step(self, sim: Simulation, lane_stats, states: dict, done: bool) -> None:
+        stats = lane_stats()
         for k, info in enumerate(self.infos):
-            self.reward_sums[k] += _step_reward(sim, info, self.reward_mode)
+            self.reward_sums[k] += _step_reward(sim, info, stats, self.reward_mode)
         self.steps += 1
         if done:
-            self._close_interval(dqn.observe(make_views), terminal=True)
+            self._close_interval(self.features(stats, states), terminal=True)
 
     def _close_interval(self, next_obs: dict, terminal: bool) -> None:
         jids = list(self.nets)
@@ -331,12 +349,12 @@ def train(config: TrainConfig) -> TrainResult:
 
     initial = [
         qnet.init_network(
-            (dqn.state_dim(len(info.lane_edges)), *hp.hidden, len(REQUESTS)), _generator(config.seed, _NS_NET, idx)
+            (dqn.state_dim(info.n_lanes), *hp.hidden, len(REQUESTS)), _generator(config.seed, _NS_NET, idx)
         )
         for idx, info in enumerate(infos)
     ]
     decisions = config.episodes * math.ceil(scenario.duration / hp.decision_interval)
-    agent = _TrainingAgent(infos, _Learner(initial, hp), hp, config, decisions)
+    agent = _TrainingAgent(infos, _capacities(scenario, infos), _Learner(initial, hp), hp, config, decisions)
 
     curve: list[dict] = []
     for episode in range(config.episodes):
@@ -386,7 +404,7 @@ def load_weights(text: str, infos: list[_JunctionInfo]) -> dict[str, qnet.QNetwo
             )
         nets[infos[0].junction.id] = qnet.deserialize(text)
     for info in infos:
-        expected = dqn.state_dim(len(info.lane_edges))
+        expected = dqn.state_dim(info.n_lanes)
         got = nets[info.junction.id].d_in
         if got != expected:
             raise WeightsMismatchError(
@@ -407,7 +425,8 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
         make_controller = lambda: FixedTimeController(plans)  # noqa: E731
     else:
         nets = load_weights(config.weights, infos)
-        make_controller = lambda: dqn.GreedyPolicy(nets, hp.decision_interval)  # noqa: E731
+        rows, capacities = {info.junction.id: info.rows for info in infos}, _capacities(scenario, infos)
+        make_controller = lambda: dqn.GreedyPolicy(nets, hp.decision_interval, rows, capacities)  # noqa: E731
 
     episodes: list[metrics.EpisodeTotals] = []
     vehicles: list[metrics.VehicleMetrics] = []

@@ -22,7 +22,16 @@ METRIC_KEYS = ("wt", "tl", "es", "dd")
 
 
 class ReportFormatError(ValueError):
-    """A report document is not JSON, or its keys do not match the report layout."""
+    """A report document is not JSON, or its keys or value types do not match the report layout."""
+
+
+#: The JSON value types that fit each field, by its annotation's text; bools are not numbers.
+_VALUE_TYPES = {
+    "int": ("an integer", {int}),
+    "float": ("a number", {int, float}),
+    "bool": ("true or false", {bool}),
+    "str": ("a string", {str}),
+}
 
 
 @dataclass
@@ -64,6 +73,7 @@ class StatSummary:
     def from_dict(cls, doc, where: str) -> "StatSummary":
         """Invert ``as_dict``; ``where`` names the summary in errors."""
         _check_keys(doc, cls.KEYS, where)
+        _check_types(cls, [doc], where, cls.KEYS)
         return cls(*(doc[k] for k in cls.KEYS))
 
 
@@ -192,18 +202,21 @@ def report_from_json(text: str) -> RunReport:
     """Read a report written by ``report_to_json``.
 
     Raises ReportFormatError for text that is not JSON, and for a missing or
-    unknown key, naming it and where it is.
+    unknown key or a value of the wrong type, naming it and where it is.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"report is not valid JSON: {exc}") from exc
     _check_keys(doc, [f.name for f in fields(RunReport)], "report")
+    _check_types(RunReport, [doc], "report")
+    if not isinstance(doc["seeds"], list) or {type(s) for s in doc["seeds"]} - {int}:
+        raise ReportFormatError(f"report: 'seeds' must be a list of integers, got {doc['seeds']!r}")
     _check_keys(doc["summaries"], METRIC_KEYS, "summaries")
     return RunReport(
         controller=doc["controller"],
         scenario_id=doc["scenario_id"],
-        seeds=list(doc["seeds"]),
+        seeds=doc["seeds"],
         summaries={k: StatSummary.from_dict(doc["summaries"][k], f"summaries.{k}") for k in METRIC_KEYS},
         es_per_episode=StatSummary.from_dict(doc["es_per_episode"], "es_per_episode"),
         episodes=_records(EpisodeTotals, doc["episodes"], "episodes"),
@@ -222,17 +235,33 @@ def _check_keys(doc, keys, where: str) -> None:
         raise ReportFormatError(f"{where}: unknown key {unknown[0]!r}")
 
 
+def _check_types(cls, rows: list[dict], where: str, keys=None) -> None:
+    """Raise for the first value in ``rows`` whose type does not fit its ``cls`` field.
+
+    ``keys`` name the fields in the rows (by default, the field names); ``where``
+    names the rows in errors, with ``{}`` standing for the row index.
+    """
+    for f, key in zip(fields(cls), keys or [f.name for f in fields(cls)]):
+        expected, allowed = _VALUE_TYPES.get(f.type, (None, None))
+        if allowed is None or {type(row[key]) for row in rows} <= allowed:
+            continue
+        i = next(i for i, row in enumerate(rows) if type(row[key]) not in allowed)
+        raise ReportFormatError(f"{where.format(i)}: {key!r} must be {expected}, got {rows[i][key]!r}")
+
+
 def _records(cls, rows, where: str) -> list:
-    """One ``cls`` per row object; a row whose keys differ from the fields is named."""
+    """One ``cls`` per row object; a row whose keys or value types differ from the fields is named."""
     if not isinstance(rows, list):
         raise ReportFormatError(f"{where}: expected a list, got {type(rows).__name__}")
     try:
-        return [cls(**row) for row in rows]
+        records = [cls(**row) for row in rows]
     except TypeError:
         names = [f.name for f in fields(cls)]
         for i, row in enumerate(rows):
             _check_keys(row, names, f"{where}[{i}]")
         raise
+    _check_types(cls, rows, where + "[{}]")
+    return records
 
 
 def report_csv(report: RunReport) -> str:

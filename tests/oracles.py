@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from greenlight import qnet
+from greenlight import dqn, metrics, qnet
+from greenlight.netmodel import GREEN, RED
 
 
 def straight_line_forward(sizes, weights, biases, x):
@@ -253,3 +254,62 @@ def fixed_time_decide(clock, plan):
     if c < plan.green_a + plan.yellow + plan.green_b:
         return ("red", "green")
     return ("red", "yellow")
+
+
+@dataclass(frozen=True)
+class JunctionView:
+    """Snapshot of one junction's incoming lanes (axis A lanes, then axis B).
+
+    Per lane: vehicle count, capacity, halted count and summed accumulated
+    halt time of the vehicles currently on it.
+    """
+
+    lane_counts: tuple[int, ...]
+    lane_capacities: tuple[int, ...]
+    lane_halted: tuple[int, ...]
+    lane_waits: tuple[float, ...]
+    phase_onehot: tuple[float, float, float]
+    time_in_phase: float
+
+
+def junction_view(sim, junction, capacities, state):
+    """One junction's view, walking its lanes one statistic at a time."""
+    counts, halted, waits = [], [], []
+    for eid in junction.axis_a + junction.axis_b:
+        lane = sim.vehicles_on[eid]
+        counts.append(len(lane))
+        halted.append(sum(1 for v in lane if v.speed < metrics.HALT_SPEED))
+        waits.append(sum(v.waiting_time for v in lane))
+    return JunctionView(
+        lane_counts=tuple(counts),
+        lane_capacities=tuple(capacities),
+        lane_halted=tuple(halted),
+        lane_waits=tuple(waits),
+        phase_onehot=state.phase_onehot(),
+        time_in_phase=state.time_in_phase,
+    )
+
+
+def featurize(view):
+    """Normalized state vector built component by component from a view."""
+    parts = []
+    for count, cap, halted, wait in zip(view.lane_counts, view.lane_capacities, view.lane_halted, view.lane_waits):
+        parts.append(min(1.0, count / cap))
+        parts.append(min(1.0, halted / cap))
+        parts.append(min(wait, dqn.WAIT_CAP) / dqn.WAIT_CAP)
+    parts.extend(view.phase_onehot)
+    parts.append(min(view.time_in_phase, dqn.PHASE_TIME_CAP) / dqn.PHASE_TIME_CAP)
+    return np.asarray(parts, dtype=np.float64)
+
+
+def step_reward(sim, junction, mode):
+    """One junction's step reward, summing the waits vehicle by vehicle over its lanes."""
+    color_a, color_b = sim.assignment[junction.id]
+    n_a, n_b = len(junction.axis_a), len(junction.axis_b)
+    greens = (n_a if color_a == GREEN else 0) + (n_b if color_b == GREEN else 0)
+    reds = (n_a if color_a == RED else 0) + (n_b if color_b == RED else 0)
+    total_wait = 0.0
+    for eid in junction.axis_a + junction.axis_b:
+        for v in sim.vehicles_on[eid]:
+            total_wait += v.waiting_time
+    return dqn.reward_from_counts(greens, reds, total_wait / (n_a + n_b), mode)

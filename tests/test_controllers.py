@@ -152,7 +152,7 @@ def test_fixed_controller_requests_match_decide_map():
     state = SignalAssignment()
     junction = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=3.0, min_green=5.0)
     for t in range(3 * int(PLAN.cycle)):
-        request = controller.decide(float(t), None)["c"]
+        request = controller.decide(float(t), None, None)["c"]
         state = apply_interlock(request, state, junction)
         assert state.colors() == fixed_time_decide(float(t), PLAN)
 

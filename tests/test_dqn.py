@@ -11,7 +11,6 @@ from oracles import Transition, td_target
 from greenlight import dqn, harness, netmodel, qnet, simcore
 from greenlight.controllers import SignalAssignment
 from greenlight.dqn import (
-    JunctionView,
     ReplayBuffer,
     featurize,
     reward_from_counts,
@@ -20,13 +19,23 @@ from greenlight.dqn import (
 )
 
 
-def _view(counts, caps, halted, waits, onehot=(1.0, 0.0, 0.0), t=0.0):
-    return JunctionView(
+PHASES = ("serve_a", "serve_b", "all_red", "yellow_a", "yellow_b")
+
+
+def _features(counts, caps, halted, waits, phase="serve_a", t=0.0):
+    """``featurize`` of one junction whose lanes hold the given statistics."""
+    stats = np.column_stack([counts, halted, waits]).astype(float)
+    return featurize(stats, np.asarray(caps, dtype=float), SignalAssignment(phase=phase, time_in_phase=t))
+
+
+def _view(counts, caps, halted, waits, phase="serve_a", t=0.0):
+    state = SignalAssignment(phase=phase, time_in_phase=t)
+    return oracles.JunctionView(
         lane_counts=tuple(counts),
         lane_capacities=tuple(caps),
         lane_halted=tuple(halted),
         lane_waits=tuple(waits),
-        phase_onehot=onehot,
+        phase_onehot=state.phase_onehot(),
         time_in_phase=t,
     )
 
@@ -35,15 +44,13 @@ def _view(counts, caps, halted, waits, onehot=(1.0, 0.0, 0.0), t=0.0):
 
 
 def test_featurize_empty_junction_serving_a():
-    view = _view([0, 0], [10, 10], [0, 0], [0.0, 0.0])
-    vec = featurize(view)
+    vec = _features([0, 0], [10, 10], [0, 0], [0.0, 0.0])
     assert vec.shape == (state_dim(2),)
     assert vec == pytest.approx([0, 0, 0, 0, 0, 0, 1, 0, 0, 0])
 
 
 def test_featurize_saturated_lane_clamps_to_one():
-    view = _view([25], [12], [25], [9999.0], onehot=(0.0, 0.0, 1.0), t=600.0)
-    vec = featurize(view)
+    vec = _features([25], [12], [25], [9999.0], phase="all_red", t=600.0)
     assert vec == pytest.approx([1, 1, 1, 0, 0, 1, 1])
 
 
@@ -63,14 +70,16 @@ def test_featurize_counts_from_scripted_mini_scenario(single_scenario):
         sim.vehicles.append(veh)
         sim.vehicles_on["n_in"].append(veh)
         sim.inserted_count += 1
-    info = harness._junction_infos(sc)[0]
-    view = harness.junction_view(sim, info, SignalAssignment())
-    vec = featurize(view)
-    lane = info.lane_edges.index(sc.network.edge("n_in"))
+    infos = harness._junction_infos(sc)
+    lanes = harness._lane_ids(infos)
+    stats = harness.junction_view(sim, lanes)
+    vec = featurize(stats[infos[0].rows], harness._capacities(sc, infos)[infos[0].rows], SignalAssignment())
+    lane = lanes.index("n_in")
+    assert stats[lane].tolist() == [3.0, 2.0, 20.0]
     assert vec[3 * lane + 0] == pytest.approx(0.25)  # density 3/12
     assert vec[3 * lane + 1] == pytest.approx(2.0 / 12.0)  # queue
     assert vec[3 * lane + 2] == pytest.approx(20.0 / 300.0)  # summed halt wait
-    assert view.phase_onehot == (1.0, 0.0, 0.0)  # axis A serving
+    assert vec[-4:-1].tolist() == [1.0, 0.0, 0.0]  # axis A serving
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,11 +92,28 @@ def test_featurize_components_stay_in_unit_interval(caps, data):
     counts = [data.draw(st.integers(0, 3 * c)) for c in caps]
     halted = [data.draw(st.integers(0, counts[i])) for i in range(n)]
     waits = [data.draw(st.floats(0, 2000)) for _ in range(n)]
-    onehot = data.draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]))
+    phase = data.draw(st.sampled_from(PHASES))
     t = data.draw(st.floats(0, 500))
-    vec = featurize(_view(counts, caps, halted, waits, onehot, t))
+    vec = _features(counts, caps, halted, waits, phase, t)
     assert vec.shape == (state_dim(n),)
     assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    caps=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_featurize_equals_the_view_oracle_bit_for_bit(caps, data):
+    n = len(caps)
+    counts = [data.draw(st.integers(0, 3 * c)) for c in caps]
+    halted = [data.draw(st.integers(0, counts[i])) for i in range(n)]
+    waits = [data.draw(st.one_of(st.integers(0, 2000).map(float), st.floats(0, 2000))) for _ in range(n)]
+    phase = data.draw(st.sampled_from(PHASES))
+    t = data.draw(st.one_of(st.integers(0, 200).map(float), st.floats(0, 500)))
+    vec = _features(counts, caps, halted, waits, phase, t)
+    expected = oracles.featurize(_view(counts, caps, halted, waits, phase, t))
+    assert vec.dtype == expected.dtype and vec.tobytes() == expected.tobytes()
 
 
 # --- reward --------------------------------------------------------------------
@@ -123,10 +149,13 @@ def test_reward_unknown_mode_rejected():
 
 def test_reward_from_view_counts_lanes():
     def step_reward(n_a, n_b, colors):
-        edges = [netmodel.Edge(f"e{i}", "x", "c", 100.0, 10.0) for i in range(n_a + n_b)]
-        info = harness._JunctionInfo(netmodel.Junction("c", signalized=True), edges, n_a, [13] * len(edges))
-        sim = types.SimpleNamespace(assignment={"c": colors}, vehicles_on={e.id: [] for e in edges})
-        return harness._step_reward(sim, info, "balanced")
+        ids = [f"e{i}" for i in range(n_a + n_b)]
+        junction = netmodel.Junction("c", signalized=True, axis_a=tuple(ids[:n_a]), axis_b=tuple(ids[n_a:]))
+        info = harness._JunctionInfo(junction, slice(0, n_a + n_b))
+        sim = types.SimpleNamespace(assignment={"c": colors}, vehicles_on={eid: [] for eid in ids})
+        reward = harness._step_reward(sim, info, harness.junction_view(sim, ids), "balanced")
+        assert reward == oracles.step_reward(sim, junction, "balanced")
+        return reward
 
     # 2 green vs 1 red, no waiting
     assert step_reward(2, 1, ("green", "red")) == pytest.approx(-0.2)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import MIXED_SCENARIO, SCENARIOS, make_rng
-from greenlight import cli, harness, metrics, qnet
+from greenlight import cli, dqn, harness, metrics, qnet
 from greenlight.harness import EvalConfig, Hyperparams, TrainConfig, WeightsMismatchError
 from greenlight.metrics import RunReport, StatSummary
 
@@ -128,6 +129,41 @@ def test_cli_hidden_override_sets_the_architecture(tmp_path, short_scenario):
     assert qnet.deserialize(out.read_text()).sizes == (harness.dqn.state_dim(4), 16, 8, 3)
 
 
+@pytest.mark.parametrize("seed", [-3, True, 2.5])
+def test_train_config_rejects_a_seed_numpy_cannot_use(seed):
+    with pytest.raises(ValueError, match=rf"^seed: expected an integer of at least 0, got {seed}$"):
+        TrainConfig(scenario_path="s.xn", episodes=1, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ([1, -1], r"^seeds: expected an integer of at least 0, got -1$"),
+        ([4, 1, 4], r"^seeds: 4 is listed more than once"),
+        ([2, 3, 3, 2], r"^seeds: 3 is listed more than once"),
+    ],
+)
+def test_eval_config_rejects_negative_and_repeated_seeds(seeds, message):
+    with pytest.raises(ValueError, match=message):
+        EvalConfig(scenario_path="s.xn", controller="fixed", seeds=seeds)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--episodes", "1", "--seed", "-3", "--weights-out", "w.json"], "seed: .* got -3"),
+        (["eval", "--controller", "fixed", "--seeds", "-1", "--out", "r.json"], "seeds: .* got -1"),
+        (["eval", "--controller", "fixed", "--seeds", "1,1", "--out", "r.json"], "seeds: 1 is listed more than once"),
+    ],
+)
+def test_cli_bad_seeds_name_the_key(tmp_path, short_scenario, capsys, argv, message):
+    argv = [*argv[:1], "--scenario", short_scenario, *(str(tmp_path / a) if a.endswith(".json") else a for a in argv[1:])]
+    assert cli.main(argv) == 1
+    error = json.loads(capsys.readouterr().err.strip())
+    assert error["kind"] == "ValueError" and re.match(message, error["error"])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_without_updates_keeps_initial_weights(short_scenario):
     config = TrainConfig(
         scenario_path=short_scenario,
@@ -231,13 +267,115 @@ def test_training_policy_acts_with_the_learner_views():
     scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
     infos = harness._junction_infos(scenario)
     hp = harness.resolve_hyperparams(scenario)
-    initial = [qnet.init_network((harness.dqn.state_dim(len(i.lane_edges)), 5, 3), make_rng(k))
+    initial = [qnet.init_network((harness.dqn.state_dim(i.n_lanes), 5, 3), make_rng(k))
                for k, i in enumerate(infos)]
     learner = harness._Learner(initial, hp)
-    agent = harness._TrainingAgent(infos, learner, hp, config, decisions=10)
+    agent = harness._TrainingAgent(infos, harness._capacities(scenario, infos), learner, hp, config, decisions=10)
     assert list(agent.nets) == [i.junction.id for i in infos]
     for net, view in zip(agent.nets.values(), learner.nets):
         assert net is view and np.shares_memory(net.flat, learner.params.flat)
+
+
+def _count_lane_walks(monkeypatch) -> list:
+    """Replace ``harness.junction_view`` with a wrapper that records the clock of each call."""
+    clocks, real = [], harness.junction_view
+
+    def counting(sim, lanes):
+        clocks.append(sim.clock)
+        return real(sim, lanes)
+
+    monkeypatch.setattr(harness, "junction_view", counting)
+    return clocks
+
+
+def test_fixed_time_rollout_computes_no_lane_statistics(monkeypatch):
+    clocks = _count_lane_walks(monkeypatch)
+    report = harness.evaluate(EvalConfig(scenario_path=str(MIXED_SCENARIO), controller="fixed", seeds=[1, 2]))
+    assert report.vehicles and clocks == []
+
+
+def test_training_walks_the_lanes_once_per_clock(monkeypatch):
+    """The array computed for the reward after a step is the one the next decision reads."""
+    clocks = _count_lane_walks(monkeypatch)
+    harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=2, seed=1))
+    steps = int(harness.load_scenario(MIXED_SCENARIO.read_text()).duration)
+    assert clocks == 2 * [float(t) for t in range(steps + 1)]
+
+
+def test_dqn_eval_walks_the_lanes_once_per_decision(monkeypatch, tmp_path):
+    weights = harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=1, seed=1)).weights_doc
+    clocks = _count_lane_walks(monkeypatch)
+    harness.evaluate(EvalConfig(str(MIXED_SCENARIO), "dqn", [4], weights=weights))
+    assert clocks == [float(t) for t in range(0, 400, 5)]
+
+
+def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
+    """On mixed.xn (junctions with 3 and 2 lanes) the array path gives, at every
+    decision, the features of the per-junction lane walk, and at every step its
+    rewards; the terminal features and each interval's reward sums match too."""
+    scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
+    infos = harness._junction_infos(scenario)
+    assert [info.n_lanes for info in infos] == [3, 2]
+    vehicle = scenario.vehicle
+    capacities = {
+        info.junction.id: [
+            scenario.network.edge(eid).capacity(vehicle.length, vehicle.min_gap)
+            for eid in info.junction.axis_a + info.junction.axis_b
+        ]
+        for info in infos
+    }
+    sims = []
+    checked = {"decisions": 0, "steps": 0, "terminal": 0, "waiting": 0}
+
+    class RecordingSimulation(harness.Simulation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sims.append(self)
+
+    class CheckedAgent(harness._TrainingAgent):
+        def start_episode(self, episode):
+            super().start_episode(episode)
+            self.oracle_sums = [0.0] * len(self.infos)
+
+        def decide(self, clock, lane_stats, states):
+            self.states = states
+            return super().decide(clock, lane_stats, states)
+
+        def check_features(self, obs):
+            for info in self.infos:
+                jid = info.junction.id
+                view = oracles.junction_view(sims[-1], info.junction, capacities[jid], self.states[jid])
+                assert obs[jid].tobytes() == oracles.featurize(view).tobytes()
+                checked["waiting"] += any(view.lane_waits)
+
+        def act(self, obs):
+            self.check_features(obs)
+            checked["decisions"] += 1
+            super().act(obs)
+
+        def on_step(self, sim, lane_stats, states, done):
+            self.states = states
+            for k, info in enumerate(self.infos):
+                reward = oracles.step_reward(sim, info.junction, self.reward_mode)
+                assert harness._step_reward(sim, info, lane_stats(), self.reward_mode) == reward
+                self.oracle_sums[k] += reward
+            checked["steps"] += 1
+            super().on_step(sim, lane_stats, states, done)
+
+        def _close_interval(self, next_obs, terminal):
+            assert self.reward_sums == self.oracle_sums
+            self.oracle_sums = [0.0] * len(self.infos)
+            if terminal:
+                self.check_features(next_obs)
+                checked["terminal"] += 1
+            super()._close_interval(next_obs, terminal)
+
+    monkeypatch.setattr(harness, "Simulation", RecordingSimulation)
+    monkeypatch.setattr(harness, "_TrainingAgent", CheckedAgent)
+    for mode in dqn.REWARD_MODES:
+        harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=2, seed=5, reward_mode=mode))
+    assert checked["decisions"] == 2 * 2 * 80 and checked["steps"] == 2 * 2 * 400 and checked["terminal"] == 4
+    assert checked["waiting"] > 0  # some decisions saw queued vehicles
 
 
 def test_divergence_names_the_junction(monkeypatch):

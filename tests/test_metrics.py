@@ -225,6 +225,40 @@ def test_report_from_json_names_the_bad_key(case):
         metrics.report_from_json(json.dumps(doc))
 
 
+def _set(path, key, value):
+    def mutate(doc):
+        target = doc
+        for step in path:
+            target = target[step]
+        target[key] = value
+
+    return mutate
+
+
+WRONG_TYPES = {
+    "number as a string": (_set(["summaries", "wt"], "mean", "8.5"), "summaries.wt: 'mean' must be a number, got '8.5'"),
+    "missing number": (_set(["summaries", "dd"], "sd", None), "summaries.dd: 'sd' must be a number, got None"),
+    "bool as a number": (_set(["vehicles", 1], "wt", True), r"vehicles\[1\]: 'wt' must be a number, got True"),
+    "bool as a count": (_set(["episodes", 0], "spawned", True), r"episodes\[0\]: 'spawned' must be an integer, got True"),
+    "fraction as a count": (_set(["episodes", 0], "arrived", 1.5), r"episodes\[0\]: 'arrived' must be an integer"),
+    "fractional summary size": (_set(["es_per_episode"], "n", 1.0), "es_per_episode: 'n' must be an integer, got 1.0"),
+    "count as a flag": (_set(["vehicles", 0], "never_departed", 0), r"vehicles\[0\]: 'never_departed' must be true"),
+    "controller not a string": (_set([], "controller", 3), "report: 'controller' must be a string, got 3"),
+    "seeds not a list": (_set([], "seeds", 5), "report: 'seeds' must be a list of integers, got 5"),
+    "seed not an integer": (_set([], "seeds", ["1"]), r"report: 'seeds' must be a list of integers, got \['1'\]"),
+    "bool as a seed": (_set([], "seeds", [True]), "report: 'seeds' must be a list of integers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_report_from_json_names_the_value_of_the_wrong_type(case):
+    mutate, message = WRONG_TYPES[case]
+    doc = _report_doc()
+    mutate(doc)
+    with pytest.raises(metrics.ReportFormatError, match=message):
+        metrics.report_from_json(json.dumps(doc))
+
+
 def test_report_from_json_rejects_invalid_json():
     with pytest.raises(metrics.ReportFormatError, match="not valid JSON"):
         metrics.report_from_json('{"controller": ')
@@ -241,3 +275,15 @@ def test_compare_cli_reports_the_bad_key(tmp_path, capsys):
     assert cli.main(["compare", str(good), str(bad), "--out", str(tmp_path / "c.json")]) == 1
     error = json.loads(capsys.readouterr().err.strip())
     assert error == {"error": "vehicles[0]: missing key 'dd'", "kind": "ReportFormatError"}
+
+
+def test_compare_cli_reports_the_value_of_the_wrong_type(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_report_doc()))
+    doc = _report_doc()
+    doc["summaries"]["wt"]["mean"] = "8.5"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["compare", str(good), str(bad), "--out", str(tmp_path / "c.json")]) == 1
+    error = json.loads(capsys.readouterr().err.strip())
+    assert error == {"error": "summaries.wt: 'mean' must be a number, got '8.5'", "kind": "ReportFormatError"}

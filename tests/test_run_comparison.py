@@ -24,3 +24,13 @@ def test_run_comparison_writes_every_promised_artifact(tmp_path):
         "candidate": sum(ep["never_departed"] for ep in reports["dqn"]["episodes"]),
     }
     assert "never departed" in done.stdout
+
+
+def test_run_comparison_rejects_repeated_eval_seeds_before_training(tmp_path):
+    out = tmp_path / "out"
+    argv = [sys.executable, str(REPO / "scripts" / "run_comparison.py"), "--scenario", str(SCENARIOS / "single.xn"),
+            "--episodes", "1", "--eval-seeds", "5,5", "--out-dir", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "seeds: 5 is listed more than once" in done.stderr
+    assert "training" not in done.stdout and not out.exists()
