@@ -24,10 +24,16 @@ from greenlight import dqn, harness, metrics  # noqa: E402
 
 
 def parse_seed_range(raw: str) -> list[int]:
-    if "-" in raw and "," not in raw:
-        lo, hi = raw.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in raw.split(",") if s.strip()]
+    """Seeds from ``lo-hi`` (inclusive, lo ≤ hi) or a comma-separated list; errors name ``--eval-seeds``."""
+    try:
+        if "-" not in raw or "," in raw:
+            return [int(s) for s in raw.split(",") if s.strip()]
+        lo, hi = (int(s) for s in raw.split("-", 1))
+        if lo <= hi:
+            return list(range(lo, hi + 1))
+    except ValueError:
+        pass
+    raise ValueError(f"--eval-seeds: expected a range lo-hi with lo ≤ hi or comma-separated seeds, got {raw!r}")
 
 
 def main() -> int:
@@ -40,7 +46,10 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
-    eval_seeds = parse_seed_range(args.eval_seeds)
+    try:
+        eval_seeds = parse_seed_range(args.eval_seeds)
+    except ValueError as exc:
+        parser.error(str(exc))
     # both configs check their seeds here, before any training or output
     train_config = harness.TrainConfig(
         scenario_path=args.scenario, episodes=args.episodes, seed=args.seed, reward_mode=args.reward_mode

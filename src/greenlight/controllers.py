@@ -9,30 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .netmodel import DT, GREEN, RED, YELLOW, Junction
+from .netmodel import DT, GREEN, RED, YELLOW, FixedTimePlan, Junction
 
 #: The three requests a controller may issue, in agent-action order.
 REQUESTS = ("serve_a", "serve_b", "all_red")
-
-
-@dataclass(frozen=True)
-class FixedTimePlan:
-    """Fixed signal cycle: green A, yellow, green B, yellow."""
-
-    green_a: float = 30.0
-    yellow: float = 3.0
-    green_b: float = 30.0
-
-    @property
-    def cycle(self) -> float:
-        return self.green_a + self.yellow + self.green_b + self.yellow
-
-    @classmethod
-    def for_junction(cls, junction: Junction) -> "FixedTimePlan":
-        if junction.fixed_plan is not None:
-            ga, y, gb = junction.fixed_plan
-            return cls(green_a=ga, yellow=y, green_b=gb)
-        return cls(yellow=junction.yellow)
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,7 @@ class TrainConfig:
     hp_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.episodes < 1:
-            raise ValueError("episodes must be ≥ 1")
+        self.episodes = qnet.integer_at_least(self.episodes, 1, "episodes")
         if not self.scenario_path:
             raise ValueError("scenario path must be non-empty")
         if self.reward_mode not in dqn.REWARD_MODES:

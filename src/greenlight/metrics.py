@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
+
+from .netmodel import VALUE_TYPES, check_keys, record_fields
 
 #: Speed below which a vehicle counts as halted (SUMO convention), m/s.
 HALT_SPEED = 0.1
@@ -23,15 +25,6 @@ METRIC_KEYS = ("wt", "tl", "es", "dd")
 
 class ReportFormatError(ValueError):
     """A report document is not JSON, or its keys or value types do not match the report layout."""
-
-
-#: The JSON value types that fit each field, by its annotation's text; bools are not numbers.
-_VALUE_TYPES = {
-    "int": ("an integer", {int}),
-    "float": ("a number", {int, float}),
-    "bool": ("true or false", {bool}),
-    "str": ("a string", {str}),
-}
 
 
 @dataclass
@@ -59,22 +52,20 @@ class StatSummary:
 
     mean: float
     sd: float
-    vmin: float
-    vmax: float
+    vmin: float = field(metadata={"key": "min"})
+    vmax: float = field(metadata={"key": "max"})
     n: int
 
-    #: The fields in order, as the report files name them.
-    KEYS = ("mean", "sd", "min", "max", "n")
-
     def as_dict(self) -> dict:
-        return dict(zip(self.KEYS, vars(self).values()))
+        return {key: getattr(self, name) for name, key, _, _ in record_fields(StatSummary)}
 
     @classmethod
     def from_dict(cls, doc, where: str) -> "StatSummary":
         """Invert ``as_dict``; ``where`` names the summary in errors."""
-        _check_keys(doc, cls.KEYS, where)
-        _check_types(cls, [doc], where, cls.KEYS)
-        return cls(*(doc[k] for k in cls.KEYS))
+        keys = _keys(cls)
+        check_keys(doc, keys, where, ReportFormatError)
+        _check_types(cls, [doc], where)
+        return cls(*(doc[k] for k in keys))
 
 
 EMPTY_SUMMARY = StatSummary(0.0, 0.0, 0.0, 0.0, 0)
@@ -208,11 +199,11 @@ def report_from_json(text: str) -> RunReport:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"report is not valid JSON: {exc}") from exc
-    _check_keys(doc, [f.name for f in fields(RunReport)], "report")
+    check_keys(doc, _keys(RunReport), "report", ReportFormatError)
     _check_types(RunReport, [doc], "report")
     if not isinstance(doc["seeds"], list) or {type(s) for s in doc["seeds"]} - {int}:
         raise ReportFormatError(f"report: 'seeds' must be a list of integers, got {doc['seeds']!r}")
-    _check_keys(doc["summaries"], METRIC_KEYS, "summaries")
+    check_keys(doc["summaries"], METRIC_KEYS, "summaries", ReportFormatError)
     return RunReport(
         controller=doc["controller"],
         scenario_id=doc["scenario_id"],
@@ -224,25 +215,17 @@ def report_from_json(text: str) -> RunReport:
     )
 
 
-def _check_keys(doc, keys, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ReportFormatError(f"{where}: expected an object, got {type(doc).__name__}")
-    for key in keys:
-        if key not in doc:
-            raise ReportFormatError(f"{where}: missing key {key!r}")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ReportFormatError(f"{where}: unknown key {unknown[0]!r}")
+def _keys(cls) -> list[str]:
+    return [key for _, key, _, _ in record_fields(cls)]
 
 
-def _check_types(cls, rows: list[dict], where: str, keys=None) -> None:
+def _check_types(cls, rows: list[dict], where: str) -> None:
     """Raise for the first value in ``rows`` whose type does not fit its ``cls`` field.
 
-    ``keys`` name the fields in the rows (by default, the field names); ``where``
-    names the rows in errors, with ``{}`` standing for the row index.
+    ``where`` names the rows in errors, with ``{}`` standing for the row index.
     """
-    for f, key in zip(fields(cls), keys or [f.name for f in fields(cls)]):
-        expected, allowed = _VALUE_TYPES.get(f.type, (None, None))
+    for _, key, tp, _ in record_fields(cls):
+        expected, allowed = VALUE_TYPES.get(tp, (None, None))
         if allowed is None or {type(row[key]) for row in rows} <= allowed:
             continue
         i = next(i for i, row in enumerate(rows) if type(row[key]) not in allowed)
@@ -256,9 +239,8 @@ def _records(cls, rows, where: str) -> list:
     try:
         records = [cls(**row) for row in rows]
     except TypeError:
-        names = [f.name for f in fields(cls)]
         for i, row in enumerate(rows):
-            _check_keys(row, names, f"{where}[{i}]")
+            check_keys(row, _keys(cls), f"{where}[{i}]", ReportFormatError)
         raise
     _check_types(cls, rows, where + "[{}]")
     return records

@@ -1,22 +1,27 @@
-"""Road-network and scenario data model: types, JSON loading, validation.
+"""Road-network and scenario data model: records, validation, JSON reading and writing.
 
 A scenario file (``*.xn``) is a single JSON document; the schema is described
-in ``docs/scenario-format.md``.  Everything here is immutable after loading and
-safe to share read-only between any number of simulations.
+in ``docs/scenario-format.md``.  The records are the schema: the reader and
+writer walk their fields, so each key is named once.  Everything here is
+immutable after loading and safe to share read-only between any number of
+simulations.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 DT = 1.0  # s, simulation step; every scenario duration is a whole number of steps
 GREEN, YELLOW, RED = "green", "yellow", "red"
 
 
 class ParseError(ValueError):
-    """Scenario document is not well-formed (bad JSON, missing or mistyped keys)."""
+    """Scenario document is not well-formed (bad JSON, missing, unknown or mistyped keys)."""
 
 
 class ValidationError(ValueError):
@@ -32,14 +37,32 @@ class Edge:
     """Directed single-lane road segment."""
 
     id: str
-    from_junction: str
-    to_junction: str
+    from_junction: str = field(metadata={"key": "from"})
+    to_junction: str = field(metadata={"key": "to"})
     length: float  # m
     speed_limit: float  # m/s
 
     def capacity(self, vehicle_length: float, min_gap: float) -> int:
         """Vehicles that fit nose to tail, each claiming length + min gap."""
         return max(1, int(self.length // (vehicle_length + min_gap)))
+
+
+@dataclass(frozen=True)
+class FixedTimePlan:
+    """Fixed signal cycle: green A, yellow, green B, yellow (s)."""
+
+    green_a: float
+    yellow: float
+    green_b: float
+
+    @property
+    def cycle(self) -> float:
+        return self.green_a + self.yellow + self.green_b + self.yellow
+
+    @classmethod
+    def for_junction(cls, junction: Junction) -> FixedTimePlan:
+        """The junction's own plan, or 30 s / junction yellow / 30 s."""
+        return junction.fixed_plan or cls(green_a=30.0, yellow=junction.yellow, green_b=30.0)
 
 
 @dataclass(frozen=True)
@@ -56,7 +79,7 @@ class Junction:
     axis_b: tuple[str, ...] = ()
     yellow: float = 3.0  # s, enforced transition duration
     min_green: float = 5.0  # s, shortest green a controller may request away
-    fixed_plan: tuple[float, float, float] | None = None  # (green_a, yellow, green_b)
+    fixed_plan: FixedTimePlan | None = None
 
     @property
     def incoming_signal_edges(self) -> tuple[str, ...]:
@@ -67,9 +90,9 @@ class Junction:
 class VehicleParams:
     """Shared kinematics for every vehicle in a scenario."""
 
-    accel: float  # a, m/s^2
-    decel: float  # comfortable braking b, m/s^2
-    emergency_decel: float  # physical limit b_e, m/s^2
+    accel: float = field(metadata={"key": "a"})  # m/s^2
+    decel: float = field(metadata={"key": "b"})  # comfortable braking, m/s^2
+    emergency_decel: float = field(metadata={"key": "b_emergency"})  # physical limit, m/s^2
     length: float  # m
     min_gap: float  # m, required standing gap at insertion
     tau: float  # driver reaction time, s
@@ -117,17 +140,6 @@ class Scenario:
     def content_id(self) -> str:
         """Stable identity used to pair evaluation reports."""
         return hashlib.sha256(serialize_scenario(self).encode()).hexdigest()[:16]
-
-
-def conflicting_pairs(junction: Junction) -> set[tuple[str, str]]:
-    """All cross-axis incoming-edge pairs of a signalized junction.
-
-    These are the pairs the safety interlock must never show simultaneously
-    green/yellow.
-    """
-    if not junction.signalized:
-        raise ValueError(f"junction {junction.id} is not signalized")
-    return {(a, b) for a in junction.axis_a for b in junction.axis_b}
 
 
 def is_whole_steps(seconds: float) -> bool:
@@ -178,10 +190,11 @@ def validate(network: Network) -> list[str]:
             violations.append(f"junction {j.id}: yellow-duration must be a positive multiple of {DT} s, got {j.yellow}")
         if not is_whole_steps(j.min_green):
             violations.append(f"junction {j.id}: min-green must be a positive multiple of {DT} s, got {j.min_green}")
-        if j.fixed_plan is not None and not all(is_whole_steps(d) for d in j.fixed_plan):
-            violations.append(f"junction {j.id}: fixed plan {j.fixed_plan} must be in positive multiples of {DT} s")
-        if j.fixed_plan is not None and j.fixed_plan[1] != j.yellow:
-            violations.append(f"junction {j.id}: fixed plan yellow {j.fixed_plan[1]} is not the junction's {j.yellow}")
+        plan = j.fixed_plan
+        if plan is not None and not all(map(is_whole_steps, (plan.green_a, plan.yellow, plan.green_b))):
+            violations.append(f"junction {j.id}: {plan} must be in positive multiples of {DT} s")
+        if plan is not None and plan.yellow != j.yellow:
+            violations.append(f"junction {j.id}: fixed plan yellow {plan.yellow} is not the junction's {j.yellow}")
 
     return violations
 
@@ -249,125 +262,117 @@ def _route_connectivity(sc: Scenario) -> list[str]:
     return []
 
 
-# --- JSON loading ----------------------------------------------------------
+# --- JSON documents ----------------------------------------------------------
+#
+# A document mirrors its record: one JSON key per init field, named by the
+# field or by its ``metadata["key"]``; fields with a default may be left out.
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ParseError(f"{where}: missing key {key!r}")
-    return mapping[key]
+#: The JSON value types that fit each scalar annotation; bools are not numbers.
+VALUE_TYPES = {
+    int: ("an integer", {int}),
+    float: ("a number", {int, float}),
+    bool: ("true or false", {bool}),
+    str: ("a string", {str}),
+    dict: ("an object", {dict}),
+}
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+def check_keys(doc, keys, where: str, error: type[ValueError], optional=()) -> None:
+    """Raise ``error`` naming ``where`` unless ``doc`` is an object with every key in ``keys``
+    and no key outside ``keys`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected an object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise error(f"{where}: missing key {key!r}")
+    unknown = sorted(set(doc).difference(keys, optional))
+    if unknown:
+        raise error(f"{where}: unknown key {unknown[0]!r}")
 
 
-def _str_list(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ParseError(f"{where}: expected a list of edge ids")
-    return tuple(value)
+@functools.cache
+def record_fields(cls) -> tuple[tuple[str, str, object, bool], ...]:
+    """(field name, JSON key, resolved annotation, required) for each init field of a record class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+        if f.init
+    )
+
+
+@functools.cache
+def _record_reader(cls):
+    """A function building a ``cls`` from its document: (doc, where, prefix) -> record.
+
+    ``where`` names the record in errors and ``prefix`` starts the paths of its children.
+    """
+    spec = [(name, key, _field_reader(hint)) for name, key, hint, _ in record_fields(cls)]
+    required = [key for _, key, _, needed in record_fields(cls) if needed]
+    optional = [key for _, key, _, needed in record_fields(cls) if not needed]
+
+    def read(doc, where: str, prefix: str):
+        check_keys(doc, required, where, ParseError, optional)
+        return cls(**{name: read_field(doc[key], where, key, prefix) for name, key, read_field in spec if key in doc})
+
+    return read
+
+
+@functools.cache
+def _field_reader(tp):
+    """A function reading one field's JSON value as ``tp``: (value, where, key, prefix) -> value.
+
+    ``where`` and ``prefix`` are those of the record holding field ``key``.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        read_some = _field_reader(args[0])
+        return lambda value, *at: None if value is None else read_some(value, *at)
+    if origin is tuple:  # tuple[X, ...]
+        read_item = _field_reader(args[0])
+
+        def read_tuple(value, where, key, prefix):
+            if type(value) is not list:
+                raise ParseError(f"{where}: {key!r} must be a list, got {value!r}")
+            return tuple([read_item(item, where, f"{key}[{i}]", prefix) for i, item in enumerate(value)])
+
+        return read_tuple
+    if is_dataclass(tp):
+        read_record = _record_reader(tp)
+        return lambda doc, where, key, prefix: read_record(doc, prefix + key, prefix + key + ".")
+    expected, allowed = VALUE_TYPES[tp]
+
+    def read_value(value, where, key, prefix):
+        if type(value) not in allowed:
+            raise ParseError(f"{where}: {key!r} must be {expected}, got {value!r}")
+        return float(value) if tp is float else value
+
+    return read_value
+
+
+def _write(value):
+    """The JSON form of a record, a tuple, or a plain value; ``None`` fields are left out."""
+    if isinstance(value, tuple):
+        return [_write(v) for v in value]
+    if is_dataclass(value):
+        pairs = ((key, getattr(value, name)) for name, key, _, _ in record_fields(type(value)))
+        return {key: _write(v) for key, v in pairs if v is not None}
+    return value
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
-    Raises ParseError for malformed documents and ValidationError (with the
-    full list of violations) when invariants are broken.
+    Raises ParseError for malformed documents, naming the path and key at
+    fault, and ValidationError (with the full list of violations) when
+    invariants are broken.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
-
-    net_doc = _require(doc, "network", "scenario")
-    if not isinstance(net_doc, dict):
-        raise ParseError("network: expected an object")
-
-    junctions = []
-    for jd in _require(net_doc, "junctions", "network"):
-        if not isinstance(jd, dict):
-            raise ParseError("network.junctions: expected objects")
-        jid = _require(jd, "id", "junction")
-        plan = jd.get("fixed_plan")
-        if plan is not None:
-            if not isinstance(plan, dict):
-                raise ParseError(f"junction {jid}: fixed_plan must be an object")
-            plan = (
-                _number(_require(plan, "green_a", f"junction {jid} fixed_plan"), "green_a"),
-                _number(_require(plan, "yellow", f"junction {jid} fixed_plan"), "yellow"),
-                _number(_require(plan, "green_b", f"junction {jid} fixed_plan"), "green_b"),
-            )
-        junctions.append(
-            Junction(
-                id=str(jid),
-                signalized=bool(jd.get("signalized", False)),
-                axis_a=_str_list(jd.get("axis_a", []), f"junction {jid} axis_a"),
-                axis_b=_str_list(jd.get("axis_b", []), f"junction {jid} axis_b"),
-                yellow=_number(jd.get("yellow", 3.0), f"junction {jid} yellow"),
-                min_green=_number(jd.get("min_green", 5.0), f"junction {jid} min_green"),
-                fixed_plan=plan,
-            )
-        )
-
-    edges = []
-    for ed in _require(net_doc, "edges", "network"):
-        if not isinstance(ed, dict):
-            raise ParseError("network.edges: expected objects")
-        eid = str(_require(ed, "id", "edge"))
-        edges.append(
-            Edge(
-                id=eid,
-                from_junction=str(_require(ed, "from", f"edge {eid}")),
-                to_junction=str(_require(ed, "to", f"edge {eid}")),
-                length=_number(_require(ed, "length", f"edge {eid}"), f"edge {eid} length"),
-                speed_limit=_number(_require(ed, "speed_limit", f"edge {eid}"), f"edge {eid} speed_limit"),
-            )
-        )
-
-    routes = []
-    for i, rd in enumerate(_require(doc, "routes", "scenario")):
-        if not isinstance(rd, dict):
-            raise ParseError("routes: expected objects")
-        routes.append(
-            Route(
-                edges=_str_list(_require(rd, "edges", f"route {i}"), f"route {i} edges"),
-                rate=_number(_require(rd, "rate", f"route {i}"), f"route {i} rate"),
-            )
-        )
-
-    vd = _require(doc, "vehicle", "scenario")
-    if not isinstance(vd, dict):
-        raise ParseError("vehicle: expected an object")
-    vehicle = VehicleParams(
-        accel=_number(_require(vd, "a", "vehicle"), "vehicle a"),
-        decel=_number(_require(vd, "b", "vehicle"), "vehicle b"),
-        emergency_decel=_number(_require(vd, "b_emergency", "vehicle"), "vehicle b_emergency"),
-        length=_number(_require(vd, "length", "vehicle"), "vehicle length"),
-        min_gap=_number(_require(vd, "min_gap", "vehicle"), "vehicle min_gap"),
-        tau=_number(_require(vd, "tau", "vehicle"), "vehicle tau"),
-    )
-
-    seed = _require(doc, "seed", "scenario")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ParseError(f"seed: expected an integer, got {seed!r}")
-
-    train = doc.get("train", {})
-    if not isinstance(train, dict):
-        raise ParseError("train: expected an object")
-
-    scenario = Scenario(
-        network=Network(junctions=tuple(junctions), edges=tuple(edges)),
-        routes=tuple(routes),
-        duration=_number(_require(doc, "duration", "scenario"), "duration"),
-        vehicle=vehicle,
-        seed=seed,
-        train=dict(train),
-    )
-
+    scenario = _record_reader(Scenario)(doc, "scenario", "")
     violations = _validate_scenario(scenario)
     if violations:
         raise ValidationError(violations)
@@ -376,52 +381,4 @@ def load_scenario(text: str) -> Scenario:
 
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical JSON form; load_scenario(serialize_scenario(sc)) == sc."""
-    doc = {
-        "network": {
-            "junctions": [
-                {
-                    "id": j.id,
-                    "signalized": j.signalized,
-                    "axis_a": list(j.axis_a),
-                    "axis_b": list(j.axis_b),
-                    "yellow": j.yellow,
-                    "min_green": j.min_green,
-                    **(
-                        {
-                            "fixed_plan": {
-                                "green_a": j.fixed_plan[0],
-                                "yellow": j.fixed_plan[1],
-                                "green_b": j.fixed_plan[2],
-                            }
-                        }
-                        if j.fixed_plan is not None
-                        else {}
-                    ),
-                }
-                for j in sc.network.junctions
-            ],
-            "edges": [
-                {
-                    "id": e.id,
-                    "from": e.from_junction,
-                    "to": e.to_junction,
-                    "length": e.length,
-                    "speed_limit": e.speed_limit,
-                }
-                for e in sc.network.edges
-            ],
-        },
-        "routes": [{"edges": list(r.edges), "rate": r.rate} for r in sc.routes],
-        "duration": sc.duration,
-        "vehicle": {
-            "a": sc.vehicle.accel,
-            "b": sc.vehicle.decel,
-            "b_emergency": sc.vehicle.emergency_decel,
-            "length": sc.vehicle.length,
-            "min_gap": sc.vehicle.min_gap,
-            "tau": sc.vehicle.tau,
-        },
-        "seed": sc.seed,
-        "train": sc.train,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(_write(sc), sort_keys=True, indent=2)

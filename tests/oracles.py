@@ -244,6 +244,17 @@ def independent_updates(learners, hp, rng):
     return losses
 
 
+def conflicting_pairs(junction):
+    """All cross-axis incoming-edge pairs of a signalized junction.
+
+    These are the pairs the safety interlock must never show simultaneously
+    green/yellow.
+    """
+    if not junction.signalized:
+        raise ValueError(f"junction {junction.id} is not signalized")
+    return {(a, b) for a in junction.axis_a for b in junction.axis_b}
+
+
 def fixed_time_decide(clock, plan):
     """Signal colors (axis A, axis B) of a fixed green/yellow/green/yellow cycle at a given time."""
     c = clock % (plan.green_a + plan.yellow + plan.green_b + plan.yellow)

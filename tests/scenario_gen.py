@@ -9,6 +9,7 @@ asserts every simulation invariant after every step.
 
 import numpy as np
 
+from oracles import conflicting_pairs
 from greenlight import netmodel
 from greenlight.controllers import REQUESTS, SignalAssignment, apply_interlock
 from greenlight.netmodel import Edge, Junction, Network, Route, Scenario, VehicleParams
@@ -87,7 +88,7 @@ class InvariantChecker:
     def __init__(self, sim: Simulation):
         self.sim = sim
         self.junctions = sim.scenario.network.signalized_junctions()
-        self.conflicts = {j.id: netmodel.conflicting_pairs(j) for j in self.junctions}
+        self.conflicts = {j.id: conflicting_pairs(j) for j in self.junctions}
         self.prev_positions = self._positions()
         self.prev_colors = None
         self.arrived_vids: set[int] = set()

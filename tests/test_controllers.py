@@ -158,8 +158,9 @@ def test_fixed_controller_requests_match_decide_map():
 
 
 def test_plan_from_junction_prefers_scenario_plan():
-    j = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=4.0, fixed_plan=(20.0, 4.0, 40.0))
+    j = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=4.0, fixed_plan=FixedTimePlan(20.0, 4.0, 40.0))
     plan = FixedTimePlan.for_junction(j)
     assert (plan.green_a, plan.yellow, plan.green_b) == (20.0, 4.0, 40.0)
     bare = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=4.0)
     assert FixedTimePlan.for_junction(bare).yellow == 4.0
+    assert FixedTimePlan.for_junction(bare) == FixedTimePlan(green_a=30.0, yellow=4.0, green_b=30.0)

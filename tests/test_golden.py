@@ -15,7 +15,7 @@ import json
 import pytest
 
 from conftest import MIXED_SCENARIO, REPO, SCENARIOS
-from greenlight import cli
+from greenlight import cli, netmodel
 
 SEEDS = "1,2,3"
 
@@ -104,3 +104,21 @@ def test_training_artifacts_are_pinned(tmp_path, scenario, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == weights_digest
     assert hashlib.sha256((tmp_path / "w.curve.csv").read_bytes()).hexdigest() == curve_digest
+
+
+#: sha256 of each scenario's canonical text (``serialize_scenario``); its first
+#: 16 hex digits are the scenario's content id, which every report carries.
+SCENARIO_GOLDEN = {
+    "scenarios/single.xn": "e51b6cb0547a8adf8f8682055e1ee2dfeea3aa0fb6825193d3af535d4211cb2d",
+    "scenarios/grid2x2.xn": "919123f9d029677c70e39b27209fa904b7e2de357e4453386e14a2b92ada1c54",
+    "tests/data/mixed.xn": "eaa7218c7e6f4c83cd3c7f89078ffaa00a01fcb23a7cdefa6bc908778280b244",
+    "perfbench/inputs/dense6x6.xn": "e740f7ecd49777f4a91d00b2a334ff332a174bed7531b1f737452ca9f08e5464",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_GOLDEN))
+def test_canonical_scenario_text_is_pinned(path):
+    scenario = netmodel.load_scenario((REPO / path).read_text())
+    digest = hashlib.sha256(netmodel.serialize_scenario(scenario).encode()).hexdigest()
+    assert digest == SCENARIO_GOLDEN[path]
+    assert scenario.content_id() == digest[:16]

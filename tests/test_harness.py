@@ -135,6 +135,12 @@ def test_train_config_rejects_a_seed_numpy_cannot_use(seed):
         TrainConfig(scenario_path="s.xn", episodes=1, seed=seed)
 
 
+@pytest.mark.parametrize("episodes", [0, True, 2.5, "3"])
+def test_train_config_rejects_episodes_that_are_not_a_positive_integer(episodes):
+    with pytest.raises(ValueError, match=rf"^episodes: expected an integer of at least 1, got {episodes!r}$"):
+        TrainConfig(scenario_path="s.xn", episodes=episodes, seed=0)
+
+
 @pytest.mark.parametrize(
     "seeds, message",
     [

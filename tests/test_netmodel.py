@@ -1,14 +1,18 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import conflicting_pairs
+from scenario_gen import random_scenario
 from greenlight.netmodel import (
     Edge,
+    FixedTimePlan,
     Junction,
     Network,
     ParseError,
     ValidationError,
-    conflicting_pairs,
     load_scenario,
     serialize_scenario,
     validate,
@@ -53,6 +57,75 @@ def test_malformed_document():
         load_scenario(json.dumps({"network": {"junctions": [], "edges": []}}))  # missing keys
     with pytest.raises(ParseError):
         load_scenario(json.dumps({"network": [], "routes": [], "duration": 1, "vehicle": {}, "seed": 0}))
+
+
+def _junction(doc) -> dict:
+    """The signalized junction of single.xn, the one with a fixed plan."""
+    return doc["network"]["junctions"][0]
+
+
+BAD_INPUT = [
+    ("signalized_word", lambda d: _junction(d).__setitem__("signalized", "no"),
+     "network.junctions[0]: 'signalized' must be true or false, got 'no'"),
+    ("signalized_number", lambda d: _junction(d).__setitem__("signalized", 1),
+     "network.junctions[0]: 'signalized' must be true or false, got 1"),
+    ("numeric_junction_id", lambda d: _junction(d).__setitem__("id", 5),
+     "network.junctions[0]: 'id' must be a string, got 5"),
+    ("misspelt_min_green", lambda d: _junction(d).__setitem__("min_gren", 4),
+     "network.junctions[0]: unknown key 'min_gren'"),
+    ("top_level_durations", lambda d: d.__setitem__("durations", 600.0), "scenario: unknown key 'durations'"),
+    ("misspelt_tau", lambda d: d["vehicle"].__setitem__("tua", 1.0), "vehicle: unknown key 'tua'"),
+    ("plan_with_cycle", lambda d: _junction(d)["fixed_plan"].__setitem__("cycle", 66.0),
+     "network.junctions[0].fixed_plan: unknown key 'cycle'"),
+    ("plan_without_yellow", lambda d: _junction(d)["fixed_plan"].pop("yellow"),
+     "network.junctions[0].fixed_plan: missing key 'yellow'"),
+    ("junctions_not_a_list", lambda d: d["network"].__setitem__("junctions", 5),
+     "network: 'junctions' must be a list, got 5"),
+    ("routes_not_a_list", lambda d: d.__setitem__("routes", 5), "scenario: 'routes' must be a list, got 5"),
+    ("junction_not_an_object", lambda d: d["network"]["junctions"].__setitem__(1, 7),
+     "network.junctions[1]: expected an object, got int"),
+    ("edge_without_to", lambda d: d["network"]["edges"][2].pop("to"), "network.edges[2]: missing key 'to'"),
+    ("numeric_axis_edge", lambda d: _junction(d)["axis_a"].append(3),
+     "network.junctions[0]: 'axis_a[2]' must be a string, got 3"),
+    ("rate_as_text", lambda d: d["routes"][1].__setitem__("rate", "0.1"),
+     "routes[1]: 'rate' must be a number, got '0.1'"),
+    ("fractional_seed", lambda d: d.__setitem__("seed", 1.5), "scenario: 'seed' must be an integer, got 1.5"),
+    ("train_not_an_object", lambda d: d.__setitem__("train", []), "scenario: 'train' must be an object, got []"),
+]
+
+
+@pytest.mark.parametrize("name,mutate,message", BAD_INPUT, ids=[case[0] for case in BAD_INPUT])
+def test_bad_input_names_the_path_and_key(single_text, name, mutate, message):
+    doc = json.loads(single_text)
+    mutate(doc)
+    with pytest.raises(ParseError) as err:
+        load_scenario(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_whole_numbers_read_as_floats(single_text):
+    """``600`` and ``600.0`` are one scenario: equal records of floats, one content id."""
+
+    def whole_as_int(value):
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, dict):
+            return {k: whole_as_int(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [whole_as_int(v) for v in value]
+        return value
+
+    sc = load_scenario(single_text)
+    again = load_scenario(json.dumps(whole_as_int(json.loads(single_text))))
+    assert again == sc
+    assert again.content_id() == sc.content_id()
+    assert type(again.duration) is float and type(again.network.edges[0].length) is float
+
+
+def test_null_fixed_plan_reads_as_none(single_text):
+    doc = json.loads(single_text)
+    _junction(doc)["fixed_plan"] = None
+    assert load_scenario(json.dumps(doc)).network.junctions[0].fixed_plan is None
 
 
 def _intersection_network() -> Network:
@@ -112,6 +185,22 @@ def test_conflicting_pairs_requires_signals():
 def test_serialize_round_trip(name, single_text, grid_text):
     text = single_text if name == "single.xn" else grid_text
     sc = load_scenario(text)
+    again = load_scenario(serialize_scenario(sc))
+    assert again == sc
+    assert again.content_id() == sc.content_id()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), greens=st.none() | st.tuples(st.integers(1, 90), st.integers(1, 90)))
+def test_random_scenarios_round_trip(seed, greens):
+    """``greens`` gives every signalized junction a fixed plan, or none keeps the default."""
+    sc = random_scenario(seed)
+    if greens is not None:
+        junctions = tuple(
+            replace(j, fixed_plan=FixedTimePlan(float(greens[0]), j.yellow, float(greens[1]))) if j.signalized else j
+            for j in sc.network.junctions
+        )
+        sc = replace(sc, network=Network(junctions=junctions, edges=sc.network.edges))
     again = load_scenario(serialize_scenario(sc))
     assert again == sc
     assert again.content_id() == sc.content_id()

@@ -1,10 +1,18 @@
 """Smoke test of the end-to-end experiment script, run as a user runs it."""
 
+import importlib.util
 import json
+import re
 import subprocess
 import sys
 
+import pytest
+
 from conftest import REPO, SCENARIOS
+
+_SPEC = importlib.util.spec_from_file_location("run_comparison", REPO / "scripts" / "run_comparison.py")
+run_comparison = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(run_comparison)
 
 
 def test_run_comparison_writes_every_promised_artifact(tmp_path):
@@ -33,4 +41,25 @@ def test_run_comparison_rejects_repeated_eval_seeds_before_training(tmp_path):
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert done.returncode != 0
     assert "seeds: 5 is listed more than once" in done.stderr
+    assert "training" not in done.stdout and not out.exists()
+
+
+@pytest.mark.parametrize("raw, seeds", [("1000-1003", [1000, 1001, 1002, 1003]), ("5-5", [5]), ("3, 1,2", [3, 1, 2])])
+def test_parse_seed_range_reads_ranges_and_lists(raw, seeds):
+    assert run_comparison.parse_seed_range(raw) == seeds
+
+
+@pytest.mark.parametrize("raw", ["-1", "1000-", "a-b", "5-3", "1,x"])
+def test_parse_seed_range_names_the_flag_and_the_value(raw):
+    with pytest.raises(ValueError, match=rf"^--eval-seeds: .*, got {re.escape(repr(raw))}$"):
+        run_comparison.parse_seed_range(raw)
+
+
+def test_run_comparison_rejects_a_reversed_range_before_training(tmp_path):
+    out = tmp_path / "out"
+    argv = [sys.executable, str(REPO / "scripts" / "run_comparison.py"), "--scenario", str(SCENARIOS / "single.xn"),
+            "--episodes", "1", "--eval-seeds", "5-3", "--out-dir", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "--eval-seeds: expected a range lo-hi with lo ≤ hi or comma-separated seeds, got '5-3'" in done.stderr
     assert "training" not in done.stdout and not out.exists()
