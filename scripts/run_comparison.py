@@ -46,15 +46,15 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
+    # both configs check their values here, before any training or output
     try:
         eval_seeds = parse_seed_range(args.eval_seeds)
+        train_config = harness.TrainConfig(
+            scenario_path=args.scenario, episodes=args.episodes, seed=args.seed, reward_mode=args.reward_mode
+        )
+        eval_config = harness.EvalConfig(scenario_path=args.scenario, controller="fixed", seeds=eval_seeds)
     except ValueError as exc:
         parser.error(str(exc))
-    # both configs check their seeds here, before any training or output
-    train_config = harness.TrainConfig(
-        scenario_path=args.scenario, episodes=args.episodes, seed=args.seed, reward_mode=args.reward_mode
-    )
-    eval_config = harness.EvalConfig(scenario_path=args.scenario, controller="fixed", seeds=eval_seeds)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

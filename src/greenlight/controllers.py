@@ -15,37 +15,35 @@ from .netmodel import DT, GREEN, RED, YELLOW, FixedTimePlan, Junction
 REQUESTS = ("serve_a", "serve_b", "all_red")
 
 
+#: Each phase's (axis A, axis B) colors and its one-hot
+#: (serving A, serving B, transition or all-red).
+PHASES = {
+    "serve_a": ((GREEN, RED), (1.0, 0.0, 0.0)),
+    "serve_b": ((RED, GREEN), (0.0, 1.0, 0.0)),
+    "all_red": ((RED, RED), (0.0, 0.0, 1.0)),
+    "yellow_a": ((YELLOW, RED), (0.0, 0.0, 1.0)),
+    "yellow_b": ((RED, YELLOW), (0.0, 0.0, 1.0)),
+}
+
+
 @dataclass(frozen=True)
 class SignalAssignment:
     """Per-junction signal state owned by the driving loop.
 
-    phase is one of serve_a / serve_b / all_red / yellow_a / yellow_b;
-    time_in_phase counts the seconds the phase has been displayed so far.
-    During a yellow, ``pending`` is the committed target; later requests only
-    take effect once the transition has completed.
+    phase is one of ``PHASES``; time_in_phase counts the seconds the phase
+    has been displayed so far.  During a yellow, ``pending`` is the committed
+    target; later requests only take effect once the transition has completed.
     """
 
     phase: str = "serve_a"
     time_in_phase: float = 0.0
-    yellow_left: float = 0.0
     pending: str = "serve_a"
 
     def colors(self) -> tuple[str, str]:
-        return {
-            "serve_a": (GREEN, RED),
-            "serve_b": (RED, GREEN),
-            "all_red": (RED, RED),
-            "yellow_a": (YELLOW, RED),
-            "yellow_b": (RED, YELLOW),
-        }[self.phase]
+        return PHASES[self.phase][0]
 
     def phase_onehot(self) -> tuple[float, float, float]:
-        """(serving A, serving B, transition or all-red)."""
-        if self.phase == "serve_a":
-            return (1.0, 0.0, 0.0)
-        if self.phase == "serve_b":
-            return (0.0, 1.0, 0.0)
-        return (0.0, 0.0, 1.0)
+        return PHASES[self.phase][1]
 
 
 def apply_interlock(request: str, state: SignalAssignment, junction: Junction) -> SignalAssignment:
@@ -59,12 +57,8 @@ def apply_interlock(request: str, state: SignalAssignment, junction: Junction) -
         raise ValueError(f"unknown request {request!r}")
 
     if state.phase in ("yellow_a", "yellow_b"):
-        if state.yellow_left > 0:
-            return replace(
-                state,
-                time_in_phase=state.time_in_phase + DT,
-                yellow_left=state.yellow_left - DT,
-            )
+        if state.time_in_phase < junction.yellow:  # both whole steps, so exact
+            return replace(state, time_in_phase=state.time_in_phase + DT)
         # yellow fully displayed: losing axis drops to red, grant the pending target
         return SignalAssignment(phase=state.pending, time_in_phase=DT, pending=state.pending)
 
@@ -79,9 +73,7 @@ def apply_interlock(request: str, state: SignalAssignment, junction: Junction) -
     if state.time_in_phase < junction.min_green:
         return replace(state, time_in_phase=state.time_in_phase + DT)  # deferred
     yellow_phase = "yellow_a" if state.phase == "serve_a" else "yellow_b"
-    return SignalAssignment(
-        phase=yellow_phase, time_in_phase=DT, yellow_left=junction.yellow - DT, pending=request
-    )
+    return SignalAssignment(phase=yellow_phase, time_in_phase=DT, pending=request)
 
 
 class FixedTimeController:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 
 from . import metrics
 from .netmodel import DT, GREEN, RED, Edge, Scenario, VehicleParams
@@ -88,20 +87,6 @@ class Vehicle:
         return self.route[self.edge_index]
 
 
-@dataclass
-class StepEvents:
-    """What one step produced.
-
-    Emergency stops are emitted on onset only; insertions carry the actual
-    depart time (the clock at the start of the step), arrivals and emergency
-    stops the clock at its end.
-    """
-
-    emergency_stops: list[tuple[int, float]] = field(default_factory=list)
-    arrivals: list[tuple[int, float]] = field(default_factory=list)
-    insertions: list[tuple[int, float]] = field(default_factory=list)
-
-
 def spawn_schedule(scenario: Scenario, rng) -> list[tuple[float, int]]:
     """Poisson arrival times per route over [0, duration), merged and sorted.
 
@@ -136,16 +121,15 @@ class Simulation:
         self.vehicles_on: dict[str, list[Vehicle]] = {e.id: [] for e in self.edge_order}
 
         # which (junction, axis) guards each signal-controlled edge end
+        self._signalized = net.signalized_junctions()
         self._edge_signal: dict[str, tuple[str, int]] = {}
-        for j in net.signalized_junctions():
+        for j in self._signalized:
             for eid in j.axis_a:
                 self._edge_signal[eid] = (j.id, 0)
             for eid in j.axis_b:
                 self._edge_signal[eid] = (j.id, 1)
 
-        self.assignment: dict[str, tuple[str, str]] = {
-            j.id: (GREEN, RED) for j in net.signalized_junctions()
-        }
+        self.assignment: dict[str, tuple[str, str]] = {j.id: (GREEN, RED) for j in self._signalized}
 
         self.vehicles: list[Vehicle] = []
         self._pending: list[tuple[float, int]] = []  # (scheduled depart, vid)
@@ -159,12 +143,6 @@ class Simulation:
 
     # -- queries -------------------------------------------------------------
 
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def on_network_count(self) -> int:
-        return sum(len(v) for v in self.vehicles_on.values())
-
     def edge_color(self, edge: Edge) -> str:
         """Signal color guarding this edge's end; unsignalized ends are green."""
         guard = self._edge_signal.get(edge.id)
@@ -175,23 +153,21 @@ class Simulation:
 
     # -- stepping --------------------------------------------------------------
 
-    def step(self, assignment: dict[str, tuple[str, str]]) -> StepEvents:
+    def step(self, assignment: dict[str, tuple[str, str]]) -> None:
         """Advance the world by one second under the given signal assignment."""
         self._check_interlock(assignment)
         self.assignment = dict(assignment)
-        events = StepEvents()
-        self._insert_due(events)
+        self._insert_due()
         rear_snapshot = {
             eid: (vs[-1].position, vs[-1].speed) if vs else None
             for eid, vs in self.vehicles_on.items()
         }
-        self._move_all(events, rear_snapshot)
-        self._transfer_and_arrive(events)
+        self._move_all(rear_snapshot)
+        self._transfer_and_arrive()
         self.clock += DT
-        return events
 
     def _check_interlock(self, assignment: dict[str, tuple[str, str]]) -> None:
-        for j in self.scenario.network.signalized_junctions():
+        for j in self._signalized:
             if j.id not in assignment:
                 raise InterlockViolation(f"no assignment for signalized junction {j.id}")
             color_a, color_b = assignment[j.id]
@@ -200,7 +176,7 @@ class Simulation:
                     f"junction {j.id}: both axes non-red ({color_a}, {color_b})"
                 )
 
-    def _insert_due(self, events: StepEvents) -> None:
+    def _insert_due(self) -> None:
         blocked: set[str] = set()
         requeue: list[tuple[float, int]] = []
         min_space = self.params.length + self.params.min_gap
@@ -217,13 +193,11 @@ class Simulation:
             veh.actual_depart = self.clock
             lane.append(veh)
             self.inserted_count += 1
-            events.insertions.append((vid, self.clock))
         for item in requeue:
             heapq.heappush(self._pending, item)
 
-    def _move_all(self, events: StepEvents, rear_snapshot) -> None:
+    def _move_all(self, rear_snapshot) -> None:
         params = self.params
-        end_clock = self.clock + DT
         for edge in self.edge_order:
             lane = self.vehicles_on[edge.id]
             if not lane:
@@ -232,47 +206,36 @@ class Simulation:
             for i, veh in enumerate(lane):
                 v_prev = veh.speed
                 v_target = min(edge.speed_limit, v_prev + params.accel * DT)
-                hard_cap = math.inf
+                # the one obstacle ahead: its speed and the gap to it
+                gap = math.inf
                 if i > 0:
                     leader = lane[i - 1]  # already moved this step
+                    lead_speed = leader.speed
                     gap = leader.position - params.length - veh.position
+                elif color != GREEN:  # the stop line stands still
+                    lead_speed = 0.0
+                    gap = edge.length - veh.position
+                elif veh.edge_index + 1 < len(veh.route):
+                    rear = rear_snapshot[veh.route[veh.edge_index + 1].id]
+                    if rear is not None:  # the next edge's last vehicle
+                        lead_speed = rear[1]
+                        gap = (edge.length - veh.position) + rear[0] - params.length
+                hard_cap = math.inf
+                if gap < math.inf:
                     if gap < 0.0:
                         gap = 0.0
-                    v_target = min(v_target, safe_speed(leader.speed, gap, params))
+                    v_target = min(v_target, safe_speed(lead_speed, gap, params))
                     hard_cap = gap / DT
-                elif color != GREEN:
-                    dist = edge.length - veh.position
-                    if dist < 0.0:
-                        dist = 0.0
-                    v_target = min(v_target, safe_speed(0.0, dist, params))
-                    hard_cap = dist / DT
-                else:
-                    nxt = (
-                        veh.route[veh.edge_index + 1]
-                        if veh.edge_index + 1 < len(veh.route)
-                        else None
-                    )
-                    if nxt is not None:
-                        rear = rear_snapshot[nxt.id]
-                        if rear is not None:
-                            gap = (edge.length - veh.position) + rear[0] - params.length
-                            if gap < 0.0:
-                                gap = 0.0
-                            v_target = min(v_target, safe_speed(rear[1], gap, params))
-                            hard_cap = gap / DT
-                if v_target < 0.0:
-                    v_target = 0.0
 
                 decel, emergency = required_decel(v_prev, v_target, DT, params.decel)
                 if emergency and not veh.in_emergency:
                     veh.emergency_stops += 1
-                    events.emergency_stops.append((veh.vid, end_clock))
                 veh.in_emergency = emergency
 
                 v_new = v_target
                 if decel > params.emergency_decel:
                     v_new = v_prev - params.emergency_decel * DT
-                if v_new > hard_cap:  # stop lines and leader rears are walls
+                if v_new > hard_cap:  # the obstacle is a wall
                     v_new = hard_cap
                 if v_new < 0.0:
                     v_new = 0.0
@@ -281,17 +244,17 @@ class Simulation:
                 veh.speed = v_new
                 metrics.record_step(veh, v_new, edge.speed_limit, DT)
 
-    def _transfer_and_arrive(self, events: StepEvents) -> None:
+    def _transfer_and_arrive(self) -> None:
         end_clock = self.clock + DT
         for edge in self.edge_order:
             lane = self.vehicles_on[edge.id]
             while lane and lane[0].position >= lane[0].edge.length - _EPS:
                 veh = lane[0]
-                if not self._advance_across(veh, events, end_clock):
+                if not self._advance_across(veh, end_clock):
                     break
                 lane.pop(0)
 
-    def _advance_across(self, veh: Vehicle, events: StepEvents, end_clock: float) -> bool:
+    def _advance_across(self, veh: Vehicle, end_clock: float) -> bool:
         """Carry a vehicle over as many junctions as its displacement reaches.
 
         Returns False when the vehicle must hold at its current stop line
@@ -307,7 +270,6 @@ class Simulation:
             if veh.edge_index + 1 == len(veh.route):
                 veh.arrived_at = end_clock
                 self.arrived_count += 1
-                events.arrivals.append((veh.vid, end_clock))
                 if moved:
                     self.vehicles_on[edge.id].remove(veh)
                 return True

@@ -82,6 +82,16 @@ def random_scenario(seed: int) -> Scenario:
     return scenario
 
 
+def pending_count(sim: Simulation) -> int:
+    """Vehicles scheduled but not yet inserted."""
+    return len(sim._pending)
+
+
+def on_network_count(sim: Simulation) -> int:
+    """Vehicles currently on some lane."""
+    return sum(len(lane) for lane in sim.vehicles_on.values())
+
+
 class InvariantChecker:
     """Per-step assertions over a running simulation and its signal streams."""
 
@@ -91,7 +101,6 @@ class InvariantChecker:
         self.conflicts = {j.id: conflicting_pairs(j) for j in self.junctions}
         self.prev_positions = self._positions()
         self.prev_colors = None
-        self.arrived_vids: set[int] = set()
         self.violations = {
             "collision": 0,
             "conservation": 0,
@@ -110,21 +119,23 @@ class InvariantChecker:
             for v in lane
         }
 
-    def after_step(self, assignment: dict, events=None) -> None:
+    def after_step(self, assignment: dict) -> None:
         sim = self.sim
         params = sim.scenario.vehicle
 
-        if events is not None:
-            for vid, _ in events.arrivals:
-                if vid in self.arrived_vids:
-                    self.violations["double_arrival"] += 1
-                self.arrived_vids.add(vid)
+        # each vehicle arrives once: the count is the vehicles stamped arrived,
+        # and none of them is still on a lane
+        arrived = {v.vid for v in sim.vehicles if v.arrived_at is not None}
+        if sim.arrived_count != len(arrived):
+            self.violations["double_arrival"] += 1
+        if any(v.vid in arrived for lane in sim.vehicles_on.values() for v in lane):
+            self.violations["double_arrival"] += 1
 
         spawned = len(sim.vehicles)
-        on_net = sim.on_network_count()
+        on_net = on_network_count(sim)
         if sim.inserted_count != on_net + sim.arrived_count:
             self.violations["conservation"] += 1
-        if spawned != sim.inserted_count + sim.pending_count():
+        if spawned != sim.inserted_count + pending_count(sim):
             self.violations["conservation"] += 1
 
         for eid, lane in sim.vehicles_on.items():
@@ -177,8 +188,9 @@ class InvariantChecker:
 def run_checked(scenario: Scenario, seed: int, steps: int):
     """Drive random interlocked requests for ``steps`` steps, checking invariants.
 
-    Returns (event log, checker) so callers can also compare runs for
-    determinism.
+    Returns (change log, checker) so callers can also compare runs for
+    determinism.  Each step's log entry names the vehicles whose emergency
+    stops, actual depart or arrival changed in it, with the new values.
     """
     sim = Simulation(
         scenario, np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 77))))
@@ -188,13 +200,20 @@ def run_checked(scenario: Scenario, seed: int, steps: int):
     states = {j.id: SignalAssignment() for j in junctions}
     checker = InvariantChecker(sim)
     log = []
+    prev = [_counters(v) for v in sim.vehicles]
     for _ in range(steps):
         assignment = {}
         for j in junctions:
             request = REQUESTS[int(request_rng.integers(0, len(REQUESTS)))]
             states[j.id] = apply_interlock(request, states[j.id], j)
             assignment[j.id] = states[j.id].colors()
-        events = sim.step(assignment)
-        checker.after_step(assignment, events)
-        log.append((tuple(events.emergency_stops), tuple(events.arrivals), tuple(events.insertions)))
+        sim.step(assignment)
+        checker.after_step(assignment)
+        now = [_counters(v) for v in sim.vehicles]
+        log.append(tuple((vid, c) for vid, (p, c) in enumerate(zip(prev, now)) if p != c))
+        prev = now
     return log, checker
+
+
+def _counters(veh) -> tuple:
+    return (veh.emergency_stops, veh.actual_depart, veh.arrived_at)

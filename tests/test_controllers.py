@@ -57,7 +57,7 @@ def test_interlock_defers_before_min_green():
 
 
 def test_interlock_grants_pending_after_full_yellow():
-    state = SignalAssignment(phase="yellow_a", time_in_phase=3.0, yellow_left=0.0, pending="serve_b")
+    state = SignalAssignment(phase="yellow_a", time_in_phase=3.0, pending="serve_b")
     out = apply_interlock("serve_b", state, JUNCTION)
     assert out.colors() == (RED, GREEN)
 

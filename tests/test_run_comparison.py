@@ -39,8 +39,8 @@ def test_run_comparison_rejects_repeated_eval_seeds_before_training(tmp_path):
     argv = [sys.executable, str(REPO / "scripts" / "run_comparison.py"), "--scenario", str(SCENARIOS / "single.xn"),
             "--episodes", "1", "--eval-seeds", "5,5", "--out-dir", str(out)]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert done.returncode != 0
-    assert "seeds: 5 is listed more than once" in done.stderr
+    assert done.returncode == 2  # a usage error, not a traceback
+    assert "seeds: 5 is listed more than once" in done.stderr and "Traceback" not in done.stderr
     assert "training" not in done.stdout and not out.exists()
 
 
@@ -62,4 +62,15 @@ def test_run_comparison_rejects_a_reversed_range_before_training(tmp_path):
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert "--eval-seeds: expected a range lo-hi with lo ≤ hi or comma-separated seeds, got '5-3'" in done.stderr
+    assert "training" not in done.stdout and not out.exists()
+
+
+def test_run_comparison_rejects_zero_episodes_before_training(tmp_path):
+    out = tmp_path / "out"
+    argv = [sys.executable, str(REPO / "scripts" / "run_comparison.py"), "--scenario", str(SCENARIOS / "single.xn"),
+            "--episodes", "0", "--eval-seeds", "1-2", "--out-dir", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "error: episodes: expected an integer of at least 1, got 0" in done.stderr
+    assert "Traceback" not in done.stderr
     assert "training" not in done.stdout and not out.exists()

@@ -148,13 +148,31 @@ def test_interlock_violation_rejected_state_unchanged(single_scenario):
 def test_emergency_stop_emitted_on_onset_only(single_scenario):
     sim = _empty_sim(single_scenario)
     veh = _place(sim, ["n_in", "s_out"], position=190.0, speed=13.9)
-    events = sim.step(ALL_GREEN_B)  # sudden red wall 10 m ahead
-    assert [vid for vid, _ in events.emergency_stops] == [veh.vid]
+    sim.step(ALL_GREEN_B)  # sudden red wall 10 m ahead
     assert veh.emergency_stops == 1
     for _ in range(10):
-        events = sim.step(ALL_GREEN_B)
-        assert events.emergency_stops == []
+        sim.step(ALL_GREEN_B)  # still braking, or standing: no new onset
+        assert veh.emergency_stops == 1
+
+
+def test_green_vehicle_brakes_for_the_rear_of_its_next_edge(single_scenario):
+    sim = _empty_sim(single_scenario)
+    ahead = _place(sim, ["s_out"], position=2.0, speed=0.0)  # standing just past the junction
+    veh = _place(sim, ["n_in", "s_out"], position=190.0, speed=13.9)
+    sim.step(ALL_GREEN_A)
+    # 7 m to that rear: brake at the emergency rate short of the line, no jump to a stop
+    assert veh.edge_index == 0
+    assert veh.speed == pytest.approx(13.9 - PARAMS.emergency_decel)
+    assert veh.position == pytest.approx(190.0 + veh.speed)
     assert veh.emergency_stops == 1
+    for _ in range(10):
+        v_prev = veh.speed
+        sim.step(ALL_GREEN_A)
+        assert v_prev - veh.speed <= PARAMS.emergency_decel + 1e-9
+        lane = sim.vehicles_on["s_out"]
+        for leader, follower in zip(lane, lane[1:]):
+            assert leader.position - PARAMS.length - follower.position >= -1e-9
+    assert veh.edge_index == 1 and sim.vehicles_on["s_out"] == [ahead, veh]
 
 
 def test_queue_forms_without_collisions(single_scenario):
@@ -247,5 +265,5 @@ def test_conservation_identity_every_step(single_scenario):
     assert spawned > 0
     for _ in range(150):
         sim.step(ALL_GREEN_A)
-        assert sim.inserted_count == sim.on_network_count() + sim.arrived_count
-        assert spawned == sim.inserted_count + sim.pending_count()
+        assert sim.inserted_count == scenario_gen.on_network_count(sim) + sim.arrived_count
+        assert spawned == sim.inserted_count + scenario_gen.pending_count(sim)
