@@ -8,7 +8,6 @@ seeds are used verbatim, and no output embeds wall-clock state.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -369,46 +368,32 @@ def train(config: TrainConfig) -> TrainResult:
                 "mean_loss": (sum(losses) / len(losses)) if losses else float("nan"),
             }
         )
-    return TrainResult(weights_doc=_weights_doc(agent.nets), curve=curve)
-
-
-def _weights_doc(nets: dict[str, qnet.QNetwork]) -> str:
-    if len(nets) == 1:
-        return qnet.serialize(*nets.values())
-    doc = {
-        "format_version": qnet.FORMAT_VERSION,
-        "multi": {jid: json.loads(qnet.serialize(net)) for jid, net in nets.items()},
-    }
-    return json.dumps(doc, sort_keys=True)
+    nets = agent.nets
+    # one junction's network is written as a plain single-network document
+    weights = next(iter(nets.values())) if len(nets) == 1 else nets
+    return TrainResult(weights_doc=qnet.serialize(weights), curve=curve)
 
 
 def load_weights(text: str, infos: list[_JunctionInfo]) -> dict[str, qnet.QNetwork]:
     """Map a weights document onto the scenario's junctions, checking shapes."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise qnet.WeightsFormatError(f"weights document is not valid JSON: {exc}") from exc
-    nets: dict[str, qnet.QNetwork] = {}
-    if isinstance(doc, dict) and "multi" in doc:
-        per_junction = doc["multi"]
-        for info in infos:
-            jid = info.junction.id
-            if jid not in per_junction:
-                raise WeightsMismatchError(f"weights document has no entry for junction {jid}")
-            nets[jid] = qnet.deserialize(json.dumps(per_junction[jid]))
-    else:
+    loaded = qnet.deserialize(text)
+    if isinstance(loaded, qnet.QNetwork):
         if len(infos) != 1:
             raise WeightsMismatchError(
                 f"single-network weights document but scenario has {len(infos)} signalized junctions"
             )
-        nets[infos[0].junction.id] = qnet.deserialize(text)
+        loaded = {infos[0].junction.id: loaded}
+    nets: dict[str, qnet.QNetwork] = {}
     for info in infos:
-        expected = dqn.state_dim(info.n_lanes)
-        got = nets[info.junction.id].d_in
+        jid = info.junction.id
+        if jid not in loaded:
+            raise WeightsMismatchError(f"weights document has no entry for junction {jid}")
+        expected, got = dqn.state_dim(info.n_lanes), loaded[jid].d_in
         if got != expected:
             raise WeightsMismatchError(
-                f"junction {info.junction.id}: weights expect input dimension {got}, scenario produces {expected}"
+                f"junction {jid}: weights expect input dimension {got}, scenario produces {expected}"
             )
+        nets[jid] = loaded[jid]
     return nets
 
 

@@ -2,9 +2,10 @@
 
 A scenario file (``*.xn``) is a single JSON document; the schema is described
 in ``docs/scenario-format.md``.  The records are the schema: the reader and
-writer walk their fields, so each key is named once.  Everything here is
-immutable after loading and safe to share read-only between any number of
-simulations.
+writer walk their fields, so each key is named once.  ``read_record`` and
+``write_record`` serve any such record, evaluation reports included.
+Everything here is immutable after loading and safe to share read-only
+between any number of simulations.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -269,7 +271,7 @@ def _route_connectivity(sc: Scenario) -> list[str]:
 
 
 #: The JSON value types that fit each scalar annotation; bools are not numbers.
-VALUE_TYPES = {
+_VALUE_TYPES = {
     int: ("an integer", {int}),
     float: ("a number", {int, float}),
     bool: ("true or false", {bool}),
@@ -292,7 +294,7 @@ def check_keys(doc, keys, where: str, error: type[ValueError], optional=()) -> N
 
 
 @functools.cache
-def record_fields(cls) -> tuple[tuple[str, str, object, bool], ...]:
+def _record_fields(cls) -> tuple[tuple[str, str, object, bool], ...]:
     """(field name, JSON key, resolved annotation, required) for each init field of a record class."""
     hints = typing.get_type_hints(cls)
     return tuple(
@@ -303,61 +305,83 @@ def record_fields(cls) -> tuple[tuple[str, str, object, bool], ...]:
 
 
 @functools.cache
-def _record_reader(cls):
+def _record_reader(cls, error: type[ValueError]):
     """A function building a ``cls`` from its document: (doc, where, prefix) -> record.
 
     ``where`` names the record in errors and ``prefix`` starts the paths of its children.
     """
-    spec = [(name, key, _field_reader(hint)) for name, key, hint, _ in record_fields(cls)]
-    required = [key for _, key, _, needed in record_fields(cls) if needed]
-    optional = [key for _, key, _, needed in record_fields(cls) if not needed]
+    spec = [(name, key, _field_reader(hint, error)) for name, key, hint, _ in _record_fields(cls)]
+    required = [key for _, key, _, needed in _record_fields(cls) if needed]
+    optional = [key for _, key, _, needed in _record_fields(cls) if not needed]
 
     def read(doc, where: str, prefix: str):
-        check_keys(doc, required, where, ParseError, optional)
+        check_keys(doc, required, where, error, optional)
         return cls(**{name: read_field(doc[key], where, key, prefix) for name, key, read_field in spec if key in doc})
 
     return read
 
 
 @functools.cache
-def _field_reader(tp):
+def _field_reader(tp, error: type[ValueError]):
     """A function reading one field's JSON value as ``tp``: (value, where, key, prefix) -> value.
 
     ``where`` and ``prefix`` are those of the record holding field ``key``.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
-        read_some = _field_reader(args[0])
+        read_some = _field_reader(args[0], error)
         return lambda value, *at: None if value is None else read_some(value, *at)
-    if origin is tuple:  # tuple[X, ...]
-        read_item = _field_reader(args[0])
+    if origin in (tuple, list):  # tuple[X, ...] or list[X]
+        read_item = _field_reader(args[0], error)
 
-        def read_tuple(value, where, key, prefix):
+        def read_items(value, where, key, prefix):
             if type(value) is not list:
-                raise ParseError(f"{where}: {key!r} must be a list, got {value!r}")
-            return tuple([read_item(item, where, f"{key}[{i}]", prefix) for i, item in enumerate(value)])
+                raise error(f"{where}: {key!r} must be a list, got {value!r}")
+            return origin([read_item(item, where, f"{key}[{i}]", prefix) for i, item in enumerate(value)])
 
-        return read_tuple
+        return read_items
+    if origin is dict:  # dict[str, X]: each entry is read as the child ``key.k``
+        read_entry = _field_reader(args[1], error)
+
+        def read_entries(value, where, key, prefix):
+            if type(value) is not dict:
+                raise error(f"{where}: {key!r} must be an object, got {value!r}")
+            return {k: read_entry(v, where, f"{key}.{k}", prefix) for k, v in value.items()}
+
+        return read_entries
     if is_dataclass(tp):
-        read_record = _record_reader(tp)
-        return lambda doc, where, key, prefix: read_record(doc, prefix + key, prefix + key + ".")
-    expected, allowed = VALUE_TYPES[tp]
+        read = _record_reader(tp, error)
+        return lambda doc, where, key, prefix: read(doc, prefix + key, prefix + key + ".")
+    expected, allowed = _VALUE_TYPES[tp]
 
     def read_value(value, where, key, prefix):
         if type(value) not in allowed:
-            raise ParseError(f"{where}: {key!r} must be {expected}, got {value!r}")
-        return float(value) if tp is float else value
+            raise error(f"{where}: {key!r} must be {expected}, got {value!r}")
+        if tp is not float:
+            return value
+        # rejects NaN (it fails every comparison) and integers too large for a float
+        if not abs(value) <= sys.float_info.max:
+            raise error(f"{where}: {key!r} must be finite, got {value!r}")
+        return float(value)
 
     return read_value
 
 
-def _write(value):
+def read_record(cls, doc, where: str, error: type[ValueError]):
+    """Build a ``cls`` from its JSON document, raising ``error`` naming the path and key at fault.
+
+    ``where`` names the document; its children are named by their paths from it.
+    """
+    return _record_reader(cls, error)(doc, where, "")
+
+
+def write_record(value):
     """The JSON form of a record, a tuple, or a plain value; ``None`` fields are left out."""
     if isinstance(value, tuple):
-        return [_write(v) for v in value]
+        return [write_record(v) for v in value]
     if is_dataclass(value):
-        pairs = ((key, getattr(value, name)) for name, key, _, _ in record_fields(type(value)))
-        return {key: _write(v) for key, v in pairs if v is not None}
+        pairs = ((key, getattr(value, name)) for name, key, _, _ in _record_fields(type(value)))
+        return {key: write_record(v) for key, v in pairs if v is not None}
     return value
 
 
@@ -372,7 +396,7 @@ def load_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
-    scenario = _record_reader(Scenario)(doc, "scenario", "")
+    scenario = read_record(Scenario, doc, "scenario", ParseError)
     violations = _validate_scenario(scenario)
     if violations:
         raise ValidationError(violations)
@@ -381,4 +405,4 @@ def load_scenario(text: str) -> Scenario:
 
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical JSON form; load_scenario(serialize_scenario(sc)) == sc."""
-    return json.dumps(_write(sc), sort_keys=True, indent=2)
+    return json.dumps(write_record(sc), sort_keys=True, indent=2)

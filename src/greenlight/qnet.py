@@ -6,7 +6,7 @@ zero everywhere except that action's entry.  A network's parameters, its
 gradients and Adam's moments are each one flat vector; a leading axis on that
 vector stacks several networks of one architecture, which the batched
 functions then evaluate and train together.  Weights serialize to a small
-JSON document.
+JSON document, of one network or of one network per junction id.
 """
 
 from __future__ import annotations
@@ -215,9 +215,8 @@ def clone(net):
     return type(net)(net.sizes, net.flat.copy())
 
 
-def serialize(net: QNetwork) -> str:
-    """Lossless JSON document; floats round-trip bit for bit."""
-    doc = {
+def _doc(net: QNetwork) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "arch": list(net.sizes),
         "layers": [
@@ -225,6 +224,14 @@ def serialize(net: QNetwork) -> str:
             for w, b in zip(net.weights, net.biases)
         ],
     }
+
+
+def serialize(net: QNetwork | dict[str, QNetwork]) -> str:
+    """Lossless JSON document of one network, or of one network per junction id; floats round-trip bit for bit."""
+    if isinstance(net, QNetwork):
+        doc = _doc(net)
+    else:
+        doc = {"format_version": FORMAT_VERSION, "multi": {jid: _doc(one) for jid, one in net.items()}}
     return json.dumps(doc, sort_keys=True)
 
 
@@ -239,11 +246,20 @@ def _numbers(layer: dict, i: int, key: str) -> np.ndarray:
     return values.astype(np.float64, copy=False).ravel()
 
 
-def deserialize(text: str) -> QNetwork:
+def deserialize(text: str) -> QNetwork | dict[str, QNetwork]:
+    """Invert ``serialize``: one network, or one per junction id for a ``multi`` document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WeightsFormatError(f"weights document is not valid JSON: {exc}") from exc
+    if isinstance(doc, dict) and "multi" in doc:
+        if not isinstance(doc["multi"], dict):
+            raise WeightsFormatError(f"multi: expected an object of per-junction documents, got {doc['multi']!r:.60}")
+        return {jid: _from_doc(one) for jid, one in doc["multi"].items()}
+    return _from_doc(doc)
+
+
+def _from_doc(doc) -> QNetwork:
     if not isinstance(doc, dict) or "arch" not in doc or "layers" not in doc:
         raise WeightsFormatError("weights document must contain 'arch' and 'layers'")
     arch = doc["arch"]

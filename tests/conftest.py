@@ -1,7 +1,9 @@
+import os
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from greenlight import netmodel, qnet
 
@@ -9,6 +11,13 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 #: Two signalized junctions with different lane counts, so two network architectures.
 MIXED_SCENARIO = REPO / "tests" / "data" / "mixed.xn"
+
+# On CI runners a failing property prints the blob that replays it (@reproduce_failure).
+# Recent hypothesis releases load a profile of that name under CI on their own; this one
+# extends whatever is loaded, so older releases print the blob too and nothing else changes.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

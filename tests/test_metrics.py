@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from greenlight import cli, metrics
@@ -154,6 +154,51 @@ def test_report_json_round_trip():
     assert metrics.report_to_json(again) == metrics.report_to_json(report)
 
 
+_seconds = st.floats(0.0, 1e6)
+_counts = st.integers(0, 10**6)
+
+
+@st.composite
+def _vehicles(draw):
+    """A vehicle row as ``finalize`` writes it: a never-departed vehicle has zero counters."""
+    never = draw(st.booleans())
+    wt, tl, es = (0.0, 0.0, 0) if never else (draw(_seconds), draw(_seconds), draw(st.integers(0, 50)))
+    return _vm(draw(_counts), wt, tl, es, draw(_seconds), never, draw(_counts), draw(st.integers(0, 100)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    controller=st.text(max_size=8),
+    seeds=st.lists(_counts, unique=True, max_size=5),
+    episodes=st.lists(st.builds(metrics.EpisodeTotals, *[_counts] * 7), max_size=5),
+    vehicles=st.lists(_vehicles(), max_size=30),
+)
+@example(
+    controller="dqn",
+    seeds=[1],
+    episodes=[metrics.EpisodeTotals(1, 0, spawned=2, departed=0, arrived=0, never_departed=2, emergency_stops=0)],
+    vehicles=[_vm(0, 0.0, 0.0, 0, 5.0, never=True), _vm(1, 0.0, 0.0, 0, 7.5, never=True)],
+)
+def test_report_json_round_trip_property(controller, seeds, episodes, vehicles):
+    report = build_report(controller, "abc", seeds, episodes, vehicles)
+    text = metrics.report_to_json(report)
+    again = metrics.report_from_json(text)
+    assert again == report
+    assert metrics.report_to_json(again) == text
+    if all(v.never_departed for v in vehicles):
+        assert again.summaries == dict.fromkeys(metrics.METRIC_KEYS, metrics.EMPTY_SUMMARY)
+
+
+def test_report_reads_whole_numbers_as_floats():
+    """A hand-written ``"wt": 2`` reads as 2.0, as whole numbers do in scenarios."""
+    doc = _report_doc()
+    doc["vehicles"][0]["wt"] = 2
+    doc["summaries"]["wt"]["min"] = 1
+    report = metrics.report_from_json(json.dumps(doc))
+    assert type(report.vehicles[0].wt) is float and report.vehicles[0].wt == 2.0
+    assert type(report.summaries["wt"].vmin) is float and report.summaries["wt"].vmin == 1.0
+
+
 def test_report_csv_shape():
     episodes = [
         metrics.EpisodeTotals(seed=7, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=0)
@@ -244,9 +289,11 @@ WRONG_TYPES = {
     "fractional summary size": (_set(["es_per_episode"], "n", 1.0), "es_per_episode: 'n' must be an integer, got 1.0"),
     "count as a flag": (_set(["vehicles", 0], "never_departed", 0), r"vehicles\[0\]: 'never_departed' must be true"),
     "controller not a string": (_set([], "controller", 3), "report: 'controller' must be a string, got 3"),
-    "seeds not a list": (_set([], "seeds", 5), "report: 'seeds' must be a list of integers, got 5"),
-    "seed not an integer": (_set([], "seeds", ["1"]), r"report: 'seeds' must be a list of integers, got \['1'\]"),
-    "bool as a seed": (_set([], "seeds", [True]), "report: 'seeds' must be a list of integers"),
+    "seeds not a list": (_set([], "seeds", 5), "report: 'seeds' must be a list, got 5"),
+    "seed not an integer": (_set([], "seeds", ["1"]), r"report: 'seeds\[0\]' must be an integer, got '1'"),
+    "bool as a seed": (_set([], "seeds", [True]), r"report: 'seeds\[0\]' must be an integer, got True"),
+    "NaN as a number": (_set(["summaries", "wt"], "mean", float("nan")), "summaries.wt: 'mean' must be finite, got nan"),
+    "infinite number": (_set(["vehicles", 0], "tl", float("inf")), r"vehicles\[0\]: 'tl' must be finite, got inf"),
 }
 
 

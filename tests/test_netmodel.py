@@ -90,6 +90,16 @@ BAD_INPUT = [
     ("rate_as_text", lambda d: d["routes"][1].__setitem__("rate", "0.1"),
      "routes[1]: 'rate' must be a number, got '0.1'"),
     ("fractional_seed", lambda d: d.__setitem__("seed", 1.5), "scenario: 'seed' must be an integer, got 1.5"),
+    ("infinite_rate", lambda d: d["routes"][0].__setitem__("rate", float("inf")),
+     "routes[0]: 'rate' must be finite, got inf"),
+    ("nan_rate", lambda d: d["routes"][0].__setitem__("rate", float("nan")),
+     "routes[0]: 'rate' must be finite, got nan"),
+    ("rate_beyond_floats", lambda d: d["routes"][0].__setitem__("rate", 10**400),
+     f"routes[0]: 'rate' must be finite, got {10**400}"),
+    ("nan_min_gap", lambda d: d["vehicle"].__setitem__("min_gap", float("nan")),
+     "vehicle: 'min_gap' must be finite, got nan"),
+    ("infinite_min_gap", lambda d: d["vehicle"].__setitem__("min_gap", float("inf")),
+     "vehicle: 'min_gap' must be finite, got inf"),
     ("train_not_an_object", lambda d: d.__setitem__("train", []), "scenario: 'train' must be an object, got []"),
 ]
 

@@ -207,6 +207,16 @@ def test_serialize_round_trip_is_bitwise():
     assert serialize(again) == serialize(net)
 
 
+def test_per_junction_document_round_trips():
+    nets = {"a": init_network((4, 8, 3), make_rng(78)), "b": init_network((6, 8, 3), make_rng(79))}
+    text = serialize(nets)
+    again = deserialize(text)
+    assert list(again) == ["a", "b"] and [n.sizes for n in again.values()] == [(4, 8, 3), (6, 8, 3)]
+    assert serialize(again) == text
+    with pytest.raises(WeightsFormatError, match="multi: expected an object"):
+        deserialize(json.dumps({"format_version": 1, "multi": ["a"]}))
+
+
 def test_deserialize_truncated_document_errors():
     text = serialize(init_network((4, 8, 3), make_rng(1)))
     with pytest.raises(WeightsFormatError):
