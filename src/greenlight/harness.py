@@ -38,6 +38,14 @@ _NS_SAMPLE = 4
 CONTROLLERS = ("fixed", "dqn")
 
 
+def integer_at_least(value, minimum: int, what: str) -> int:
+    """``value`` as an int; bools, fractions and values below ``minimum`` raise ValueError naming ``what``."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise ValueError(f"{what}: expected an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def _generator(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
@@ -64,9 +72,9 @@ class Hyperparams:
             if f.name == "hidden":
                 if not isinstance(value, (list, tuple)):
                     raise ValueError(f"hyperparameter hidden: expected a list of layer widths, got {value!r}")
-                value = tuple(qnet.integer_at_least(h, 1, "hyperparameter hidden") for h in value)
+                value = tuple(integer_at_least(h, 1, "hyperparameter hidden") for h in value)
             elif f.name in self._COUNTS:
-                value = qnet.integer_at_least(value, self._COUNTS[f.name], f"hyperparameter {f.name}")
+                value = integer_at_least(value, self._COUNTS[f.name], f"hyperparameter {f.name}")
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"hyperparameter {f.name}: expected a number, got {value!r}")
             elif f.name in self._FRACTIONS and not 0.0 <= value <= 1.0:
@@ -104,12 +112,12 @@ class TrainConfig:
     hp_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.episodes = qnet.integer_at_least(self.episodes, 1, "episodes")
+        self.episodes = integer_at_least(self.episodes, 1, "episodes")
         if not self.scenario_path:
             raise ValueError("scenario path must be non-empty")
         if self.reward_mode not in dqn.REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
-        self.seed = qnet.integer_at_least(self.seed, 0, "seed")
+        self.seed = integer_at_least(self.seed, 0, "seed")
 
 
 @dataclass
@@ -124,7 +132,7 @@ class EvalConfig:
             raise ValueError(f"unknown controller {self.controller!r}")
         if not self.seeds:
             raise ValueError("at least one evaluation seed is required")
-        self.seeds = [qnet.integer_at_least(seed, 0, "seeds") for seed in self.seeds]
+        self.seeds = [integer_at_least(seed, 0, "seeds") for seed in self.seeds]
         repeated = [seed for i, seed in enumerate(self.seeds) if seed in self.seeds[:i]]
         if repeated:
             raise ValueError(f"seeds: {repeated[0]} is listed more than once; each episode needs its own seed")
@@ -375,25 +383,25 @@ def train(config: TrainConfig) -> TrainResult:
 
 
 def load_weights(text: str, infos: list[_JunctionInfo]) -> dict[str, qnet.QNetwork]:
-    """Map a weights document onto the scenario's junctions, checking shapes."""
+    """Map a weights document onto the scenario's junctions, checking ids and shapes."""
     loaded = qnet.deserialize(text)
     if isinstance(loaded, qnet.QNetwork):
         if len(infos) != 1:
-            raise WeightsMismatchError(
-                f"single-network weights document but scenario has {len(infos)} signalized junctions"
-            )
+            raise WeightsMismatchError(f"weights hold one network; the scenario has {len(infos)} signalized junctions")
         loaded = {infos[0].junction.id: loaded}
     nets: dict[str, qnet.QNetwork] = {}
     for info in infos:
         jid = info.junction.id
         if jid not in loaded:
             raise WeightsMismatchError(f"weights document has no entry for junction {jid}")
-        expected, got = dqn.state_dim(info.n_lanes), loaded[jid].d_in
-        if got != expected:
+        nets[jid] = net = loaded.pop(jid)
+        if (net.d_in, net.d_out) != (dqn.state_dim(info.n_lanes), len(REQUESTS)):
             raise WeightsMismatchError(
-                f"junction {jid}: weights expect input dimension {got}, scenario produces {expected}"
+                f"junction {jid}: weights map input dimension {net.d_in} to {net.d_out} outputs, "
+                f"the scenario needs {dqn.state_dim(info.n_lanes)} to {len(REQUESTS)}"
             )
-        nets[jid] = loaded[jid]
+    if loaded:
+        raise WeightsMismatchError(f"weights have an entry for {next(iter(loaded))!r}, not a signalized junction")
     return nets
 
 

@@ -170,7 +170,7 @@ def report_to_json(report: RunReport) -> str:
         "controller": report.controller,
         "scenario_id": report.scenario_id,
         "seeds": report.seeds,
-        "summaries": {k: write_record(report.summaries[k]) for k in METRIC_KEYS},
+        "summaries": write_record(report.summaries),
         "es_per_episode": write_record(report.es_per_episode),
         # vars() is a row's document (no field renames its key), at a fraction of write_record's cost
         "episodes": [vars(ep) for ep in report.episodes],

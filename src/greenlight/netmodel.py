@@ -3,7 +3,7 @@
 A scenario file (``*.xn``) is a single JSON document; the schema is described
 in ``docs/scenario-format.md``.  The records are the schema: the reader and
 writer walk their fields, so each key is named once.  ``read_record`` and
-``write_record`` serve any such record, evaluation reports included.
+``write_record`` serve any such record, evaluation reports and weights included.
 Everything here is immutable after loading and safe to share read-only
 between any number of simulations.
 """
@@ -367,18 +367,20 @@ def _field_reader(tp, error: type[ValueError]):
     return read_value
 
 
-def read_record(cls, doc, where: str, error: type[ValueError]):
+def read_record(cls, doc, where: str, error: type[ValueError], prefix: str = ""):
     """Build a ``cls`` from its JSON document, raising ``error`` naming the path and key at fault.
 
-    ``where`` names the document; its children are named by their paths from it.
+    ``where`` names the document; its children are named by their paths from it, after ``prefix``.
     """
-    return _record_reader(cls, error)(doc, where, "")
+    return _record_reader(cls, error)(doc, where, prefix)
 
 
 def write_record(value):
-    """The JSON form of a record, a tuple, or a plain value; ``None`` fields are left out."""
+    """The JSON form of a record, a tuple, a dict, or a plain value; ``None`` fields are left out."""
     if isinstance(value, tuple):
         return [write_record(v) for v in value]
+    if isinstance(value, dict):
+        return {k: write_record(v) for k, v in value.items()}
     if is_dataclass(value):
         pairs = ((key, getattr(value, name)) for name, key, _, _ in _record_fields(type(value)))
         return {key: write_record(v) for key, v in pairs if v is not None}

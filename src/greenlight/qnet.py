@@ -6,15 +6,19 @@ zero everywhere except that action's entry.  A network's parameters, its
 gradients and Adam's moments are each one flat vector; a leading axis on that
 vector stacks several networks of one architecture, which the batched
 functions then evaluate and train together.  Weights serialize to a small
-JSON document, of one network or of one network per junction id.
+JSON document, of one network or of one network per junction id, whose
+records are read and written by netmodel's record reader and writer.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from .netmodel import read_record, write_record
 
 FORMAT_VERSION = 1
 
@@ -81,14 +85,6 @@ def _check_layout(net, other, what: str) -> None:
             f"{what} sizes {other.sizes} (shape {other.flat.shape}) do not match the network's "
             f"{net.sizes} (shape {net.flat.shape})"
         )
-
-
-def integer_at_least(value, minimum: int, what: str, error: type[ValueError] = ValueError) -> int:
-    """``value`` as an int; bools, fractions and values below ``minimum`` raise ``error`` naming ``what``."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole or value < minimum:
-        raise error(f"{what}: expected an integer of at least {minimum}, got {value!r}")
-    return int(value)
 
 
 def init_network(sizes, rng) -> QNetwork:
@@ -215,80 +211,73 @@ def clone(net):
     return type(net)(net.sizes, net.flat.copy())
 
 
-def _doc(net: QNetwork) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "arch": list(net.sizes),
-        "layers": [
-            {"rows": int(w.shape[0]), "cols": int(w.shape[1]), "w": w.ravel().tolist(), "b": b.tolist()}
-            for w, b in zip(net.weights, net.biases)
-        ],
-    }
+@dataclass
+class _Layer:
+    rows: int
+    cols: int
+    w: list[float]  # the (rows, cols) weights, row by row
+    b: list[float]
+
+
+@dataclass
+class _Weights:  # the document of one network
+    format_version: int
+    arch: list[int]  # layer widths, input first
+    layers: tuple[_Layer, ...]
+
+
+@dataclass
+class _PerJunction:  # the document of one network per junction id
+    format_version: int
+    multi: dict[str, _Weights]
+
+
+def _record(net: QNetwork) -> _Weights:
+    layers = (_Layer(*w.shape, w.ravel().tolist(), b.tolist()) for w, b in zip(net.weights, net.biases))
+    return _Weights(FORMAT_VERSION, list(net.sizes), tuple(layers))
 
 
 def serialize(net: QNetwork | dict[str, QNetwork]) -> str:
     """Lossless JSON document of one network, or of one network per junction id; floats round-trip bit for bit."""
     if isinstance(net, QNetwork):
-        doc = _doc(net)
+        doc = _record(net)
     else:
-        doc = {"format_version": FORMAT_VERSION, "multi": {jid: _doc(one) for jid, one in net.items()}}
-    return json.dumps(doc, sort_keys=True)
-
-
-def _numbers(layer: dict, i: int, key: str) -> np.ndarray:
-    value = layer[key]
-    try:
-        values = np.asarray(value) if isinstance(value, list) else None
-    except ValueError:  # ragged nesting
-        values = None
-    if values is None or values.dtype.kind not in "iuf":
-        raise WeightsFormatError(f"layer {i}: {key}: expected a list of numbers, got {value!r:.60}")
-    return values.astype(np.float64, copy=False).ravel()
+        doc = _PerJunction(FORMAT_VERSION, {jid: _record(one) for jid, one in net.items()})
+    return json.dumps(write_record(doc), sort_keys=True)
 
 
 def deserialize(text: str) -> QNetwork | dict[str, QNetwork]:
-    """Invert ``serialize``: one network, or one per junction id for a ``multi`` document."""
+    """Invert ``serialize``: one network, or one per junction id for a ``multi`` document.
+
+    The reading rules are in ``docs/weights-format.md``; a fault raises WeightsFormatError naming its path.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WeightsFormatError(f"weights document is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "multi" in doc:
-        if not isinstance(doc["multi"], dict):
-            raise WeightsFormatError(f"multi: expected an object of per-junction documents, got {doc['multi']!r:.60}")
-        return {jid: _from_doc(one) for jid, one in doc["multi"].items()}
-    return _from_doc(doc)
+        per_junction = read_record(_PerJunction, doc, "weights", WeightsFormatError, "weights.")
+        _check_version(per_junction.format_version, "weights")
+        return {jid: _network(one, f"weights.multi.{jid}") for jid, one in per_junction.multi.items()}
+    return _network(read_record(_Weights, doc, "weights", WeightsFormatError, "weights."), "weights")
 
 
-def _from_doc(doc) -> QNetwork:
-    if not isinstance(doc, dict) or "arch" not in doc or "layers" not in doc:
-        raise WeightsFormatError("weights document must contain 'arch' and 'layers'")
-    arch = doc["arch"]
-    if not isinstance(arch, list) or len(arch) < 2:
-        raise WeightsFormatError(f"arch: expected a list of at least two layer widths, got {arch!r}")
-    arch = tuple(integer_at_least(s, 1, "arch", WeightsFormatError) for s in arch)
-    layers = doc["layers"]
-    if not isinstance(layers, list):
-        raise WeightsFormatError(f"layers: expected a list of layer objects, got {layers!r:.60}")
-    if len(layers) != len(arch) - 1:
-        raise WeightsFormatError(f"arch {list(arch)} expects {len(arch) - 1} layers, document has {len(layers)}")
-    parts = []
-    for i, layer in enumerate(layers):
-        if not isinstance(layer, dict):
-            raise WeightsFormatError(f"layer {i}: expected an object with rows, cols, w and b, got {layer!r:.60}")
-        missing = [k for k in ("rows", "cols", "w", "b") if k not in layer]
-        if missing:
-            raise WeightsFormatError(f"layer {i}: missing key {missing[0]!r}")
-        rows, cols = (integer_at_least(layer[k], 1, f"layer {i}: {k}", WeightsFormatError) for k in ("rows", "cols"))
-        if rows != arch[i + 1] or cols != arch[i]:
-            raise WeightsFormatError(
-                f"layer {i}: shape ({rows}, {cols}) does not chain with arch {list(arch)}"
-            )
-        w, b = _numbers(layer, i, "w"), _numbers(layer, i, "b")
-        if w.size != rows * cols:
-            raise WeightsFormatError(f"layer {i}: expected {rows * cols} weights, got {w.size}")
-        if b.size != rows:
-            raise WeightsFormatError(f"layer {i}: expected {rows} biases, got {b.size}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise WeightsFormatError(f"layer {i}: non-finite parameters")
-        parts += [w, b]
-    return QNetwork(arch, np.concatenate(parts))
+def _check_version(version: int, where: str) -> None:
+    if version != FORMAT_VERSION:
+        raise WeightsFormatError(f"{where}: format_version {version} is not supported, expected {FORMAT_VERSION}")
+
+
+def _network(doc: _Weights, where: str) -> QNetwork:
+    """The network a read document describes, once its shapes agree with its ``arch``."""
+    _check_version(doc.format_version, where)
+    arch = doc.arch
+    if len(arch) < 2 or min(arch) < 1:
+        raise WeightsFormatError(f"{where}: 'arch' must list at least two layer widths of at least 1, got {arch}")
+    if len(doc.layers) != len(arch) - 1:
+        raise WeightsFormatError(f"{where}: arch {arch} expects {len(arch) - 1} layers, document has {len(doc.layers)}")
+    for i, (layer, fan_in, fan_out) in enumerate(zip(doc.layers, arch, arch[1:])):
+        got, needed = (layer.rows, layer.cols, len(layer.w), len(layer.b)), (fan_out, fan_in, fan_out * fan_in, fan_out)
+        if got != needed:
+            raise WeightsFormatError(f"{where}.layers[{i}]: rows, cols, len(w), len(b) are {got}, arch {arch} needs "
+                                     f"{needed}")
+    return QNetwork(tuple(arch), np.concatenate([np.array(p) for layer in doc.layers for p in (layer.w, layer.b)]))

@@ -482,6 +482,26 @@ def test_dqn_weights_dimension_mismatch(short_scenario):
     assert "dimension" in str(err.value)
 
 
+@pytest.mark.parametrize("outputs", [2, 5])
+def test_dqn_weights_output_width_must_match_the_requests(single_scenario, outputs):
+    infos = harness._junction_infos(single_scenario)
+    jid, d_in = infos[0].junction.id, dqn.state_dim(infos[0].n_lanes)
+    net = qnet.init_network((d_in, 8, outputs), harness._generator(0))
+    with pytest.raises(WeightsMismatchError) as err:
+        harness.load_weights(qnet.serialize(net), infos)
+    assert str(err.value) == (
+        f"junction {jid}: weights map input dimension {d_in} to {outputs} outputs, the scenario needs {d_in} to 3"
+    )
+
+
+def test_dqn_weights_entry_for_an_unknown_junction_is_rejected(single_scenario):
+    infos = harness._junction_infos(single_scenario)
+    net = qnet.init_network((dqn.state_dim(infos[0].n_lanes), 8, 3), harness._generator(0))
+    text = qnet.serialize({infos[0].junction.id: net, "zz": net})
+    with pytest.raises(WeightsMismatchError, match="'zz'"):
+        harness.load_weights(text, infos)
+
+
 def _report_with_means(controller, es_mean, dd_mean, es_episode_mean):
     summary = lambda m: StatSummary(mean=m, sd=0.0, vmin=m, vmax=m, n=4)  # noqa: E731
     return RunReport(

@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
-from conftest import SCENARIOS, make_net, make_rng
+from conftest import REPO, SCENARIOS, make_net, make_rng
 from oracles import backward
 from greenlight import cli
 from greenlight.qnet import (
@@ -18,6 +19,7 @@ from greenlight.qnet import (
     forward,
     forward_batch,
     init_network,
+    n_params,
     serialize,
 )
 
@@ -213,7 +215,7 @@ def test_per_junction_document_round_trips():
     again = deserialize(text)
     assert list(again) == ["a", "b"] and [n.sizes for n in again.values()] == [(4, 8, 3), (6, 8, 3)]
     assert serialize(again) == text
-    with pytest.raises(WeightsFormatError, match="multi: expected an object"):
+    with pytest.raises(WeightsFormatError, match="weights: 'multi' must be an object"):
         deserialize(json.dumps({"format_version": 1, "multi": ["a"]}))
 
 
@@ -228,7 +230,7 @@ def test_deserialize_mismatched_dims_names_layer():
     doc["layers"][1]["w"] = doc["layers"][1]["w"][:-1]
     with pytest.raises(WeightsFormatError) as err:
         deserialize(json.dumps(doc))
-    assert "layer 1" in str(err.value)
+    assert "weights.layers[1]" in str(err.value)
 
 
 def test_deserialize_wrong_arch_chain_names_layer():
@@ -236,7 +238,7 @@ def test_deserialize_wrong_arch_chain_names_layer():
     doc["layers"][0]["rows"] = 9
     with pytest.raises(WeightsFormatError) as err:
         deserialize(json.dumps(doc))
-    assert "layer 0" in str(err.value)
+    assert "weights.layers[0]" in str(err.value)
 
 
 def test_init_network_is_deterministic_per_seed():
@@ -292,7 +294,8 @@ def test_clone_copies_and_freezes():
 @pytest.mark.parametrize(
     "field, value",
     [("arch", [4, 8.5, 3]), ("arch", [4.2, 8, 3]), ("arch", [4, True, 3]), ("arch", [4, 0, 3]), ("arch", "483"),
-     ("arch", [4]), ("rows", 8.5), ("rows", -8), ("cols", True), ("cols", "4")],
+     ("arch", [4]), ("rows", 8.5), ("rows", -8), ("cols", True), ("cols", "4"), ("arch", [4.0, 8.0, 3.0]),
+     ("rows", 8.0)],
 )
 def test_deserialize_rejects_non_integral_dimensions(field, value):
     doc = json.loads(serialize(init_network((4, 8, 3), make_rng(4))))
@@ -304,27 +307,28 @@ def test_deserialize_rejects_non_integral_dimensions(field, value):
         deserialize(json.dumps(doc))
 
 
-def test_deserialize_accepts_integral_float_dimensions():
-    doc = json.loads(serialize(init_network((2, 3, 2), make_rng(4))))
-    doc["arch"] = [2.0, 3.0, 2.0]
-    doc["layers"][0]["rows"] = 3.0
-    net = deserialize(json.dumps(doc))
-    assert net.sizes == (2, 3, 2) and all(type(s) is int for s in net.sizes)
-
-
 @pytest.mark.parametrize(
     "fault, where",
     [
-        (lambda doc: doc["layers"][1].pop("rows"), "layer 1: missing key 'rows'"),
-        (lambda doc: doc["layers"][0].pop("b"), "layer 0: missing key 'b'"),
+        (lambda doc: doc["layers"][1].pop("rows"), "weights.layers[1]: missing key 'rows'"),
+        (lambda doc: doc["layers"][0].pop("b"), "weights.layers[0]: missing key 'b'"),
         (lambda doc: doc.update(layers=5), "layers"),
         (lambda doc: doc.update(layers={"0": 1}), "layers"),
-        (lambda doc: doc["layers"].__setitem__(1, 7), "layer 1: expected an object"),
-        (lambda doc: doc["layers"][0].update(w="abc"), "layer 0: w"),
-        (lambda doc: doc["layers"][1].update(b=["0.5", 1.0, 2.0]), "layer 1: b"),
-        (lambda doc: doc["layers"][0].update(w=[[1.0, 2.0], [3.0]]), "layer 0: w"),
-        (lambda doc: doc["layers"][0].update(w=None), "layer 0: w"),
-        (lambda doc: doc["layers"][1].update(b=[True, False, True]), "layer 1: b"),
+        (lambda doc: doc["layers"].__setitem__(1, 7), "weights.layers[1]: expected an object"),
+        (lambda doc: doc["layers"][0].update(w="abc"), "weights.layers[0]: 'w' must be a list, got 'abc'"),
+        (lambda doc: doc["layers"][1].update(b=["0.5", 1.0, 2.0]),
+         "weights.layers[1]: 'b[0]' must be a number, got '0.5'"),
+        (lambda doc: doc["layers"][0].update(w=[[1.0, 2.0], [3.0]]), "weights.layers[0]: 'w[0]' must be a number"),
+        (lambda doc: doc["layers"][0].update(w=None), "weights.layers[0]: 'w' must be a list, got None"),
+        (lambda doc: doc["layers"][1].update(b=[True, False, True]),
+         "weights.layers[1]: 'b[0]' must be a number, got True"),
+        (lambda doc: doc["layers"][1].update(w=[float("nan")] * 6),
+         "weights.layers[1]: 'w[0]' must be finite, got nan"),
+        (lambda doc: doc.update(note="x"), "weights: unknown key 'note'"),
+        (lambda doc: doc["layers"][0].update(bias=[0.0]), "weights.layers[0]: unknown key 'bias'"),
+        (lambda doc: doc.pop("format_version"), "weights: missing key 'format_version'"),
+        (lambda doc: doc.update(format_version=99), "weights: format_version 99 is not supported, expected 1"),
+        (lambda doc: doc.update(multi={"J1": dict(doc)}), "weights: unknown key 'arch'"),
     ],
 )
 def test_deserialize_structural_faults_name_layer_and_key(fault, where):
@@ -333,6 +337,59 @@ def test_deserialize_structural_faults_name_layer_and_key(fault, where):
     with pytest.raises(WeightsFormatError) as err:
         deserialize(json.dumps(doc))
     assert where in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda one: one["layers"][0].pop("rows"), "weights.multi.J1.layers[0]: missing key 'rows'"),
+        (lambda one: one["layers"][1].update(b=[0.0]),
+         "weights.multi.J1.layers[1]: rows, cols, len(w), len(b) are (3, 2, 6, 1), arch [2, 2, 3] needs (3, 2, 6, 3)"),
+        (lambda one: one.update(format_version=2), "weights.multi.J1: format_version 2 is not supported, expected 1"),
+    ],
+    ids=["missing key", "short biases", "entry version"],
+)
+def test_per_junction_fault_names_the_junction_path(fault, message):
+    nets = {"J0": init_network((2, 2, 3), make_rng(5)), "J1": init_network((2, 2, 3), make_rng(6))}
+    doc = json.loads(serialize(nets))
+    fault(doc["multi"]["J1"])
+    with pytest.raises(WeightsFormatError) as err:
+        deserialize(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_fixture_weights_document_reads_and_writes_its_own_bytes():
+    text = (REPO / "perfbench" / "inputs" / "single-seed7-ep200.weights.json").read_text()
+    assert serialize(deserialize(text)) == text
+
+
+_PARAMETER = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _networks(draw) -> QNetwork:
+    sizes = tuple(draw(st.lists(st.integers(1, 8), min_size=2, max_size=4)))
+    n = n_params(sizes)
+    return QNetwork(sizes, np.array(draw(st.lists(_PARAMETER, min_size=n, max_size=n)), dtype=np.float64))
+
+
+_DOCUMENTS = _networks() | st.dictionaries(st.text(min_size=1, max_size=4), _networks(), min_size=1, max_size=3)
+
+
+@given(_DOCUMENTS)
+def test_weights_round_trip_property(original):
+    text = serialize(original)
+    again = deserialize(text)
+    if isinstance(original, QNetwork):
+        assert isinstance(again, QNetwork)
+        pairs = [(original, again)]
+    else:
+        assert sorted(again) == sorted(original)
+        pairs = [(original[jid], again[jid]) for jid in original]
+    for net, read in pairs:
+        assert read.sizes == net.sizes
+        assert read.flat.tobytes() == net.flat.tobytes()  # identical bits, -0.0 and subnormals included
+    assert serialize(again) == text
 
 
 def test_cli_eval_reports_structural_weights_fault(tmp_path, capsys):
@@ -344,7 +401,7 @@ def test_cli_eval_reports_structural_weights_fault(tmp_path, capsys):
                    "--seeds", "1", "--out", str(tmp_path / "r.json")])
     assert rc == 1
     error = json.loads(capsys.readouterr().err.strip())
-    assert error["kind"] == "WeightsFormatError" and "layer 0" in error["error"] and "rows" in error["error"]
+    assert error["kind"] == "WeightsFormatError" and "layers[0]" in error["error"] and "rows" in error["error"]
 
 
 # --- stacked networks -------------------------------------------------------------
