@@ -315,13 +315,17 @@ def test_deserialize_rejects_non_integral_dimensions(field, value):
         (lambda doc: doc.update(layers=5), "layers"),
         (lambda doc: doc.update(layers={"0": 1}), "layers"),
         (lambda doc: doc["layers"].__setitem__(1, 7), "weights.layers[1]: expected an object"),
-        (lambda doc: doc["layers"][0].update(w="abc"), "weights.layers[0]: 'w' must be a list, got 'abc'"),
-        (lambda doc: doc["layers"][1].update(b=["0.5", 1.0, 2.0]),
-         "weights.layers[1]: 'b[0]' must be a number, got '0.5'"),
-        (lambda doc: doc["layers"][0].update(w=[[1.0, 2.0], [3.0]]), "weights.layers[0]: 'w[0]' must be a number"),
-        (lambda doc: doc["layers"][0].update(w=None), "weights.layers[0]: 'w' must be a list, got None"),
-        (lambda doc: doc["layers"][1].update(b=[True, False, True]),
-         "weights.layers[1]: 'b[0]' must be a number, got True"),
+        # A bad parameter list is named by its layer and key: "layer 0: w0" is the first such case.
+        pytest.param(lambda doc: doc["layers"][0].update(w="abc"),
+                     "weights.layers[0]: 'w' must be a list, got 'abc'", id="<lambda>-layer 0: w0"),
+        pytest.param(lambda doc: doc["layers"][1].update(b=["0.5", 1.0, 2.0]),
+                     "weights.layers[1]: 'b[0]' must be a number, got '0.5'", id="<lambda>-layer 1: b0"),
+        pytest.param(lambda doc: doc["layers"][0].update(w=[[1.0, 2.0], [3.0]]),
+                     "weights.layers[0]: 'w[0]' must be a number", id="<lambda>-layer 0: w1"),
+        pytest.param(lambda doc: doc["layers"][0].update(w=None),
+                     "weights.layers[0]: 'w' must be a list, got None", id="<lambda>-layer 0: w2"),
+        pytest.param(lambda doc: doc["layers"][1].update(b=[True, False, True]),
+                     "weights.layers[1]: 'b[0]' must be a number, got True", id="<lambda>-layer 1: b1"),
         (lambda doc: doc["layers"][1].update(w=[float("nan")] * 6),
          "weights.layers[1]: 'w[0]' must be finite, got nan"),
         (lambda doc: doc.update(note="x"), "weights: unknown key 'note'"),
