@@ -7,7 +7,7 @@ between serving changes and refusing to cut a green short of its minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .netmodel import DT, GREEN, RED, YELLOW, FixedTimePlan, Junction
 
@@ -58,20 +58,18 @@ def apply_interlock(request: str, state: SignalAssignment, junction: Junction) -
 
     if state.phase in ("yellow_a", "yellow_b"):
         if state.time_in_phase < junction.yellow:  # both whole steps, so exact
-            return replace(state, time_in_phase=state.time_in_phase + DT)
+            return SignalAssignment(state.phase, state.time_in_phase + DT, state.pending)
         # yellow fully displayed: losing axis drops to red, grant the pending target
         return SignalAssignment(phase=state.pending, time_in_phase=DT, pending=state.pending)
 
     if state.phase == "all_red":
         if request == "all_red":
-            return replace(state, time_in_phase=state.time_in_phase + DT)
+            return SignalAssignment(state.phase, state.time_in_phase + DT, state.pending)
         return SignalAssignment(phase=request, time_in_phase=DT, pending=request)
 
-    # currently serving one axis
-    if request == state.phase:
-        return replace(state, time_in_phase=state.time_in_phase + DT)
-    if state.time_in_phase < junction.min_green:
-        return replace(state, time_in_phase=state.time_in_phase + DT)  # deferred
+    # currently serving one axis: keep it, or defer a switch before min-green
+    if request == state.phase or state.time_in_phase < junction.min_green:
+        return SignalAssignment(state.phase, state.time_in_phase + DT, state.pending)
     yellow_phase = "yellow_a" if state.phase == "serve_a" else "yellow_b"
     return SignalAssignment(phase=yellow_phase, time_in_phase=DT, pending=request)
 

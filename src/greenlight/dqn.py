@@ -117,10 +117,6 @@ class ReplayBuffer:
             raise ValueError(f"cannot sample {batch_size} from a buffer of size {len(self)}")
         return rng.integers(0, len(self), size=(self.agents, batch_size))
 
-    def contents(self) -> np.ndarray:
-        """Row indices oldest-first (test and inspection helper)."""
-        return (max(0, self.pushes - self.capacity) + np.arange(len(self))) % self.capacity
-
 
 def td_targets_batch(buffer: ReplayBuffer, agents, rows: np.ndarray, target_net: QNetwork, gamma: float) -> np.ndarray:
     """Bootstrapped targets of buffer rows ``rows`` of agents ``agents`` under the target network.

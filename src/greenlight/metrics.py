@@ -2,8 +2,10 @@
 
 Four per-vehicle metrics are tracked: waiting time (seconds below the halting
 threshold), time loss (accumulated shortfall against the allowed speed),
-emergency-stop count, and depart delay.  Reports aggregate them as
-mean / sample SD / min / max per metric for each controller.
+emergency-stop count, and depart delay.  The simulator's step accumulates the
+first three on each vehicle; ``finalize`` closes them out with the depart
+delay.  Reports aggregate them as mean / sample SD / min / max per metric for
+each controller.
 """
 
 from __future__ import annotations
@@ -84,16 +86,6 @@ class RunReport:
     es_per_episode: StatSummary  # emergency-stop totals, one value per episode
     episodes: list[EpisodeTotals]
     vehicles: list[VehicleMetrics]
-
-
-def record_step(tracker, speed: float, allowed_speed: float, dt: float) -> None:
-    """Accumulate one on-network simulation step into a vehicle's counters.
-
-    ``tracker`` needs mutable ``waiting_time`` and ``time_loss`` attributes.
-    """
-    if speed < HALT_SPEED:
-        tracker.waiting_time += dt
-    tracker.time_loss += (1.0 - speed / allowed_speed) * dt
 
 
 def finalize(vehicle, duration: float, seed: int, episode: int) -> VehicleMetrics:

@@ -337,7 +337,13 @@ def _field_reader(tp, error: type[ValueError]):
         def read_items(value, where, key, prefix):
             if type(value) is not list:
                 raise error(f"{where}: {key!r} must be a list, got {value!r}")
-            return origin([read_item(item, where, f"{key}[{i}]", prefix) for i, item in enumerate(value)])
+            try:  # each item's key is formatted only to name a fault: thousands of weights would pay for it
+                return origin([read_item(item, where, key, prefix) for item in value])
+            except error as exc:
+                fault = exc
+            for i, item in enumerate(value):  # read again, naming the item at fault
+                read_item(item, where, f"{key}[{i}]", prefix)
+            raise fault
 
         return read_items
     if origin is dict:  # dict[str, X]: each entry is read as the child ``key.k``

@@ -2,15 +2,21 @@
 
 One-second steps, Krauss-style safe-speed car following with zero driver
 imperfection, single-lane edges, and stop-line handling at signalized
-junctions: a non-green axis acts as a standing zero-length leader at the edge
-end.  All randomness lives in the Poisson demand schedule drawn once at
+junctions.  All randomness lives in the Poisson demand schedule drawn once at
 construction from the supplied generator, so a (scenario, seed, controller)
 triple fully determines every event the simulation emits.
 
-Within an edge, vehicles update front to back, so followers react to their
-leader's already-updated position; a hard displacement cap (you cannot move
-past your leader's rear, nor past a non-green stop line) makes the update
-collision-free by construction.
+Within an edge, vehicles update front to back in one flat loop that applies
+one obstacle rule, inlined, to each vehicle.  The obstacle is the first of:
+the in-lane leader at its already-updated position; a non-green stop line, a
+standing zero-length leader at the edge end; the next edge's last vehicle at
+its pre-step rear.  Against it the vehicle drives at no more than the Krauss
+safe speed ``-b*tau + sqrt((b*tau)^2 + v_leader^2 + 2*b*gap)``; braking beyond
+``b`` counts as an emergency and is clamped at ``b_emergency``; and a hard
+displacement cap (you cannot move past the obstacle) makes the update
+collision-free by construction.  The same pass accumulates the vehicle's
+waiting time and time loss.  ``tests/oracles.py`` keeps the scalar form of
+this rule as the reference it is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -19,35 +25,13 @@ import heapq
 import math
 
 from . import metrics
-from .netmodel import DT, GREEN, RED, Edge, Scenario, VehicleParams
+from .netmodel import DT, GREEN, RED, Edge, Scenario
 
 _EPS = 1e-9
 
 
 class InterlockViolation(ValueError):
     """A requested assignment would show two conflicting axes non-red."""
-
-
-def safe_speed(leader_speed: float, gap: float, params: VehicleParams) -> float:
-    """Krauss safe speed against a leader ``gap`` metres ahead.
-
-    v_safe = -b*tau + sqrt((b*tau)^2 + v_leader^2 + 2*b*gap), clamped at 0.
-    """
-    bt = params.decel * params.tau
-    v = -bt + math.sqrt(bt * bt + leader_speed * leader_speed + 2.0 * params.decel * gap)
-    return v if v > 0.0 else 0.0
-
-
-def required_decel(v_prev: float, v_target: float, dt: float, comfortable_decel: float) -> tuple[float, bool]:
-    """Deceleration needed to hit ``v_target`` and whether it is an emergency.
-
-    An emergency is a braking demand beyond the comfortable rate; the caller
-    clamps the applied change at the physical emergency rate.
-    """
-    decel = (v_prev - v_target) / dt
-    if decel <= 0.0:
-        return 0.0, False
-    return decel, decel > comfortable_decel
 
 
 class Vehicle:
@@ -197,58 +181,77 @@ class Simulation:
             heapq.heappush(self._pending, item)
 
     def _move_all(self, rear_snapshot) -> None:
-        params = self.params
+        p = self.params
+        length, accel_dv, b = p.length, p.accel * DT, p.decel
+        emergency_decel, emergency_dv = p.emergency_decel, p.emergency_decel * DT
+        bt = b * p.tau
+        bt2, two_b = bt * bt, 2.0 * b
+        halt, sqrt, inf = metrics.HALT_SPEED, math.sqrt, math.inf
+        edge_signal, assignment = self._edge_signal, self.assignment
         for edge in self.edge_order:
             lane = self.vehicles_on[edge.id]
             if not lane:
                 continue
-            color = self.edge_color(edge)
-            for i, veh in enumerate(lane):
+            guard = edge_signal.get(edge.id)
+            line_open = guard is None or assignment[guard[0]][guard[1]] == GREEN
+            end, limit = edge.length, edge.speed_limit
+            leader = None  # already moved this step
+            for veh in lane:
                 v_prev = veh.speed
-                v_target = min(edge.speed_limit, v_prev + params.accel * DT)
+                v_target = v_prev + accel_dv
+                if limit < v_target:
+                    v_target = limit
                 # the one obstacle ahead: its speed and the gap to it
-                gap = math.inf
-                if i > 0:
-                    leader = lane[i - 1]  # already moved this step
+                gap = inf
+                if leader is not None:
                     lead_speed = leader.speed
-                    gap = leader.position - params.length - veh.position
-                elif color != GREEN:  # the stop line stands still
+                    gap = leader.position - length - veh.position
+                elif not line_open:  # the stop line stands still
                     lead_speed = 0.0
-                    gap = edge.length - veh.position
+                    gap = end - veh.position
                 elif veh.edge_index + 1 < len(veh.route):
                     rear = rear_snapshot[veh.route[veh.edge_index + 1].id]
                     if rear is not None:  # the next edge's last vehicle
                         lead_speed = rear[1]
-                        gap = (edge.length - veh.position) + rear[0] - params.length
-                hard_cap = math.inf
-                if gap < math.inf:
+                        gap = (end - veh.position) + rear[0] - length
+                hard_cap = inf
+                if gap < inf:
                     if gap < 0.0:
                         gap = 0.0
-                    v_target = min(v_target, safe_speed(lead_speed, gap, params))
+                    # the Krauss safe speed, clamped at 0 (v_target is positive here)
+                    v_safe = sqrt(bt2 + lead_speed * lead_speed + two_b * gap) - bt
+                    if v_safe < v_target:
+                        v_target = v_safe if v_safe > 0.0 else 0.0
                     hard_cap = gap / DT
 
-                decel, emergency = required_decel(v_prev, v_target, DT, params.decel)
-                if emergency and not veh.in_emergency:
-                    veh.emergency_stops += 1
-                veh.in_emergency = emergency
+                # braking beyond b is an emergency, and is clamped at b_emergency (validated > b > 0)
+                decel = (v_prev - v_target) / DT
+                if decel > b:
+                    if not veh.in_emergency:
+                        veh.emergency_stops += 1
+                        veh.in_emergency = True
+                    if decel > emergency_decel:
+                        v_target = v_prev - emergency_dv
+                elif veh.in_emergency:
+                    veh.in_emergency = False
+                if v_target > hard_cap:  # the obstacle is a wall
+                    v_target = hard_cap
+                if v_target < 0.0:
+                    v_target = 0.0
 
-                v_new = v_target
-                if decel > params.emergency_decel:
-                    v_new = v_prev - params.emergency_decel * DT
-                if v_new > hard_cap:  # the obstacle is a wall
-                    v_new = hard_cap
-                if v_new < 0.0:
-                    v_new = 0.0
-
-                veh.position += v_new * DT
-                veh.speed = v_new
-                metrics.record_step(veh, v_new, edge.speed_limit, DT)
+                veh.position += v_target * DT
+                veh.speed = v_target
+                if v_target < halt:
+                    veh.waiting_time += DT
+                veh.time_loss += (1.0 - v_target / limit) * DT
+                leader = veh
 
     def _transfer_and_arrive(self) -> None:
         end_clock = self.clock + DT
         for edge in self.edge_order:
             lane = self.vehicles_on[edge.id]
-            while lane and lane[0].position >= lane[0].edge.length - _EPS:
+            end = edge.length - _EPS
+            while lane and lane[0].position >= end:
                 veh = lane[0]
                 if not self._advance_across(veh, end_clock):
                     break

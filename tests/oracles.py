@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from greenlight import dqn, metrics, qnet
-from greenlight.netmodel import GREEN, RED
+from greenlight.netmodel import DT, GREEN, RED
 
 
 def straight_line_forward(sizes, weights, biases, x):
@@ -195,6 +195,11 @@ class ReplayBuffer:
         return self._items[self._next :] + self._items[: self._next]
 
 
+def buffer_rows_oldest_first(buf):
+    """Row indices of a ``dqn.ReplayBuffer`` ring, oldest transition first."""
+    return (max(0, buf.pushes - buf.capacity) + np.arange(len(buf))) % buf.capacity
+
+
 def td_target(transition, target_net, gamma):
     """Bootstrapped target of one transition: r, plus the discounted best target-net value."""
     if transition.terminal:
@@ -242,6 +247,92 @@ def independent_updates(learners, hp, rng):
             ln.target = qnet.clone(ln.net)
         losses.append(float(loss))
     return losses
+
+
+def safe_speed(leader_speed, gap, params):
+    """Krauss safe speed against a leader ``gap`` metres ahead.
+
+    v_safe = -b*tau + sqrt((b*tau)^2 + v_leader^2 + 2*b*gap), clamped at 0.
+    """
+    bt = params.decel * params.tau
+    v = -bt + math.sqrt(bt * bt + leader_speed * leader_speed + 2.0 * params.decel * gap)
+    return v if v > 0.0 else 0.0
+
+
+def required_decel(v_prev, v_target, dt, comfortable_decel):
+    """Deceleration needed to hit ``v_target`` and whether it is an emergency.
+
+    An emergency is a braking demand beyond the comfortable rate; the caller
+    clamps the applied change at the physical emergency rate.
+    """
+    decel = (v_prev - v_target) / dt
+    if decel <= 0.0:
+        return 0.0, False
+    return decel, decel > comfortable_decel
+
+
+def record_step(tracker, speed, allowed_speed, dt):
+    """Accumulate one on-network simulation step into a vehicle's counters.
+
+    ``tracker`` needs mutable ``waiting_time`` and ``time_loss`` attributes.
+    """
+    if speed < metrics.HALT_SPEED:
+        tracker.waiting_time += dt
+    tracker.time_loss += (1.0 - speed / allowed_speed) * dt
+
+
+def move_all(sim, rear_snapshot):
+    """The move phase of one ``Simulation.step``, one scalar helper call at a time.
+
+    Each edge's vehicles move front to back against the one obstacle ahead:
+    the in-lane leader (already moved), a non-green stop line, or the next
+    edge's last vehicle as ``rear_snapshot`` holds it from before the step.
+    """
+    params = sim.params
+    for edge in sim.edge_order:
+        lane = sim.vehicles_on[edge.id]
+        if not lane:
+            continue
+        color = sim.edge_color(edge)
+        for i, veh in enumerate(lane):
+            v_prev = veh.speed
+            v_target = min(edge.speed_limit, v_prev + params.accel * DT)
+            gap = math.inf
+            if i > 0:
+                leader = lane[i - 1]
+                lead_speed = leader.speed
+                gap = leader.position - params.length - veh.position
+            elif color != GREEN:
+                lead_speed = 0.0
+                gap = edge.length - veh.position
+            elif veh.edge_index + 1 < len(veh.route):
+                rear = rear_snapshot[veh.route[veh.edge_index + 1].id]
+                if rear is not None:
+                    lead_speed = rear[1]
+                    gap = (edge.length - veh.position) + rear[0] - params.length
+            hard_cap = math.inf
+            if gap < math.inf:
+                if gap < 0.0:
+                    gap = 0.0
+                v_target = min(v_target, safe_speed(lead_speed, gap, params))
+                hard_cap = gap / DT
+
+            decel, emergency = required_decel(v_prev, v_target, DT, params.decel)
+            if emergency and not veh.in_emergency:
+                veh.emergency_stops += 1
+            veh.in_emergency = emergency
+
+            v_new = v_target
+            if decel > params.emergency_decel:
+                v_new = v_prev - params.emergency_decel * DT
+            if v_new > hard_cap:
+                v_new = hard_cap
+            if v_new < 0.0:
+                v_new = 0.0
+
+            veh.position += v_new * DT
+            veh.speed = v_new
+            record_step(veh, v_new, edge.speed_limit, DT)
 
 
 def conflicting_pairs(junction):

@@ -190,7 +190,7 @@ def test_criterion_8_replay_buffer():
     buf = ReplayBuffer(3, 1)
     for i in (1, 2, 3, 4):
         buf.push([np.array([float(i)])], [0], [float(i)], [np.array([float(i)])], False)
-    assert list(buf.rewards[0, buf.contents()]) == [2.0, 3.0, 4.0]
+    assert list(buf.rewards[0, oracles.buffer_rows_oldest_first(buf)]) == [2.0, 3.0, 4.0]
 
     buf = ReplayBuffer(10, 1)
     for i in range(10):

@@ -218,7 +218,7 @@ def test_buffer_fifo_eviction_capacity_three():
     buf = ReplayBuffer(3, 1)
     for i in (1, 2, 3, 4):
         _push(buf, i)
-    assert list(buf.rewards[0, buf.contents()]) == [2.0, 3.0, 4.0]
+    assert list(buf.rewards[0, oracles.buffer_rows_oldest_first(buf)]) == [2.0, 3.0, 4.0]
     assert len(buf) == 3
 
 
@@ -257,7 +257,7 @@ def test_buffer_never_exceeds_capacity_and_drops_oldest(capacity, extra):
     for i in range(total):
         _push(buf, i)
         assert len(buf) <= capacity
-    kept = list(buf.rewards[0, buf.contents()])
+    kept = list(buf.rewards[0, oracles.buffer_rows_oldest_first(buf)])
     assert kept == [float(i) for i in range(extra, total)]
 
 
@@ -278,7 +278,7 @@ def test_ring_buffer_matches_list_oracle(capacity, pushes, batch, seed):
         ring.push([t.state], [t.action], [t.reward], [t.next_state], t.terminal)
         oracle.push(t)
     assert len(ring) == len(oracle)
-    assert list(ring.rewards[0, ring.contents()]) == [t.reward for t in oracle.contents()]
+    assert list(ring.rewards[0, oracles.buffer_rows_oldest_first(ring)]) == [t.reward for t in oracle.contents()]
     batch = min(batch, len(oracle))
     rows = ring.sample(batch, make_rng(seed + 1))[0]
     sampled = oracle.sample(batch, make_rng(seed + 1))

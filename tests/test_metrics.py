@@ -5,15 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from oracles import record_step
 from greenlight import cli, metrics
-from greenlight.metrics import (
-    VehicleMetrics,
-    aggregate,
-    build_report,
-    finalize,
-    percent_change,
-    record_step,
-)
+from greenlight.metrics import VehicleMetrics, aggregate, build_report, finalize, percent_change
 
 
 class Counters:

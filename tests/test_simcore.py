@@ -1,23 +1,19 @@
+import copy
+import dataclasses
+import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import required_decel, safe_speed
 import scenario_gen
 from conftest import make_rng
 from greenlight import netmodel
-from greenlight.netmodel import VehicleParams
-from greenlight.simcore import (
-    GREEN,
-    RED,
-    InterlockViolation,
-    Simulation,
-    Vehicle,
-    required_decel,
-    safe_speed,
-    spawn_schedule,
-)
+from greenlight.netmodel import YELLOW, VehicleParams
+from greenlight.simcore import GREEN, RED, InterlockViolation, Simulation, Vehicle, spawn_schedule
 
 PARAMS = VehicleParams(accel=2.6, decel=4.5, emergency_decel=9.0, length=5.0, min_gap=2.5, tau=1.0)
 
@@ -257,6 +253,46 @@ def test_identical_runs_are_bit_identical():
     log_a, _ = scenario_gen.run_checked(scenario, 4242, steps=120)
     log_b, _ = scenario_gen.run_checked(scenario, 4242, steps=120)
     assert log_a == log_b
+
+
+#: Every (axis A, axis B) pair the interlock lets a junction show.
+LEGAL_COLORS = ((GREEN, RED), (YELLOW, RED), (RED, RED), (RED, GREEN), (RED, YELLOW))
+
+
+def _vehicle_states(sim):
+    lanes = {eid: [v.vid for v in lane] for eid, lane in sim.vehicles_on.items()}
+    fields = [
+        (v.edge_index, v.position, v.speed, v.waiting_time, v.time_loss, v.emergency_stops, v.in_emergency,
+         v.actual_depart, v.arrived_at)
+        for v in sim.vehicles
+    ]
+    return lanes, fields
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    demand=st.floats(1.0, 8.0),
+    switch=st.floats(0.05, 1.0),
+    steps=st.integers(1, 200),
+)
+def test_step_equals_the_scalar_oracle_bit_for_bit(seed, demand, switch, steps):
+    """The flat move loop leaves every vehicle as the scalar helpers would, to the last bit."""
+    scenario = scenario_gen.random_scenario(seed)
+    routes = tuple(dataclasses.replace(r, rate=r.rate * demand) for r in scenario.routes)
+    sim = Simulation(dataclasses.replace(scenario, routes=routes), make_rng(seed))
+    twin = copy.deepcopy(sim)
+    twin._move_all = functools.partial(oracles.move_all, twin)
+    junctions = [j.id for j in sim.scenario.network.signalized_junctions()]
+    rng = np.random.default_rng(seed)
+    assignment = {jid: (GREEN, RED) for jid in junctions}
+    for _ in range(steps):
+        for jid in junctions:  # random legal colors, held for a random while; a green may end in red
+            if rng.random() < switch:
+                assignment[jid] = LEGAL_COLORS[int(rng.integers(0, len(LEGAL_COLORS)))]
+        sim.step(assignment)
+        twin.step(assignment)
+        assert _vehicle_states(sim) == _vehicle_states(twin)
 
 
 def test_conservation_identity_every_step(single_scenario):
