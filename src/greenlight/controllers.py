@@ -7,7 +7,7 @@ between serving changes and refusing to cut a green short of its minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .netmodel import DT, GREEN, RED, YELLOW, FixedTimePlan, Junction
 
@@ -26,9 +26,8 @@ PHASES = {
 }
 
 
-@dataclass(frozen=True)
-class SignalAssignment:
-    """Per-junction signal state owned by the driving loop.
+class SignalAssignment(NamedTuple):
+    """Per-junction signal state owned by the driving loop; immutable, and cheap to make once a step.
 
     phase is one of ``PHASES``; time_in_phase counts the seconds the phase
     has been displayed so far.  During a yellow, ``pending`` is the committed
@@ -78,13 +77,13 @@ class FixedTimeController:
     """Rule-based baseline: requests follow a predetermined cycle per junction."""
 
     def __init__(self, plans: dict[str, FixedTimePlan]):
-        self.plans = plans
+        # per junction: the cycle, and the start and end of axis B's window in it
+        self.windows = {jid: (p.cycle, p.green_a, p.green_a + p.yellow + p.green_b) for jid, p in plans.items()}
+        self.requests: dict[str, str] = {}
 
     def decide(self, clock: float, lane_stats, states) -> dict[str, str]:
-        requests = {}
-        for jid, plan in self.plans.items():
-            c = clock % plan.cycle
-            serve_b_from = plan.green_a
-            serve_b_until = plan.green_a + plan.yellow + plan.green_b
-            requests[jid] = "serve_b" if serve_b_from <= c < serve_b_until else "serve_a"
+        """Requests per junction; the returned dict is reused between calls."""
+        requests = self.requests
+        for jid, (cycle, serve_b_from, serve_b_until) in self.windows.items():
+            requests[jid] = "serve_b" if serve_b_from <= clock % cycle < serve_b_until else "serve_a"
         return requests

@@ -209,14 +209,14 @@ def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_
     stats_at = functools.lru_cache(maxsize=1)(lambda clock: junction_view(sim, lanes))
     lane_stats = lambda: stats_at(sim.clock)  # noqa: E731
 
+    junctions = [(info.junction.id, info.junction) for info in infos]
     total_steps = int(round(scenario.duration / DT))
     for step in range(1, total_steps + 1):
         requests = controller.decide(sim.clock, lane_stats, states)
         assignment = {}
-        for info in infos:
-            jid = info.junction.id
-            states[jid] = apply_interlock(requests[jid], states[jid], info.junction)
-            assignment[jid] = states[jid].colors()
+        for jid, junction in junctions:
+            states[jid] = state = apply_interlock(requests[jid], states[jid], junction)
+            assignment[jid] = state.colors()
         sim.step(assignment)
         if on_step is not None:
             on_step(sim, lane_stats, states, step == total_steps)

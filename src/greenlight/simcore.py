@@ -10,13 +10,15 @@ Within an edge, vehicles update front to back in one flat loop that applies
 one obstacle rule, inlined, to each vehicle.  The obstacle is the first of:
 the in-lane leader at its already-updated position; a non-green stop line, a
 standing zero-length leader at the edge end; the next edge's last vehicle at
-its pre-step rear.  Against it the vehicle drives at no more than the Krauss
-safe speed ``-b*tau + sqrt((b*tau)^2 + v_leader^2 + 2*b*gap)``; braking beyond
-``b`` counts as an emergency and is clamped at ``b_emergency``; and a hard
+its pre-step rear, read on demand (recorded as each lane moves).  Against it
+the vehicle drives at no more than the Krauss safe speed
+``-b*tau + sqrt((b*tau)^2 + v_leader^2 + 2*b*gap)``; braking beyond ``b``
+counts as an emergency and is clamped at ``b_emergency``; and a hard
 displacement cap (you cannot move past the obstacle) makes the update
 collision-free by construction.  The same pass accumulates the vehicle's
-waiting time and time loss.  ``tests/oracles.py`` keeps the scalar form of
-this rule as the reference it is checked against bit for bit.
+waiting time and time loss.  The transfer pass then visits only the lane
+heads at their line.  ``tests/oracles.py`` keeps the scalar form of the whole
+step as the reference it is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import heapq
 import math
 
 from . import metrics
-from .netmodel import DT, GREEN, RED, Edge, Scenario
+from .netmodel import DT, GREEN, RED, YELLOW, Edge, Scenario
 
 _EPS = 1e-9
+#: Every (axis A, axis B) color pair a signalized junction may show: at least one axis red.
+_LEGAL_PAIRS = frozenset((a, b) for a in (GREEN, YELLOW, RED) for b in (GREEN, YELLOW, RED) if RED in (a, b))
 
 
 class InterlockViolation(ValueError):
@@ -97,29 +101,36 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, rng):
         self.scenario = scenario
-        self.params = scenario.vehicle
+        self.params = p = scenario.vehicle
         self.clock = 0.0
+        # the move rule's constants: length, a*DT, b, b_emergency, b_emergency*DT, b*tau, (b*tau)^2, 2*b
+        bt = p.decel * p.tau
+        self._rule = (p.length, p.accel * DT, p.decel, p.emergency_decel, p.emergency_decel * DT,
+                      bt, bt * bt, 2.0 * p.decel)
 
         net = scenario.network
         self.edge_order: tuple[Edge, ...] = tuple(sorted(net.edges, key=lambda e: e.id))
         self.vehicles_on: dict[str, list[Vehicle]] = {e.id: [] for e in self.edge_order}
 
         # which (junction, axis) guards each signal-controlled edge end
-        self._signalized = net.signalized_junctions()
+        signalized = net.signalized_junctions()
+        self._signal_ids = tuple(j.id for j in signalized)
         self._edge_signal: dict[str, tuple[str, int]] = {}
-        for j in self._signalized:
+        for j in signalized:
             for eid in j.axis_a:
                 self._edge_signal[eid] = (j.id, 0)
             for eid in j.axis_b:
                 self._edge_signal[eid] = (j.id, 1)
+        # (edge, its lane, its guard or None) by edge id, in edge order
+        self._lanes = {e.id: (e, self.vehicles_on[e.id], self._edge_signal.get(e.id)) for e in self.edge_order}
 
-        self.assignment: dict[str, tuple[str, str]] = {j.id: (GREEN, RED) for j in self._signalized}
+        self.assignment: dict[str, tuple[str, str]] = {jid: (GREEN, RED) for jid in self._signal_ids}
 
         self.vehicles: list[Vehicle] = []
         self._pending: list[tuple[float, int]] = []  # (scheduled depart, vid)
+        routes = [tuple(map(net.edge, r.edges)) for r in scenario.routes]
         for vid, (depart, ridx) in enumerate(spawn_schedule(scenario, rng)):
-            route = tuple(net.edge(eid) for eid in scenario.routes[ridx].edges)
-            self.vehicles.append(Vehicle(vid, route, depart))
+            self.vehicles.append(Vehicle(vid, routes[ridx], depart))
             heapq.heappush(self._pending, (depart, vid))
 
         self.inserted_count = 0
@@ -142,35 +153,33 @@ class Simulation:
         self._check_interlock(assignment)
         self.assignment = dict(assignment)
         self._insert_due()
-        rear_snapshot = {
-            eid: (vs[-1].position, vs[-1].speed) if vs else None
-            for eid, vs in self.vehicles_on.items()
-        }
-        self._move_all(rear_snapshot)
-        self._transfer_and_arrive()
+        self._transfer_and_arrive(self._move_all())
         self.clock += DT
 
     def _check_interlock(self, assignment: dict[str, tuple[str, str]]) -> None:
-        for j in self._signalized:
-            if j.id not in assignment:
-                raise InterlockViolation(f"no assignment for signalized junction {j.id}")
-            color_a, color_b = assignment[j.id]
-            if color_a != RED and color_b != RED:
-                raise InterlockViolation(
-                    f"junction {j.id}: both axes non-red ({color_a}, {color_b})"
-                )
+        for jid in self._signal_ids:
+            if assignment.get(jid) not in _LEGAL_PAIRS:
+                if jid not in assignment:
+                    raise InterlockViolation(f"no assignment for signalized junction {jid}")
+                color_a, color_b = assignment[jid]
+                problem = "both axes non-red" if {color_a, color_b} <= {GREEN, YELLOW} else "unknown color in"
+                raise InterlockViolation(f"junction {jid}: {problem} ({color_a}, {color_b})")
+        if len(assignment) > len(self._signal_ids):
+            jid = next(jid for jid in assignment if jid not in self._signal_ids)
+            raise InterlockViolation(f"junction {jid} is not signalized, yet is assigned {assignment[jid]}")
 
     def _insert_due(self) -> None:
+        if not self._pending or self._pending[0][0] > self.clock:
+            return  # nothing due
         blocked: set[str] = set()
         requeue: list[tuple[float, int]] = []
-        min_space = self.params.length + self.params.min_gap
         while self._pending and self._pending[0][0] <= self.clock:
             depart, vid = heapq.heappop(self._pending)
             veh = self.vehicles[vid]
             entry = veh.route[0]
             lane = self.vehicles_on[entry.id]
             free = (lane[-1].position - self.params.length) if lane else math.inf
-            if entry.id in blocked or free < min_space:
+            if entry.id in blocked or free < self.params.length + self.params.min_gap:
                 blocked.add(entry.id)  # keep per-edge FIFO order
                 requeue.append((depart, vid))
                 continue
@@ -180,40 +189,41 @@ class Simulation:
         for item in requeue:
             heapq.heappush(self._pending, item)
 
-    def _move_all(self, rear_snapshot) -> None:
-        p = self.params
-        length, accel_dv, b = p.length, p.accel * DT, p.decel
-        emergency_decel, emergency_dv = p.emergency_decel, p.emergency_decel * DT
-        bt = b * p.tau
-        bt2, two_b = bt * bt, 2.0 * b
-        halt, sqrt, inf = metrics.HALT_SPEED, math.sqrt, math.inf
-        edge_signal, assignment = self._edge_signal, self.assignment
-        for edge in self.edge_order:
-            lane = self.vehicles_on[edge.id]
+    def _move_all(self) -> list[str]:
+        """Move every vehicle; return the ids of the lanes whose head reached its line, in edge order.
+
+        An open line is reached at ``end - _EPS``, a closed one only past ``end``."""
+        length, accel_dv, b, emergency_decel, emergency_dv, bt, bt2, two_b = self._rule
+        dt, halt, sqrt, inf = DT, metrics.HALT_SPEED, math.sqrt, math.inf
+        assignment, vehicles_on = self.assignment, self.vehicles_on
+        rears = {}  # each moved lane's last vehicle as it was before the move: (position, speed)
+        heads = []
+        for eid, (edge, lane, guard) in self._lanes.items():
             if not lane:
                 continue
-            guard = edge_signal.get(edge.id)
             line_open = guard is None or assignment[guard[0]][guard[1]] == GREEN
             end, limit = edge.length, edge.speed_limit
-            leader = None  # already moved this step
+            lead_pos = None  # the in-lane leader's position once it has moved
             for veh in lane:
-                v_prev = veh.speed
+                pos, v_prev = veh.position, veh.speed
                 v_target = v_prev + accel_dv
                 if limit < v_target:
                     v_target = limit
                 # the one obstacle ahead: its speed and the gap to it
                 gap = inf
-                if leader is not None:
-                    lead_speed = leader.speed
-                    gap = leader.position - length - veh.position
+                if lead_pos is not None:
+                    gap = lead_pos - length - pos
                 elif not line_open:  # the stop line stands still
                     lead_speed = 0.0
-                    gap = end - veh.position
+                    gap = end - pos
                 elif veh.edge_index + 1 < len(veh.route):
-                    rear = rear_snapshot[veh.route[veh.edge_index + 1].id]
+                    nid = veh.route[veh.edge_index + 1].id
+                    rear = rears.get(nid)
+                    if rear is None and vehicles_on[nid]:  # not moved yet: its last vehicle is pre-step
+                        rear = (vehicles_on[nid][-1].position, vehicles_on[nid][-1].speed)
                     if rear is not None:  # the next edge's last vehicle
                         lead_speed = rear[1]
-                        gap = (end - veh.position) + rear[0] - length
+                        gap = (end - pos) + rear[0] - length
                 hard_cap = inf
                 if gap < inf:
                     if gap < 0.0:
@@ -222,10 +232,10 @@ class Simulation:
                     v_safe = sqrt(bt2 + lead_speed * lead_speed + two_b * gap) - bt
                     if v_safe < v_target:
                         v_target = v_safe if v_safe > 0.0 else 0.0
-                    hard_cap = gap / DT
+                    hard_cap = gap / dt
 
                 # braking beyond b is an emergency, and is clamped at b_emergency (validated > b > 0)
-                decel = (v_prev - v_target) / DT
+                decel = (v_prev - v_target) / dt
                 if decel > b:
                     if not veh.in_emergency:
                         veh.emergency_stops += 1
@@ -239,37 +249,42 @@ class Simulation:
                 if v_target < 0.0:
                     v_target = 0.0
 
-                veh.position += v_target * DT
-                veh.speed = v_target
+                veh.position = lead_pos = pos + v_target * dt
+                veh.speed = lead_speed = v_target
                 if v_target < halt:
-                    veh.waiting_time += DT
-                veh.time_loss += (1.0 - v_target / limit) * DT
-                leader = veh
+                    veh.waiting_time += dt
+                veh.time_loss += (1.0 - v_target / limit) * dt
+            rears[eid] = (pos, v_prev)  # the last vehicle's, read before it moved
+            head = lane[0].position
+            if head > end or (line_open and head >= end - _EPS):
+                heads.append(eid)
+        return heads
 
-    def _transfer_and_arrive(self) -> None:
+    def _transfer_and_arrive(self, heads: list[str]) -> None:
+        """Carry the lane heads at their line across it, lane by lane in edge order (``heads`` is a heap of ids)."""
         end_clock = self.clock + DT
-        for edge in self.edge_order:
-            lane = self.vehicles_on[edge.id]
+        while heads:
+            edge, lane, _ = self._lanes[heapq.heappop(heads)]
             end = edge.length - _EPS
             while lane and lane[0].position >= end:
-                veh = lane[0]
-                if not self._advance_across(veh, end_clock):
+                if not self._advance_across(lane[0], end_clock, heads):
                     break
                 lane.pop(0)
 
-    def _advance_across(self, veh: Vehicle, end_clock: float) -> bool:
+    def _advance_across(self, veh: Vehicle, end_clock: float, heads: list[str]) -> bool:
         """Carry a vehicle over as many junctions as its displacement reaches.
 
         Returns False when the vehicle must hold at its current stop line
         (non-green axis, or no room on the target edge), True when it left
-        its original edge (arrival or transfer).
+        its original edge (arrival or transfer).  Held at the line of a lane
+        later in edge order, it puts that lane on ``heads`` to be tried again.
         """
+        origin = veh.edge.id
         moved = False
         while veh.position >= veh.edge.length - _EPS:
             edge = veh.edge
             if self.edge_color(edge) != GREEN:
-                self._hold_at_line(veh)
-                return moved
+                break
             if veh.edge_index + 1 == len(veh.route):
                 veh.arrived_at = end_clock
                 self.arrived_count += 1
@@ -282,8 +297,7 @@ class Simulation:
             if target_lane:
                 max_front = target_lane[-1].position - self.params.length
                 if max_front < 0.0:
-                    self._hold_at_line(veh)
-                    return moved
+                    break
                 if overshoot > max_front:
                     overshoot = max_front
             if moved:
@@ -294,6 +308,11 @@ class Simulation:
                 veh.speed = nxt.speed_limit
             target_lane.append(veh)
             moved = True
+        else:
+            return moved
+        self._hold_at_line(veh)  # a non-green line, or no room past it
+        if veh.edge.id > origin:
+            heapq.heappush(heads, veh.edge.id)
         return moved
 
     def _hold_at_line(self, veh: Vehicle) -> None:

@@ -5,6 +5,7 @@ one-sample form of a batched computation) and shares no code with what it
 checks, so a bug in the implementation cannot hide in its own oracle.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -12,6 +13,9 @@ import numpy as np
 
 from greenlight import dqn, metrics, qnet
 from greenlight.netmodel import DT, GREEN, RED
+from greenlight.simcore import InterlockViolation
+
+EPS = 1e-9  # m: a vehicle this close to its line counts as at it
 
 
 def straight_line_forward(sizes, weights, biases, x):
@@ -279,6 +283,104 @@ def record_step(tracker, speed, allowed_speed, dt):
     if speed < metrics.HALT_SPEED:
         tracker.waiting_time += dt
     tracker.time_loss += (1.0 - speed / allowed_speed) * dt
+
+
+def step(sim, assignment):
+    """One ``Simulation.step`` the long way: every edge snapshotted, moved and swept for transfers.
+
+    The interlock check, then insertion, then a snapshot of every edge's last
+    vehicle, then ``move_all`` against it, then a transfer sweep over every
+    edge in edge order, each lane head at or past its line carried across by
+    ``advance_across``.
+    """
+    for j in sim.scenario.network.signalized_junctions():
+        if j.id not in assignment:
+            raise InterlockViolation(f"no assignment for signalized junction {j.id}")
+        color_a, color_b = assignment[j.id]
+        if color_a != RED and color_b != RED:
+            raise InterlockViolation(f"junction {j.id}: both axes non-red ({color_a}, {color_b})")
+    sim.assignment = dict(assignment)
+    insert_due(sim)
+    rear_snapshot = {eid: (vs[-1].position, vs[-1].speed) if vs else None for eid, vs in sim.vehicles_on.items()}
+    move_all(sim, rear_snapshot)
+    end_clock = sim.clock + DT
+    for edge in sim.edge_order:
+        lane = sim.vehicles_on[edge.id]
+        while lane and lane[0].position >= edge.length - EPS:
+            if not advance_across(sim, lane[0], end_clock):
+                break
+            lane.pop(0)
+    sim.clock += DT
+
+
+def insert_due(sim):
+    """Insert every vehicle due by now whose entry edge has room, keeping each edge's queue in order."""
+    blocked, requeue = set(), []
+    while sim._pending and sim._pending[0][0] <= sim.clock:
+        depart, vid = heapq.heappop(sim._pending)
+        veh = sim.vehicles[vid]
+        lane = sim.vehicles_on[veh.route[0].id]
+        free = (lane[-1].position - sim.params.length) if lane else math.inf
+        if veh.route[0].id in blocked or free < sim.params.length + sim.params.min_gap:
+            blocked.add(veh.route[0].id)
+            requeue.append((depart, vid))
+            continue
+        veh.actual_depart = sim.clock
+        lane.append(veh)
+        sim.inserted_count += 1
+    for item in requeue:
+        heapq.heappush(sim._pending, item)
+
+
+def advance_across(sim, veh, end_clock):
+    """Carry a vehicle over every junction its displacement reaches; False if it holds at its own line."""
+    moved = False
+    while veh.position >= veh.route[veh.edge_index].length - EPS:
+        edge = veh.route[veh.edge_index]
+        if sim.edge_color(edge) != GREEN:
+            hold_at_line(sim, veh)
+            return moved
+        if veh.edge_index + 1 == len(veh.route):
+            veh.arrived_at = end_clock
+            sim.arrived_count += 1
+            if moved:
+                sim.vehicles_on[edge.id].remove(veh)
+            return True
+        nxt = veh.route[veh.edge_index + 1]
+        overshoot = veh.position - edge.length
+        target_lane = sim.vehicles_on[nxt.id]
+        if target_lane:
+            max_front = target_lane[-1].position - sim.params.length
+            if max_front < 0.0:
+                hold_at_line(sim, veh)
+                return moved
+            overshoot = min(overshoot, max_front)
+        if moved:
+            sim.vehicles_on[edge.id].remove(veh)
+        veh.edge_index += 1
+        veh.position = overshoot
+        veh.speed = min(veh.speed, nxt.speed_limit)
+        target_lane.append(veh)
+        moved = True
+    return moved
+
+
+def hold_at_line(sim, veh):
+    """Pin a vehicle past its line at the line, standing, and pack its followers up to it."""
+    edge = veh.route[veh.edge_index]
+    if veh.position <= edge.length:
+        return
+    veh.position = edge.length
+    veh.speed = 0.0
+    lane = sim.vehicles_on[edge.id]
+    ahead = veh
+    for follower in lane[lane.index(veh) + 1 :]:
+        limit = ahead.position - sim.params.length
+        if follower.position <= limit:
+            break
+        follower.position = limit
+        follower.speed = 0.0
+        ahead = follower
 
 
 def move_all(sim, rear_snapshot):

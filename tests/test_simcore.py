@@ -186,6 +186,31 @@ def test_queue_forms_without_collisions(single_scenario):
     assert all(v.speed < 0.5 for v in lane)
 
 
+def test_interlock_rejects_an_unknown_color_state_unchanged(single_scenario):
+    sim = _empty_sim(single_scenario)
+    veh = _place(sim, ["n_in", "s_out"], position=50.0, speed=10.0)
+    with pytest.raises(InterlockViolation, match=r"junction c: unknown color in \(blue, red\)"):
+        sim.step({"c": ("blue", RED)})
+    assert veh.position == 50.0 and veh.speed == 10.0 and sim.clock == 0.0
+    assert sim.assignment == {"c": (GREEN, RED)}
+
+
+def test_interlock_rejects_an_unsignalized_junction_state_unchanged(single_scenario):
+    sim = _empty_sim(single_scenario)
+    veh = _place(sim, ["n_in", "s_out"], position=50.0, speed=10.0)
+    with pytest.raises(InterlockViolation, match=r"junction nope is not signalized.*'green', 'green'"):
+        sim.step({"c": (GREEN, RED), "nope": (GREEN, GREEN)})
+    assert veh.position == 50.0 and veh.speed == 10.0 and sim.clock == 0.0
+    assert sim.assignment == {"c": (GREEN, RED)}
+
+
+def test_interlock_rejects_yellow_on_both_axes(single_scenario):
+    sim = _empty_sim(single_scenario)
+    with pytest.raises(InterlockViolation, match=r"junction c: both axes non-red \(yellow, yellow\)"):
+        sim.step({"c": (YELLOW, YELLOW)})
+    assert sim.clock == 0.0
+
+
 def test_insertion_blocked_until_gap_clears(single_scenario):
     sim = _empty_sim(single_scenario)
     blocker = _place(sim, ["n_in", "s_out"], position=6.0, speed=0.0)
@@ -269,30 +294,75 @@ def _vehicle_states(sim):
     return lanes, fields
 
 
-@settings(max_examples=30, deadline=None)
-@given(
+def _step_with_oracle_twin(sim, assignments) -> None:
+    """Step ``sim`` and a deep copy driven by ``oracles.step`` alike; they must agree bit for bit after each step."""
+    twin = copy.deepcopy(sim)
+    twin.step = functools.partial(oracles.step, twin)
+    for assignment in assignments:
+        sim.step(assignment)
+        twin.step(assignment)
+        assert _vehicle_states(sim) == _vehicle_states(twin)
+        assert (sim.clock, sim.arrived_count) == (twin.clock, twin.arrived_count)
+
+
+def _assert_steps_equal_the_oracle(scenario, seed, demand, switch, steps) -> None:
+    """Step the scenario, its demand scaled, under random legal colors, against its ``oracles.step`` twin."""
+    routes = tuple(dataclasses.replace(r, rate=r.rate * demand) for r in scenario.routes)
+    sim = Simulation(dataclasses.replace(scenario, routes=routes), make_rng(seed))
+    junctions = [j.id for j in sim.scenario.network.signalized_junctions()]
+    rng = np.random.default_rng(seed)
+
+    def assignments():
+        assignment = {jid: (GREEN, RED) for jid in junctions}
+        for _ in range(steps):
+            for jid in junctions:  # random legal colors, held for a random while; a green may end in red
+                if rng.random() < switch:
+                    assignment[jid] = LEGAL_COLORS[int(rng.integers(0, len(LEGAL_COLORS)))]
+            yield assignment
+
+    _step_with_oracle_twin(sim, assignments())
+
+
+def _reverse_edge_ids(scenario):
+    """The scenario with its edges renamed in reverse of edge order.
+
+    ``scenario_gen``'s routes run up edge order (``main_0`` feeds ``main_1``),
+    so a lane head reads a next edge that has not moved yet; renamed, it reads
+    one that has moved already.
+    """
+    ids = sorted(e.id for e in scenario.network.edges)
+    new = {eid: f"e{len(ids) - k:03d}" for k, eid in enumerate(ids)}
+    network = netmodel.Network(
+        junctions=tuple(
+            dataclasses.replace(j, axis_a=tuple(map(new.get, j.axis_a)), axis_b=tuple(map(new.get, j.axis_b)))
+            for j in scenario.network.junctions
+        ),
+        edges=tuple(dataclasses.replace(e, id=new[e.id]) for e in scenario.network.edges),
+    )
+    routes = tuple(dataclasses.replace(r, edges=tuple(map(new.get, r.edges))) for r in scenario.routes)
+    return dataclasses.replace(scenario, network=network, routes=routes)
+
+
+STEP_CASES = dict(
     seed=st.integers(0, 10_000),
     demand=st.floats(1.0, 8.0),
     switch=st.floats(0.05, 1.0),
     steps=st.integers(1, 200),
 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(**STEP_CASES)
 def test_step_equals_the_scalar_oracle_bit_for_bit(seed, demand, switch, steps):
-    """The flat move loop leaves every vehicle as the scalar helpers would, to the last bit."""
-    scenario = scenario_gen.random_scenario(seed)
-    routes = tuple(dataclasses.replace(r, rate=r.rate * demand) for r in scenario.routes)
-    sim = Simulation(dataclasses.replace(scenario, routes=routes), make_rng(seed))
-    twin = copy.deepcopy(sim)
-    twin._move_all = functools.partial(oracles.move_all, twin)
-    junctions = [j.id for j in sim.scenario.network.signalized_junctions()]
-    rng = np.random.default_rng(seed)
-    assignment = {jid: (GREEN, RED) for jid in junctions}
-    for _ in range(steps):
-        for jid in junctions:  # random legal colors, held for a random while; a green may end in red
-            if rng.random() < switch:
-                assignment[jid] = LEGAL_COLORS[int(rng.integers(0, len(LEGAL_COLORS)))]
-        sim.step(assignment)
-        twin.step(assignment)
-        assert _vehicle_states(sim) == _vehicle_states(twin)
+    """The step leaves every vehicle as the scalar whole-step oracle would, to the last bit."""
+    _assert_steps_equal_the_oracle(scenario_gen.random_scenario(seed), seed, demand, switch, steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**STEP_CASES)
+def test_step_equals_the_scalar_oracle_when_each_next_edge_moves_first(seed, demand, switch, steps):
+    """As above, with every lane head reading the pre-step rear of a lane that has already moved."""
+    _assert_steps_equal_the_oracle(_reverse_edge_ids(scenario_gen.random_scenario(seed)), seed, demand, switch, steps)
 
 
 def test_conservation_identity_every_step(single_scenario):
@@ -303,3 +373,89 @@ def test_conservation_identity_every_step(single_scenario):
         sim.step(ALL_GREEN_A)
         assert sim.inserted_count == scenario_gen.on_network_count(sim) + sim.arrived_count
         assert spawned == sim.inserted_count + scenario_gen.pending_count(sim)
+
+
+# --- rare branches of the transfer pass, each checked against the whole-step oracle ---
+
+
+def _corridor_sim(edges, vehicle_length=PARAMS.length) -> Simulation:
+    """An unsignalized corridor of ``(edge id, length)`` pairs, j0 -> j1 -> ..., every limit 20 m/s, no demand."""
+    network = netmodel.Network(
+        junctions=tuple(netmodel.Junction(f"j{k}") for k in range(len(edges) + 1)),
+        edges=tuple(netmodel.Edge(eid, f"j{k}", f"j{k + 1}", length, 20.0) for k, (eid, length) in enumerate(edges)),
+    )
+    scenario = netmodel.Scenario(
+        network=network,
+        routes=(netmodel.Route(tuple(eid for eid, _ in edges), 0.0),),
+        duration=100.0,
+        vehicle=dataclasses.replace(PARAMS, length=vehicle_length),
+        seed=0,
+    )
+    return Simulation(scenario, make_rng(0))
+
+
+def test_a_head_past_a_red_line_is_pinned_and_its_followers_repacked(single_scenario):
+    sim = _empty_sim(single_scenario)
+    head = _place(sim, ["n_in", "s_out"], position=204.0, speed=0.0)
+    second = _place(sim, ["n_in", "s_out"], position=198.5, speed=3.0)
+    third = _place(sim, ["n_in", "s_out"], position=192.0, speed=6.0)
+    _step_with_oracle_twin(sim, [ALL_GREEN_B])  # n_in is red
+    assert [(v.position, v.speed) for v in (head, second, third)] == [(200.0, 0.0), (195.0, 0.0), (190.0, 0.0)]
+    _step_with_oracle_twin(sim, [ALL_GREEN_B] * 3 + [ALL_GREEN_A] * 5)
+    assert head.edge_index == 1
+
+
+def test_a_full_target_lane_holds_the_head_at_its_green_line(single_scenario):
+    sim = _empty_sim(single_scenario)
+    blocker = _place(sim, ["s_out"], position=2.0, speed=0.0)
+    head = _place(sim, ["n_in", "s_out"], position=202.0, speed=0.0)
+    follower = _place(sim, ["n_in", "s_out"], position=196.5, speed=0.0)
+    _step_with_oracle_twin(sim, [ALL_GREEN_A])
+    assert blocker.position == pytest.approx(4.6)  # 0.4 m short of room for one more vehicle
+    assert (head.edge_index, head.position, head.speed) == (0, 200.0, 0.0)
+    assert (follower.position, follower.speed) == (195.0, 0.0)
+    _step_with_oracle_twin(sim, [ALL_GREEN_A] * 5)
+    assert sim.vehicles_on["s_out"][:2] == [blocker, head]
+
+
+def test_a_head_reads_the_pre_step_rear_of_a_lane_moved_before_it(single_scenario):
+    sim = _empty_sim(single_scenario)
+    ahead = _place(sim, ["n_out"], position=3.0, speed=5.0)  # n_out moves before s_in
+    veh = _place(sim, ["s_in", "n_out"], position=195.0, speed=10.0)
+    _step_with_oracle_twin(sim, [ALL_GREEN_A])
+    assert ahead.position == pytest.approx(10.6)
+    # 3 m to that rear as it stood before the step: the safe speed is 4 m/s, the wall caps the move at 3 m
+    assert (veh.position, veh.speed, veh.emergency_stops) == (198.0, 3.0, 1)
+
+
+def test_one_step_carries_a_vehicle_across_a_short_edge_and_a_second_junction():
+    sim = _corridor_sim([("e0", 200.0), ("e1", 10.0), ("e2", 200.0)])
+    veh = _place(sim, ["e0", "e1", "e2"], position=195.0, speed=16.0)
+    _step_with_oracle_twin(sim, [{}])
+    assert veh.edge_index == 2 and veh.position == pytest.approx(195.0 + 18.6 - 210.0)
+    assert sim.vehicles_on == {"e0": [], "e1": [], "e2": [veh]}
+    _step_with_oracle_twin(sim, [{}] * 3)
+
+
+def test_one_step_carries_a_vehicle_across_a_short_last_edge_to_its_arrival():
+    sim = _corridor_sim([("e0", 200.0), ("e1", 10.0), ("e2", 200.0)])
+    veh = _place(sim, ["e0", "e1"], position=195.0, speed=16.0)
+    follower = _place(sim, ["e0", "e1"], position=150.0, speed=16.0)
+    _step_with_oracle_twin(sim, [{}])
+    assert veh.arrived_at == 1.0 and sim.arrived_count == 1
+    assert sim.vehicles_on == {"e0": [follower], "e1": [], "e2": []}
+    _step_with_oracle_twin(sim, [{}] * 4)
+    assert follower.arrived_at is not None
+
+
+def test_a_vehicle_held_at_a_later_lane_is_tried_again_at_that_lanes_turn():
+    # edge order a < b < c < d; the route runs a -> c -> b -> d, and 12 m vehicles fill the 10 m edge b
+    sim = _corridor_sim([("a", 200.0), ("c", 10.0), ("b", 10.0), ("d", 200.0)], vehicle_length=12.0)
+    veh = _place(sim, ["a", "c", "b", "d"], position=195.0, speed=16.0)
+    w = _place(sim, ["b", "d"], position=10.0, speed=0.0)
+    _place(sim, ["d"], position=12.5, speed=10.0)
+    _step_with_oracle_twin(sim, [{}])
+    # at a's turn, veh crosses c and holds at c's line, as w fills b; at b's turn w leaves for d,
+    # so at c's turn veh enters b
+    assert w.edge_index == 1
+    assert (veh.edge_index, veh.position, veh.speed) == (2, 0.0, 0.0)
