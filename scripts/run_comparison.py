@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from greenlight import dqn, harness, metrics  # noqa: E402
+from greenlight import dqn, harness, metrics, netmodel  # noqa: E402
 
 
 def parse_seed_range(raw: str) -> list[int]:
@@ -46,14 +46,15 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
-    # both configs check their values here, before any training or output
+    # the scenario, its hyperparameters and both configs are checked here, before any training or output
     try:
         eval_seeds = parse_seed_range(args.eval_seeds)
+        harness.resolve_hyperparams(netmodel.load_scenario(Path(args.scenario).read_text(encoding="utf-8")))
         train_config = harness.TrainConfig(
             scenario_path=args.scenario, episodes=args.episodes, seed=args.seed, reward_mode=args.reward_mode
         )
         eval_config = harness.EvalConfig(scenario_path=args.scenario, controller="fixed", seeds=eval_seeds)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,26 +20,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
-def _parse_value(raw: str):
-    """An int or float where ``raw`` reads as one, else the string for ``Hyperparams`` to reject."""
-    for kind in (int, float):
-        try:
-            return kind(raw)
-        except ValueError:
-            pass
-    return raw
-
-
 def _parse_hp(pairs: list[str]) -> dict:
+    """``--hp key=value`` pairs as the ``train`` block would hold them: each value is read as JSON, and
+    ``hidden``'s as the body of a JSON list.  A value that is not JSON stays a string, for the reader to reject."""
     overrides: dict = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--hp expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
-        if key == "hidden":
-            overrides[key] = [_parse_value(x) for x in raw.split(",") if x]
-        else:
-            overrides[key] = _parse_value(raw)
+        try:
+            overrides[key] = json.loads(f"[{raw}]" if key == "hidden" else raw)
+        except json.JSONDecodeError:
+            overrides[key] = raw
     return overrides
 
 

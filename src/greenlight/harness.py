@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dqn, metrics, qnet
 from .controllers import REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
 from .dqn import ReplayBuffer
-from .netmodel import DT, GREEN, RED, Junction, Scenario, is_whole_steps, load_scenario
+from .netmodel import DT, GREEN, RED, Junction, Scenario, is_whole_steps, load_scenario, read_record
 from .simcore import Simulation
 
 
@@ -52,6 +52,8 @@ def _generator(*entropy: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """The DQN's training hyperparameters, read as a record; ``__post_init__`` checks only their ranges."""
+
     gamma: float = 0.95
     buffer_capacity: int = 10_000
     batch_size: int = 32
@@ -63,44 +65,25 @@ class Hyperparams:
     warmup: int = 500
     decision_interval: float = 5.0
     hidden: tuple[int, ...] = (64, 64)
-    _COUNTS = {"buffer_capacity": 1, "batch_size": 1, "target_sync": 1, "warmup": 0}  # smallest allowed
-    _FRACTIONS = ("gamma", "eps_start", "eps_final", "eps_fraction")  # must lie in [0, 1]
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "hidden":
-                if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"hyperparameter hidden: expected a list of layer widths, got {value!r}")
-                value = tuple(integer_at_least(h, 1, "hyperparameter hidden") for h in value)
-            elif f.name in self._COUNTS:
-                value = integer_at_least(value, self._COUNTS[f.name], f"hyperparameter {f.name}")
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"hyperparameter {f.name}: expected a number, got {value!r}")
-            elif f.name in self._FRACTIONS and not 0.0 <= value <= 1.0:
-                raise ValueError(f"hyperparameter {f.name}: expected a number in [0, 1], got {value!r}")
-            object.__setattr__(self, f.name, value)
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"hyperparameter lr: expected a finite number above 0, got {self.lr!r}")
-        if not is_whole_steps(self.decision_interval):
-            raise ValueError(
-                f"hyperparameter decision_interval: {self.decision_interval} is not a positive multiple of {DT} s"
-            )
-
-    def with_overrides(self, overrides: dict) -> "Hyperparams":
-        known = {f.name for f in fields(self)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
-        return replace(self, **overrides)
+        fractions = ("gamma", "eps_start", "eps_final", "eps_fraction")
+        rules = [
+            *((key, 0.0 <= getattr(self, key) <= 1.0, "in [0, 1]") for key in fractions),
+            ("lr", self.lr > 0.0, "above 0"),
+            *((key, getattr(self, key) >= 1, "at least 1") for key in ("buffer_capacity", "batch_size", "target_sync")),
+            ("warmup", self.warmup >= 0, "at least 0"),
+            ("hidden", all(width >= 1 for width in self.hidden), "widths of at least 1"),
+            ("decision_interval", is_whole_steps(self.decision_interval), f"a positive multiple of {DT} s"),
+        ]
+        for key, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"hyperparameters: {key!r} must be {rule}, got {getattr(self, key)!r}")
 
 
 def resolve_hyperparams(scenario: Scenario, overrides: dict | None = None) -> Hyperparams:
-    """Defaults, overlaid by the scenario's train block, then CLI overrides."""
-    hp = Hyperparams().with_overrides(scenario.train)
-    if overrides:
-        hp = hp.with_overrides(overrides)
-    return hp
+    """Defaults, overlaid key by key by the scenario's train block, then by ``overrides`` (the CLI's ``--hp``)."""
+    return read_record(Hyperparams, {**scenario.train, **(overrides or {})}, "hyperparameters", ValueError)
 
 
 @dataclass
@@ -472,7 +455,7 @@ def compare(baseline: metrics.RunReport, candidate: metrics.RunReport) -> dict:
         "baseline": baseline.controller,
         "candidate": candidate.controller,
         "metrics": {
-            key: change_entry(baseline.summaries[key].mean, candidate.summaries[key].mean)
+            key: change_entry(getattr(baseline.summaries, key).mean, getattr(candidate.summaries, key).mean)
             for key in metrics.METRIC_KEYS
         },
         "es_per_episode": change_entry(baseline.es_per_episode.mean, candidate.es_per_episode.mean),

@@ -14,15 +14,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .netmodel import check_keys, read_record, write_record
+from .netmodel import read_record, write_record
 
 #: Speed below which a vehicle counts as halted (SUMO convention), m/s.
 HALT_SPEED = 0.1
-
-#: Metric order used everywhere a report is laid out.
-METRIC_KEYS = ("wt", "tl", "es", "dd")
 
 
 class ReportFormatError(ValueError):
@@ -62,6 +59,20 @@ class StatSummary:
 EMPTY_SUMMARY = StatSummary(0.0, 0.0, 0.0, 0.0, 0)
 
 
+@dataclass(frozen=True)
+class Summaries:
+    """One summary per metric over the per-vehicle population, named as ``VehicleMetrics`` names the metric."""
+
+    wt: StatSummary
+    tl: StatSummary
+    es: StatSummary
+    dd: StatSummary
+
+
+#: Metric order used everywhere a report is laid out.
+METRIC_KEYS = tuple(f.name for f in fields(Summaries))
+
+
 @dataclass
 class EpisodeTotals:
     """Whole-run totals for one evaluation episode (one seed)."""
@@ -82,7 +93,7 @@ class RunReport:
     controller: str
     scenario_id: str
     seeds: list[int]
-    summaries: dict[str, StatSummary]  # per METRIC_KEYS, per-vehicle population
+    summaries: Summaries  # per-vehicle population
     es_per_episode: StatSummary  # emergency-stop totals, one value per episode
     episodes: list[EpisodeTotals]
     vehicles: list[VehicleMetrics]
@@ -143,8 +154,8 @@ def build_report(
     """
     departed = [v for v in vehicles if not v.never_departed]
     # float(): an integer es would print its min and max as 2, not 2.0
-    per_metric = {k: [float(getattr(v, k)) for v in departed] for k in METRIC_KEYS}
-    summaries = {k: aggregate(vals) if vals else EMPTY_SUMMARY for k, vals in per_metric.items()}
+    per_metric = ([float(getattr(v, k)) for v in departed] for k in METRIC_KEYS)
+    summaries = Summaries(*(aggregate(vals) if vals else EMPTY_SUMMARY for vals in per_metric))
     es_totals = [float(ep.emergency_stops) for ep in episodes]
     return RunReport(
         controller=controller,
@@ -183,9 +194,7 @@ def report_from_json(text: str) -> RunReport:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"report is not valid JSON: {exc}") from exc
-    report = read_record(RunReport, doc, "report", ReportFormatError)
-    check_keys(report.summaries, METRIC_KEYS, "summaries", ReportFormatError)
-    return report
+    return read_record(RunReport, doc, "report", ReportFormatError)
 
 
 def report_csv(report: RunReport) -> str:
@@ -206,7 +215,7 @@ def summary_csv(reports: list[RunReport]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["statistic", *(f"{r.controller}_{k}" for r in reports for k in METRIC_KEYS)])
-    columns = [write_record(r.summaries[k]) for r in reports for k in METRIC_KEYS]
+    columns = [write_record(getattr(r.summaries, k)) for r in reports for k in METRIC_KEYS]
     for stat in ("mean", "sd", "min", "max"):
         writer.writerow([stat, *(column[stat] for column in columns)])
     return out.getvalue()

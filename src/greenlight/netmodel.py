@@ -280,19 +280,6 @@ _VALUE_TYPES = {
 }
 
 
-def check_keys(doc, keys, where: str, error: type[ValueError], optional=()) -> None:
-    """Raise ``error`` naming ``where`` unless ``doc`` is an object with every key in ``keys``
-    and no key outside ``keys`` and ``optional``."""
-    if not isinstance(doc, dict):
-        raise error(f"{where}: expected an object, got {type(doc).__name__}")
-    for key in keys:
-        if key not in doc:
-            raise error(f"{where}: missing key {key!r}")
-    unknown = sorted(set(doc).difference(keys, optional))
-    if unknown:
-        raise error(f"{where}: unknown key {unknown[0]!r}")
-
-
 @functools.cache
 def _record_fields(cls) -> tuple[tuple[str, str, object, bool], ...]:
     """(field name, JSON key, resolved annotation, required) for each init field of a record class."""
@@ -312,10 +299,17 @@ def _record_reader(cls, error: type[ValueError]):
     """
     spec = [(name, key, _field_reader(hint, error)) for name, key, hint, _ in _record_fields(cls)]
     required = [key for _, key, _, needed in _record_fields(cls) if needed]
-    optional = [key for _, key, _, needed in _record_fields(cls) if not needed]
+    known = {key for _, key, _ in spec}
 
     def read(doc, where: str, prefix: str):
-        check_keys(doc, required, where, error, optional)
+        if not isinstance(doc, dict):
+            raise error(f"{where}: expected an object, got {type(doc).__name__}")
+        for key in required:
+            if key not in doc:
+                raise error(f"{where}: missing key {key!r}")
+        unknown = sorted(doc.keys() - known)
+        if unknown:
+            raise error(f"{where}: unknown key {unknown[0]!r}")
         return cls(**{name: read_field(doc[key], where, key, prefix) for name, key, read_field in spec if key in doc})
 
     return read

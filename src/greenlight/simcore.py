@@ -319,9 +319,13 @@ class Simulation:
         """Pin a vehicle at its edge end and re-pack any followers behind it.
 
         Positions past the line only arise through odd corners (e.g. two green
-        edges feeding one target edge in the same step); re-packing never moves
-        a vehicle behind its pre-step position, so positions stay monotone and
-        overlap-free.
+        edges feeding one target edge in the same step).  If the head started
+        the step at or before its line, which the simulator's own steps keep
+        (a pin sets it to the line exactly), re-packing never moves a vehicle
+        behind its pre-step position, so positions stay monotone and
+        overlap-free.  A head placed past its line by hand breaks this: in
+        ``test_a_head_past_a_red_line_is_pinned_and_its_followers_repacked``
+        its follower moves back.
         """
         if veh.position <= veh.edge.length:
             return

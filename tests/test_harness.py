@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import MIXED_SCENARIO, SCENARIOS, make_rng
-from greenlight import cli, dqn, harness, metrics, qnet
+from greenlight import cli, dqn, harness, metrics, netmodel, qnet
 from greenlight.harness import EvalConfig, Hyperparams, TrainConfig, WeightsMismatchError
-from greenlight.metrics import RunReport, StatSummary
+from greenlight.metrics import RunReport, StatSummary, Summaries
 
 
 @pytest.fixture(scope="module")
@@ -25,18 +25,23 @@ def short_scenario(tmp_path_factory) -> str:
     return str(path)
 
 
+def _hp(overrides: dict) -> Hyperparams:
+    """The hyperparameters of a scenario without a ``train`` block, under ``overrides``."""
+    return harness.resolve_hyperparams(netmodel.load_scenario((SCENARIOS / "single.xn").read_text()), overrides)
+
+
 def test_hyperparams_overrides_and_unknown_keys():
-    hp = Hyperparams().with_overrides({"lr": 0.01, "hidden": [32, 32]})
+    hp = _hp({"lr": 0.01, "hidden": [32, 32]})
     assert hp.lr == 0.01 and hp.hidden == (32, 32)
     with pytest.raises(ValueError):
-        Hyperparams().with_overrides({"learning_rate": 0.01})
+        _hp({"learning_rate": 0.01})
 
 
 def test_hyperparams_decision_interval_must_be_whole_steps(tmp_path, single_text):
     for bad in (2.5, 0.0, -5.0):
         with pytest.raises(ValueError, match="decision_interval"):
-            Hyperparams().with_overrides({"decision_interval": bad})
-    assert Hyperparams().with_overrides({"decision_interval": 3}).decision_interval == 3
+            _hp({"decision_interval": bad})
+    assert _hp({"decision_interval": 3}).decision_interval == 3
     doc = json.loads(single_text)
     doc["train"] = {"decision_interval": 2.5}
     path = tmp_path / "bad_interval.xn"
@@ -47,9 +52,9 @@ def test_hyperparams_decision_interval_must_be_whole_steps(tmp_path, single_text
 
 def test_hyperparams_non_numeric_value_names_the_key(tmp_path, short_scenario, capsys):
     with pytest.raises(ValueError, match="lr"):
-        Hyperparams().with_overrides({"lr": "abc"})
+        _hp({"lr": "abc"})
     with pytest.raises(ValueError, match="warmup"):
-        Hyperparams().with_overrides({"warmup": True})
+        _hp({"warmup": True})
     rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
                    "--weights-out", str(tmp_path / "w.json"), "--hp", "lr=abc"])
     assert rc == 1
@@ -61,19 +66,21 @@ def test_hyperparams_non_numeric_value_names_the_key(tmp_path, short_scenario, c
 @pytest.mark.parametrize("bad", [[64.5, 32.9], [True, 2], [64, 0], [-8], ["64"], 64, "64,64"])
 def test_hyperparams_hidden_must_be_positive_integers(bad):
     with pytest.raises(ValueError, match="hidden"):
-        Hyperparams().with_overrides({"hidden": bad})
+        _hp({"hidden": bad})
 
 
 def test_hyperparams_integral_values_become_ints():
-    hp = Hyperparams().with_overrides({"hidden": [64.0, 32], "buffer_capacity": 100.0, "batch_size": 16})
-    assert hp.hidden == (64, 32) and all(type(h) is int for h in hp.hidden)
-    assert hp.buffer_capacity == 100 and type(hp.buffer_capacity) is int
+    """Whole floats in integer hyperparameters no longer become ints: they are rejected, as in every other record."""
+    with pytest.raises(ValueError, match=r"^hyperparameters: 'hidden\[0\]' must be an integer, got 64\.0$"):
+        _hp({"hidden": [64.0, 32], "batch_size": 16})
+    with pytest.raises(ValueError, match=r"^hyperparameters: 'buffer_capacity' must be an integer, got 100\.0$"):
+        _hp({"buffer_capacity": 100.0, "batch_size": 16})
 
 
 @pytest.mark.parametrize("key, bad", [("buffer_capacity", 100.5), ("batch_size", 0), ("target_sync", True)])
 def test_hyperparams_counts_must_be_positive_integers(key, bad):
     with pytest.raises(ValueError, match=key):
-        Hyperparams().with_overrides({key: bad})
+        _hp({key: bad})
 
 
 @pytest.mark.parametrize(
@@ -84,15 +91,50 @@ def test_hyperparams_counts_must_be_positive_integers(key, bad):
 )
 def test_hyperparams_out_of_range_names_the_key(key, bad):
     with pytest.raises(ValueError, match=key):
-        Hyperparams().with_overrides({key: bad})
+        _hp({key: bad})
 
 
 def test_hyperparams_range_bounds_are_accepted_unrounded():
-    hp = Hyperparams().with_overrides(
-        {"gamma": 1, "eps_start": 0.0, "eps_final": 0, "eps_fraction": 1.0, "lr": 1e-9, "warmup": 0}
-    )
+    hp = _hp({"gamma": 1, "eps_start": 0.0, "eps_final": 0, "eps_fraction": 1.0, "lr": 1e-9, "warmup": 0})
     assert (hp.gamma, hp.eps_start, hp.eps_final, hp.eps_fraction, hp.lr, hp.warmup) == (1, 0.0, 0, 1.0, 1e-9, 0)
-    assert Hyperparams().with_overrides({"warmup": 20.0}).warmup == 20
+    with pytest.raises(ValueError, match=r"^hyperparameters: 'warmup' must be an integer, got 20\.0$"):
+        _hp({"warmup": 20.0})
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [("gamma", -3, "'gamma' must be in [0, 1], got -3.0"), ("lr", 0, "'lr' must be above 0, got 0.0"),
+     ("batch_size", 0, "'batch_size' must be at least 1, got 0"), ("warmup", -1, "'warmup' must be at least 0, got -1"),
+     ("hidden", [64, 0], "'hidden' must be widths of at least 1, got (64, 0)"),
+     ("decision_interval", 2.5, "'decision_interval' must be a positive multiple of 1.0 s, got 2.5")],
+)
+def test_hyperparams_range_faults_have_one_message_form(key, bad, message):
+    with pytest.raises(ValueError) as err:
+        _hp({key: bad})
+    assert str(err.value) == f"hyperparameters: {message}"
+
+
+def test_hp_overrides_win_over_the_train_block_key_by_key():
+    scenario = netmodel.load_scenario(MIXED_SCENARIO.read_text())
+    hp = harness.resolve_hyperparams(scenario, cli._parse_hp(["warmup=7"]))
+    assert (hp.warmup, hp.buffer_capacity, hp.target_sync) == (7, 200, 50)
+    assert scenario.train == {"warmup": 100, "buffer_capacity": 200, "target_sync": 50}  # still partial, as read
+
+
+@pytest.mark.parametrize("key, raw, value", [("lr", "abc", "abc"), ("warmup", "20.0", 20.0), ("gamma", "-3", -3),
+                                             ("hidden", "16,0", [16, 0]), ("hidden", "a,b", "a,b")])
+def test_a_bad_value_in_the_train_block_and_in_hp_gives_one_message(tmp_path, single_text, key, raw, value):
+    doc = json.loads(single_text)
+    doc["train"] = {key: value}
+    path = tmp_path / "bad_train.xn"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as from_block:
+        harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0))
+    with pytest.raises(ValueError) as from_hp:
+        harness.train(TrainConfig(scenario_path=str(SCENARIOS / "single.xn"), episodes=1, seed=0,
+                                  hp_overrides=cli._parse_hp([f"{key}={raw}"])))
+    assert str(from_block.value) == str(from_hp.value)
+    assert str(from_block.value).startswith(f"hyperparameters: '{key}")
 
 
 def test_cli_out_of_range_override_names_the_key(tmp_path, short_scenario, capsys):
@@ -415,7 +457,7 @@ def test_eval_seed_order_changes_layout_not_results(short_scenario):
     by_seed_fwd = {ep.seed: ep.emergency_stops for ep in fwd.episodes}
     by_seed_rev = {ep.seed: ep.emergency_stops for ep in rev.episodes}
     assert by_seed_fwd == by_seed_rev
-    assert fwd.summaries["wt"].mean == pytest.approx(rev.summaries["wt"].mean)
+    assert fwd.summaries.wt.mean == pytest.approx(rev.summaries.wt.mean)
 
 
 def test_eval_rows_carry_their_own_episode(short_scenario):
@@ -435,7 +477,7 @@ def test_eval_empty_demand_reports_zeroes(tmp_path, single_text):
     path.write_text(json.dumps(doc))
     report = harness.evaluate(EvalConfig(scenario_path=str(path), controller="fixed", seeds=[1]))
     for key in metrics.METRIC_KEYS:
-        s = report.summaries[key]
+        s = getattr(report.summaries, key)
         assert (s.mean, s.sd, s.vmin, s.vmax, s.n) == (0.0, 0.0, 0.0, 0.0, 0)
     assert report.es_per_episode.mean == 0.0
 
@@ -508,7 +550,7 @@ def _report_with_means(controller, es_mean, dd_mean, es_episode_mean):
         controller=controller,
         scenario_id="same",
         seeds=[1, 2],
-        summaries={"wt": summary(10.0), "tl": summary(20.0), "es": summary(es_mean), "dd": summary(dd_mean)},
+        summaries=Summaries(wt=summary(10.0), tl=summary(20.0), es=summary(es_mean), dd=summary(dd_mean)),
         es_per_episode=summary(es_episode_mean),
         episodes=[],
         vehicles=[],

@@ -131,9 +131,9 @@ def test_build_report_pools_departed_only():
         _vm(1, 0.0, 0.0, 0, 50.0, never=True),
     ]
     report = build_report("fixed", "abc", [1, 2], episodes, vehicles)
-    assert report.summaries["wt"].n == 3
-    assert report.summaries["wt"].mean == pytest.approx(20.0)
-    assert report.summaries["dd"].mean == pytest.approx(2.0)
+    assert report.summaries.wt.n == 3
+    assert report.summaries.wt.mean == pytest.approx(20.0)
+    assert report.summaries.dd.mean == pytest.approx(2.0)
     assert report.es_per_episode.mean == pytest.approx(2.0)
     assert report.es_per_episode.n == 2
 
@@ -180,7 +180,7 @@ def test_report_json_round_trip_property(controller, seeds, episodes, vehicles):
     assert again == report
     assert metrics.report_to_json(again) == text
     if all(v.never_departed for v in vehicles):
-        assert again.summaries == dict.fromkeys(metrics.METRIC_KEYS, metrics.EMPTY_SUMMARY)
+        assert again.summaries == metrics.Summaries(*[metrics.EMPTY_SUMMARY] * 4)
 
 
 def test_report_reads_whole_numbers_as_floats():
@@ -190,7 +190,7 @@ def test_report_reads_whole_numbers_as_floats():
     doc["summaries"]["wt"]["min"] = 1
     report = metrics.report_from_json(json.dumps(doc))
     assert type(report.vehicles[0].wt) is float and report.vehicles[0].wt == 2.0
-    assert type(report.summaries["wt"].vmin) is float and report.summaries["wt"].vmin == 1.0
+    assert type(report.summaries.wt.vmin) is float and report.summaries.wt.vmin == 1.0
 
 
 def test_report_csv_shape():

@@ -74,3 +74,27 @@ def test_run_comparison_rejects_zero_episodes_before_training(tmp_path):
     assert "error: episodes: expected an integer of at least 1, got 0" in done.stderr
     assert "Traceback" not in done.stderr
     assert "training" not in done.stdout and not out.exists()
+
+
+def test_run_comparison_rejects_a_missing_scenario_before_training(tmp_path):
+    out, missing = tmp_path / "out", tmp_path / "nowhere.xn"
+    argv = [sys.executable, str(REPO / "scripts" / "run_comparison.py"), "--scenario", str(missing),
+            "--episodes", "1", "--eval-seeds", "1-2", "--out-dir", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert f"No such file or directory: {str(missing)!r}" in done.stderr and "Traceback" not in done.stderr
+    assert "training" not in done.stdout and not out.exists()
+
+
+def test_run_comparison_rejects_a_bad_train_value_before_training(tmp_path):
+    doc = json.loads((SCENARIOS / "single.xn").read_text())
+    doc["train"] = {"lr": "abc"}
+    scenario, out = tmp_path / "bad_lr.xn", tmp_path / "out"
+    scenario.write_text(json.dumps(doc))
+    argv = [sys.executable, str(REPO / "scripts" / "run_comparison.py"), "--scenario", str(scenario),
+            "--episodes", "1", "--eval-seeds", "1-2", "--out-dir", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "error: hyperparameters: 'lr' must be a number, got 'abc'" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "training" not in done.stdout and not out.exists()
