@@ -59,7 +59,7 @@ def _cmd_train(args) -> int:
     )
     result = harness.train(config)
     _write(args.weights_out, result.weights_doc)
-    curve_path = args.curve_out or str(Path(args.weights_out).with_suffix("")) + ".curve.csv"
+    curve_path = str(Path(args.weights_out).with_suffix("")) + ".curve.csv"
     _write(curve_path, harness.curve_csv(result.curve))
     print(f"wrote weights to {args.weights_out} and curve to {curve_path}")
     return 0
@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, required=True)
     p_train.add_argument("--reward-mode", choices=dqn.REWARD_MODES, default="balanced")
     p_train.add_argument("--weights-out", required=True)
-    p_train.add_argument("--curve-out", default=None)
     p_train.add_argument("--hp", action="append", default=[], metavar="KEY=VAL")
     p_train.set_defaults(func=_cmd_train)
 

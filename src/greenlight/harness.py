@@ -73,6 +73,8 @@ class Hyperparams:
             ("lr", self.lr > 0.0, "above 0"),
             *((key, getattr(self, key) >= 1, "at least 1") for key in ("buffer_capacity", "batch_size", "target_sync")),
             ("warmup", self.warmup >= 0, "at least 0"),
+            *((key, getattr(self, key) <= self.buffer_capacity, f"at most 'buffer_capacity' ({self.buffer_capacity})")
+              for key in ("batch_size", "warmup")),  # the buffer never holds more, so no update would run
             ("hidden", all(width >= 1 for width in self.hidden), "widths of at least 1"),
             ("decision_interval", is_whole_steps(self.decision_interval), f"a positive multiple of {DT} s"),
         ]

@@ -159,6 +159,10 @@ def validate(network: Network) -> list[str]:
             violations.append(f"junction {j.id}: duplicate id")
         seen_j.add(j.id)
 
+    # each junction's fastest incoming limit: a step sees one edge ahead, so no edge may be crossed in one step
+    feeder_limit: dict[str, float] = {}
+    for e in network.edges:
+        feeder_limit[e.to_junction] = max(e.speed_limit, feeder_limit.get(e.to_junction, 0.0))
     seen_e: set[str] = set()
     for e in network.edges:
         if e.id in seen_e:
@@ -170,6 +174,9 @@ def validate(network: Network) -> list[str]:
             violations.append(f"edge {e.id}: unknown to-junction {e.to_junction!r}")
         if not e.length >= 10.0:
             violations.append(f"edge {e.id}: length ≥ 10 m required, got {e.length}")
+        elif not e.length > DT * feeder_limit.get(e.from_junction, 0.0) + 1e-3:  # a 1 mm margin over simcore's 1e-9 m
+            fastest = feeder_limit[e.from_junction]
+            violations.append(f"edge {e.id}: {e.length} m is crossed in one {DT} s step at {fastest} m/s")
         if not (0.0 < e.speed_limit <= 50.0):
             violations.append(f"edge {e.id}: speed limit must be in (0, 50] m/s, got {e.speed_limit}")
 

@@ -17,14 +17,16 @@ counts as an emergency and is clamped at ``b_emergency``; and a hard
 displacement cap (you cannot move past the obstacle) makes the update
 collision-free by construction.  The same pass accumulates the vehicle's
 waiting time and time loss.  The transfer pass then visits only the lane
-heads at their line.  ``tests/oracles.py`` keeps the scalar form of the whole
-step as the reference it is checked against bit for bit.
+heads at their line, and a vehicle crosses at most one line per step:
+``netmodel.validate`` rejects any edge a vehicle could cross in one step.
+Due vehicles wait in one FIFO per entry edge.  ``tests/oracles.py`` keeps
+the scalar step as the reference it is checked against bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections import deque
 
 from . import metrics
 from .netmodel import DT, GREEN, RED, YELLOW, Edge, Scenario
@@ -82,18 +84,16 @@ def spawn_schedule(scenario: Scenario, rng) -> list[tuple[float, int]]:
     generator's uniform stream, one route after another in file order, so a
     fixed seed pins the whole schedule.  Returns (depart time, route index).
     """
-    events: list[tuple[float, int, int]] = []
-    seq = 0
+    events: list[tuple[float, int]] = []
     for ridx, route in enumerate(scenario.routes):
         if route.rate <= 0.0:
             continue
         t = -math.log(1.0 - rng.random()) / route.rate
         while t < scenario.duration:
-            events.append((t, seq, ridx))
-            seq += 1
+            events.append((t, ridx))
             t += -math.log(1.0 - rng.random()) / route.rate
-    events.sort()
-    return [(t, ridx) for (t, _, ridx) in events]
+    events.sort(key=lambda event: event[0])  # stable: equal times keep route order
+    return events
 
 
 class Simulation:
@@ -126,12 +126,10 @@ class Simulation:
 
         self.assignment: dict[str, tuple[str, str]] = {jid: (GREEN, RED) for jid in self._signal_ids}
 
-        self.vehicles: list[Vehicle] = []
-        self._pending: list[tuple[float, int]] = []  # (scheduled depart, vid)
         routes = [tuple(map(net.edge, r.edges)) for r in scenario.routes]
-        for vid, (depart, ridx) in enumerate(spawn_schedule(scenario, rng)):
-            self.vehicles.append(Vehicle(vid, routes[ridx], depart))
-            heapq.heappush(self._pending, (depart, vid))
+        self.vehicles = [Vehicle(vid, routes[r], t) for vid, (t, r) in enumerate(spawn_schedule(scenario, rng))]
+        self._scheduled = deque(self.vehicles)  # not yet due, in departure order
+        self._queued: dict[str, deque[Vehicle]] = {}  # due, not yet inserted, by entry edge id; never empty
 
         self.inserted_count = 0
         self.arrived_count = 0
@@ -169,25 +167,24 @@ class Simulation:
             raise InterlockViolation(f"junction {jid} is not signalized, yet is assigned {assignment[jid]}")
 
     def _insert_due(self) -> None:
-        if not self._pending or self._pending[0][0] > self.clock:
+        """Queue the vehicles now due by entry edge; each entry edge inserts its first queued vehicle if it has room."""
+        scheduled, queued = self._scheduled, self._queued
+        while scheduled and scheduled[0].scheduled_depart <= self.clock:
+            veh = scheduled.popleft()
+            queued.setdefault(veh.route[0].id, deque()).append(veh)
+        if not queued:
             return  # nothing due
-        blocked: set[str] = set()
-        requeue: list[tuple[float, int]] = []
-        while self._pending and self._pending[0][0] <= self.clock:
-            depart, vid = heapq.heappop(self._pending)
-            veh = self.vehicles[vid]
-            entry = veh.route[0]
-            lane = self.vehicles_on[entry.id]
-            free = (lane[-1].position - self.params.length) if lane else math.inf
-            if entry.id in blocked or free < self.params.length + self.params.min_gap:
-                blocked.add(entry.id)  # keep per-edge FIFO order
-                requeue.append((depart, vid))
-                continue
+        length, room = self.params.length, self.params.length + self.params.min_gap
+        for eid, queue in list(queued.items()):
+            lane = self.vehicles_on[eid]
+            if lane and lane[-1].position - length < room:
+                continue  # once one is inserted, the next would stand on it: at most one per step
+            veh = queue.popleft()
             veh.actual_depart = self.clock
             lane.append(veh)
             self.inserted_count += 1
-        for item in requeue:
-            heapq.heappush(self._pending, item)
+            if not queue:
+                del queued[eid]
 
     def _move_all(self) -> list[str]:
         """Move every vehicle; return the ids of the lanes whose head reached its line, in edge order.
@@ -261,71 +258,59 @@ class Simulation:
         return heads
 
     def _transfer_and_arrive(self, heads: list[str]) -> None:
-        """Carry the lane heads at their line across it, lane by lane in edge order (``heads`` is a heap of ids)."""
+        """Carry the lane heads at their line across it, lane by lane in edge order (as ``_move_all`` lists them)."""
         end_clock = self.clock + DT
-        while heads:
-            edge, lane, _ = self._lanes[heapq.heappop(heads)]
+        for eid in heads:
+            edge, lane, _ = self._lanes[eid]
             end = edge.length - _EPS
             while lane and lane[0].position >= end:
-                if not self._advance_across(lane[0], end_clock, heads):
+                if not self._advance_across(lane[0], end_clock):
                     break
                 lane.pop(0)
 
-    def _advance_across(self, veh: Vehicle, end_clock: float, heads: list[str]) -> bool:
-        """Carry a vehicle over as many junctions as its displacement reaches.
+    def _advance_across(self, veh: Vehicle, end_clock: float) -> bool:
+        """Carry a vehicle at its line across it, onto its next edge or off the network.
 
-        Returns False when the vehicle must hold at its current stop line
-        (non-green axis, or no room on the target edge), True when it left
-        its original edge (arrival or transfer).  Held at the line of a lane
-        later in edge order, it puts that lane on ``heads`` to be tried again.
+        Returns False when it holds at the line (non-green axis, or no room on
+        the next edge), True when it left its edge.  Every edge is longer than
+        one step of travel from its feeders, so a transferred vehicle lands
+        short of the next line.
         """
-        origin = veh.edge.id
-        moved = False
-        while veh.position >= veh.edge.length - _EPS:
-            edge = veh.edge
-            if self.edge_color(edge) != GREEN:
-                break
-            if veh.edge_index + 1 == len(veh.route):
-                veh.arrived_at = end_clock
-                self.arrived_count += 1
-                if moved:
-                    self.vehicles_on[edge.id].remove(veh)
-                return True
-            nxt = veh.route[veh.edge_index + 1]
-            overshoot = veh.position - edge.length
-            target_lane = self.vehicles_on[nxt.id]
-            if target_lane:
-                max_front = target_lane[-1].position - self.params.length
-                if max_front < 0.0:
-                    break
-                if overshoot > max_front:
-                    overshoot = max_front
-            if moved:
-                self.vehicles_on[edge.id].remove(veh)
-            veh.edge_index += 1
-            veh.position = overshoot
-            if veh.speed > nxt.speed_limit:
-                veh.speed = nxt.speed_limit
-            target_lane.append(veh)
-            moved = True
-        else:
-            return moved
-        self._hold_at_line(veh)  # a non-green line, or no room past it
-        if veh.edge.id > origin:
-            heapq.heappush(heads, veh.edge.id)
-        return moved
+        edge = veh.edge
+        if self.edge_color(edge) != GREEN:
+            self._hold_at_line(veh)
+            return False
+        if veh.edge_index + 1 == len(veh.route):
+            veh.arrived_at = end_clock
+            self.arrived_count += 1
+            return True
+        nxt = veh.route[veh.edge_index + 1]
+        overshoot = veh.position - edge.length
+        target_lane = self.vehicles_on[nxt.id]
+        if target_lane:
+            max_front = target_lane[-1].position - self.params.length
+            if max_front < 0.0:
+                self._hold_at_line(veh)  # no room past the line
+                return False
+            if overshoot > max_front:
+                overshoot = max_front
+        veh.edge_index += 1
+        veh.position = overshoot
+        if veh.speed > nxt.speed_limit:
+            veh.speed = nxt.speed_limit
+        target_lane.append(veh)
+        return True
 
     def _hold_at_line(self, veh: Vehicle) -> None:
         """Pin a vehicle at its edge end and re-pack any followers behind it.
 
-        Positions past the line only arise through odd corners (e.g. two green
-        edges feeding one target edge in the same step).  If the head started
-        the step at or before its line, which the simulator's own steps keep
-        (a pin sets it to the line exactly), re-packing never moves a vehicle
-        behind its pre-step position, so positions stay monotone and
-        overlap-free.  A head placed past its line by hand breaks this: in
+        A vehicle stands past its line only when another green feeder filled
+        its next edge first in the same step, or when placed there by hand.
+        If the head started the step at or before its line (a pin sets it to
+        the line exactly), re-packing never moves a vehicle behind its
+        pre-step position, so positions stay monotone and overlap-free.  In
         ``test_a_head_past_a_red_line_is_pinned_and_its_followers_repacked``
-        its follower moves back.
+        a head placed past its line by hand moves its follower back.
         """
         if veh.position <= veh.edge.length:
             return

@@ -5,7 +5,6 @@ one-sample form of a batched computation) and shares no code with what it
 checks, so a bug in the implementation cannot hide in its own oracle.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -314,22 +313,22 @@ def step(sim, assignment):
 
 
 def insert_due(sim):
-    """Insert every vehicle due by now whose entry edge has room, keeping each edge's queue in order."""
-    blocked, requeue = set(), []
-    while sim._pending and sim._pending[0][0] <= sim.clock:
-        depart, vid = heapq.heappop(sim._pending)
-        veh = sim.vehicles[vid]
+    """Insert every vehicle due by now whose entry edge has room, keeping each edge's queue in order.
+
+    The due vehicles are those not yet departed whose scheduled depart has come, in (depart, vid) order.
+    """
+    due = sorted((v for v in sim.vehicles if v.actual_depart is None and v.scheduled_depart <= sim.clock),
+                 key=lambda v: (v.scheduled_depart, v.vid))
+    blocked = set()
+    for veh in due:
         lane = sim.vehicles_on[veh.route[0].id]
         free = (lane[-1].position - sim.params.length) if lane else math.inf
         if veh.route[0].id in blocked or free < sim.params.length + sim.params.min_gap:
             blocked.add(veh.route[0].id)
-            requeue.append((depart, vid))
             continue
         veh.actual_depart = sim.clock
         lane.append(veh)
         sim.inserted_count += 1
-    for item in requeue:
-        heapq.heappush(sim._pending, item)
 
 
 def advance_across(sim, veh, end_clock):

@@ -84,7 +84,7 @@ def random_scenario(seed: int) -> Scenario:
 
 def pending_count(sim: Simulation) -> int:
     """Vehicles scheduled but not yet inserted."""
-    return len(sim._pending)
+    return len(sim._scheduled) + sum(map(len, sim._queued.values()))
 
 
 def on_network_count(sim: Simulation) -> int:

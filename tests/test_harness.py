@@ -114,6 +114,18 @@ def test_hyperparams_range_faults_have_one_message_form(key, bad, message):
     assert str(err.value) == f"hyperparameters: {message}"
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"buffer_capacity": 100}, "'warmup' must be at most 'buffer_capacity' (100), got 500"),
+     ({"buffer_capacity": 16, "warmup": 0}, "'batch_size' must be at most 'buffer_capacity' (16), got 32")],
+)
+def test_a_buffer_that_never_fills_a_warmup_or_a_batch_is_rejected(overrides, message):
+    """The buffer never holds more than its capacity, so training under these would take no gradient step."""
+    with pytest.raises(ValueError) as err:
+        _hp(overrides)
+    assert str(err.value) == f"hyperparameters: {message}"
+
+
 def test_hp_overrides_win_over_the_train_block_key_by_key():
     scenario = netmodel.load_scenario(MIXED_SCENARIO.read_text())
     hp = harness.resolve_hyperparams(scenario, cli._parse_hp(["warmup=7"]))
@@ -258,17 +270,18 @@ def test_train_literal_reward_mode_runs(short_scenario):
 @given(
     dims=st.lists(st.sampled_from([4, 7]), min_size=1, max_size=4),
     two_archs=st.booleans(),
-    capacity=st.integers(1, 10),
+    spare=st.integers(0, 4),
     pushes=st.integers(1, 30),
     batch=st.integers(1, 5),
     warmup=st.integers(0, 6),
     target_sync=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_learner_matches_independent_learners(dims, two_archs, capacity, pushes, batch, warmup,
+def test_stacked_learner_matches_independent_learners(dims, two_archs, spare, pushes, batch, warmup,
                                                       target_sync, seed):
     if not two_archs:
         dims = [4] * len(dims)
+    capacity = max(batch, warmup) + spare  # a smaller buffer is rejected: it could never fill a batch or the warmup
     hp = Hyperparams(buffer_capacity=capacity, batch_size=batch, warmup=warmup, target_sync=target_sync,
                      hidden=(5,), lr=0.05)
     rng = make_rng(seed)

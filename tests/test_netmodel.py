@@ -1,9 +1,11 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import REPO
 from oracles import conflicting_pairs
 from scenario_gen import random_scenario
 from greenlight.netmodel import (
@@ -157,6 +159,17 @@ def test_validate_well_formed_intersection():
     assert validate(_intersection_network()) == []
 
 
+def test_an_edge_is_judged_by_its_fastest_feeder():
+    net = _intersection_network()  # n and e feed c, and out leaves it
+    limits = {"n": 8.0, "e": 13.9}
+    edges = tuple(replace(e, speed_limit=limits.get(e.id, e.speed_limit), length=12.0 if e.id == "out" else e.length)
+                  for e in net.edges)
+    assert validate(Network(net.junctions, edges)) == ["edge out: 12.0 m is crossed in one 1.0 s step at 13.9 m/s"]
+    limits["e"] = 11.0
+    edges = tuple(replace(e, speed_limit=limits.get(e.id, e.speed_limit)) for e in edges)
+    assert validate(Network(net.junctions, edges)) == []
+
+
 def test_validate_empty_axis_b():
     net = _intersection_network()
     junctions = tuple(
@@ -260,9 +273,18 @@ MUTATIONS = [
         lambda d: d["network"]["junctions"][0]["fixed_plan"].__setitem__("yellow", 5.0),
         "fixed plan yellow",
     ),
+    (
+        "edge_crossed_in_one_step",
+        lambda d: _edge(d, "s_out").__setitem__("length", 10.0),
+        "edge s_out: 10.0 m is crossed in one 1.0 s step at 13.9 m/s",
+    ),
     ("soft_emergency", lambda d: d["vehicle"].__setitem__("b_emergency", 1.0), "emergency"),
     ("zero_accel", lambda d: d["vehicle"].__setitem__("a", 0), "accel"),
 ]
+
+
+def _edge(doc, eid):
+    return next(e for e in doc["network"]["edges"] if e["id"] == eid)
 
 
 @pytest.mark.parametrize("name,mutate,needle", MUTATIONS, ids=[m[0] for m in MUTATIONS])
@@ -285,3 +307,19 @@ def test_disconnected_route_graph_is_caught(single_text):
     with pytest.raises(ValidationError) as err:
         load_scenario(json.dumps(doc))
     assert any("connected" in v for v in err.value.violations)
+
+
+COMMITTED_SCENARIOS = sorted(path for folder in ("scenarios", "tests/data", "perfbench/inputs")
+                             for path in (REPO / folder).glob("*.xn"))
+
+
+@pytest.mark.parametrize("path", COMMITTED_SCENARIOS, ids=lambda path: str(path.relative_to(REPO)))
+def test_every_committed_scenario_loads(path):
+    assert validate(load_scenario(path.read_text()).network) == []
+
+
+def test_the_documented_minimal_example_loads():
+    text = (REPO / "docs" / "scenario-format.md").read_text()
+    example = re.search(r"## Minimal example\s+```json\n(.*?)```", text, re.DOTALL).group(1)
+    scenario = load_scenario(example)
+    assert [e.id for e in scenario.network.edges] == ["n", "e", "out"]

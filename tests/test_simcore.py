@@ -216,9 +216,7 @@ def test_insertion_blocked_until_gap_clears(single_scenario):
     blocker = _place(sim, ["n_in", "s_out"], position=6.0, speed=0.0)
     pending = Vehicle(len(sim.vehicles), blocker.route, 0.0)
     sim.vehicles.append(pending)
-    import heapq
-
-    heapq.heappush(sim._pending, (0.0, pending.vid))
+    sim._scheduled.append(pending)
     sim.step(ALL_GREEN_B)  # blocker sits near the entry; 6.0 - 5.0 < 7.5 required
     assert pending.actual_depart is None
     for _ in range(30):
@@ -378,22 +376,6 @@ def test_conservation_identity_every_step(single_scenario):
 # --- rare branches of the transfer pass, each checked against the whole-step oracle ---
 
 
-def _corridor_sim(edges, vehicle_length=PARAMS.length) -> Simulation:
-    """An unsignalized corridor of ``(edge id, length)`` pairs, j0 -> j1 -> ..., every limit 20 m/s, no demand."""
-    network = netmodel.Network(
-        junctions=tuple(netmodel.Junction(f"j{k}") for k in range(len(edges) + 1)),
-        edges=tuple(netmodel.Edge(eid, f"j{k}", f"j{k + 1}", length, 20.0) for k, (eid, length) in enumerate(edges)),
-    )
-    scenario = netmodel.Scenario(
-        network=network,
-        routes=(netmodel.Route(tuple(eid for eid, _ in edges), 0.0),),
-        duration=100.0,
-        vehicle=dataclasses.replace(PARAMS, length=vehicle_length),
-        seed=0,
-    )
-    return Simulation(scenario, make_rng(0))
-
-
 def test_a_head_past_a_red_line_is_pinned_and_its_followers_repacked(single_scenario):
     sim = _empty_sim(single_scenario)
     head = _place(sim, ["n_in", "s_out"], position=204.0, speed=0.0)
@@ -428,34 +410,69 @@ def test_a_head_reads_the_pre_step_rear_of_a_lane_moved_before_it(single_scenari
     assert (veh.position, veh.speed, veh.emergency_stops) == (198.0, 3.0, 1)
 
 
-def test_one_step_carries_a_vehicle_across_a_short_edge_and_a_second_junction():
-    sim = _corridor_sim([("e0", 200.0), ("e1", 10.0), ("e2", 200.0)])
-    veh = _place(sim, ["e0", "e1", "e2"], position=195.0, speed=16.0)
+# --- one line crossed per step -------------------------------------------------
+
+
+def _corridor(lengths, limit=20.0) -> netmodel.Scenario:
+    """An unsignalized corridor ``e0 -> e1 -> ...`` of the given edge lengths, j0 -> j1 -> ..., one limit, no demand."""
+    network = netmodel.Network(
+        junctions=tuple(netmodel.Junction(f"j{k}") for k in range(len(lengths) + 1)),
+        edges=tuple(netmodel.Edge(f"e{k}", f"j{k}", f"j{k + 1}", length, limit) for k, length in enumerate(lengths)),
+    )
+    route = netmodel.Route(tuple(e.id for e in network.edges), 0.0)
+    return netmodel.Scenario(network=network, routes=(route,), duration=100.0, vehicle=PARAMS, seed=0)
+
+
+#: Corridors in which one step used to carry a vehicle across a whole 10 m edge at 20 m/s (across a second
+#: junction, to an arrival, and into a lane tried again later in the step), each now rejected by edge.
+CROSSED_IN_ONE_STEP = {
+    "across_a_short_edge_and_a_second_junction": (
+        [200.0, 10.0, 200.0], ["edge e1: 10.0 m is crossed in one 1.0 s step at 20.0 m/s"]),
+    "across_a_short_last_edge_to_its_arrival": (
+        [200.0, 10.0, 200.0], ["edge e1: 10.0 m is crossed in one 1.0 s step at 20.0 m/s"]),
+    "held_at_a_later_lane_and_tried_again": (
+        [200.0, 10.0, 10.0, 200.0], ["edge e1: 10.0 m is crossed in one 1.0 s step at 20.0 m/s",
+                                     "edge e2: 10.0 m is crossed in one 1.0 s step at 20.0 m/s"]),
+}
+
+
+@pytest.mark.parametrize("lengths, violations", CROSSED_IN_ONE_STEP.values(), ids=CROSSED_IN_ONE_STEP)
+def test_an_edge_crossed_in_one_step_is_rejected_by_name(lengths, violations):
+    assert netmodel.validate(_corridor(lengths).network) == violations
+
+
+def test_the_shortest_accepted_edge_is_not_crossed_in_one_step():
+    one_step = netmodel.DT * 13.9
+    shortest = math.nextafter(one_step + 1e-3, math.inf)
+    for rejected in (one_step, one_step + 1e-3):
+        assert netmodel.validate(_corridor([200.0, rejected, 200.0], limit=13.9).network) == [
+            f"edge e1: {rejected} m is crossed in one 1.0 s step at 13.9 m/s"]
+    scenario = _corridor([200.0, shortest, 200.0], limit=13.9)
+    assert netmodel.validate(scenario.network) == []
+    sim = Simulation(scenario, make_rng(0))
+    veh = _place(sim, ["e0", "e1", "e2"], position=200.0, speed=13.9)  # standing on its line at the full limit
     _step_with_oracle_twin(sim, [{}])
-    assert veh.edge_index == 2 and veh.position == pytest.approx(195.0 + 18.6 - 210.0)
-    assert sim.vehicles_on == {"e0": [], "e1": [], "e2": [veh]}
-    _step_with_oracle_twin(sim, [{}] * 3)
-
-
-def test_one_step_carries_a_vehicle_across_a_short_last_edge_to_its_arrival():
-    sim = _corridor_sim([("e0", 200.0), ("e1", 10.0), ("e2", 200.0)])
-    veh = _place(sim, ["e0", "e1"], position=195.0, speed=16.0)
-    follower = _place(sim, ["e0", "e1"], position=150.0, speed=16.0)
+    assert veh.edge_index == 1 and veh.speed == 13.9
+    assert 13.9 - 1e-9 < veh.position < shortest - 1e-9  # a full step's travel lands short of the next line
     _step_with_oracle_twin(sim, [{}])
-    assert veh.arrived_at == 1.0 and sim.arrived_count == 1
-    assert sim.vehicles_on == {"e0": [follower], "e1": [], "e2": []}
-    _step_with_oracle_twin(sim, [{}] * 4)
-    assert follower.arrived_at is not None
+    assert veh.edge_index == 2
+    _step_with_oracle_twin(sim, [{}] * 14)
+    assert veh.arrived_at == 16.0
 
 
-def test_a_vehicle_held_at_a_later_lane_is_tried_again_at_that_lanes_turn():
-    # edge order a < b < c < d; the route runs a -> c -> b -> d, and 12 m vehicles fill the 10 m edge b
-    sim = _corridor_sim([("a", 200.0), ("c", 10.0), ("b", 10.0), ("d", 200.0)], vehicle_length=12.0)
-    veh = _place(sim, ["a", "c", "b", "d"], position=195.0, speed=16.0)
-    w = _place(sim, ["b", "d"], position=10.0, speed=0.0)
-    _place(sim, ["d"], position=12.5, speed=10.0)
-    _step_with_oracle_twin(sim, [{}])
-    # at a's turn, veh crosses c and holds at c's line, as w fills b; at b's turn w leaves for d,
-    # so at c's turn veh enters b
-    assert w.edge_index == 1
-    assert (veh.edge_index, veh.position, veh.speed) == (2, 0.0, 0.0)
+def test_each_entry_edge_inserts_one_due_vehicle_per_step_in_departure_order(single_scenario):
+    sim = _empty_sim(single_scenario)
+    entries = ["n_in", "e_in", "n_in", "e_in", "n_in"]
+    departs = [0.0, 0.0, 0.0, 0.5, 0.7]
+    due = []
+    for entry, depart in zip(entries, departs):
+        route = (sim.scenario.network.edge(entry), sim.scenario.network.edge("s_out"))
+        due.append(Vehicle(len(sim.vehicles), route, depart))
+        sim.vehicles.append(due[-1])
+        sim._scheduled.append(due[-1])
+    _step_with_oracle_twin(sim, [ALL_GREEN_A])
+    assert (sim.vehicles_on["n_in"], sim.vehicles_on["e_in"]) == ([due[0]], [due[1]])
+    _step_with_oracle_twin(sim, [ALL_GREEN_A] * 11)
+    assert (sim.vehicles_on["n_in"], sim.vehicles_on["e_in"]) == ([due[0], due[2], due[4]], [due[1], due[3]])
+    assert [v.actual_depart for v in due] == [0.0, 0.0, 3.0, 3.0, 6.0]
+    assert not sim._scheduled and not sim._queued
