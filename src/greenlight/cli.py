@@ -66,16 +66,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    weights = None
-    if args.controller == "dqn":
-        if not args.weights:
-            raise ValueError("--weights is required for the dqn controller")
-        weights = Path(args.weights).read_text(encoding="utf-8")
     config = harness.EvalConfig(
         scenario_path=args.scenario,
         controller=args.controller,
         seeds=_parse_seeds(args.seeds),
-        weights=weights,
+        weights=None if args.weights is None else Path(args.weights).read_text(encoding="utf-8"),
     )
     report = harness.evaluate(config)
     _write(args.out, metrics.report_to_json(report))

@@ -76,14 +76,14 @@ def apply_interlock(request: str, state: SignalAssignment, junction: Junction) -
 class FixedTimeController:
     """Rule-based baseline: requests follow a predetermined cycle per junction."""
 
-    def __init__(self, plans: dict[str, FixedTimePlan]):
-        # per junction: the cycle, and the start and end of axis B's window in it
-        self.windows = {jid: (p.cycle, p.green_a, p.green_a + p.yellow + p.green_b) for jid, p in plans.items()}
-        self.requests: dict[str, str] = {}
+    def __init__(self, plans: list[FixedTimePlan]):
+        # per junction, in junction order: the cycle, and the start and end of axis B's window in it
+        self.windows = [(p.cycle, p.green_a, p.green_a + p.yellow + p.green_b) for p in plans]
+        self.requests = [REQUESTS[0]] * len(plans)
 
-    def decide(self, clock: float, lane_stats, states) -> dict[str, str]:
-        """Requests per junction; the returned dict is reused between calls."""
+    def decide(self, clock: float, lane_stats, states) -> list[str]:
+        """Requests in junction order; the returned list is reused between calls."""
         requests = self.requests
-        for jid, (cycle, serve_b_from, serve_b_until) in self.windows.items():
-            requests[jid] = "serve_b" if serve_b_from <= clock % cycle < serve_b_until else "serve_a"
+        for k, (cycle, serve_b_from, serve_b_until) in enumerate(self.windows):
+            requests[k] = "serve_b" if serve_b_from <= clock % cycle < serve_b_until else "serve_a"
         return requests

@@ -146,34 +146,31 @@ class EpsilonSchedule:
 class GreedyPolicy:
     """Controller acting on each junction's q-values at clock 0, interval, 2 * interval, ...
 
-    ``rows[jid]`` are junction jid's lanes in the lane-statistics array and ``capacities``.  With ``epsilon``
-    0, as at evaluation, each action is the argmax; training sets ``epsilon`` and ``rng`` and extends ``act``.
+    Junctions are indexed by position: ``nets[k]`` is junction k's network, ``rows[k]`` its lanes in the
+    lane-statistics array and ``capacities``, and ``states[k]`` its signal state.  With ``epsilon`` 0, as at
+    evaluation, each action is the argmax; training sets ``epsilon`` and ``rng`` and extends ``act``.
     """
 
-    def __init__(self, nets: dict[str, QNetwork], interval: float, rows: dict[str, slice], capacities: np.ndarray):
+    def __init__(self, nets: list[QNetwork], interval: float, rows: list[slice], capacities: np.ndarray):
         self.nets = nets
         self.interval = interval
         self.rows = rows
         self.capacities = capacities
         self.epsilon = 0.0
         self.rng = None
-        self.actions = {jid: 0 for jid in nets}
-        self.requests = {jid: REQUESTS[0] for jid in nets}
         self.next_decision = 0.0
 
-    def decide(self, clock: float, lane_stats, states) -> dict[str, str]:
-        """Requests per junction; the returned dict is reused between calls."""
+    def decide(self, clock: float, lane_stats, states) -> list[str]:
+        """Requests in junction order; they change only at a decision."""
         if clock >= self.next_decision:
             self.act(self.features(lane_stats(), states))
             self.next_decision = clock + self.interval
         return self.requests
 
-    def features(self, stats: np.ndarray, states) -> dict[str, np.ndarray]:
-        """Every junction's state vector, keyed by junction id."""
-        return {jid: featurize(stats[rows], self.capacities[rows], states[jid]) for jid, rows in self.rows.items()}
+    def features(self, stats: np.ndarray, states) -> list[np.ndarray]:
+        """Every junction's state vector, in junction order."""
+        return [featurize(stats[rows], self.capacities[rows], state) for rows, state in zip(self.rows, states)]
 
-    def act(self, obs: dict[str, np.ndarray]) -> None:
-        for jid, net in self.nets.items():
-            action = select_action(qnet.forward(net, obs[jid]), self.epsilon, self.rng)
-            self.actions[jid] = action
-            self.requests[jid] = REQUESTS[action]
+    def act(self, obs: list[np.ndarray]) -> None:
+        self.actions = [select_action(qnet.forward(net, x), self.epsilon, self.rng) for net, x in zip(self.nets, obs)]
+        self.requests = [REQUESTS[action] for action in self.actions]

@@ -110,7 +110,7 @@ class EvalConfig:
     scenario_path: str
     controller: str  # one of CONTROLLERS
     seeds: list[int]
-    weights: str | None = None  # weights document text for the dqn controller
+    weights: str | None = None  # weights document text; the dqn controller needs one, the fixed takes none
 
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
@@ -123,6 +123,8 @@ class EvalConfig:
             raise ValueError(f"seeds: {repeated[0]} is listed more than once; each episode needs its own seed")
         if self.controller == "dqn" and self.weights is None:
             raise ValueError("the dqn controller needs a weights document")
+        if self.controller == "fixed" and self.weights is not None:
+            raise ValueError("the fixed controller takes no weights document")
 
 
 @dataclass
@@ -172,8 +174,8 @@ def junction_view(sim: Simulation, lanes: list[str]) -> np.ndarray:
     return np.array(flat, dtype=float).reshape(-1, 3)
 
 
-def _step_reward(sim: Simulation, info: _JunctionInfo, stats: np.ndarray, mode: str) -> float:
-    color_a, color_b = sim.assignment[info.junction.id]
+def _step_reward(colors: tuple[str, str], info: _JunctionInfo, stats: np.ndarray, mode: str) -> float:
+    color_a, color_b = colors
     n_a, n_b = len(info.junction.axis_a), len(info.junction.axis_b)
     greens = (n_a if color_a == GREEN else 0) + (n_b if color_b == GREEN else 0)
     reds = (n_a if color_a == RED else 0) + (n_b if color_b == RED else 0)
@@ -185,23 +187,24 @@ def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_
     """Run one episode under ``controller``; this is the only per-step loop.
 
     ``controller.decide(clock, lane_stats, states)`` runs before each step and ``on_step(sim, lane_stats, states,
-    done)``, if given, after it.  ``lane_stats()`` is the clock's ``junction_view`` array, computed at most once
-    and shared by every caller at that clock, so none may write to it.
+    done)``, if given, after it; its requests and ``states`` are lists in the order of ``infos``.  ``lane_stats()``
+    is the clock's ``junction_view`` array, computed at most once and shared by every caller at that clock, so
+    none may write to it.
     """
     sim = Simulation(scenario, rng)
-    states = {info.junction.id: SignalAssignment() for info in infos}
+    states = [SignalAssignment()] * len(infos)
     lanes = _lane_ids(infos)
     stats_at = functools.lru_cache(maxsize=1)(lambda clock: junction_view(sim, lanes))
     lane_stats = lambda: stats_at(sim.clock)  # noqa: E731
 
-    junctions = [(info.junction.id, info.junction) for info in infos]
+    junctions = [info.junction for info in infos]
     total_steps = int(round(scenario.duration / DT))
     for step in range(1, total_steps + 1):
         requests = controller.decide(sim.clock, lane_stats, states)
         assignment = {}
-        for jid, junction in junctions:
-            states[jid] = state = apply_interlock(requests[jid], states[jid], junction)
-            assignment[jid] = state.colors()
+        for k, junction in enumerate(junctions):
+            states[k] = state = apply_interlock(requests[k], states[k], junction)
+            assignment[junction.id] = state.colors()
         sim.step(assignment)
         if on_step is not None:
             on_step(sim, lane_stats, states, step == total_steps)
@@ -269,8 +272,7 @@ class _TrainingAgent(dqn.GreedyPolicy):
 
     def __init__(self, infos: list[_JunctionInfo], capacities: np.ndarray, learner: _Learner, hp: Hyperparams,
                  config: TrainConfig, decisions: int):
-        nets = {info.junction.id: net for info, net in zip(infos, learner.nets)}
-        super().__init__(nets, hp.decision_interval, {info.junction.id: info.rows for info in infos}, capacities)
+        super().__init__(learner.nets, hp.decision_interval, [info.rows for info in infos], capacities)
         self.infos = infos
         self.learner = learner
         self.reward_mode = config.reward_mode
@@ -288,28 +290,25 @@ class _TrainingAgent(dqn.GreedyPolicy):
         self.episode_return = 0.0
         self.losses: list[float] = []
 
-    def act(self, obs: dict) -> None:
+    def act(self, obs: list) -> None:
         if self.obs is not None:
             self._close_interval(obs, terminal=False)
         self.epsilon = self.schedule.value(self.decisions)
         super().act(obs)
         self.obs = obs
 
-    def on_step(self, sim: Simulation, lane_stats, states: dict, done: bool) -> None:
+    def on_step(self, sim: Simulation, lane_stats, states: list, done: bool) -> None:
         stats = lane_stats()
-        for k, info in enumerate(self.infos):
-            self.reward_sums[k] += _step_reward(sim, info, stats, self.reward_mode)
+        for k, (info, state) in enumerate(zip(self.infos, states)):
+            self.reward_sums[k] += _step_reward(state.colors(), info, stats, self.reward_mode)
         self.steps += 1
         if done:
             self._close_interval(self.features(stats, states), terminal=True)
 
-    def _close_interval(self, next_obs: dict, terminal: bool) -> None:
-        jids = list(self.nets)
+    def _close_interval(self, next_obs: list, terminal: bool) -> None:
         rewards = [total / self.steps for total in self.reward_sums]
-        self.learner.buffer.push(
-            [self.obs[j] for j in jids], [self.actions[j] for j in jids], rewards, [next_obs[j] for j in jids], terminal
-        )
-        self.reward_sums = [0.0] * len(jids)
+        self.learner.buffer.push(self.obs, self.actions, rewards, next_obs, terminal)
+        self.reward_sums = [0.0] * len(rewards)
         self.episode_return += sum(rewards) / len(rewards)
         self.steps = 0
         self.decisions += 1
@@ -317,9 +316,8 @@ class _TrainingAgent(dqn.GreedyPolicy):
         diverged = np.flatnonzero(~np.isfinite(losses))
         if diverged.size:
             k = diverged[0]
-            raise TrainingDivergedError(
-                f"junction {jids[k]}: non-finite loss at episode {self.episode}, decision {self.decisions}: {losses[k]}"
-            )
+            raise TrainingDivergedError(f"junction {self.infos[k].junction.id}: non-finite loss at episode "
+                                        f"{self.episode}, decision {self.decisions}: {losses[k]}")
         self.losses.extend(losses.tolist())
 
 
@@ -363,7 +361,7 @@ def train(config: TrainConfig) -> TrainResult:
         )
     nets = agent.nets
     # one junction's network is written as a plain single-network document
-    weights = next(iter(nets.values())) if len(nets) == 1 else nets
+    weights = nets[0] if len(nets) == 1 else {info.junction.id: net for info, net in zip(infos, nets)}
     return TrainResult(weights_doc=qnet.serialize(weights), curve=curve)
 
 
@@ -398,11 +396,11 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
     hp = resolve_hyperparams(scenario)
 
     if config.controller == "fixed":
-        plans = {info.junction.id: FixedTimePlan.for_junction(info.junction) for info in infos}
+        plans = [FixedTimePlan.for_junction(info.junction) for info in infos]
         make_controller = lambda: FixedTimeController(plans)  # noqa: E731
     else:
-        nets = load_weights(config.weights, infos)
-        rows, capacities = {info.junction.id: info.rows for info in infos}, _capacities(scenario, infos)
+        nets = list(load_weights(config.weights, infos).values())  # in the order of infos
+        rows, capacities = [info.rows for info in infos], _capacities(scenario, infos)
         make_controller = lambda: dqn.GreedyPolicy(nets, hp.decision_interval, rows, capacities)  # noqa: E731
 
     episodes: list[metrics.EpisodeTotals] = []

@@ -96,7 +96,7 @@ class VehicleParams:
     decel: float = field(metadata={"key": "b"})  # comfortable braking, m/s^2
     emergency_decel: float = field(metadata={"key": "b_emergency"})  # physical limit, m/s^2
     length: float  # m
-    min_gap: float  # m, required standing gap at insertion
+    min_gap: float  # m; insertion waits for the last rear to be length + min_gap in, and sets lane capacity
     tau: float  # driver reaction time, s
 
 
@@ -110,15 +110,10 @@ class Route:
 class Network:
     junctions: tuple[Junction, ...]
     edges: tuple[Edge, ...]
-    _junction_index: dict[str, Junction] = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
     _edge_index: dict[str, Edge] = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        object.__setattr__(self, "_junction_index", {j.id: j for j in self.junctions})
         object.__setattr__(self, "_edge_index", {e.id: e for e in self.edges})
-
-    def junction(self, jid: str) -> Junction:
-        return self._junction_index[jid]
 
     def edge(self, eid: str) -> Edge:
         return self._edge_index[eid]

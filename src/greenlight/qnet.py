@@ -173,10 +173,9 @@ class Adam:
     ``net`` is a QNetwork or a Stack; one step updates all of its parameters.
     """
 
-    def __init__(self, net, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, net):
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
@@ -187,21 +186,21 @@ class Adam:
         """``net.flat -= lr * (m / c1) / (sqrt(v / c2) + eps)``, computed in place."""
         _check_layout(net, grads, "gradient")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - self.BETA1**self.t
+        c2 = 1.0 - self.BETA2**self.t
         g, step, scale = grads.flat, self._step, self._scale
-        self.m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=step)
+        self.m *= self.BETA1
+        np.multiply(g, 1.0 - self.BETA1, out=step)
         self.m += step
-        self.v *= self.beta2
+        self.v *= self.BETA2
         np.multiply(g, g, out=step)
-        step *= 1.0 - self.beta2
+        step *= 1.0 - self.BETA2
         self.v += step
         np.divide(self.m, c1, out=step)
         step *= lr
         np.divide(self.v, c2, out=scale)
         np.sqrt(scale, out=scale)
-        scale += self.eps
+        scale += self.EPS
         step /= scale
         net.flat -= step
 

@@ -148,11 +148,11 @@ def test_interlock_stream_is_always_legal(seed, yellow, min_green):
 
 
 def test_fixed_controller_requests_match_decide_map():
-    controller = FixedTimeController({"c": PLAN})
+    controller = FixedTimeController([PLAN])
     state = SignalAssignment()
     junction = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=3.0, min_green=5.0)
     for t in range(3 * int(PLAN.cycle)):
-        request = controller.decide(float(t), None, None)["c"]
+        [request] = controller.decide(float(t), None, None)
         state = apply_interlock(request, state, junction)
         assert state.colors() == fixed_time_decide(float(t), PLAN)
 

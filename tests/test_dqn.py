@@ -153,7 +153,7 @@ def test_reward_from_view_counts_lanes():
         junction = netmodel.Junction("c", signalized=True, axis_a=tuple(ids[:n_a]), axis_b=tuple(ids[n_a:]))
         info = harness._JunctionInfo(junction, slice(0, n_a + n_b))
         sim = types.SimpleNamespace(assignment={"c": colors}, vehicles_on={eid: [] for eid in ids})
-        reward = harness._step_reward(sim, info, harness.junction_view(sim, ids), "balanced")
+        reward = harness._step_reward(colors, info, harness.junction_view(sim, ids), "balanced")
         assert reward == oracles.step_reward(sim, junction, "balanced")
         return reward
 

@@ -332,9 +332,9 @@ def test_training_policy_acts_with_the_learner_views():
                for k, i in enumerate(infos)]
     learner = harness._Learner(initial, hp)
     agent = harness._TrainingAgent(infos, harness._capacities(scenario, infos), learner, hp, config, decisions=10)
-    assert list(agent.nets) == [i.junction.id for i in infos]
-    for net, view in zip(agent.nets.values(), learner.nets):
-        assert net is view and np.shares_memory(net.flat, learner.params.flat)
+    assert agent.nets is learner.nets and len(agent.nets) == len(infos)
+    for net in agent.nets:
+        assert np.shares_memory(net.flat, learner.params.flat)
 
 
 def _count_lane_walks(monkeypatch) -> list:
@@ -378,13 +378,11 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
     infos = harness._junction_infos(scenario)
     assert [info.n_lanes for info in infos] == [3, 2]
     vehicle = scenario.vehicle
-    capacities = {
-        info.junction.id: [
-            scenario.network.edge(eid).capacity(vehicle.length, vehicle.min_gap)
-            for eid in info.junction.axis_a + info.junction.axis_b
-        ]
+    capacities = [
+        [scenario.network.edge(eid).capacity(vehicle.length, vehicle.min_gap)
+         for eid in info.junction.axis_a + info.junction.axis_b]
         for info in infos
-    }
+    ]
     sims = []
     checked = {"decisions": 0, "steps": 0, "terminal": 0, "waiting": 0}
 
@@ -403,10 +401,9 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
             return super().decide(clock, lane_stats, states)
 
         def check_features(self, obs):
-            for info in self.infos:
-                jid = info.junction.id
-                view = oracles.junction_view(sims[-1], info.junction, capacities[jid], self.states[jid])
-                assert obs[jid].tobytes() == oracles.featurize(view).tobytes()
+            for k, info in enumerate(self.infos):
+                view = oracles.junction_view(sims[-1], info.junction, capacities[k], self.states[k])
+                assert obs[k].tobytes() == oracles.featurize(view).tobytes()
                 checked["waiting"] += any(view.lane_waits)
 
         def act(self, obs):
@@ -418,7 +415,7 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
             self.states = states
             for k, info in enumerate(self.infos):
                 reward = oracles.step_reward(sim, info.junction, self.reward_mode)
-                assert harness._step_reward(sim, info, lane_stats(), self.reward_mode) == reward
+                assert harness._step_reward(states[k].colors(), info, lane_stats(), self.reward_mode) == reward
                 self.oracle_sums[k] += reward
             checked["steps"] += 1
             super().on_step(sim, lane_stats, states, done)
@@ -437,6 +434,32 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
         harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=2, seed=5, reward_mode=mode))
     assert checked["decisions"] == 2 * 2 * 80 and checked["steps"] == 2 * 2 * 400 and checked["terminal"] == 4
     assert checked["waiting"] > 0  # some decisions saw queued vehicles
+
+
+def test_balanced_reward_prefers_holding_the_wrong_green_to_switching():
+    """Once the mean wait reaches 5 s, the waiting term is -1 under either green and so is the reward; the only
+    difference a switch makes is its yellow, whose red-only axes cost 0.4 per step.  Holding serve_b while axis
+    A queues therefore beats switching to serve_a, which is how a trained agent locks into the wrong green."""
+    junction = netmodel.Junction("c", signalized=True, axis_a=("n", "s"), axis_b=("e", "w"), yellow=3.0,
+                                 min_green=5.0)
+    info = harness._JunctionInfo(junction, slice(0, 4))
+    stats = np.array([[9.0, 9.0, 14.0], [7.0, 7.0, 10.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # axis A waits
+    assert stats[:, 2].mean() >= 5.0
+
+    def rewards(request, steps=10):
+        state = harness.SignalAssignment("serve_b", 20.0, "serve_b")  # past min-green, free to switch
+        out = []
+        for _ in range(steps):
+            state = harness.apply_interlock(request, state, junction)
+            out.append(harness._step_reward(state.colors(), info, stats, "balanced"))
+        return out, state.phase
+
+    held, held_phase = rewards("serve_b")
+    switched, switched_phase = rewards("serve_a")
+    assert (held_phase, switched_phase) == ("serve_b", "serve_a")
+    assert held == [-1.0] * 10
+    assert switched == [-1.4] * 3 + [-1.0] * 7
+    assert sum(held) - sum(switched) == pytest.approx(1.2, abs=1e-12)
 
 
 def test_divergence_names_the_junction(monkeypatch):
@@ -673,6 +696,23 @@ def test_cli_eval_dqn_without_weights_fails(tmp_path, short_scenario, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert json.loads(err)["kind"]  # machine-readable error line
+
+
+@pytest.mark.parametrize(
+    "controller, weights, message",
+    [("dqn", False, "the dqn controller needs a weights document"),
+     ("fixed", True, "the fixed controller takes no weights document")],
+)
+def test_cli_eval_weights_must_match_the_controller(tmp_path, short_scenario, capsys, controller, weights, message):
+    argv = ["eval", "--scenario", short_scenario, "--controller", controller, "--seeds", "1",
+            "--out", str(tmp_path / "out" / "r.json")]
+    if weights:
+        path = tmp_path / "w.json"
+        path.write_text(harness.train(TrainConfig(scenario_path=short_scenario, episodes=1, seed=1)).weights_doc)
+        argv += ["--weights", str(path)]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": message, "kind": "ValueError"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_scenario_path_fails_cleanly(tmp_path, capsys):

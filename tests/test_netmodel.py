@@ -26,7 +26,7 @@ def test_single_scenario_shape(single_text):
     assert len(sc.network.junctions) == 9
     assert len(sc.network.edges) == 8
     assert len(sc.routes) == 4
-    assert sc.network.junction("c").signalized
+    assert [j.id for j in sc.network.junctions if j.signalized] == ["c"]
     assert validate(sc.network) == []
 
 

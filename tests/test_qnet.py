@@ -415,6 +415,20 @@ def _stacked(nets):
     return QNetwork(nets[0].sizes, np.stack([net.flat for net in nets]))
 
 
+@pytest.mark.parametrize("count", [1, 2, 4, 36])
+@pytest.mark.parametrize("d_in", [16, 10, 13])  # single.xn, grid2x2.xn and mixed.xn's networks (mixed also has 10)
+def test_forward_batch_of_one_state_per_network_equals_forward_bit_for_bit(d_in, count):
+    """A (K, P) group evaluated on (K, 1, d) states gives each network's ``forward`` q-values exactly, so a
+    whole architecture group could be acted on in one call without changing any greedy action."""
+    rng = make_rng(100 * d_in + count)
+    nets = [init_network((d_in, 64, 64, 3), rng) for _ in range(count)]
+    xs = rng.uniform(0.0, 1.0, size=(count, 1, d_in))  # features lie in [0, 1]
+    batch = forward_batch(_stacked(nets), xs)
+    assert batch.shape == (count, 1, 3)
+    for k, net in enumerate(nets):
+        assert batch[k, 0].tobytes() == forward(net, xs[k, 0]).tobytes()
+
+
 def test_stacked_layers_are_views_per_network():
     nets = [init_network((4, 8, 3), make_rng(seed)) for seed in range(3)]
     stacked = _stacked(nets)
