@@ -404,11 +404,11 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
         make_controller = lambda: dqn.GreedyPolicy(nets, hp.decision_interval, rows, capacities)  # noqa: E731
 
     episodes: list[metrics.EpisodeTotals] = []
-    vehicles: list[metrics.VehicleMetrics] = []
+    vehicles = metrics.Vehicles.empty()
     for episode, seed in enumerate(config.seeds):
         # fresh controller per seed so no decision state leaks across episodes
         sim = rollout(scenario, infos, make_controller(), _generator(seed))
-        vehicles.extend(metrics.finalize(v, scenario.duration, seed, episode) for v in sim.vehicles)
+        metrics.finalize(sim.vehicles, scenario.duration, seed, episode, vehicles)
         episodes.append(
             metrics.EpisodeTotals(
                 seed=seed,

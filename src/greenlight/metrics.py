@@ -4,8 +4,8 @@ Four per-vehicle metrics are tracked: waiting time (seconds below the halting
 threshold), time loss (accumulated shortfall against the allowed speed),
 emergency-stop count, and depart delay.  The simulator's step accumulates the
 first three on each vehicle; ``finalize`` closes them out with the depart
-delay.  Reports aggregate them as mean / sample SD / min / max per metric for
-each controller.
+delay into the report's columns, one list per field.  Reports aggregate them
+as mean / sample SD / min / max per metric for each controller.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import compress
 
 from .netmodel import read_record, write_record
 
@@ -22,27 +23,12 @@ from .netmodel import read_record, write_record
 HALT_SPEED = 0.1
 
 
+#: The report document's version; the reader accepts no other.
+FORMAT_VERSION = 2
+
+
 class ReportFormatError(ValueError):
-    """A report document is not JSON, or its keys or value types do not match the report layout."""
-
-
-@dataclass
-class VehicleMetrics:
-    """One vehicle's report row, its fields named as the report files name them.
-
-    ``wt`` waiting time (s), ``tl`` time loss (s), ``es`` emergency stops and
-    ``dd`` depart delay (s), for vehicle ``id`` of evaluation episode
-    ``episode``, which ran with ``seed``.
-    """
-
-    id: int
-    wt: float
-    tl: float
-    es: int
-    dd: float
-    never_departed: bool
-    seed: int
-    episode: int
+    """A report document is not JSON, or its version, keys, value types or counts do not match the report layout."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +47,7 @@ EMPTY_SUMMARY = StatSummary(0.0, 0.0, 0.0, 0.0, 0)
 
 @dataclass(frozen=True)
 class Summaries:
-    """One summary per metric over the per-vehicle population, named as ``VehicleMetrics`` names the metric."""
+    """One summary per metric over the per-vehicle population, named as the ``Vehicles`` column of the metric."""
 
     wt: StatSummary
     tl: StatSummary
@@ -87,6 +73,32 @@ class EpisodeTotals:
 
 
 @dataclass
+class Vehicles:
+    """Every vehicle of a report as columns, one list per field: entry i of each list is vehicle i.
+
+    ``id`` is the vehicle's number within its episode and ``route`` the index of
+    its route in the scenario.  ``wt`` waiting time (s), ``tl`` time loss (s),
+    ``es`` emergency stops and ``dd`` depart delay (s) are its metrics, and
+    ``never_departed`` flags a vehicle that was never inserted.  ``seed`` and
+    ``episode`` name the evaluation episode it ran in.
+    """
+
+    id: list[int]
+    route: list[int]
+    wt: list[float]
+    tl: list[float]
+    es: list[int]
+    dd: list[float]
+    never_departed: list[bool]
+    seed: list[int]
+    episode: list[int]
+
+    @classmethod
+    def empty(cls) -> Vehicles:
+        return cls(*([] for _ in fields(cls)))
+
+
+@dataclass
 class RunReport:
     """Table-shaped evaluation result for one controller on one scenario."""
 
@@ -96,22 +108,27 @@ class RunReport:
     summaries: Summaries  # per-vehicle population
     es_per_episode: StatSummary  # emergency-stop totals, one value per episode
     episodes: list[EpisodeTotals]
-    vehicles: list[VehicleMetrics]
+    vehicles: Vehicles
+    format_version: int = FORMAT_VERSION
 
 
-def finalize(vehicle, duration: float, seed: int, episode: int) -> VehicleMetrics:
-    """Close out a vehicle's metrics at arrival or simulation end.
+def finalize(vehicles: list, duration: float, seed: int, episode: int, into: Vehicles) -> None:
+    """Close out one episode's vehicles at the end of its run, appending them to the columns of ``into``.
 
     Vehicles that never got inserted are flagged and charged the delay they
     accrued up to the end of the run; their counters are still zero, because
     only vehicles on a lane accumulate them.
     """
-    depart = vehicle.actual_depart
-    dd = (duration if depart is None else depart) - vehicle.scheduled_depart
-    # positional: keyword arguments take twice as long, and this runs once per vehicle
-    return VehicleMetrics(
-        vehicle.vid, vehicle.waiting_time, vehicle.time_loss, vehicle.emergency_stops, dd, depart is None, seed, episode
-    )
+    departs = [v.actual_depart for v in vehicles]
+    into.id.extend(v.vid for v in vehicles)
+    into.route.extend(v.route_index for v in vehicles)
+    into.wt.extend(v.waiting_time for v in vehicles)
+    into.tl.extend(v.time_loss for v in vehicles)
+    into.es.extend(v.emergency_stops for v in vehicles)
+    into.dd.extend((duration if d is None else d) - v.scheduled_depart for d, v in zip(departs, vehicles))
+    into.never_departed.extend(d is None for d in departs)
+    into.seed.extend([seed] * len(vehicles))
+    into.episode.extend([episode] * len(vehicles))
 
 
 def aggregate(values) -> StatSummary:
@@ -145,16 +162,16 @@ def build_report(
     scenario_id: str,
     seeds: list[int],
     episodes: list[EpisodeTotals],
-    vehicles: list[VehicleMetrics],
+    vehicles: Vehicles,
 ) -> RunReport:
     """Pool per-vehicle metrics across episodes into Table-1-shaped summaries.
 
     Summaries cover vehicles that actually departed; vehicles that never got
     inserted stay visible through their flagged rows and the episode totals.
     """
-    departed = [v for v in vehicles if not v.never_departed]
+    departed = [not never for never in vehicles.never_departed]
     # float(): an integer es would print its min and max as 2, not 2.0
-    per_metric = ([float(getattr(v, k)) for v in departed] for k in METRIC_KEYS)
+    per_metric = (list(map(float, compress(getattr(vehicles, k), departed))) for k in METRIC_KEYS)
     summaries = Summaries(*(aggregate(vals) if vals else EMPTY_SUMMARY for vals in per_metric))
     es_totals = [float(ep.emergency_stops) for ep in episodes]
     return RunReport(
@@ -169,40 +186,87 @@ def build_report(
 
 
 def report_to_json(report: RunReport) -> str:
+    """The report as one line of JSON, keys sorted; without ``indent``, the C encoder writes it."""
     doc = {
-        "controller": report.controller,
-        "scenario_id": report.scenario_id,
-        "seeds": report.seeds,
+        **vars(report),
         "summaries": write_record(report.summaries),
         "es_per_episode": write_record(report.es_per_episode),
-        # vars() is a row's document (no field renames its key), at a fraction of write_record's cost
+        # vars() is a record's document when no field renames its key, and it leaves the columns uncopied
         "episodes": [vars(ep) for ep in report.episodes],
-        "vehicles": [vars(v) for v in report.vehicles],
+        "vehicles": vars(report.vehicles),
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True)
 
 
 def report_from_json(text: str) -> RunReport:
     """Read a report written by ``report_to_json``.
 
-    Raises ReportFormatError for text that is not JSON, and for a missing or
-    unknown key or a value of the wrong type, naming it and where it is.
-    Numbers follow the scenario rules: whole numbers read as floats, and
-    non-finite numbers are rejected.
+    Raises ReportFormatError for text that is not JSON, for a ``format_version``
+    other than ``FORMAT_VERSION``, for a missing or unknown key or a value of
+    the wrong type, and for counts that disagree with each other (see
+    ``_check_counts``), naming the key at fault and where it is.  Numbers follow
+    the scenario rules: whole numbers read as floats, and non-finite numbers
+    are rejected.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportFormatError(f"report is not valid JSON: {exc}") from exc
-    return read_record(RunReport, doc, "report", ReportFormatError)
+    # before the other keys: a report of another version fails on its version, not on its layout
+    if type(doc) is dict and doc.get("format_version") != FORMAT_VERSION:
+        raise ReportFormatError(f"report: 'format_version' must be {FORMAT_VERSION}, got {doc.get('format_version')!r}")
+    report = read_record(RunReport, doc, "report", ReportFormatError)
+    _check_counts(report)
+    return report
+
+
+def _check_counts(report: RunReport) -> None:
+    """Reject a report whose columns, episodes, seeds and summary sizes disagree, naming the key at fault.
+
+    The columns have one length.  The episodes are one per seed, in the order
+    of ``seeds``.  The rows run episode by episode: episode k's ``spawned`` rows
+    carry its number and seed, and ``never_departed`` of them are flagged.  Every
+    per-vehicle summary covers the departed rows, and ``es_per_episode`` the episodes.
+    """
+    vehicles, episodes, seeds = report.vehicles, report.episodes, report.seeds
+    rows = len(vehicles.id)
+    for key, column in vars(vehicles).items():
+        if len(column) != rows:
+            raise ReportFormatError(f"vehicles: {key!r} has {len(column)} entries, 'id' has {rows}")
+    if len(episodes) != len(seeds):
+        raise ReportFormatError(f"report: 'episodes' has {len(episodes)} entries for {len(seeds)} 'seeds'")
+    start = 0
+    for k, (ep, seed) in enumerate(zip(episodes, seeds)):
+        if (ep.seed, ep.episode) != (seed, k):
+            raise ReportFormatError(f"episodes[{k}]: 'seed' and 'episode' must be seeds[{k}] ({seed}) and {k}, "
+                                    f"got {ep.seed} and {ep.episode}")
+        stop = start + ep.spawned
+        if (vehicles.episode[start:stop], vehicles.seed[start:stop]) != ([k] * ep.spawned, [seed] * ep.spawned):
+            raise ReportFormatError(f"episodes[{k}]: 'spawned' is {ep.spawned}, but 'vehicles' rows {start} to "
+                                    f"{stop - 1} are not all of episode {k} and seed {seed}")
+        flagged = sum(vehicles.never_departed[start:stop])
+        if flagged != ep.never_departed:
+            raise ReportFormatError(f"episodes[{k}]: 'never_departed' is {ep.never_departed}, "
+                                    f"but {flagged} of its rows are flagged")
+        start = stop
+    if start != rows:
+        raise ReportFormatError(f"vehicles: {rows} rows, but the episodes spawned {start}")
+    departed = rows - sum(vehicles.never_departed)
+    for key in METRIC_KEYS:
+        n = getattr(report.summaries, key).n
+        if n != departed:
+            raise ReportFormatError(f"summaries.{key}: 'n' is {n}, but 'vehicles' has {departed} departed rows")
+    if report.es_per_episode.n != len(episodes):
+        raise ReportFormatError(f"es_per_episode: 'n' is {report.es_per_episode.n} for {len(episodes)} episodes")
 
 
 def report_csv(report: RunReport) -> str:
     """One row per vehicle: id, wt, tl, es, dd, seed, episode."""
+    v = report.vehicles
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["vehicle_id", "waiting_time", "time_loss", "emergency_stops", "depart_delay", "seed", "episode"])
-    writer.writerows((v.id, v.wt, v.tl, v.es, v.dd, v.seed, v.episode) for v in report.vehicles)
+    writer.writerows(zip(v.id, v.wt, v.tl, v.es, v.dd, v.seed, v.episode))
     return out.getvalue()
 
 

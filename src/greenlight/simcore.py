@@ -46,6 +46,7 @@ class Vehicle:
     __slots__ = (
         "vid",
         "route",
+        "route_index",
         "edge_index",
         "position",
         "speed",
@@ -58,9 +59,10 @@ class Vehicle:
         "in_emergency",
     )
 
-    def __init__(self, vid: int, route: tuple[Edge, ...], scheduled_depart: float):
+    def __init__(self, vid: int, route: tuple[Edge, ...], scheduled_depart: float, route_index: int):
         self.vid = vid
         self.route = route
+        self.route_index = route_index  # of the route in the scenario; the step never reads it
         self.edge_index = 0
         self.position = 0.0  # m from edge start
         self.speed = 0.0
@@ -127,7 +129,7 @@ class Simulation:
         self.assignment: dict[str, tuple[str, str]] = {jid: (GREEN, RED) for jid in self._signal_ids}
 
         routes = [tuple(map(net.edge, r.edges)) for r in scenario.routes]
-        self.vehicles = [Vehicle(vid, routes[r], t) for vid, (t, r) in enumerate(spawn_schedule(scenario, rng))]
+        self.vehicles = [Vehicle(vid, routes[r], t, r) for vid, (t, r) in enumerate(spawn_schedule(scenario, rng))]
         self._scheduled = deque(self.vehicles)  # not yet due, in departure order
         self._queued: dict[str, deque[Vehicle]] = {}  # due, not yet inserted, by entry edge id; never empty
 

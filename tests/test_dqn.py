@@ -64,7 +64,7 @@ def test_featurize_counts_from_scripted_mini_scenario(single_scenario):
     )
     route = (sc.network.edge("n_in"), sc.network.edge("s_out"))
     for vid, (pos, speed, wait) in enumerate([(80.0, 0.0, 10.0), (70.0, 0.0, 10.0), (50.0, 5.0, 0.0)]):
-        veh = simcore.Vehicle(vid, route, 0.0)
+        veh = simcore.Vehicle(vid, route, 0.0, 0)
         veh.position, veh.speed, veh.waiting_time = pos, speed, wait
         veh.actual_depart = 0.0
         sim.vehicles.append(veh)

@@ -21,12 +21,12 @@ SEEDS = "1,2,3"
 
 GOLDEN = {
     "single": {
-        ".json": "835029ba49118be44e1fbadf87f34b847d2bec99d3bf6e1768900efd26a54811",
+        ".json": "290e93aca63c8a58619766c90ff1f9845e90c2795c24c3c5c832fe4e6a8d4cee",
         ".report.csv": "3ee6b1273261ad0af99c89347f2bc73fe841589da9063ab76ce47a878c33ad8b",
         ".summary.csv": "6db56b064f8e8f703abee08dd9a85a28dbdb898c32e51f3035d8d4ca1a01ab8f",
     },
     "grid2x2": {
-        ".json": "eecd5f5da15415cbf49a72ce6e46539b7f98ad3a0b8055366bf99e32e0924818",
+        ".json": "fa1ade5706c302b1bc9a6fbcbdfa7528d4ca162a94f0722ff9d05dd0e2084602",
         ".report.csv": "334e661e4eead61e6e0a23ef8cc4047e65971719e0b5bc36179e5bf5acfbb757",
         ".summary.csv": "a30a6df4c7f2d79411b3590d8f75fa8c77eb6bc3724ef637b4a5beaef0354e51",
     },
@@ -52,7 +52,7 @@ def test_fixed_time_eval_artifacts_are_pinned(tmp_path, scenario, capsys):
 #: never departed, so these digests pin the flagged rows.
 DQN_WEIGHTS = REPO / "perfbench" / "inputs" / "single-seed7-ep200.weights.json"
 DQN_GOLDEN = {
-    ".json": "ba674485209bfbe490ed233aabba17d250b70ff109f5e67e8fd2a680f44aee86",
+    ".json": "f8ca6f129211d73559694f070a5849baf7633ff166f4f7a1f94b1c3859d13326",
     ".report.csv": "4fe303bb575355f707657946b71af31b51712eb55eb3078ed0926aece01bbec8",
     ".summary.csv": "7c2b55f2aa72abae68b07e6f7c38fb621c07db1f4af965c1273707e6b3550eb7",
 }

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import MIXED_SCENARIO, SCENARIOS, make_rng
-from greenlight import cli, dqn, harness, metrics, netmodel, qnet
+from greenlight import cli, dqn, harness, metrics, netmodel, qnet, simcore
 from greenlight.harness import EvalConfig, Hyperparams, TrainConfig, WeightsMismatchError
-from greenlight.metrics import RunReport, StatSummary, Summaries
+from greenlight.metrics import RunReport, StatSummary, Summaries, Vehicles
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +352,7 @@ def _count_lane_walks(monkeypatch) -> list:
 def test_fixed_time_rollout_computes_no_lane_statistics(monkeypatch):
     clocks = _count_lane_walks(monkeypatch)
     report = harness.evaluate(EvalConfig(scenario_path=str(MIXED_SCENARIO), controller="fixed", seeds=[1, 2]))
-    assert report.vehicles and clocks == []
+    assert report.vehicles.id and clocks == []
 
 
 def test_training_walks_the_lanes_once_per_clock(monkeypatch):
@@ -500,9 +500,28 @@ def test_eval_rows_carry_their_own_episode(short_scenario):
     report = harness.evaluate(EvalConfig(scenario_path=short_scenario, controller="fixed", seeds=[6, 5]))
     assert [(ep.seed, ep.episode) for ep in report.episodes] == [(6, 0), (5, 1)]
     expected = [(ep.seed, ep.episode) for ep in report.episodes for _ in range(ep.spawned)]
-    assert [(v.seed, v.episode) for v in report.vehicles] == expected
+    assert list(zip(report.vehicles.seed, report.vehicles.episode)) == expected
     rows = metrics.report_csv(report).strip().split("\n")[1:]
     assert [tuple(int(c) for c in row.split(",")[-2:]) for row in rows] == expected
+
+
+def test_eval_route_column_is_the_spawn_schedule_route(single_scenario):
+    report = harness.evaluate(EvalConfig(scenario_path=str(SCENARIOS / "single.xn"), controller="fixed", seeds=[5]))
+    schedule = simcore.spawn_schedule(single_scenario, harness._generator(5))
+    assert report.vehicles.route == [route for _, route in schedule]
+    assert set(report.vehicles.route) == set(range(len(single_scenario.routes)))
+
+
+def test_trimmed_report_with_more_seeds_than_episodes_is_rejected():
+    """A 2-seed fixed-time report cut to 3 seeds, its first episode and 5 rows, its summaries left as they were."""
+    report = harness.evaluate(EvalConfig(scenario_path=str(SCENARIOS / "single.xn"), controller="fixed", seeds=[1, 2]))
+    doc = json.loads(metrics.report_to_json(report))
+    doc["seeds"] = [1, 2, 3]
+    doc["episodes"] = doc["episodes"][:1]
+    doc["vehicles"] = {key: column[:5] for key, column in doc["vehicles"].items()}
+    assert doc["summaries"]["wt"]["n"] == 398
+    with pytest.raises(metrics.ReportFormatError, match="report: 'episodes' has 1 entries for 3 'seeds'"):
+        metrics.report_from_json(json.dumps(doc))
 
 
 def test_eval_empty_demand_reports_zeroes(tmp_path, single_text):
@@ -589,7 +608,7 @@ def _report_with_means(controller, es_mean, dd_mean, es_episode_mean):
         summaries=Summaries(wt=summary(10.0), tl=summary(20.0), es=summary(es_mean), dd=summary(dd_mean)),
         es_per_episode=summary(es_episode_mean),
         episodes=[],
-        vehicles=[],
+        vehicles=Vehicles.empty(),
     )
 
 

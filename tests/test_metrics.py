@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import record_step
 from greenlight import cli, metrics
-from greenlight.metrics import VehicleMetrics, aggregate, build_report, finalize, percent_change
+from greenlight.metrics import Vehicles, aggregate, build_report, finalize, percent_change
 
 
 class Counters:
@@ -17,8 +18,9 @@ class Counters:
 
 
 class VehicleStub:
-    def __init__(self, vid, scheduled, actual, wt=0.0, tl=0.0, es=0):
+    def __init__(self, vid, scheduled, actual, wt=0.0, tl=0.0, es=0, route_index=0):
         self.vid = vid
+        self.route_index = route_index
         self.scheduled_depart = scheduled
         self.actual_depart = actual
         self.waiting_time = wt
@@ -47,21 +49,39 @@ def test_record_step_half_speed_loses_half():
     assert c.time_loss == pytest.approx(0.5)
 
 
+def _finalized(vehicle) -> dict:
+    """The one row ``finalize`` appends for ``vehicle``, by column."""
+    columns = Vehicles.empty()
+    finalize([vehicle], duration=1000.0, seed=1, episode=0, into=columns)
+    assert all(len(column) == 1 for column in vars(columns).values())
+    return {key: column[0] for key, column in vars(columns).items()}
+
+
 def test_finalize_delay_zero():
-    m = finalize(VehicleStub(1, scheduled=10.0, actual=10.0), duration=1000.0, seed=1, episode=0)
-    assert m.dd == 0.0 and not m.never_departed
+    m = _finalized(VehicleStub(1, scheduled=10.0, actual=10.0))
+    assert m["dd"] == 0.0 and not m["never_departed"]
 
 
 def test_finalize_delay_subtraction():
-    m = finalize(VehicleStub(1, scheduled=10.0, actual=14.0), duration=1000.0, seed=1, episode=0)
-    assert m.dd == pytest.approx(4.0)
+    m = _finalized(VehicleStub(1, scheduled=10.0, actual=14.0))
+    assert m["dd"] == pytest.approx(4.0)
 
 
 def test_finalize_never_inserted_flagged():
-    m = finalize(VehicleStub(1, scheduled=900.0, actual=None), duration=1000.0, seed=1, episode=0)
-    assert m.never_departed
-    assert m.dd == pytest.approx(100.0)
-    assert m.wt == 0.0 and m.tl == 0.0 and m.es == 0
+    m = _finalized(VehicleStub(1, scheduled=900.0, actual=None))
+    assert m["never_departed"]
+    assert m["dd"] == pytest.approx(100.0)
+    assert m["wt"] == 0.0 and m["tl"] == 0.0 and m["es"] == 0
+
+
+def test_finalize_appends_one_episode_in_vehicle_order():
+    columns = Vehicles.empty()
+    finalize([VehicleStub(0, 0.0, 1.0, wt=2.0)], duration=10.0, seed=5, episode=0, into=columns)
+    finalize([VehicleStub(0, 1.0, None, route_index=2), VehicleStub(1, 2.0, 3.0, es=1, route_index=1)],
+             duration=10.0, seed=6, episode=1, into=columns)
+    assert columns == Vehicles(id=[0, 0, 1], route=[0, 2, 1], wt=[2.0, 0.0, 0.0], tl=[0.0, 0.0, 0.0], es=[0, 0, 1],
+                               dd=[1.0, 9.0, 1.0], never_departed=[False, True, False], seed=[5, 6, 6],
+                               episode=[0, 1, 1])
 
 
 def test_aggregate_small_example():
@@ -115,8 +135,14 @@ def test_percent_change_zero_baseline_errors():
         percent_change(0.0, 1.0)
 
 
-def _vm(vid, wt, tl, es, dd, never=False, seed=1, episode=0):
-    return VehicleMetrics(vid, wt, tl, es, dd, never, seed, episode)
+def _vm(vid, wt, tl, es, dd, never=False, seed=1, episode=0, route=0):
+    """One vehicle's row, by column."""
+    return {"id": vid, "route": route, "wt": wt, "tl": tl, "es": es, "dd": dd, "never_departed": never, "seed": seed,
+            "episode": episode}
+
+
+def _columns(rows: list[dict]) -> Vehicles:
+    return Vehicles(*([row[f.name] for row in rows] for f in fields(Vehicles)))
 
 
 def test_build_report_pools_departed_only():
@@ -124,12 +150,12 @@ def test_build_report_pools_departed_only():
         metrics.EpisodeTotals(seed=1, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=3),
         metrics.EpisodeTotals(seed=2, episode=1, spawned=2, departed=1, arrived=1, never_departed=1, emergency_stops=1),
     ]
-    vehicles = [
+    vehicles = _columns([
         _vm(0, 10.0, 12.0, 2, 0.0),
         _vm(1, 20.0, 22.0, 1, 2.0),
-        _vm(0, 30.0, 32.0, 1, 4.0),
-        _vm(1, 0.0, 0.0, 0, 50.0, never=True),
-    ]
+        _vm(0, 30.0, 32.0, 1, 4.0, seed=2, episode=1),
+        _vm(1, 0.0, 0.0, 0, 50.0, never=True, seed=2, episode=1),
+    ])
     report = build_report("fixed", "abc", [1, 2], episodes, vehicles)
     assert report.summaries.wt.n == 3
     assert report.summaries.wt.mean == pytest.approx(20.0)
@@ -142,7 +168,7 @@ def test_report_json_round_trip():
     episodes = [
         metrics.EpisodeTotals(seed=1, episode=0, spawned=1, departed=1, arrived=1, never_departed=0, emergency_stops=2)
     ]
-    report = build_report("dqn", "abc", [1], episodes, [_vm(0, 1.5, 2.5, 2, 0.5)])
+    report = build_report("dqn", "abc", [1], episodes, _columns([_vm(0, 1.5, 2.5, 2, 0.5)]))
     again = metrics.report_from_json(metrics.report_to_json(report))
     assert again == report
     assert metrics.report_to_json(again) == metrics.report_to_json(report)
@@ -153,43 +179,56 @@ _counts = st.integers(0, 10**6)
 
 
 @st.composite
-def _vehicles(draw):
+def _vehicle(draw, seed, episode):
     """A vehicle row as ``finalize`` writes it: a never-departed vehicle has zero counters."""
     never = draw(st.booleans())
     wt, tl, es = (0.0, 0.0, 0) if never else (draw(_seconds), draw(_seconds), draw(st.integers(0, 50)))
-    return _vm(draw(_counts), wt, tl, es, draw(_seconds), never, draw(_counts), draw(st.integers(0, 100)))
+    return _vm(draw(_counts), wt, tl, es, draw(_seconds), never, seed, episode, route=draw(st.integers(0, 9)))
+
+
+@st.composite
+def _runs(draw):
+    """Seeds, their episode totals and the vehicle rows of a consistent report, episode by episode."""
+    seeds = draw(st.lists(_counts, unique=True, max_size=5))
+    episodes, rows = [], []
+    for k, seed in enumerate(seeds):
+        mine = draw(st.lists(_vehicle(seed, k), max_size=8))
+        never = sum(row["never_departed"] for row in mine)
+        departed = len(mine) - never
+        episodes.append(metrics.EpisodeTotals(seed, k, len(mine), departed, draw(st.integers(0, departed)), never,
+                                              sum(row["es"] for row in mine)))
+        rows += mine
+    return seeds, episodes, rows
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    controller=st.text(max_size=8),
-    seeds=st.lists(_counts, unique=True, max_size=5),
-    episodes=st.lists(st.builds(metrics.EpisodeTotals, *[_counts] * 7), max_size=5),
-    vehicles=st.lists(_vehicles(), max_size=30),
-)
+@given(controller=st.text(max_size=8), run=_runs())
 @example(
     controller="dqn",
-    seeds=[1],
-    episodes=[metrics.EpisodeTotals(1, 0, spawned=2, departed=0, arrived=0, never_departed=2, emergency_stops=0)],
-    vehicles=[_vm(0, 0.0, 0.0, 0, 5.0, never=True), _vm(1, 0.0, 0.0, 0, 7.5, never=True)],
+    run=(
+        [1],
+        [metrics.EpisodeTotals(1, 0, spawned=2, departed=0, arrived=0, never_departed=2, emergency_stops=0)],
+        [_vm(0, 0.0, 0.0, 0, 5.0, never=True), _vm(1, 0.0, 0.0, 0, 7.5, never=True)],
+    ),
 )
-def test_report_json_round_trip_property(controller, seeds, episodes, vehicles):
-    report = build_report(controller, "abc", seeds, episodes, vehicles)
+def test_report_json_round_trip_property(controller, run):
+    seeds, episodes, rows = run
+    report = build_report(controller, "abc", seeds, episodes, _columns(rows))
     text = metrics.report_to_json(report)
     again = metrics.report_from_json(text)
     assert again == report
     assert metrics.report_to_json(again) == text
-    if all(v.never_departed for v in vehicles):
+    if all(row["never_departed"] for row in rows):
         assert again.summaries == metrics.Summaries(*[metrics.EMPTY_SUMMARY] * 4)
 
 
 def test_report_reads_whole_numbers_as_floats():
     """A hand-written ``"wt": 2`` reads as 2.0, as whole numbers do in scenarios."""
     doc = _report_doc()
-    doc["vehicles"][0]["wt"] = 2
+    doc["vehicles"]["wt"][0] = 2
     doc["summaries"]["wt"]["min"] = 1
     report = metrics.report_from_json(json.dumps(doc))
-    assert type(report.vehicles[0].wt) is float and report.vehicles[0].wt == 2.0
+    assert type(report.vehicles.wt[0]) is float and report.vehicles.wt[0] == 2.0
     assert type(report.summaries.wt.vmin) is float and report.summaries.wt.vmin == 1.0
 
 
@@ -197,7 +236,7 @@ def test_report_csv_shape():
     episodes = [
         metrics.EpisodeTotals(seed=7, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=0)
     ]
-    rows = [_vm(0, 1.0, 2.0, 0, 0.0, seed=7), _vm(1, 3.0, 4.0, 0, 1.0, seed=7)]
+    rows = _columns([_vm(0, 1.0, 2.0, 0, 0.0, seed=7), _vm(1, 3.0, 4.0, 0, 1.0, seed=7)])
     report = build_report("fixed", "abc", [7], episodes, rows)
     lines = metrics.report_csv(report).strip().split("\n")
     assert lines[0] == "vehicle_id,waiting_time,time_loss,emergency_stops,depart_delay,seed,episode"
@@ -209,8 +248,8 @@ def test_summary_csv_two_controllers():
     episodes = [
         metrics.EpisodeTotals(seed=1, episode=0, spawned=1, departed=1, arrived=1, never_departed=0, emergency_stops=1)
     ]
-    a = build_report("fixed", "x", [1], episodes, [_vm(0, 1.0, 2.0, 1, 0.0)])
-    b = build_report("dqn", "x", [1], episodes, [_vm(0, 2.0, 1.0, 0, 0.5)])
+    a = build_report("fixed", "x", [1], episodes, _columns([_vm(0, 1.0, 2.0, 1, 0.0)]))
+    b = build_report("dqn", "x", [1], episodes, _columns([_vm(0, 2.0, 1.0, 0, 0.5)]))
     lines = metrics.summary_csv([a, b]).strip().split("\n")
     header = lines[0].split(",")
     assert header == [
@@ -222,11 +261,20 @@ def test_summary_csv_two_controllers():
 
 
 def _report_doc() -> dict:
+    """A consistent report of two episodes: two vehicles under seed 1, and one that never departed under seed 2."""
     episodes = [
-        metrics.EpisodeTotals(seed=1, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=1)
+        metrics.EpisodeTotals(seed=1, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=1),
+        metrics.EpisodeTotals(seed=2, episode=1, spawned=1, departed=0, arrived=0, never_departed=1, emergency_stops=0),
     ]
-    report = build_report("fixed", "abc", [1], episodes, [_vm(0, 1.0, 2.0, 1, 0.0), _vm(1, 3.0, 4.0, 0, 1.0)])
+    rows = [_vm(0, 1.0, 2.0, 1, 0.0), _vm(1, 3.0, 4.0, 0, 1.0), _vm(0, 0.0, 0.0, 0, 9.0, never=True, seed=2, episode=1)]
+    report = build_report("fixed", "abc", [1, 2], episodes, _columns(rows))
     return json.loads(metrics.report_to_json(report))
+
+
+def test_report_is_written_on_one_line_with_its_version():
+    text = metrics.report_to_json(metrics.report_from_json(json.dumps(_report_doc())))
+    assert "\n" not in text
+    assert json.loads(text)["format_version"] == metrics.FORMAT_VERSION == 2
 
 
 def _drop(path, key):
@@ -239,10 +287,21 @@ def _drop(path, key):
     return mutate
 
 
+def _set(path, key, value):
+    def mutate(doc):
+        target = doc
+        for step in path:
+            target = target[step]
+        target[key] = value
+
+    return mutate
+
+
 MALFORMED = {
     "no vehicles": (_drop([], "vehicles"), "report: missing key 'vehicles'"),
-    "row without dd": (_drop(["vehicles", 1], "dd"), r"vehicles\[1\]: missing key 'dd'"),
-    "row with unknown key": (lambda doc: doc["vehicles"][0].update(speed=3.0), r"vehicles\[0\]: unknown key 'speed'"),
+    "row without dd": (lambda doc: doc["vehicles"]["dd"].pop(1), "vehicles: 'dd' has 2 entries, 'id' has 3"),
+    "column without dd": (_drop(["vehicles"], "dd"), "vehicles: missing key 'dd'"),
+    "row with unknown key": (lambda doc: doc["vehicles"].update(speed=[3.0] * 3), "vehicles: unknown key 'speed'"),
     "episode without seed": (_drop(["episodes", 0], "seed"), r"episodes\[0\]: missing key 'seed'"),
     "summary without min": (_drop(["summaries", "tl"], "min"), "summaries.tl: missing key 'min'"),
     "summaries without es": (_drop(["summaries"], "es"), "summaries: missing key 'es'"),
@@ -250,8 +309,18 @@ MALFORMED = {
         lambda doc: doc["es_per_episode"].update(vmin=0.0),
         "es_per_episode: unknown key 'vmin'",
     ),
-    "row that is not an object": (lambda doc: doc["vehicles"].append(5), r"vehicles\[2\]: expected an object"),
+    "row that is not an object": (  # vehicles as rows, as reports before format_version 2 wrote them
+        lambda doc: doc.update(vehicles=[dict(zip(doc["vehicles"], row)) for row in zip(*doc["vehicles"].values())]),
+        "vehicles: expected an object, got list",
+    ),
     "unknown top-level key": (lambda doc: doc.update(version=2), "report: unknown key 'version'"),
+    "no format_version": (_drop([], "format_version"), "report: 'format_version' must be 2, got None"),
+    "format_version 1": (_set([], "format_version", 1), "report: 'format_version' must be 2, got 1"),
+    "format_version 3": (_set([], "format_version", 3), "report: 'format_version' must be 2, got 3"),
+    "format_version as a float": (
+        _set([], "format_version", 2.0),
+        "report: 'format_version' must be an integer, got 2.0",
+    ),
 }
 
 
@@ -264,30 +333,20 @@ def test_report_from_json_names_the_bad_key(case):
         metrics.report_from_json(json.dumps(doc))
 
 
-def _set(path, key, value):
-    def mutate(doc):
-        target = doc
-        for step in path:
-            target = target[step]
-        target[key] = value
-
-    return mutate
-
-
 WRONG_TYPES = {
     "number as a string": (_set(["summaries", "wt"], "mean", "8.5"), "summaries.wt: 'mean' must be a number, got '8.5'"),
     "missing number": (_set(["summaries", "dd"], "sd", None), "summaries.dd: 'sd' must be a number, got None"),
-    "bool as a number": (_set(["vehicles", 1], "wt", True), r"vehicles\[1\]: 'wt' must be a number, got True"),
+    "bool as a number": (_set(["vehicles", "wt"], 1, True), r"vehicles: 'wt\[1\]' must be a number, got True"),
     "bool as a count": (_set(["episodes", 0], "spawned", True), r"episodes\[0\]: 'spawned' must be an integer, got True"),
     "fraction as a count": (_set(["episodes", 0], "arrived", 1.5), r"episodes\[0\]: 'arrived' must be an integer"),
     "fractional summary size": (_set(["es_per_episode"], "n", 1.0), "es_per_episode: 'n' must be an integer, got 1.0"),
-    "count as a flag": (_set(["vehicles", 0], "never_departed", 0), r"vehicles\[0\]: 'never_departed' must be true"),
+    "count as a flag": (_set(["vehicles", "never_departed"], 0, 0), r"vehicles: 'never_departed\[0\]' must be true"),
     "controller not a string": (_set([], "controller", 3), "report: 'controller' must be a string, got 3"),
     "seeds not a list": (_set([], "seeds", 5), "report: 'seeds' must be a list, got 5"),
     "seed not an integer": (_set([], "seeds", ["1"]), r"report: 'seeds\[0\]' must be an integer, got '1'"),
     "bool as a seed": (_set([], "seeds", [True]), r"report: 'seeds\[0\]' must be an integer, got True"),
     "NaN as a number": (_set(["summaries", "wt"], "mean", float("nan")), "summaries.wt: 'mean' must be finite, got nan"),
-    "infinite number": (_set(["vehicles", 0], "tl", float("inf")), r"vehicles\[0\]: 'tl' must be finite, got inf"),
+    "infinite number": (_set(["vehicles", "tl"], 0, float("inf")), r"vehicles: 'tl\[0\]' must be finite, got inf"),
 }
 
 
@@ -295,6 +354,60 @@ WRONG_TYPES = {
 def test_report_from_json_names_the_value_of_the_wrong_type(case):
     mutate, message = WRONG_TYPES[case]
     doc = _report_doc()
+    mutate(doc)
+    with pytest.raises(metrics.ReportFormatError, match=message):
+        metrics.report_from_json(json.dumps(doc))
+
+
+def _append_row(doc):
+    for column in doc["vehicles"].values():
+        column.append(column[-1])
+
+
+#: Reports whose keys and types are right but whose counts disagree, each with the rule's message.
+INCONSISTENT = {
+    "columns of unequal length": (
+        lambda doc: doc["vehicles"]["route"].pop(),
+        "vehicles: 'route' has 2 entries, 'id' has 3",
+    ),
+    "more seeds than episodes": (lambda doc: doc["seeds"].append(3), "report: 'episodes' has 2 entries for 3 'seeds'"),
+    "episodes out of seed order": (
+        lambda doc: doc["seeds"].reverse(),
+        r"episodes\[0\]: 'seed' and 'episode' must be seeds\[0\] \(2\) and 0, got 1 and 0",
+    ),
+    "episodes numbered out of order": (
+        _set(["episodes", 1], "episode", 0),
+        r"episodes\[1\]: 'seed' and 'episode' must be seeds\[1\] \(2\) and 1, got 2 and 0",
+    ),
+    "spawned above its rows": (
+        _set(["episodes", 0], "spawned", 3),
+        r"episodes\[0\]: 'spawned' is 3, but 'vehicles' rows 0 to 2 are not all of episode 0 and seed 1",
+    ),
+    "a row under another seed": (
+        _set(["vehicles", "seed"], 1, 2),
+        r"episodes\[0\]: 'spawned' is 2, but 'vehicles' rows 0 to 1 are not all of episode 0 and seed 1",
+    ),
+    "rows beyond the last episode": (_append_row, "vehicles: 4 rows, but the episodes spawned 3"),
+    "never_departed unlike its rows": (
+        _set(["episodes", 1], "never_departed", 0),
+        r"episodes\[1\]: 'never_departed' is 0, but 1 of its rows are flagged",
+    ),
+    "summary size unlike the departed rows": (
+        _set(["summaries", "tl"], "n", 398),
+        "summaries.tl: 'n' is 398, but 'vehicles' has 2 departed rows",
+    ),
+    "es_per_episode size unlike the episodes": (
+        _set(["es_per_episode"], "n", 3),
+        "es_per_episode: 'n' is 3 for 2 episodes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT))
+def test_report_from_json_rejects_counts_that_disagree(case):
+    mutate, message = INCONSISTENT[case]
+    doc = _report_doc()
+    metrics.report_from_json(json.dumps(doc))  # consistent as written
     mutate(doc)
     with pytest.raises(metrics.ReportFormatError, match=message):
         metrics.report_from_json(json.dumps(doc))
@@ -310,12 +423,12 @@ def test_compare_cli_reports_the_bad_key(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_report_doc()))
     doc = _report_doc()
-    del doc["vehicles"][0]["dd"]
+    del doc["vehicles"]["dd"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["compare", str(good), str(bad), "--out", str(tmp_path / "c.json")]) == 1
     error = json.loads(capsys.readouterr().err.strip())
-    assert error == {"error": "vehicles[0]: missing key 'dd'", "kind": "ReportFormatError"}
+    assert error == {"error": "vehicles: missing key 'dd'", "kind": "ReportFormatError"}
 
 
 def test_compare_cli_reports_the_value_of_the_wrong_type(tmp_path, capsys):

@@ -80,7 +80,7 @@ def _empty_sim(single_scenario) -> Simulation:
 
 def _place(sim: Simulation, route_eids, position=0.0, speed=0.0) -> Vehicle:
     route = tuple(sim.scenario.network.edge(eid) for eid in route_eids)
-    veh = Vehicle(len(sim.vehicles), route, 0.0)
+    veh = Vehicle(len(sim.vehicles), route, 0.0, 0)  # the step never reads the route index
     veh.actual_depart = 0.0
     veh.position = position
     veh.speed = speed
@@ -214,7 +214,7 @@ def test_interlock_rejects_yellow_on_both_axes(single_scenario):
 def test_insertion_blocked_until_gap_clears(single_scenario):
     sim = _empty_sim(single_scenario)
     blocker = _place(sim, ["n_in", "s_out"], position=6.0, speed=0.0)
-    pending = Vehicle(len(sim.vehicles), blocker.route, 0.0)
+    pending = Vehicle(len(sim.vehicles), blocker.route, 0.0, 0)
     sim.vehicles.append(pending)
     sim._scheduled.append(pending)
     sim.step(ALL_GREEN_B)  # blocker sits near the entry; 6.0 - 5.0 < 7.5 required
@@ -467,7 +467,7 @@ def test_each_entry_edge_inserts_one_due_vehicle_per_step_in_departure_order(sin
     due = []
     for entry, depart in zip(entries, departs):
         route = (sim.scenario.network.edge(entry), sim.scenario.network.edge("s_out"))
-        due.append(Vehicle(len(sim.vehicles), route, depart))
+        due.append(Vehicle(len(sim.vehicles), route, depart, 0))
         sim.vehicles.append(due[-1])
         sim._scheduled.append(due[-1])
     _step_with_oracle_twin(sim, [ALL_GREEN_A])
