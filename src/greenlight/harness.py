@@ -39,11 +39,10 @@ CONTROLLERS = ("fixed", "dqn")
 
 
 def integer_at_least(value, minimum: int, what: str) -> int:
-    """``value`` as an int; bools, fractions and values below ``minimum`` raise ValueError naming ``what``."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole or value < minimum:
+    """``value``, an int of at least ``minimum``; anything else, bools and whole floats too, raises ValueError."""
+    if type(value) is not int or value < minimum:
         raise ValueError(f"{what}: expected an integer of at least {minimum}, got {value!r}")
-    return int(value)
+    return value
 
 
 def _generator(*entropy: int) -> np.random.Generator:
@@ -403,31 +402,14 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
         rows, capacities = [info.rows for info in infos], _capacities(scenario, infos)
         make_controller = lambda: dqn.GreedyPolicy(nets, hp.decision_interval, rows, capacities)  # noqa: E731
 
-    episodes: list[metrics.EpisodeTotals] = []
+    arrived: list[int] = []
     vehicles = metrics.Vehicles.empty()
     for episode, seed in enumerate(config.seeds):
         # fresh controller per seed so no decision state leaks across episodes
         sim = rollout(scenario, infos, make_controller(), _generator(seed))
         metrics.finalize(sim.vehicles, scenario.duration, seed, episode, vehicles)
-        episodes.append(
-            metrics.EpisodeTotals(
-                seed=seed,
-                episode=episode,
-                spawned=len(sim.vehicles),
-                departed=sim.inserted_count,
-                arrived=sim.arrived_count,
-                never_departed=len(sim.vehicles) - sim.inserted_count,
-                emergency_stops=sum(v.emergency_stops for v in sim.vehicles),
-            )
-        )
-
-    return metrics.build_report(
-        controller=config.controller,
-        scenario_id=scenario.content_id(),
-        seeds=config.seeds,
-        episodes=episodes,
-        vehicles=vehicles,
-    )
+        arrived.append(sim.arrived_count)
+    return metrics.build_report(config.controller, scenario.content_id(), config.seeds, arrived, vehicles)
 
 
 def compare(baseline: metrics.RunReport, candidate: metrics.RunReport) -> dict:

@@ -4,8 +4,10 @@ Four per-vehicle metrics are tracked: waiting time (seconds below the halting
 threshold), time loss (accumulated shortfall against the allowed speed),
 emergency-stop count, and depart delay.  The simulator's step accumulates the
 first three on each vehicle; ``finalize`` closes them out with the depart
-delay into the report's columns, one list per field.  Reports aggregate them
-as mean / sample SD / min / max per metric for each controller.
+delay into the report's columns, one list per field.  ``build_report`` counts
+every episode total and aggregates each metric as mean / sample SD / min /
+max from those columns, and ``report_from_json`` reads a report back by
+rebuilding it from its own columns, so each number has one definition.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import compress
 
@@ -28,7 +31,7 @@ FORMAT_VERSION = 2
 
 
 class ReportFormatError(ValueError):
-    """A report document is not JSON, or its version, keys, value types or counts do not match the report layout."""
+    """A report document is not JSON, or its version, keys, value types, row layout or values are not a report's."""
 
 
 @dataclass(frozen=True)
@@ -161,18 +164,27 @@ def build_report(
     controller: str,
     scenario_id: str,
     seeds: list[int],
-    episodes: list[EpisodeTotals],
+    arrived: list[int],
     vehicles: Vehicles,
 ) -> RunReport:
-    """Pool per-vehicle metrics across episodes into Table-1-shaped summaries.
+    """Count each episode's totals and pool per-vehicle metrics across episodes into Table-1-shaped summaries.
 
-    Summaries cover vehicles that actually departed; vehicles that never got
-    inserted stay visible through their flagged rows and the episode totals.
+    The rows run episode by episode, and every number of the report follows
+    from them except ``arrived[k]``, the vehicles that left the network in
+    episode k.  Summaries cover vehicles that actually departed; vehicles that
+    never got inserted stay visible through their flagged rows and the episode totals.
     """
     departed = [not never for never in vehicles.never_departed]
     # float(): an integer es would print its min and max as 2, not 2.0
     per_metric = (list(map(float, compress(getattr(vehicles, k), departed))) for k in METRIC_KEYS)
     summaries = Summaries(*(aggregate(vals) if vals else EMPTY_SUMMARY for vals in per_metric))
+    episodes, start = [], 0
+    for k, (seed, arrivals) in enumerate(zip(seeds, arrived)):
+        stop = bisect_right(vehicles.episode, k, start)
+        never = sum(vehicles.never_departed[start:stop])
+        episodes.append(EpisodeTotals(seed, k, stop - start, stop - start - never, arrivals, never,
+                                      sum(vehicles.es[start:stop])))
+        start = stop
     es_totals = [float(ep.emergency_stops) for ep in episodes]
     return RunReport(
         controller=controller,
@@ -199,14 +211,15 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_from_json(text: str) -> RunReport:
-    """Read a report written by ``report_to_json``.
+    """Read a report written by ``report_to_json``, checking it by rebuilding it from its own rows.
 
-    Raises ReportFormatError for text that is not JSON, for a ``format_version``
-    other than ``FORMAT_VERSION``, for a missing or unknown key or a value of
-    the wrong type, and for counts that disagree with each other (see
-    ``_check_counts``), naming the key at fault and where it is.  Numbers follow
-    the scenario rules: whole numbers read as floats, and non-finite numbers
-    are rejected.
+    Raises ReportFormatError naming the key at fault and where it is: for text
+    that is not JSON, another ``format_version``, a missing or unknown key, a
+    value of the wrong type, columns of unequal length, episodes that are not
+    one per seed, rows not laid out episode by episode under their episode's
+    seed, a value other than what ``build_report`` makes of the rows, and an
+    episode with more vehicles ``arrived`` than ``departed``.  As in scenarios,
+    whole numbers read as floats and non-finite numbers are rejected.
     """
     try:
         doc = json.loads(text)
@@ -216,48 +229,37 @@ def report_from_json(text: str) -> RunReport:
     if type(doc) is dict and doc.get("format_version") != FORMAT_VERSION:
         raise ReportFormatError(f"report: 'format_version' must be {FORMAT_VERSION}, got {doc.get('format_version')!r}")
     report = read_record(RunReport, doc, "report", ReportFormatError)
-    _check_counts(report)
-    return report
-
-
-def _check_counts(report: RunReport) -> None:
-    """Reject a report whose columns, episodes, seeds and summary sizes disagree, naming the key at fault.
-
-    The columns have one length.  The episodes are one per seed, in the order
-    of ``seeds``.  The rows run episode by episode: episode k's ``spawned`` rows
-    carry its number and seed, and ``never_departed`` of them are flagged.  Every
-    per-vehicle summary covers the departed rows, and ``es_per_episode`` the episodes.
-    """
-    vehicles, episodes, seeds = report.vehicles, report.episodes, report.seeds
+    vehicles, seeds, episodes = report.vehicles, report.seeds, report.episodes
     rows = len(vehicles.id)
     for key, column in vars(vehicles).items():
         if len(column) != rows:
             raise ReportFormatError(f"vehicles: {key!r} has {len(column)} entries, 'id' has {rows}")
     if len(episodes) != len(seeds):
         raise ReportFormatError(f"report: 'episodes' has {len(episodes)} entries for {len(seeds)} 'seeds'")
-    start = 0
-    for k, (ep, seed) in enumerate(zip(episodes, seeds)):
-        if (ep.seed, ep.episode) != (seed, k):
-            raise ReportFormatError(f"episodes[{k}]: 'seed' and 'episode' must be seeds[{k}] ({seed}) and {k}, "
-                                    f"got {ep.seed} and {ep.episode}")
-        stop = start + ep.spawned
-        if (vehicles.episode[start:stop], vehicles.seed[start:stop]) != ([k] * ep.spawned, [seed] * ep.spawned):
-            raise ReportFormatError(f"episodes[{k}]: 'spawned' is {ep.spawned}, but 'vehicles' rows {start} to "
-                                    f"{stop - 1} are not all of episode {k} and seed {seed}")
-        flagged = sum(vehicles.never_departed[start:stop])
-        if flagged != ep.never_departed:
-            raise ReportFormatError(f"episodes[{k}]: 'never_departed' is {ep.never_departed}, "
-                                    f"but {flagged} of its rows are flagged")
-        start = stop
-    if start != rows:
-        raise ReportFormatError(f"vehicles: {rows} rows, but the episodes spawned {start}")
-    departed = rows - sum(vehicles.never_departed)
-    for key in METRIC_KEYS:
-        n = getattr(report.summaries, key).n
-        if n != departed:
-            raise ReportFormatError(f"summaries.{key}: 'n' is {n}, but 'vehicles' has {departed} departed rows")
-    if report.es_per_episode.n != len(episodes):
-        raise ReportFormatError(f"es_per_episode: 'n' is {report.es_per_episode.n} for {len(episodes)} episodes")
+    previous = 0
+    for i, (k, seed) in enumerate(zip(vehicles.episode, vehicles.seed)):
+        if not previous <= k < len(seeds):
+            raise ReportFormatError(f"vehicles: 'episode[{i}]' is {k}; the rows run episode by episode, "
+                                    f"so it must be {previous} to {len(seeds) - 1}")
+        if seed != seeds[k]:
+            raise ReportFormatError(f"vehicles: 'seed[{i}]' is {seed}, but its episode {k} ran seeds[{k}] ({seeds[k]})")
+        previous = k
+    rebuilt = build_report(report.controller, report.scenario_id, seeds, [ep.arrived for ep in episodes], vehicles)
+    pairs = [  # in the order of the document's keys
+        *((f"episodes[{k}]", ep, again) for k, (ep, again) in enumerate(zip(episodes, rebuilt.episodes))),
+        ("es_per_episode", report.es_per_episode, rebuilt.es_per_episode),
+        *((f"summaries.{k}", getattr(report.summaries, k), getattr(rebuilt.summaries, k)) for k in sorted(METRIC_KEYS)),
+    ]
+    for where, written, derived in pairs:
+        values, expected = write_record(written), write_record(derived)
+        for key in sorted(values):
+            if values[key] != expected[key]:
+                raise ReportFormatError(f"{where}: {key!r} is {values[key]!r}, its rows give {expected[key]!r}")
+    # arrivals are the one total the rows do not hold
+    for k, ep in enumerate(episodes):
+        if ep.arrived > ep.departed:
+            raise ReportFormatError(f"episodes[{k}]: 'arrived' is {ep.arrived}, above 'departed' ({ep.departed})")
+    return report
 
 
 def report_csv(report: RunReport) -> str:

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from conftest import MIXED_SCENARIO, REPO, SCENARIOS
-from greenlight import cli, netmodel
+from greenlight import cli, metrics, netmodel
 
 SEEDS = "1,2,3"
 
@@ -70,8 +70,10 @@ def test_dqn_eval_artifacts_with_never_departed_rows_are_pinned(tmp_path, capsys
     capsys.readouterr()
     digests = {suffix: hashlib.sha256((tmp_path / f"dqn{suffix}").read_bytes()).hexdigest() for suffix in DQN_GOLDEN}
     assert digests == DQN_GOLDEN
-    report = json.loads(out.read_text())
-    assert [ep["never_departed"] for ep in report["episodes"]] == [1, 35]
+    text = out.read_text()
+    assert [ep["never_departed"] for ep in json.loads(text)["episodes"]] == [1, 35]
+    # the reader rebuilds the report from its rows, never-departed ones included, and writes the same bytes
+    assert metrics.report_to_json(metrics.report_from_json(text)) == text
 
 
 #: ``greenlight train --episodes 4 --seed 7``: four episodes fill the replay

@@ -183,13 +183,13 @@ def test_cli_hidden_override_sets_the_architecture(tmp_path, short_scenario):
     assert qnet.deserialize(out.read_text()).sizes == (harness.dqn.state_dim(4), 16, 8, 3)
 
 
-@pytest.mark.parametrize("seed", [-3, True, 2.5])
+@pytest.mark.parametrize("seed", [-3, True, 2.5, 2.0])
 def test_train_config_rejects_a_seed_numpy_cannot_use(seed):
     with pytest.raises(ValueError, match=rf"^seed: expected an integer of at least 0, got {seed}$"):
         TrainConfig(scenario_path="s.xn", episodes=1, seed=seed)
 
 
-@pytest.mark.parametrize("episodes", [0, True, 2.5, "3"])
+@pytest.mark.parametrize("episodes", [0, True, 2.5, 2.0, "3"])
 def test_train_config_rejects_episodes_that_are_not_a_positive_integer(episodes):
     with pytest.raises(ValueError, match=rf"^episodes: expected an integer of at least 1, got {episodes!r}$"):
         TrainConfig(scenario_path="s.xn", episodes=episodes, seed=0)
@@ -201,6 +201,7 @@ def test_train_config_rejects_episodes_that_are_not_a_positive_integer(episodes)
         ([1, -1], r"^seeds: expected an integer of at least 0, got -1$"),
         ([4, 1, 4], r"^seeds: 4 is listed more than once"),
         ([2, 3, 3, 2], r"^seeds: 3 is listed more than once"),
+        ([1, 2.0], r"^seeds: expected an integer of at least 0, got 2\.0$"),
     ],
 )
 def test_eval_config_rejects_negative_and_repeated_seeds(seeds, message):

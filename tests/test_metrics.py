@@ -146,17 +146,17 @@ def _columns(rows: list[dict]) -> Vehicles:
 
 
 def test_build_report_pools_departed_only():
-    episodes = [
-        metrics.EpisodeTotals(seed=1, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=3),
-        metrics.EpisodeTotals(seed=2, episode=1, spawned=2, departed=1, arrived=1, never_departed=1, emergency_stops=1),
-    ]
     vehicles = _columns([
         _vm(0, 10.0, 12.0, 2, 0.0),
         _vm(1, 20.0, 22.0, 1, 2.0),
         _vm(0, 30.0, 32.0, 1, 4.0, seed=2, episode=1),
         _vm(1, 0.0, 0.0, 0, 50.0, never=True, seed=2, episode=1),
     ])
-    report = build_report("fixed", "abc", [1, 2], episodes, vehicles)
+    report = build_report("fixed", "abc", [1, 2], [2, 1], vehicles)
+    assert report.episodes == [
+        metrics.EpisodeTotals(seed=1, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=3),
+        metrics.EpisodeTotals(seed=2, episode=1, spawned=2, departed=1, arrived=1, never_departed=1, emergency_stops=1),
+    ]
     assert report.summaries.wt.n == 3
     assert report.summaries.wt.mean == pytest.approx(20.0)
     assert report.summaries.dd.mean == pytest.approx(2.0)
@@ -165,10 +165,7 @@ def test_build_report_pools_departed_only():
 
 
 def test_report_json_round_trip():
-    episodes = [
-        metrics.EpisodeTotals(seed=1, episode=0, spawned=1, departed=1, arrived=1, never_departed=0, emergency_stops=2)
-    ]
-    report = build_report("dqn", "abc", [1], episodes, _columns([_vm(0, 1.5, 2.5, 2, 0.5)]))
+    report = build_report("dqn", "abc", [1], [1], _columns([_vm(0, 1.5, 2.5, 2, 0.5)]))
     again = metrics.report_from_json(metrics.report_to_json(report))
     assert again == report
     assert metrics.report_to_json(again) == metrics.report_to_json(report)
@@ -188,17 +185,15 @@ def _vehicle(draw, seed, episode):
 
 @st.composite
 def _runs(draw):
-    """Seeds, their episode totals and the vehicle rows of a consistent report, episode by episode."""
+    """Seeds, their arrivals and the vehicle rows of a consistent report, episode by episode."""
     seeds = draw(st.lists(_counts, unique=True, max_size=5))
-    episodes, rows = [], []
+    arrived, rows = [], []
     for k, seed in enumerate(seeds):
         mine = draw(st.lists(_vehicle(seed, k), max_size=8))
-        never = sum(row["never_departed"] for row in mine)
-        departed = len(mine) - never
-        episodes.append(metrics.EpisodeTotals(seed, k, len(mine), departed, draw(st.integers(0, departed)), never,
-                                              sum(row["es"] for row in mine)))
+        departed = sum(not row["never_departed"] for row in mine)
+        arrived.append(draw(st.integers(0, departed)))
         rows += mine
-    return seeds, episodes, rows
+    return seeds, arrived, rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,13 +202,13 @@ def _runs(draw):
     controller="dqn",
     run=(
         [1],
-        [metrics.EpisodeTotals(1, 0, spawned=2, departed=0, arrived=0, never_departed=2, emergency_stops=0)],
+        [0],
         [_vm(0, 0.0, 0.0, 0, 5.0, never=True), _vm(1, 0.0, 0.0, 0, 7.5, never=True)],
     ),
 )
 def test_report_json_round_trip_property(controller, run):
-    seeds, episodes, rows = run
-    report = build_report(controller, "abc", seeds, episodes, _columns(rows))
+    seeds, arrived, rows = run
+    report = build_report(controller, "abc", seeds, arrived, _columns(rows))
     text = metrics.report_to_json(report)
     again = metrics.report_from_json(text)
     assert again == report
@@ -223,21 +218,18 @@ def test_report_json_round_trip_property(controller, run):
 
 
 def test_report_reads_whole_numbers_as_floats():
-    """A hand-written ``"wt": 2`` reads as 2.0, as whole numbers do in scenarios."""
+    """A hand-written ``"wt": 1`` reads as 1.0, as whole numbers do in scenarios."""
     doc = _report_doc()
-    doc["vehicles"]["wt"][0] = 2
+    doc["vehicles"]["wt"][0] = 1
     doc["summaries"]["wt"]["min"] = 1
     report = metrics.report_from_json(json.dumps(doc))
-    assert type(report.vehicles.wt[0]) is float and report.vehicles.wt[0] == 2.0
+    assert type(report.vehicles.wt[0]) is float and report.vehicles.wt[0] == 1.0
     assert type(report.summaries.wt.vmin) is float and report.summaries.wt.vmin == 1.0
 
 
 def test_report_csv_shape():
-    episodes = [
-        metrics.EpisodeTotals(seed=7, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=0)
-    ]
     rows = _columns([_vm(0, 1.0, 2.0, 0, 0.0, seed=7), _vm(1, 3.0, 4.0, 0, 1.0, seed=7)])
-    report = build_report("fixed", "abc", [7], episodes, rows)
+    report = build_report("fixed", "abc", [7], [2], rows)
     lines = metrics.report_csv(report).strip().split("\n")
     assert lines[0] == "vehicle_id,waiting_time,time_loss,emergency_stops,depart_delay,seed,episode"
     assert len(lines) == 3
@@ -245,11 +237,8 @@ def test_report_csv_shape():
 
 
 def test_summary_csv_two_controllers():
-    episodes = [
-        metrics.EpisodeTotals(seed=1, episode=0, spawned=1, departed=1, arrived=1, never_departed=0, emergency_stops=1)
-    ]
-    a = build_report("fixed", "x", [1], episodes, _columns([_vm(0, 1.0, 2.0, 1, 0.0)]))
-    b = build_report("dqn", "x", [1], episodes, _columns([_vm(0, 2.0, 1.0, 0, 0.5)]))
+    a = build_report("fixed", "x", [1], [1], _columns([_vm(0, 1.0, 2.0, 1, 0.0)]))
+    b = build_report("dqn", "x", [1], [1], _columns([_vm(0, 2.0, 1.0, 0, 0.5)]))
     lines = metrics.summary_csv([a, b]).strip().split("\n")
     header = lines[0].split(",")
     assert header == [
@@ -261,13 +250,10 @@ def test_summary_csv_two_controllers():
 
 
 def _report_doc() -> dict:
-    """A consistent report of two episodes: two vehicles under seed 1, and one that never departed under seed 2."""
-    episodes = [
-        metrics.EpisodeTotals(seed=1, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=1),
-        metrics.EpisodeTotals(seed=2, episode=1, spawned=1, departed=0, arrived=0, never_departed=1, emergency_stops=0),
-    ]
+    """A consistent report of two episodes: two vehicles under seed 1, both arrived, and one that never departed
+    under seed 2."""
     rows = [_vm(0, 1.0, 2.0, 1, 0.0), _vm(1, 3.0, 4.0, 0, 1.0), _vm(0, 0.0, 0.0, 0, 9.0, never=True, seed=2, episode=1)]
-    report = build_report("fixed", "abc", [1, 2], episodes, _columns(rows))
+    report = build_report("fixed", "abc", [1, 2], [2, 0], _columns(rows))
     return json.loads(metrics.report_to_json(report))
 
 
@@ -364,7 +350,8 @@ def _append_row(doc):
         column.append(column[-1])
 
 
-#: Reports whose keys and types are right but whose counts disagree, each with the rule's message.
+#: Reports whose keys and types are right but whose rows are out of layout or whose values are not what
+#: ``build_report`` makes of the rows, each with the rule's message.
 INCONSISTENT = {
     "columns of unequal length": (
         lambda doc: doc["vehicles"]["route"].pop(),
@@ -373,32 +360,62 @@ INCONSISTENT = {
     "more seeds than episodes": (lambda doc: doc["seeds"].append(3), "report: 'episodes' has 2 entries for 3 'seeds'"),
     "episodes out of seed order": (
         lambda doc: doc["seeds"].reverse(),
-        r"episodes\[0\]: 'seed' and 'episode' must be seeds\[0\] \(2\) and 0, got 1 and 0",
+        r"vehicles: 'seed\[0\]' is 1, but its episode 0 ran seeds\[0\] \(2\)",
     ),
     "episodes numbered out of order": (
         _set(["episodes", 1], "episode", 0),
-        r"episodes\[1\]: 'seed' and 'episode' must be seeds\[1\] \(2\) and 1, got 2 and 0",
+        r"episodes\[1\]: 'episode' is 0, its rows give 1",
     ),
-    "spawned above its rows": (
-        _set(["episodes", 0], "spawned", 3),
-        r"episodes\[0\]: 'spawned' is 3, but 'vehicles' rows 0 to 2 are not all of episode 0 and seed 1",
-    ),
+    "episode under another seed": (_set(["episodes", 0], "seed", 7), r"episodes\[0\]: 'seed' is 7, its rows give 1"),
+    "spawned above its rows": (_set(["episodes", 0], "spawned", 3), r"episodes\[0\]: 'spawned' is 3, its rows give 2"),
     "a row under another seed": (
         _set(["vehicles", "seed"], 1, 2),
-        r"episodes\[0\]: 'spawned' is 2, but 'vehicles' rows 0 to 1 are not all of episode 0 and seed 1",
+        r"vehicles: 'seed\[1\]' is 2, but its episode 0 ran seeds\[0\] \(1\)",
     ),
-    "rows beyond the last episode": (_append_row, "vehicles: 4 rows, but the episodes spawned 3"),
+    "rows out of episode order": (
+        lambda doc: doc["vehicles"].update(episode=[1, 0, 1], seed=[2, 1, 2]),
+        r"vehicles: 'episode\[1\]' is 0; the rows run episode by episode, so it must be 1 to 1",
+    ),
+    "a row beyond the last episode": (
+        _set(["vehicles", "episode"], 2, 2),
+        r"vehicles: 'episode\[2\]' is 2; the rows run episode by episode, so it must be 0 to 1",
+    ),
+    "a row before the first episode": (
+        _set(["vehicles", "episode"], 0, -1),
+        r"vehicles: 'episode\[0\]' is -1; the rows run episode by episode, so it must be 0 to 1",
+    ),
+    "rows beyond the last episode": (
+        _append_row,
+        r"episodes\[1\]: 'never_departed' is 1, its rows give 2",
+    ),
     "never_departed unlike its rows": (
         _set(["episodes", 1], "never_departed", 0),
-        r"episodes\[1\]: 'never_departed' is 0, but 1 of its rows are flagged",
+        r"episodes\[1\]: 'never_departed' is 0, its rows give 1",
     ),
     "summary size unlike the departed rows": (
         _set(["summaries", "tl"], "n", 398),
-        "summaries.tl: 'n' is 398, but 'vehicles' has 2 departed rows",
+        "summaries.tl: 'n' is 398, its rows give 2",
     ),
     "es_per_episode size unlike the episodes": (
         _set(["es_per_episode"], "n", 3),
-        "es_per_episode: 'n' is 3 for 2 episodes",
+        "es_per_episode: 'n' is 3, its rows give 2",
+    ),
+    # a report whose totals and statistics contradict its rows is not read, so compare never reports them
+    "departed unlike its rows": (
+        _set(["episodes", 0], "departed", 5),
+        r"episodes\[0\]: 'departed' is 5, its rows give 2",
+    ),
+    "emergency_stops unlike its rows": (
+        _set(["episodes", 0], "emergency_stops", 999),
+        r"episodes\[0\]: 'emergency_stops' is 999, its rows give 1",
+    ),
+    "a mean unlike its rows": (
+        _set(["summaries", "wt"], "mean", 1.0),
+        r"summaries.wt: 'mean' is 1.0, its rows give 2.0",
+    ),
+    "arrived above departed": (
+        _set(["episodes", 1], "arrived", 1),
+        r"episodes\[1\]: 'arrived' is 1, above 'departed' \(0\)",
     ),
 }
 
