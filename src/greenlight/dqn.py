@@ -144,11 +144,12 @@ class EpsilonSchedule:
 
 
 class GreedyPolicy:
-    """Controller acting on each junction's q-values at clock 0, interval, 2 * interval, ...
+    """Controller acting on each junction's q-values on each whole multiple of the interval, from 0 in every episode.
 
-    Junctions are indexed by position: ``nets[k]`` is junction k's network, ``rows[k]`` its lanes in the
-    lane-statistics array and ``capacities``, and ``states[k]`` its signal state.  With ``epsilon`` 0, as at
-    evaluation, each action is the argmax; training sets ``epsilon`` and ``rng`` and extends ``act``.
+    It keeps no decision state between episodes, so one policy runs any number of them.  Junctions are indexed
+    by position: ``nets[k]`` is junction k's network, ``rows[k]`` its lanes in the lane-statistics array and
+    ``capacities``, and ``states[k]`` its signal state.  With ``epsilon`` 0, as at evaluation, each action is the
+    argmax; training sets ``epsilon`` and ``rng`` and extends ``act``.
     """
 
     def __init__(self, nets: list[QNetwork], interval: float, rows: list[slice], capacities: np.ndarray):
@@ -158,13 +159,11 @@ class GreedyPolicy:
         self.capacities = capacities
         self.epsilon = 0.0
         self.rng = None
-        self.next_decision = 0.0
 
     def decide(self, clock: float, lane_stats, states) -> list[str]:
         """Requests in junction order; they change only at a decision."""
-        if clock >= self.next_decision:
+        if clock % self.interval == 0.0:  # both whole steps, so exact
             self.act(self.features(lane_stats(), states))
-            self.next_decision = clock + self.interval
         return self.requests
 
     def features(self, stats: np.ndarray, states) -> list[np.ndarray]:

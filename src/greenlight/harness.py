@@ -16,7 +16,7 @@ import numpy as np
 from . import dqn, metrics, qnet
 from .controllers import REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
 from .dqn import ReplayBuffer
-from .netmodel import DT, GREEN, RED, Junction, Scenario, is_whole_steps, load_scenario, read_record
+from .netmodel import DT, GREEN, HALT_SPEED, RED, Junction, Scenario, is_whole_steps, load_scenario, read_record
 from .simcore import Simulation
 
 
@@ -160,14 +160,14 @@ def _capacities(scenario: Scenario, infos: list[_JunctionInfo]) -> np.ndarray:
 def junction_view(sim: Simulation, lanes: list[str]) -> np.ndarray:
     """The lane-statistics array at the current clock, one row per lane of ``lanes``.
 
-    Columns: vehicle count, halted count (speed below ``metrics.HALT_SPEED``) and summed ``waiting_time``.
+    Columns: vehicle count, halted count (speed below ``netmodel.HALT_SPEED``) and summed ``waiting_time``.
     """
     flat = []
     for lane in lanes:
         vehicles = sim.vehicles_on[lane]
         halted, wait = 0, 0.0
         for v in vehicles:
-            halted += v.speed < metrics.HALT_SPEED
+            halted += v.speed < HALT_SPEED
             wait += v.waiting_time
         flat += (len(vehicles), halted, wait)
     return np.array(flat, dtype=float).reshape(-1, 3)
@@ -266,7 +266,8 @@ class _TrainingAgent(dqn.GreedyPolicy):
     Each decision, and the episode's end, closes the interval just ended: every
     junction stores its transition, rewarded with the interval's mean per-step
     reward, then every junction takes one gradient step once the replay warmup
-    is filled.
+    is filled.  The episode's end also appends its row to ``curve`` and leaves
+    the agent ready for the next episode, so ``train`` only calls ``rollout``.
     """
 
     def __init__(self, infos: list[_JunctionInfo], capacities: np.ndarray, learner: _Learner, hp: Hyperparams,
@@ -281,13 +282,12 @@ class _TrainingAgent(dqn.GreedyPolicy):
         self.decisions = 0
         self.steps = 0  # in the current decision interval
         self.reward_sums = [0.0] * len(infos)  # per junction, over the current decision interval
+        self.curve: list[dict] = []  # per episode: episode, return, epsilon, mean_loss
+        self._reset_episode()
 
-    def start_episode(self, episode: int) -> None:
-        self.episode = episode
-        self.next_decision = 0.0
-        self.obs = None
-        self.episode_return = 0.0
-        self.losses: list[float] = []
+    def _reset_episode(self) -> None:
+        """Ready for the next episode, whose epsilon is the schedule's at its first decision."""
+        self.obs, self.episode_return, self.losses, self.first_decision = None, 0.0, [], self.decisions
 
     def act(self, obs: list) -> None:
         if self.obs is not None:
@@ -303,6 +303,11 @@ class _TrainingAgent(dqn.GreedyPolicy):
         self.steps += 1
         if done:
             self._close_interval(self.features(stats, states), terminal=True)
+            losses = self.losses
+            self.curve.append({"episode": len(self.curve), "return": self.episode_return,
+                               "epsilon": self.schedule.value(self.first_decision),
+                               "mean_loss": sum(losses) / len(losses) if losses else float("nan")})
+            self._reset_episode()
 
     def _close_interval(self, next_obs: list, terminal: bool) -> None:
         rewards = [total / self.steps for total in self.reward_sums]
@@ -316,7 +321,7 @@ class _TrainingAgent(dqn.GreedyPolicy):
         if diverged.size:
             k = diverged[0]
             raise TrainingDivergedError(f"junction {self.infos[k].junction.id}: non-finite loss at episode "
-                                        f"{self.episode}, decision {self.decisions}: {losses[k]}")
+                                        f"{len(self.curve)}, decision {self.decisions}: {losses[k]}")
         self.losses.extend(losses.tolist())
 
 
@@ -344,24 +349,12 @@ def train(config: TrainConfig) -> TrainResult:
     decisions = config.episodes * math.ceil(scenario.duration / hp.decision_interval)
     agent = _TrainingAgent(infos, _capacities(scenario, infos), _Learner(initial, hp), hp, config, decisions)
 
-    curve: list[dict] = []
     for episode in range(config.episodes):
-        agent.start_episode(episode)
-        epsilon = agent.schedule.value(agent.decisions)
         rollout(scenario, infos, agent, _generator(config.seed, _NS_EPISODE, episode), agent.on_step)
-        losses = agent.losses
-        curve.append(
-            {
-                "episode": episode,
-                "return": agent.episode_return,
-                "epsilon": epsilon,
-                "mean_loss": (sum(losses) / len(losses)) if losses else float("nan"),
-            }
-        )
     nets = agent.nets
     # one junction's network is written as a plain single-network document
     weights = nets[0] if len(nets) == 1 else {info.junction.id: net for info, net in zip(infos, nets)}
-    return TrainResult(weights_doc=qnet.serialize(weights), curve=curve)
+    return TrainResult(weights_doc=qnet.serialize(weights), curve=agent.curve)
 
 
 def load_weights(text: str, infos: list[_JunctionInfo]) -> dict[str, qnet.QNetwork]:
@@ -388,25 +381,23 @@ def load_weights(text: str, infos: list[_JunctionInfo]) -> dict[str, qnet.QNetwo
 
 
 def evaluate(config: EvalConfig) -> metrics.RunReport:
-    """Run one full simulation per seed and pool the results, Table-1 shaped."""
+    """Run one full simulation per seed, all under one controller, and pool the results, Table-1 shaped."""
     with open(config.scenario_path, encoding="utf-8") as fh:
         scenario = load_scenario(fh.read())
     infos = _junction_infos(scenario)
     hp = resolve_hyperparams(scenario)
 
     if config.controller == "fixed":
-        plans = [FixedTimePlan.for_junction(info.junction) for info in infos]
-        make_controller = lambda: FixedTimeController(plans)  # noqa: E731
+        controller = FixedTimeController([FixedTimePlan.for_junction(info.junction) for info in infos])
     else:
         nets = list(load_weights(config.weights, infos).values())  # in the order of infos
         rows, capacities = [info.rows for info in infos], _capacities(scenario, infos)
-        make_controller = lambda: dqn.GreedyPolicy(nets, hp.decision_interval, rows, capacities)  # noqa: E731
+        controller = dqn.GreedyPolicy(nets, hp.decision_interval, rows, capacities)
 
     arrived: list[int] = []
     vehicles = metrics.Vehicles.empty()
     for episode, seed in enumerate(config.seeds):
-        # fresh controller per seed so no decision state leaks across episodes
-        sim = rollout(scenario, infos, make_controller(), _generator(seed))
+        sim = rollout(scenario, infos, controller, _generator(seed))
         metrics.finalize(sim.vehicles, scenario.duration, seed, episode, vehicles)
         arrived.append(sim.arrived_count)
     return metrics.build_report(config.controller, scenario.content_id(), config.seeds, arrived, vehicles)

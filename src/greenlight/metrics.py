@@ -22,10 +22,6 @@ from itertools import compress
 
 from .netmodel import read_record, write_record
 
-#: Speed below which a vehicle counts as halted (SUMO convention), m/s.
-HALT_SPEED = 0.1
-
-
 #: The report document's version; the reader accepts no other.
 FORMAT_VERSION = 2
 

@@ -20,6 +20,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 DT = 1.0  # s, simulation step; every scenario duration is a whole number of steps
 GREEN, YELLOW, RED = "green", "yellow", "red"
+#: Speed below which a vehicle counts as halted (SUMO convention), m/s.
+HALT_SPEED = 0.1
 
 
 class ParseError(ValueError):

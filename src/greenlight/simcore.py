@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from . import metrics
-from .netmodel import DT, GREEN, RED, YELLOW, Edge, Scenario
+from .netmodel import DT, GREEN, HALT_SPEED, RED, YELLOW, Edge, Scenario
 
 _EPS = 1e-9
 #: Every (axis A, axis B) color pair a signalized junction may show: at least one axis red.
@@ -193,7 +192,7 @@ class Simulation:
 
         An open line is reached at ``end - _EPS``, a closed one only past ``end``."""
         length, accel_dv, b, emergency_decel, emergency_dv, bt, bt2, two_b = self._rule
-        dt, halt, sqrt, inf = DT, metrics.HALT_SPEED, math.sqrt, math.inf
+        dt, halt, sqrt, inf = DT, HALT_SPEED, math.sqrt, math.inf
         assignment, vehicles_on = self.assignment, self.vehicles_on
         rears = {}  # each moved lane's last vehicle as it was before the move: (position, speed)
         heads = []

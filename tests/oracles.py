@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from greenlight import dqn, metrics, qnet
-from greenlight.netmodel import DT, GREEN, RED
+from greenlight import dqn, qnet
+from greenlight.netmodel import DT, GREEN, HALT_SPEED, RED
 from greenlight.simcore import InterlockViolation
 
 EPS = 1e-9  # m: a vehicle this close to its line counts as at it
@@ -279,7 +279,7 @@ def record_step(tracker, speed, allowed_speed, dt):
 
     ``tracker`` needs mutable ``waiting_time`` and ``time_loss`` attributes.
     """
-    if speed < metrics.HALT_SPEED:
+    if speed < HALT_SPEED:
         tracker.waiting_time += dt
     tracker.time_loss += (1.0 - speed / allowed_speed) * dt
 
@@ -481,7 +481,7 @@ def junction_view(sim, junction, capacities, state):
     for eid in junction.axis_a + junction.axis_b:
         lane = sim.vehicles_on[eid]
         counts.append(len(lane))
-        halted.append(sum(1 for v in lane if v.speed < metrics.HALT_SPEED))
+        halted.append(sum(1 for v in lane if v.speed < HALT_SPEED))
         waits.append(sum(v.waiting_time for v in lane))
     return JunctionView(
         lane_counts=tuple(counts),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import MIXED_SCENARIO, SCENARIOS, make_rng
+from conftest import MIXED_SCENARIO, REPO, SCENARIOS, make_rng
 from greenlight import cli, dqn, harness, metrics, netmodel, qnet, simcore
 from greenlight.harness import EvalConfig, Hyperparams, TrainConfig, WeightsMismatchError
 from greenlight.metrics import RunReport, StatSummary, Summaries, Vehicles
@@ -255,6 +255,14 @@ def test_train_is_deterministic(short_scenario):
     assert not math.isnan(a.curve[-1]["mean_loss"])
 
 
+def test_curve_epsilon_is_the_schedule_at_each_episode_first_decision(short_scenario):
+    """120 s at interval 5 is 24 decisions an episode; 4 episodes decay over the first 48."""
+    result = harness.train(TrainConfig(scenario_path=short_scenario, episodes=4, seed=2,
+                                       hp_overrides={"eps_fraction": 0.5}))
+    assert [row["episode"] for row in result.curve] == [0, 1, 2, 3]
+    assert [row["epsilon"] for row in result.curve] == pytest.approx([1.0, 0.525, 0.05, 0.05])
+
+
 def test_train_literal_reward_mode_runs(short_scenario):
     base = dict(scenario_path=short_scenario, episodes=1, seed=4, hp_overrides={"warmup": 20})
     literal = harness.train(TrainConfig(reward_mode="literal", **base))
@@ -371,6 +379,33 @@ def test_dqn_eval_walks_the_lanes_once_per_decision(monkeypatch, tmp_path):
     assert clocks == [float(t) for t in range(0, 400, 5)]
 
 
+def test_decisions_restart_at_clock_0_in_every_episode(monkeypatch, tmp_path):
+    """At interval 7, which does not divide mixed.xn's 400 s, an episode's last decision is at 399 s; each
+    following episode, in training and at evaluation alike, still decides at 0, 7, 14, ..."""
+    doc = json.loads(MIXED_SCENARIO.read_text())
+    doc["train"]["decision_interval"] = 7
+    path = tmp_path / "interval7.xn"
+    path.write_text(json.dumps(doc))
+    decided = []
+
+    class RecordingAgent(harness._TrainingAgent):
+        def decide(self, clock, lane_stats, states):
+            self.clock = clock
+            return super().decide(clock, lane_stats, states)
+
+        def act(self, obs):
+            decided.append(self.clock)
+            super().act(obs)
+
+    monkeypatch.setattr(harness, "_TrainingAgent", RecordingAgent)
+    weights = harness.train(TrainConfig(scenario_path=str(path), episodes=2, seed=1)).weights_doc
+    expected = 2 * [float(t) for t in range(0, 400, 7)]
+    assert decided == expected
+    clocks = _count_lane_walks(monkeypatch)
+    harness.evaluate(EvalConfig(str(path), "dqn", [4, 5], weights=weights))
+    assert clocks == expected
+
+
 def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
     """On mixed.xn (junctions with 3 and 2 lanes) the array path gives, at every
     decision, the features of the per-junction lane walk, and at every step its
@@ -393,8 +428,8 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
             sims.append(self)
 
     class CheckedAgent(harness._TrainingAgent):
-        def start_episode(self, episode):
-            super().start_episode(episode)
+        def __init__(self, *args):
+            super().__init__(*args)
             self.oracle_sums = [0.0] * len(self.infos)
 
         def decide(self, clock, lane_stats, states):
@@ -495,6 +530,21 @@ def test_eval_seed_order_changes_layout_not_results(short_scenario):
     by_seed_rev = {ep.seed: ep.emergency_stops for ep in rev.episodes}
     assert by_seed_fwd == by_seed_rev
     assert fwd.summaries.wt.mean == pytest.approx(rev.summaries.wt.mean)
+
+
+def test_dqn_eval_seed_order_changes_layout_not_results():
+    """One policy runs every seed, so a seed's vehicles do not depend on the seeds run before it."""
+    weights = (REPO / "perfbench" / "inputs" / "single-seed7-ep200.weights.json").read_text()
+    columns = ("id", "route", "wt", "tl", "es", "dd", "never_departed")
+
+    def rows_by_seed(seeds):
+        report = harness.evaluate(EvalConfig(str(SCENARIOS / "single.xn"), "dqn", seeds, weights=weights))
+        v = report.vehicles
+        return {seed: [tuple(getattr(v, key)[i] for key in columns) for i in range(len(v.id)) if v.seed[i] == seed]
+                for seed in seeds}
+
+    fwd, rev = rows_by_seed([1003, 1014]), rows_by_seed([1014, 1003])
+    assert fwd == rev and all(fwd.values())
 
 
 def test_eval_rows_carry_their_own_episode(short_scenario):
