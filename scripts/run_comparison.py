@@ -27,7 +27,7 @@ def parse_seed_range(raw: str) -> list[int]:
     """Seeds from ``lo-hi`` (inclusive, lo ≤ hi) or a comma-separated list; errors name ``--eval-seeds``."""
     try:
         if "-" not in raw or "," in raw:
-            return [int(s) for s in raw.split(",") if s.strip()]
+            return [int(s) for s in raw.split(",")]  # an empty entry is no integer either
         lo, hi = (int(s) for s in raw.split("-", 1))
         if lo <= hi:
             return list(range(lo, hi + 1))

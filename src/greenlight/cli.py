@@ -37,7 +37,7 @@ def _parse_hp(pairs: list[str]) -> dict:
 
 def _parse_seeds(raw: str) -> list[int]:
     try:
-        return [int(s) for s in raw.split(",") if s.strip() != ""]
+        return [int(s) for s in raw.split(",")]  # an empty entry is no integer either
     except ValueError as exc:
         raise ValueError(f"--seeds expects comma-separated integers, got {raw!r}") from exc
 

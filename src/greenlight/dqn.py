@@ -118,15 +118,16 @@ class ReplayBuffer:
         return rng.integers(0, len(self), size=(self.agents, batch_size))
 
 
-def td_targets_batch(buffer: ReplayBuffer, agents, rows: np.ndarray, target_net: QNetwork, gamma: float) -> np.ndarray:
+def td_targets_batch(buffer: ReplayBuffer, agents, rows: np.ndarray, target_net: QNetwork, gamma: float,
+                     out: qnet.Workspace | None = None) -> np.ndarray:
     """Bootstrapped targets of buffer rows ``rows`` of agents ``agents`` under the target network.
 
     ``agents`` broadcasts against ``rows``: an agent index with (n,) rows and a
     (P,) network, or a (K, 1) column of agents with (K, n) rows and a (K, P)
-    network holding agent k's target network in row k.
+    network holding agent k's target network in row k.  ``out`` is passed to ``qnet.forward_batch``.
     """
     next_states = buffer.next_states[agents, rows, : target_net.d_in]
-    best = qnet.forward_batch(target_net, next_states).max(axis=-1)
+    best = qnet.forward_batch(target_net, next_states, out).max(axis=-1)
     return buffer.rewards[agents, rows] + gamma * best * buffer.nonterminal[agents, rows]
 
 

@@ -200,11 +200,9 @@ def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_
     total_steps = int(round(scenario.duration / DT))
     for step in range(1, total_steps + 1):
         requests = controller.decide(sim.clock, lane_stats, states)
-        assignment = {}
         for k, junction in enumerate(junctions):
-            states[k] = state = apply_interlock(requests[k], states[k], junction)
-            assignment[junction.id] = state.colors()
-        sim.step(assignment)
+            states[k] = apply_interlock(requests[k], states[k], junction)
+        sim.step([state.colors() for state in states])
         if on_step is not None:
             on_step(sim, lane_stats, states, step == total_steps)
     return sim
@@ -218,7 +216,8 @@ class _Learner:
     the policy acts with.  All groups live in one flat Stack with one Adam, one
     target copy and one gradient buffer, and all junctions share one replay
     ring.  So each update trains every junction's network on its own sample
-    with one batched call per group.
+    with one batched call per group, into that group's preallocated online
+    and target workspaces, so an update allocates no per-layer arrays.
     """
 
     def __init__(self, initial: list[qnet.QNetwork], hp: Hyperparams):
@@ -233,6 +232,8 @@ class _Learner:
                 self.nets[k] = qnet.QNetwork(group.sizes, group.flat[row])
         self.target = qnet.clone(self.params)
         self.grads = qnet.Stack(self.params.sizes)
+        shapes = [(sizes, (len(m), hp.batch_size)) for sizes, m in zip(layout, self.members)]
+        self.work = [(qnet.Workspace(*shape), qnet.Workspace(*shape)) for shape in shapes]  # online, target
         self.opt = qnet.Adam(self.params)
         self.buffer = ReplayBuffer(hp.buffer_capacity, max(a[0] for a in archs), len(initial))
         self.hp = hp
@@ -248,11 +249,13 @@ class _Learner:
             return np.empty(0)
         rows = buffer.sample(hp.batch_size, rng)
         losses = np.empty(len(self.nets))
-        for net, target, grads, members in zip(self.params.groups, self.target.groups, self.grads.groups, self.members):
+        groups = zip(self.params.groups, self.target.groups, self.grads.groups, self.members, self.work)
+        for net, target, grads, members, (online_work, target_work) in groups:
             agents, group_rows = members[:, None], rows[members]
-            targets = dqn.td_targets_batch(buffer, agents, group_rows, target, hp.gamma)
+            targets = dqn.td_targets_batch(buffer, agents, group_rows, target, hp.gamma, target_work)
             states = buffer.states[agents, group_rows, : net.d_in]
-            losses[members] = qnet.backward_batch(net, states, targets, buffer.actions[agents, group_rows], grads)
+            actions = buffer.actions[agents, group_rows]
+            losses[members] = qnet.backward_batch(net, states, targets, actions, grads, online_work)
         self.opt.step(self.params, self.grads, hp.lr)
         self.updates += 1
         if self.updates % hp.target_sync == 0:

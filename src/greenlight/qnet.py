@@ -117,53 +117,67 @@ def forward(net: QNetwork, x) -> np.ndarray:
     return a
 
 
-def forward_batch(net: QNetwork, xs) -> np.ndarray:
-    """Q-values for a (..., n, d_in) batch of states; a (K, P) network takes K batches."""
-    activations, _ = _forward_cached(net, _check_input(net, xs))
-    return activations[-1]
+class Workspace:
+    """Per-layer arrays for batches of one shape: each layer's output and its loss gradient.
+
+    ``batch`` is the states' shape without ``d_in``: (n,) for a (P,) network, (K, n) for a (K, P) one.
+    ``forward_batch`` and ``backward_batch`` write into a workspace passed as ``out`` and into a fresh one
+    otherwise, so a caller that repeats one batch shape allocates no per-layer arrays.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], batch: tuple[int, ...]):
+        self.activations = [np.empty((*batch, width)) for width in sizes[1:]]
+        self.deltas = [np.empty((*batch, width)) for width in sizes[1:]]
 
 
-def _forward_cached(net: QNetwork, a: np.ndarray):
-    """Activations per layer (inputs included), pre-activations for hidden."""
-    activations = [a]
-    pre = []
+def forward_batch(net: QNetwork, xs, out: Workspace | None = None) -> np.ndarray:
+    """Q-values for a (..., n, d_in) batch of states; a (K, P) network takes K batches.
+
+    The result is ``out``'s last activation, overwritten by the next call given ``out``."""
+    xs = _check_input(net, np.atleast_2d(xs))
+    return _forward(net, xs, (out or Workspace(net.sizes, xs.shape[:-1])).activations)
+
+
+def _forward(net: QNetwork, a: np.ndarray, activations: list[np.ndarray]) -> np.ndarray:
+    """Each layer's output into ``activations``, rectified in place on hidden layers; returns the last."""
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
+    for i, (w, b, z) in enumerate(zip(net.weights, net.biases, activations)):
+        a = np.matmul(a, w.swapaxes(-1, -2), out=z)
+        a += b[..., None, :]
         if i < last:
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-        else:
-            a = z
-        activations.append(a)
-    return activations, pre
+            np.maximum(a, 0.0, out=a)
+    return a
 
 
-def backward_batch(net: QNetwork, xs, td_targets, actions, grads: QNetwork):
+def backward_batch(net: QNetwork, xs, td_targets, actions, grads: QNetwork, out: Workspace | None = None):
     """Mean squared TD loss over a batch; its mean gradients go into ``grads``, laid out as ``net``.
 
     Equivalent to averaging the loss (q[action] - target)^2 and its gradients
     over the samples one at a time.  A (K, P) network takes (K, n, d_in)
     states and (K, n) targets and actions and returns K losses, network k
-    trained on batch k.
+    trained on batch k.  ``out`` is as for ``forward_batch``.
     """
     _check_layout(net, grads, "gradient")
-    xs = _check_input(net, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
+    xs = _check_input(net, np.atleast_2d(xs))
     targets = np.asarray(td_targets, dtype=np.float64)
     acts = np.asarray(actions, dtype=np.intp)
     n = xs.shape[-2]
-    activations, pre = _forward_cached(net, xs)
-    q = activations[-1]
+    work = out or Workspace(net.sizes, xs.shape[:-1])
+    activations, deltas = work.activations, work.deltas
+    q = _forward(net, xs, activations)
     taken = np.arange(net.d_out) == acts[..., None]  # one-hot of each sample's action
     errors = q[taken].reshape(acts.shape) - targets
     losses = np.add.reduce(errors * errors, axis=-1) / n  # np.mean, without its dispatch
 
-    delta = np.where(taken, (2.0 * errors / n)[..., None], 0.0)
+    delta = deltas[-1]
+    delta.fill(0.0)
+    np.copyto(delta, (2.0 * errors / n)[..., None], where=taken)
     for layer in range(len(net.weights) - 1, -1, -1):
-        np.matmul(delta.swapaxes(-1, -2), activations[layer], out=grads.weights[layer])
+        np.matmul(delta.swapaxes(-1, -2), activations[layer - 1] if layer else xs, out=grads.weights[layer])
         np.add.reduce(delta, axis=-2, out=grads.biases[layer])
-        if layer > 0:
-            delta = (delta @ net.weights[layer]) * (pre[layer - 1] > 0.0)
+        if layer > 0:  # through the rectifier: its output is above 0 exactly where its input is
+            delta = np.matmul(delta, net.weights[layer], out=deltas[layer - 1])
+            delta *= activations[layer - 1] > 0.0
     return losses
 
 

@@ -36,7 +36,7 @@ _LEGAL_PAIRS = frozenset((a, b) for a in (GREEN, YELLOW, RED) for b in (GREEN, Y
 
 
 class InterlockViolation(ValueError):
-    """A requested assignment would show two conflicting axes non-red."""
+    """Requested signal colors would show two conflicting axes non-red, or do not cover the signalized junctions."""
 
 
 class Vehicle:
@@ -113,19 +113,19 @@ class Simulation:
         self.edge_order: tuple[Edge, ...] = tuple(sorted(net.edges, key=lambda e: e.id))
         self.vehicles_on: dict[str, list[Vehicle]] = {e.id: [] for e in self.edge_order}
 
-        # which (junction, axis) guards each signal-controlled edge end
+        # which (junction position, axis) guards each signal-controlled edge end, in signalized_junctions() order
         signalized = net.signalized_junctions()
-        self._signal_ids = tuple(j.id for j in signalized)
-        self._edge_signal: dict[str, tuple[str, int]] = {}
-        for j in signalized:
+        self._signal_ids = tuple(j.id for j in signalized)  # for messages only
+        self._edge_signal: dict[str, tuple[int, int]] = {}
+        for k, j in enumerate(signalized):
             for eid in j.axis_a:
-                self._edge_signal[eid] = (j.id, 0)
+                self._edge_signal[eid] = (k, 0)
             for eid in j.axis_b:
-                self._edge_signal[eid] = (j.id, 1)
+                self._edge_signal[eid] = (k, 1)
         # (edge, its lane, its guard or None) by edge id, in edge order
         self._lanes = {e.id: (e, self.vehicles_on[e.id], self._edge_signal.get(e.id)) for e in self.edge_order}
 
-        self.assignment: dict[str, tuple[str, str]] = {jid: (GREEN, RED) for jid in self._signal_ids}
+        self.colors: tuple[tuple[str, str], ...] = ((GREEN, RED),) * len(signalized)  # by junction position
 
         routes = [tuple(map(net.edge, r.edges)) for r in scenario.routes]
         self.vehicles = [Vehicle(vid, routes[r], t, r) for vid, (t, r) in enumerate(spawn_schedule(scenario, rng))]
@@ -142,30 +142,27 @@ class Simulation:
         guard = self._edge_signal.get(edge.id)
         if guard is None:
             return GREEN
-        jid, axis = guard
-        return self.assignment[jid][axis]
+        k, axis = guard
+        return self.colors[k][axis]
 
     # -- stepping --------------------------------------------------------------
 
-    def step(self, assignment: dict[str, tuple[str, str]]) -> None:
-        """Advance the world by one second under the given signal assignment."""
-        self._check_interlock(assignment)
-        self.assignment = dict(assignment)
+    def step(self, colors) -> None:
+        """Advance one second under one (axis A, axis B) color pair per ``network.signalized_junctions()`` entry."""
+        self._check_interlock(colors)
+        self.colors = tuple(colors)
         self._insert_due()
         self._transfer_and_arrive(self._move_all())
         self.clock += DT
 
-    def _check_interlock(self, assignment: dict[str, tuple[str, str]]) -> None:
-        for jid in self._signal_ids:
-            if assignment.get(jid) not in _LEGAL_PAIRS:
-                if jid not in assignment:
-                    raise InterlockViolation(f"no assignment for signalized junction {jid}")
-                color_a, color_b = assignment[jid]
+    def _check_interlock(self, colors) -> None:
+        if len(colors) != len(self._signal_ids):
+            raise InterlockViolation(f"{len(colors)} color pairs for {len(self._signal_ids)} signalized junctions")
+        for jid, pair in zip(self._signal_ids, colors):
+            if pair not in _LEGAL_PAIRS:
+                color_a, color_b = pair
                 problem = "both axes non-red" if {color_a, color_b} <= {GREEN, YELLOW} else "unknown color in"
                 raise InterlockViolation(f"junction {jid}: {problem} ({color_a}, {color_b})")
-        if len(assignment) > len(self._signal_ids):
-            jid = next(jid for jid in assignment if jid not in self._signal_ids)
-            raise InterlockViolation(f"junction {jid} is not signalized, yet is assigned {assignment[jid]}")
 
     def _insert_due(self) -> None:
         """Queue the vehicles now due by entry edge; each entry edge inserts its first queued vehicle if it has room."""
@@ -193,13 +190,13 @@ class Simulation:
         An open line is reached at ``end - _EPS``, a closed one only past ``end``."""
         length, accel_dv, b, emergency_decel, emergency_dv, bt, bt2, two_b = self._rule
         dt, halt, sqrt, inf = DT, HALT_SPEED, math.sqrt, math.inf
-        assignment, vehicles_on = self.assignment, self.vehicles_on
+        colors, vehicles_on = self.colors, self.vehicles_on
         rears = {}  # each moved lane's last vehicle as it was before the move: (position, speed)
         heads = []
         for eid, (edge, lane, guard) in self._lanes.items():
             if not lane:
                 continue
-            line_open = guard is None or assignment[guard[0]][guard[1]] == GREEN
+            line_open = guard is None or colors[guard[0]][guard[1]] == GREEN
             end, limit = edge.length, edge.speed_limit
             lead_pos = None  # the in-lane leader's position once it has moved
             for veh in lane:

@@ -284,7 +284,7 @@ def record_step(tracker, speed, allowed_speed, dt):
     tracker.time_loss += (1.0 - speed / allowed_speed) * dt
 
 
-def step(sim, assignment):
+def step(sim, colors):
     """One ``Simulation.step`` the long way: every edge snapshotted, moved and swept for transfers.
 
     The interlock check, then insertion, then a snapshot of every edge's last
@@ -292,13 +292,13 @@ def step(sim, assignment):
     edge in edge order, each lane head at or past its line carried across by
     ``advance_across``.
     """
-    for j in sim.scenario.network.signalized_junctions():
-        if j.id not in assignment:
-            raise InterlockViolation(f"no assignment for signalized junction {j.id}")
-        color_a, color_b = assignment[j.id]
+    junctions = sim.scenario.network.signalized_junctions()
+    if len(colors) != len(junctions):
+        raise InterlockViolation(f"{len(colors)} color pairs for {len(junctions)} signalized junctions")
+    for j, (color_a, color_b) in zip(junctions, colors):
         if color_a != RED and color_b != RED:
             raise InterlockViolation(f"junction {j.id}: both axes non-red ({color_a}, {color_b})")
-    sim.assignment = dict(assignment)
+    sim.colors = tuple(colors)
     insert_due(sim)
     rear_snapshot = {eid: (vs[-1].position, vs[-1].speed) if vs else None for eid, vs in sim.vehicles_on.items()}
     move_all(sim, rear_snapshot)
@@ -507,7 +507,7 @@ def featurize(view):
 
 def step_reward(sim, junction, mode):
     """One junction's step reward, summing the waits vehicle by vehicle over its lanes."""
-    color_a, color_b = sim.assignment[junction.id]
+    color_a, color_b = sim.colors[sim.scenario.network.signalized_junctions().index(junction)]
     n_a, n_b = len(junction.axis_a), len(junction.axis_b)
     greens = (n_a if color_a == GREEN else 0) + (n_b if color_b == GREEN else 0)
     reds = (n_a if color_a == RED else 0) + (n_b if color_b == RED else 0)

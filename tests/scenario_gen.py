@@ -119,7 +119,8 @@ class InvariantChecker:
             for v in lane
         }
 
-    def after_step(self, assignment: dict) -> None:
+    def after_step(self, colors: list) -> None:
+        """Check the state ``sim.step(colors)`` left; ``colors`` holds one pair per signalized junction, in order."""
         sim = self.sim
         params = sim.scenario.vehicle
 
@@ -149,15 +150,14 @@ class InvariantChecker:
                 if leader.position - params.length - follower.position < -1e-9:
                     self.violations["collision"] += 1
 
-        for j in self.junctions:
-            color_a, color_b = assignment[j.id]
+        for k, (j, (color_a, color_b)) in enumerate(zip(self.junctions, colors)):
             edge_color = {eid: color_a for eid in j.axis_a}
             edge_color.update({eid: color_b for eid in j.axis_b})
             for ea, eb in self.conflicts[j.id]:
                 if edge_color[ea] != RED and edge_color[eb] != RED:
                     self.violations["interlock"] += 1
             if self.prev_colors is not None:
-                pa, pb = self.prev_colors[j.id]
+                pa, pb = self.prev_colors[k]
                 if pa == GREEN and color_a == RED:
                     self.violations["green_without_yellow"] += 1
                 if pb == GREEN and color_b == RED:
@@ -179,7 +179,7 @@ class InvariantChecker:
                     if sim.edge_color(crossed_edge) != GREEN:
                         self.violations["red_crossing"] += 1
         self.prev_positions = positions
-        self.prev_colors = {j.id: assignment[j.id] for j in self.junctions}
+        self.prev_colors = list(colors)
 
     def assert_clean(self) -> None:
         assert all(count == 0 for count in self.violations.values()), self.violations
@@ -197,18 +197,17 @@ def run_checked(scenario: Scenario, seed: int, steps: int):
     )
     request_rng = np.random.default_rng(seed + 1)
     junctions = scenario.network.signalized_junctions()
-    states = {j.id: SignalAssignment() for j in junctions}
+    states = [SignalAssignment()] * len(junctions)
     checker = InvariantChecker(sim)
     log = []
     prev = [_counters(v) for v in sim.vehicles]
     for _ in range(steps):
-        assignment = {}
-        for j in junctions:
+        for k, j in enumerate(junctions):
             request = REQUESTS[int(request_rng.integers(0, len(REQUESTS)))]
-            states[j.id] = apply_interlock(request, states[j.id], j)
-            assignment[j.id] = states[j.id].colors()
-        sim.step(assignment)
-        checker.after_step(assignment)
+            states[k] = apply_interlock(request, states[k], j)
+        colors = [state.colors() for state in states]
+        sim.step(colors)
+        checker.after_step(colors)
         now = [_counters(v) for v in sim.vehicles]
         log.append(tuple((vid, c) for vid, (p, c) in enumerate(zip(prev, now)) if p != c))
         prev = now

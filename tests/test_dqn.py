@@ -152,7 +152,9 @@ def test_reward_from_view_counts_lanes():
         ids = [f"e{i}" for i in range(n_a + n_b)]
         junction = netmodel.Junction("c", signalized=True, axis_a=tuple(ids[:n_a]), axis_b=tuple(ids[n_a:]))
         info = harness._JunctionInfo(junction, slice(0, n_a + n_b))
-        sim = types.SimpleNamespace(assignment={"c": colors}, vehicles_on={eid: [] for eid in ids})
+        network = netmodel.Network(junctions=(junction,), edges=())
+        sim = types.SimpleNamespace(colors=(colors,), scenario=types.SimpleNamespace(network=network),
+                                    vehicles_on={eid: [] for eid in ids})
         reward = harness._step_reward(colors, info, harness.junction_view(sim, ids), "balanced")
         assert reward == oracles.step_reward(sim, junction, "balanced")
         return reward

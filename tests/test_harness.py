@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -215,6 +216,9 @@ def test_eval_config_rejects_negative_and_repeated_seeds(seeds, message):
         (["train", "--episodes", "1", "--seed", "-3", "--weights-out", "w.json"], "seed: .* got -3"),
         (["eval", "--controller", "fixed", "--seeds", "-1", "--out", "r.json"], "seeds: .* got -1"),
         (["eval", "--controller", "fixed", "--seeds", "1,1", "--out", "r.json"], "seeds: 1 is listed more than once"),
+        *((["eval", "--controller", "fixed", "--seeds", raw, "--out", "r.json"],  # an empty entry is no seed
+           rf"--seeds expects comma-separated integers, got {re.escape(repr(raw))}$")
+          for raw in ("1,,2", "1,2,", ",1", "")),
     ],
 )
 def test_cli_bad_seeds_name_the_key(tmp_path, short_scenario, capsys, argv, message):
@@ -330,6 +334,26 @@ def test_learner_groups_junctions_by_architecture_in_one_buffer():
     for net, init in zip(learner.nets, initial):
         assert np.array_equal(net.flat, init.flat + 1.0)
     assert not np.shares_memory(learner.target.flat, learner.params.flat)
+
+
+def test_learner_update_allocates_no_per_layer_arrays():
+    """Five grid2x2-shaped updates (4 networks of 10-64-64-3, batch 32) stay below two (4, 32, 64) activations
+    of traced memory: the online and target passes write into the learner's workspaces."""
+    rng = make_rng(5)
+    hp = Hyperparams(warmup=32)
+    learner = harness._Learner([qnet.init_network((10, 64, 64, 3), rng) for _ in range(4)], hp)
+    for _ in range(64):
+        learner.buffer.push(rng.uniform(size=(4, 10)), rng.integers(0, 3, size=4), rng.normal(size=4),
+                            rng.uniform(size=(4, 10)), bool(rng.random() < 0.1))
+    sample_rng = make_rng(6)
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            assert learner.update(sample_rng).shape == (4,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 4 * 32 * 64 * 8, peak
 
 
 def test_training_policy_acts_with_the_learner_views():

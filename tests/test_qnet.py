@@ -13,6 +13,7 @@ from greenlight.qnet import (
     QNetwork,
     Stack,
     WeightsFormatError,
+    Workspace,
     backward_batch,
     clone,
     deserialize,
@@ -459,6 +460,20 @@ def test_stacked_batches_match_each_network_bit_for_bit():
         one = QNetwork(net.sizes)
         assert losses[k] == backward_batch(net, xs[k], targets[k], actions[k], one)
         assert np.array_equal(grads.flat[k], one.flat)
+
+
+def test_a_reused_workspace_gives_the_losses_and_gradients_of_a_fresh_one():
+    """One workspace over two different batches in a row gives what a fresh workspace gives, bit for bit."""
+    rng = make_rng(16)
+    stacked = _stacked([init_network((10, 64, 64, 3), rng) for _ in range(4)])
+    work = Workspace(stacked.sizes, (4, 32))
+    for _ in range(2):
+        xs, targets, actions = rng.uniform(size=(4, 32, 10)), rng.normal(size=(4, 32)), rng.integers(0, 3, (4, 32))
+        assert forward_batch(stacked, xs, work).tobytes() == forward_batch(stacked, xs).tobytes()
+        reused, fresh = (QNetwork(stacked.sizes, np.zeros_like(stacked.flat)) for _ in range(2))
+        losses = backward_batch(stacked, xs, targets, actions, reused, work)
+        assert losses.tobytes() == backward_batch(stacked, xs, targets, actions, fresh).tobytes()
+        assert reused.flat.tobytes() == fresh.flat.tobytes()
 
 
 def test_backward_batch_rejects_gradients_of_another_layout():

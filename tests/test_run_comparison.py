@@ -49,7 +49,7 @@ def test_parse_seed_range_reads_ranges_and_lists(raw, seeds):
     assert run_comparison.parse_seed_range(raw) == seeds
 
 
-@pytest.mark.parametrize("raw", ["-1", "1000-", "a-b", "5-3", "1,x"])
+@pytest.mark.parametrize("raw", ["-1", "1000-", "a-b", "5-3", "1,x", "1,,2", "1,2,", ",1", ""])
 def test_parse_seed_range_names_the_flag_and_the_value(raw):
     with pytest.raises(ValueError, match=rf"^--eval-seeds: .*, got {re.escape(repr(raw))}$"):
         run_comparison.parse_seed_range(raw)

@@ -90,8 +90,8 @@ def _place(sim: Simulation, route_eids, position=0.0, speed=0.0) -> Vehicle:
     return veh
 
 
-ALL_GREEN_A = {"c": (GREEN, RED)}
-ALL_GREEN_B = {"c": (RED, GREEN)}
+ALL_GREEN_A = [(GREEN, RED)]
+ALL_GREEN_B = [(RED, GREEN)]
 
 
 def test_step_accelerates_free_vehicle(single_scenario):
@@ -134,10 +134,10 @@ def test_interlock_violation_rejected_state_unchanged(single_scenario):
     sim = _empty_sim(single_scenario)
     veh = _place(sim, ["n_in", "s_out"], position=50.0, speed=10.0)
     with pytest.raises(InterlockViolation):
-        sim.step({"c": (GREEN, GREEN)})
+        sim.step([(GREEN, GREEN)])
     assert veh.position == 50.0 and veh.speed == 10.0 and sim.clock == 0.0
-    with pytest.raises(InterlockViolation):
-        sim.step({})  # missing junction assignment
+    with pytest.raises(InterlockViolation, match=r"^0 color pairs for 1 signalized junctions$"):
+        sim.step([])  # no pair for the junction
     assert sim.clock == 0.0
 
 
@@ -190,25 +190,47 @@ def test_interlock_rejects_an_unknown_color_state_unchanged(single_scenario):
     sim = _empty_sim(single_scenario)
     veh = _place(sim, ["n_in", "s_out"], position=50.0, speed=10.0)
     with pytest.raises(InterlockViolation, match=r"junction c: unknown color in \(blue, red\)"):
-        sim.step({"c": ("blue", RED)})
+        sim.step([("blue", RED)])
     assert veh.position == 50.0 and veh.speed == 10.0 and sim.clock == 0.0
-    assert sim.assignment == {"c": (GREEN, RED)}
+    assert sim.colors == ((GREEN, RED),)
 
 
-def test_interlock_rejects_an_unsignalized_junction_state_unchanged(single_scenario):
+def test_interlock_rejects_more_color_pairs_than_junctions_state_unchanged(single_scenario):
     sim = _empty_sim(single_scenario)
     veh = _place(sim, ["n_in", "s_out"], position=50.0, speed=10.0)
-    with pytest.raises(InterlockViolation, match=r"junction nope is not signalized.*'green', 'green'"):
-        sim.step({"c": (GREEN, RED), "nope": (GREEN, GREEN)})
+    with pytest.raises(InterlockViolation, match=r"^2 color pairs for 1 signalized junctions$"):
+        sim.step([(GREEN, RED), (GREEN, GREEN)])
     assert veh.position == 50.0 and veh.speed == 10.0 and sim.clock == 0.0
-    assert sim.assignment == {"c": (GREEN, RED)}
+    assert sim.colors == ((GREEN, RED),)
 
 
 def test_interlock_rejects_yellow_on_both_axes(single_scenario):
     sim = _empty_sim(single_scenario)
     with pytest.raises(InterlockViolation, match=r"junction c: both axes non-red \(yellow, yellow\)"):
-        sim.step({"c": (YELLOW, YELLOW)})
+        sim.step([(YELLOW, YELLOW)])
     assert sim.clock == 0.0
+
+
+def test_simulator_reads_colors_by_network_order_not_id(grid_text):
+    """grid2x2's junctions renamed so their sorted ids run against network order: each pair still lands on the
+    junction at its position in ``signalized_junctions()``."""
+    scenario = netmodel.load_scenario(grid_text)
+    junctions = scenario.network.junctions
+    new = {j.id: f"j{len(junctions) - 1 - k:02d}" for k, j in enumerate(junctions)}
+    network = netmodel.Network(
+        junctions=tuple(dataclasses.replace(j, id=new[j.id]) for j in junctions),
+        edges=tuple(dataclasses.replace(e, from_junction=new[e.from_junction], to_junction=new[e.to_junction])
+                    for e in scenario.network.edges),
+    )
+    sim = Simulation(dataclasses.replace(scenario, network=network), make_rng(0))
+    signalized = network.signalized_junctions()
+    assert [j.id for j in signalized] == sorted((j.id for j in signalized), reverse=True)
+    pairs = [(GREEN, RED), (RED, GREEN), (YELLOW, RED), (RED, YELLOW)]
+    sim.step(pairs)
+    assert sim.colors == tuple(pairs)
+    for (color_a, color_b), j in zip(pairs, signalized):
+        assert [sim.edge_color(network.edge(eid)) for eid in j.axis_a] == [color_a] * len(j.axis_a)
+        assert [sim.edge_color(network.edge(eid)) for eid in j.axis_b] == [color_b] * len(j.axis_b)
 
 
 def test_insertion_blocked_until_gap_clears(single_scenario):
@@ -292,13 +314,13 @@ def _vehicle_states(sim):
     return lanes, fields
 
 
-def _step_with_oracle_twin(sim, assignments) -> None:
+def _step_with_oracle_twin(sim, color_lists) -> None:
     """Step ``sim`` and a deep copy driven by ``oracles.step`` alike; they must agree bit for bit after each step."""
     twin = copy.deepcopy(sim)
     twin.step = functools.partial(oracles.step, twin)
-    for assignment in assignments:
-        sim.step(assignment)
-        twin.step(assignment)
+    for colors in color_lists:
+        sim.step(colors)
+        twin.step(colors)
         assert _vehicle_states(sim) == _vehicle_states(twin)
         assert (sim.clock, sim.arrived_count) == (twin.clock, twin.arrived_count)
 
@@ -307,18 +329,18 @@ def _assert_steps_equal_the_oracle(scenario, seed, demand, switch, steps) -> Non
     """Step the scenario, its demand scaled, under random legal colors, against its ``oracles.step`` twin."""
     routes = tuple(dataclasses.replace(r, rate=r.rate * demand) for r in scenario.routes)
     sim = Simulation(dataclasses.replace(scenario, routes=routes), make_rng(seed))
-    junctions = [j.id for j in sim.scenario.network.signalized_junctions()]
+    n = len(sim.scenario.network.signalized_junctions())
     rng = np.random.default_rng(seed)
 
-    def assignments():
-        assignment = {jid: (GREEN, RED) for jid in junctions}
+    def color_lists():
+        colors = [(GREEN, RED)] * n
         for _ in range(steps):
-            for jid in junctions:  # random legal colors, held for a random while; a green may end in red
+            for k in range(n):  # random legal colors, held for a random while; a green may end in red
                 if rng.random() < switch:
-                    assignment[jid] = LEGAL_COLORS[int(rng.integers(0, len(LEGAL_COLORS)))]
-            yield assignment
+                    colors[k] = LEGAL_COLORS[int(rng.integers(0, len(LEGAL_COLORS)))]
+            yield colors
 
-    _step_with_oracle_twin(sim, assignments())
+    _step_with_oracle_twin(sim, color_lists())
 
 
 def _reverse_edge_ids(scenario):
