@@ -28,13 +28,22 @@ def state_dim(n_lanes: int) -> int:
     return 3 * n_lanes + 4
 
 
-def featurize(stats: np.ndarray, capacities: np.ndarray, state) -> np.ndarray:
-    """One junction's state vector from its lane-statistics rows; every component lands in [0, 1].
+def state_width(rows: list[slice]) -> int:
+    """Every junction's state dimension, given each junction's rows: ``state_dim`` of the most lanes of any junction.
 
-    Per lane min(1, count/cap), min(1, halted/cap) and min(1, wait/WAIT_CAP) = min(wait, WAIT_CAP)/WAIT_CAP.
+    A junction with fewer lanes leaves its remaining lane slots at 0, so all of a scenario's networks have one shape.
     """
-    x = np.empty(state_dim(len(stats)))
-    lanes = x[:-4].reshape(-1, 3)
+    return state_dim(max(r.stop - r.start for r in rows))
+
+
+def featurize(stats: np.ndarray, capacities: np.ndarray, state, width: int) -> np.ndarray:
+    """One junction's ``width``-long state vector from its lane-statistics rows; every component lands in [0, 1].
+
+    Per lane min(1, count/cap), min(1, halted/cap) and min(1, wait/WAIT_CAP) = min(wait, WAIT_CAP)/WAIT_CAP, in the
+    first lane slots; the slots past the junction's lanes stay 0.
+    """
+    x = np.zeros(width)
+    lanes = x[: 3 * len(stats)].reshape(-1, 3)
     np.divide(stats, capacities[:, None], out=lanes)
     lanes[:, 2] = stats[:, 2] / WAIT_CAP
     np.minimum(lanes, 1.0, out=lanes)
@@ -81,8 +90,7 @@ class ReplayBuffer:
     """FIFO ring of transitions in preallocated arrays; uniform sampling with replacement.
 
     ``agents`` agents that act together share the ring: row ``i`` holds one
-    transition per agent, ``states[k, i]`` being agent k's state, zero-padded
-    to ``state_dim`` when agents see states of different lengths.
+    transition per agent, ``states[k, i]`` being agent k's state.
     """
 
     def __init__(self, capacity: int, state_dim: int, agents: int = 1):
@@ -103,9 +111,8 @@ class ReplayBuffer:
     def push(self, states, actions, rewards, next_states, terminal: bool) -> None:
         """One transition per agent: sequences of ``agents`` states, actions, rewards and next states."""
         i = self.pushes % self.capacity
-        for k, (state, next_state) in enumerate(zip(states, next_states)):
-            self.states[k, i, : len(state)] = state
-            self.next_states[k, i, : len(next_state)] = next_state
+        self.states[:, i] = states
+        self.next_states[:, i] = next_states
         self.actions[:, i] = actions
         self.rewards[:, i] = rewards
         self.nonterminal[:, i] = 0.0 if terminal else 1.0
@@ -126,8 +133,7 @@ def td_targets_batch(buffer: ReplayBuffer, agents, rows: np.ndarray, target_net:
     (P,) network, or a (K, 1) column of agents with (K, n) rows and a (K, P)
     network holding agent k's target network in row k.  ``out`` is passed to ``qnet.forward_batch``.
     """
-    next_states = buffer.next_states[agents, rows, : target_net.d_in]
-    best = qnet.forward_batch(target_net, next_states, out).max(axis=-1)
+    best = qnet.forward_batch(target_net, buffer.next_states[agents, rows], out).max(axis=-1)
     return buffer.rewards[agents, rows] + gamma * best * buffer.nonterminal[agents, rows]
 
 
@@ -149,8 +155,9 @@ class GreedyPolicy:
 
     It keeps no decision state between episodes, so one policy runs any number of them.  Junctions are indexed
     by position: ``nets[k]`` is junction k's network, ``rows[k]`` its lanes in the lane-statistics array and
-    ``capacities``, and ``states[k]`` its signal state.  With ``epsilon`` 0, as at evaluation, each action is the
-    argmax; training sets ``epsilon`` and ``rng`` and extends ``act``.
+    ``capacities``, and ``states[k]`` its signal state; every state vector is ``state_width(rows)`` long.
+    With ``epsilon`` 0, as at evaluation, each action is the argmax; training sets ``epsilon`` and ``rng`` and
+    extends ``act``.
     """
 
     def __init__(self, nets: list[QNetwork], interval: float, rows: list[slice], capacities: np.ndarray):
@@ -158,6 +165,7 @@ class GreedyPolicy:
         self.interval = interval
         self.rows = rows
         self.capacities = capacities
+        self.width = state_width(rows)
         self.epsilon = 0.0
         self.rng = None
 
@@ -169,7 +177,8 @@ class GreedyPolicy:
 
     def features(self, stats: np.ndarray, states) -> list[np.ndarray]:
         """Every junction's state vector, in junction order."""
-        return [featurize(stats[rows], self.capacities[rows], state) for rows, state in zip(self.rows, states)]
+        width, capacities = self.width, self.capacities
+        return [featurize(stats[rows], capacities[rows], state, width) for rows, state in zip(self.rows, states)]
 
     def act(self, obs: list[np.ndarray]) -> None:
         self.actions = [select_action(qnet.forward(net, x), self.epsilon, self.rng) for net, x in zip(self.nets, obs)]

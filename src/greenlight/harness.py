@@ -211,31 +211,25 @@ def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_
 class _Learner:
     """One independent DQN learner per junction, all stacked together.
 
-    Junctions whose networks share sizes form one architecture group, held as
-    one (count, P) QNetwork; ``nets[k]`` is junction k's row of it, a view that
-    the policy acts with.  All groups live in one flat Stack with one Adam, one
-    target copy and one gradient buffer, and all junctions share one replay
-    ring.  So each update trains every junction's network on its own sample
-    with one batched call per group, into that group's preallocated online
-    and target workspaces, so an update allocates no per-layer arrays.
+    Every junction's network has the same sizes, so all of them are one (K, P)
+    QNetwork ``params`` with one Adam, one target copy and one gradient buffer;
+    ``nets[k]`` is junction k's row of it, a view that the policy acts with.
+    All junctions share one replay ring.  Each update trains every junction's
+    network on its own sample with one batched call, writing into
+    preallocated online and target workspaces, so it allocates no per-layer
+    arrays.
     """
 
     def __init__(self, initial: list[qnet.QNetwork], hp: Hyperparams):
-        archs = [net.sizes for net in initial]
-        layout = list(dict.fromkeys(archs))
-        self.members = [np.flatnonzero([a == sizes for a in archs]) for sizes in layout]
-        self.params = qnet.Stack([(sizes, len(m)) for sizes, m in zip(layout, self.members)])
-        self.nets: list[qnet.QNetwork] = [None] * len(initial)
-        for group, members in zip(self.params.groups, self.members):
-            for row, k in enumerate(members):
-                group.flat[row] = initial[k].flat
-                self.nets[k] = qnet.QNetwork(group.sizes, group.flat[row])
+        self.params = qnet.QNetwork(initial[0].sizes, np.stack([net.flat for net in initial]))
+        self.nets = [qnet.QNetwork(self.params.sizes, row) for row in self.params.flat]
         self.target = qnet.clone(self.params)
-        self.grads = qnet.Stack(self.params.sizes)
-        shapes = [(sizes, (len(m), hp.batch_size)) for sizes, m in zip(layout, self.members)]
-        self.work = [(qnet.Workspace(*shape), qnet.Workspace(*shape)) for shape in shapes]  # online, target
+        self.grads = qnet.QNetwork(self.params.sizes, np.zeros_like(self.params.flat))
+        shape = (self.params.sizes, (len(initial), hp.batch_size))
+        self.online_work, self.target_work = qnet.Workspace(*shape), qnet.Workspace(*shape)
         self.opt = qnet.Adam(self.params)
-        self.buffer = ReplayBuffer(hp.buffer_capacity, max(a[0] for a in archs), len(initial))
+        self.buffer = ReplayBuffer(hp.buffer_capacity, self.params.d_in, len(initial))
+        self.agents = np.arange(len(initial))[:, None]
         self.hp = hp
         self.updates = 0
 
@@ -244,18 +238,13 @@ class _Learner:
 
         Returns the junctions' losses in junction order; before warmup, no losses.
         """
-        hp, buffer = self.hp, self.buffer
+        hp, buffer, agents = self.hp, self.buffer, self.agents
         if len(buffer) < max(hp.warmup, hp.batch_size):
             return np.empty(0)
         rows = buffer.sample(hp.batch_size, rng)
-        losses = np.empty(len(self.nets))
-        groups = zip(self.params.groups, self.target.groups, self.grads.groups, self.members, self.work)
-        for net, target, grads, members, (online_work, target_work) in groups:
-            agents, group_rows = members[:, None], rows[members]
-            targets = dqn.td_targets_batch(buffer, agents, group_rows, target, hp.gamma, target_work)
-            states = buffer.states[agents, group_rows, : net.d_in]
-            actions = buffer.actions[agents, group_rows]
-            losses[members] = qnet.backward_batch(net, states, targets, actions, grads, online_work)
+        targets = dqn.td_targets_batch(buffer, agents, rows, self.target, hp.gamma, self.target_work)
+        states, actions = buffer.states[agents, rows], buffer.actions[agents, rows]
+        losses = qnet.backward_batch(self.params, states, targets, actions, self.grads, self.online_work)
         self.opt.step(self.params, self.grads, hp.lr)
         self.updates += 1
         if self.updates % hp.target_sync == 0:
@@ -343,12 +332,8 @@ def train(config: TrainConfig) -> TrainResult:
     if not infos:
         raise ValueError("scenario has no signalized junction to control")
 
-    initial = [
-        qnet.init_network(
-            (dqn.state_dim(info.n_lanes), *hp.hidden, len(REQUESTS)), _generator(config.seed, _NS_NET, idx)
-        )
-        for idx, info in enumerate(infos)
-    ]
+    sizes = (dqn.state_width([info.rows for info in infos]), *hp.hidden, len(REQUESTS))
+    initial = [qnet.init_network(sizes, _generator(config.seed, _NS_NET, idx)) for idx in range(len(infos))]
     decisions = config.episodes * math.ceil(scenario.duration / hp.decision_interval)
     agent = _TrainingAgent(infos, _capacities(scenario, infos), _Learner(initial, hp), hp, config, decisions)
 
@@ -361,22 +346,23 @@ def train(config: TrainConfig) -> TrainResult:
 
 
 def load_weights(text: str, infos: list[_JunctionInfo]) -> dict[str, qnet.QNetwork]:
-    """Map a weights document onto the scenario's junctions, checking ids and shapes."""
+    """Map a weights document onto the scenario's junctions, checking ids and every network against the state width."""
     loaded = qnet.deserialize(text)
     if isinstance(loaded, qnet.QNetwork):
         if len(infos) != 1:
             raise WeightsMismatchError(f"weights hold one network; the scenario has {len(infos)} signalized junctions")
         loaded = {infos[0].junction.id: loaded}
     nets: dict[str, qnet.QNetwork] = {}
+    width = dqn.state_width([info.rows for info in infos])
     for info in infos:
         jid = info.junction.id
         if jid not in loaded:
             raise WeightsMismatchError(f"weights document has no entry for junction {jid}")
         nets[jid] = net = loaded.pop(jid)
-        if (net.d_in, net.d_out) != (dqn.state_dim(info.n_lanes), len(REQUESTS)):
+        if (net.d_in, net.d_out) != (width, len(REQUESTS)):
             raise WeightsMismatchError(
                 f"junction {jid}: weights map input dimension {net.d_in} to {net.d_out} outputs, "
-                f"the scenario needs {dqn.state_dim(info.n_lanes)} to {len(REQUESTS)}"
+                f"the scenario needs {width} to {len(REQUESTS)}"
             )
     if loaded:
         raise WeightsMismatchError(f"weights have an entry for {next(iter(loaded))!r}, not a signalized junction")

@@ -57,28 +57,6 @@ class QNetwork:
         return self.sizes[-1]
 
 
-def n_params(sizes) -> int:
-    """Parameter count of one network of the given layer sizes."""
-    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-
-
-class Stack:
-    """Networks of one or more architectures in one contiguous vector ``flat``.
-
-    ``layout`` lists ``(sizes, count)`` per architecture.  ``groups[g]`` is a
-    QNetwork whose (count, P) ``flat`` is the slice of ``flat`` holding that
-    architecture's networks, one per row.  ``sizes`` is the layout, so Adam and
-    cloning treat a stack as they treat a single network.
-    """
-
-    def __init__(self, layout, flat: np.ndarray | None = None):
-        self.sizes = tuple((tuple(sizes), count) for sizes, count in layout)
-        lengths = [count * n_params(sizes) for sizes, count in self.sizes]
-        self.flat = np.zeros(sum(lengths)) if flat is None else flat
-        parts = np.split(self.flat, np.cumsum(lengths)[:-1])
-        self.groups = [QNetwork(sizes, part.reshape(count, -1)) for (sizes, count), part in zip(self.sizes, parts)]
-
-
 def _check_layout(net, other, what: str) -> None:
     if other.sizes != net.sizes or other.flat.shape != net.flat.shape:
         raise ValueError(
@@ -184,7 +162,7 @@ def backward_batch(net: QNetwork, xs, td_targets, actions, grads: QNetwork, out:
 class Adam:
     """Adam with bias correction; moment state and scratch space live with this object.
 
-    ``net`` is a QNetwork or a Stack; one step updates all of its parameters.
+    ``net`` is a QNetwork of one network or of K stacked ones; one step updates all of its parameters.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -219,9 +197,9 @@ class Adam:
         net.flat -= step
 
 
-def clone(net):
-    """A QNetwork or Stack of the same layout holding a copy of the parameters."""
-    return type(net)(net.sizes, net.flat.copy())
+def clone(net: QNetwork) -> QNetwork:
+    """A QNetwork of the same layout holding a copy of the parameters."""
+    return QNetwork(net.sizes, net.flat.copy())
 
 
 @dataclass

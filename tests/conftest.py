@@ -10,7 +10,7 @@ from greenlight import netmodel, qnet
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
-#: Two signalized junctions with different lane counts, so two network architectures.
+#: Two signalized junctions with different lane counts, so the one with fewer lanes has padded lane slots.
 MIXED_SCENARIO = REPO / "tests" / "data" / "mixed.xn"
 
 # On CI runners a failing property prints the blob that replays it (@reproduce_failure).

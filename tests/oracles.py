@@ -493,13 +493,14 @@ def junction_view(sim, junction, capacities, state):
     )
 
 
-def featurize(view):
-    """Normalized state vector built component by component from a view."""
+def featurize(view, slots):
+    """Normalized state vector built component by component from a view, its lanes padded with zeros to ``slots``."""
     parts = []
     for count, cap, halted, wait in zip(view.lane_counts, view.lane_capacities, view.lane_halted, view.lane_waits):
         parts.append(min(1.0, count / cap))
         parts.append(min(1.0, halted / cap))
         parts.append(min(wait, dqn.WAIT_CAP) / dqn.WAIT_CAP)
+    parts.extend([0.0] * 3 * (slots - len(view.lane_counts)))
     parts.extend(view.phase_onehot)
     parts.append(min(view.time_in_phase, dqn.PHASE_TIME_CAP) / dqn.PHASE_TIME_CAP)
     return np.asarray(parts, dtype=np.float64)

@@ -22,10 +22,11 @@ from greenlight.dqn import (
 PHASES = ("serve_a", "serve_b", "all_red", "yellow_a", "yellow_b")
 
 
-def _features(counts, caps, halted, waits, phase="serve_a", t=0.0):
-    """``featurize`` of one junction whose lanes hold the given statistics."""
+def _features(counts, caps, halted, waits, phase="serve_a", t=0.0, padding=0):
+    """``featurize`` of one junction whose lanes hold the given statistics, with ``padding`` lane slots past them."""
     stats = np.column_stack([counts, halted, waits]).astype(float)
-    return featurize(stats, np.asarray(caps, dtype=float), SignalAssignment(phase=phase, time_in_phase=t))
+    state = SignalAssignment(phase=phase, time_in_phase=t)
+    return featurize(stats, np.asarray(caps, dtype=float), state, state_dim(len(counts) + padding))
 
 
 def _view(counts, caps, halted, waits, phase="serve_a", t=0.0):
@@ -73,7 +74,8 @@ def test_featurize_counts_from_scripted_mini_scenario(single_scenario):
     infos = harness._junction_infos(sc)
     lanes = harness._lane_ids(infos)
     stats = harness.junction_view(sim, lanes)
-    vec = featurize(stats[infos[0].rows], harness._capacities(sc, infos)[infos[0].rows], SignalAssignment())
+    vec = featurize(stats[infos[0].rows], harness._capacities(sc, infos)[infos[0].rows], SignalAssignment(),
+                    dqn.state_width([infos[0].rows]))
     lane = lanes.index("n_in")
     assert stats[lane].tolist() == [3.0, 2.0, 20.0]
     assert vec[3 * lane + 0] == pytest.approx(0.25)  # density 3/12
@@ -102,18 +104,21 @@ def test_featurize_components_stay_in_unit_interval(caps, data):
 @settings(max_examples=300, deadline=None)
 @given(
     caps=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    padding=st.integers(0, 3),
     data=st.data(),
 )
-def test_featurize_equals_the_view_oracle_bit_for_bit(caps, data):
+def test_featurize_equals_the_view_oracle_bit_for_bit(caps, padding, data):
     n = len(caps)
     counts = [data.draw(st.integers(0, 3 * c)) for c in caps]
     halted = [data.draw(st.integers(0, counts[i])) for i in range(n)]
     waits = [data.draw(st.one_of(st.integers(0, 2000).map(float), st.floats(0, 2000))) for _ in range(n)]
     phase = data.draw(st.sampled_from(PHASES))
     t = data.draw(st.one_of(st.integers(0, 200).map(float), st.floats(0, 500)))
-    vec = _features(counts, caps, halted, waits, phase, t)
-    expected = oracles.featurize(_view(counts, caps, halted, waits, phase, t))
+    vec = _features(counts, caps, halted, waits, phase, t, padding)
+    expected = oracles.featurize(_view(counts, caps, halted, waits, phase, t), n + padding)
     assert vec.dtype == expected.dtype and vec.tobytes() == expected.tobytes()
+    # whatever the lanes hold, the padded slots read exactly +0.0, so the weights that read them get no gradient
+    assert vec[3 * n : 3 * (n + padding)].tobytes() == bytes(3 * padding * vec.itemsize)
 
 
 # --- reward --------------------------------------------------------------------

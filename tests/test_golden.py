@@ -89,10 +89,10 @@ TRAIN_GOLDEN = {
         "89b4749e2f8356f8d31e7633a43755ec44daa2b932ade02638cb462b03019ee6",
         "0e3540915092e22bc173cb9d47f9c820b4a97436a574bf83bf512a2601edd9af",
     ),
-    "mixed": (  # two architectures: the junctions have 3 and 2 incoming lanes
+    "mixed": (  # junctions with 3 and 2 incoming lanes: the 2-lane junction's state is padded to 3 lane slots
         MIXED_SCENARIO,
-        "5f0a68c9ccc31bd920cf02dadd1363376f71b58c491b862f0be87c40781c7eeb",
-        "8527d1126967a19a44ff5924a6eafc83cfdadb8378949d390cb2a1fb322bfcbd",
+        "efddaeb7214a14be8cfc40ec91622c7a5ef8b299a1cc43f284ac9bb7065b4613",
+        "5a5ef95c684ba38b0511d0e5b3f0e75b4bbf253494ecfc3e800e8feb247da0be",
     ),
 }
 

@@ -281,8 +281,8 @@ def test_train_literal_reward_mode_runs(short_scenario):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    dims=st.lists(st.sampled_from([4, 7]), min_size=1, max_size=4),
-    two_archs=st.booleans(),
+    d=st.sampled_from([4, 7]),
+    count=st.integers(1, 4),
     spare=st.integers(0, 4),
     pushes=st.integers(1, 30),
     batch=st.integers(1, 5),
@@ -290,42 +290,35 @@ def test_train_literal_reward_mode_runs(short_scenario):
     target_sync=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_learner_matches_independent_learners(dims, two_archs, spare, pushes, batch, warmup,
-                                                      target_sync, seed):
-    if not two_archs:
-        dims = [4] * len(dims)
+def test_stacked_learner_matches_independent_learners(d, count, spare, pushes, batch, warmup, target_sync, seed):
     capacity = max(batch, warmup) + spare  # a smaller buffer is rejected: it could never fill a batch or the warmup
     hp = Hyperparams(buffer_capacity=capacity, batch_size=batch, warmup=warmup, target_sync=target_sync,
                      hidden=(5,), lr=0.05)
     rng = make_rng(seed)
-    initial = [qnet.init_network((d, 5, 3), rng) for d in dims]
+    initial = [qnet.init_network((d, 5, 3), rng) for _ in range(count)]
     learner = harness._Learner([qnet.clone(net) for net in initial], hp)
     independent = [oracles.IndependentLearner(qnet.clone(net), capacity) for net in initial]
     stacked_rng, oracle_rng = make_rng(seed + 1), make_rng(seed + 1)
     for _ in range(pushes):  # the ring wraps whenever pushes > capacity
         terminal = bool(rng.random() < 0.3)
         batch_of = [oracles.Transition(rng.normal(size=d), int(rng.integers(0, 3)), float(rng.normal()),
-                                       rng.normal(size=d), terminal) for d in dims]
+                                       rng.normal(size=d), terminal) for _ in range(count)]
         learner.buffer.push([t.state for t in batch_of], [t.action for t in batch_of],
                             [t.reward for t in batch_of], [t.next_state for t in batch_of], terminal)
         for ln, t in zip(independent, batch_of):
             ln.buffer.push(t)
         losses = learner.update(stacked_rng)
         assert losses.tolist() == oracles.independent_updates(independent, hp, oracle_rng)
-    targets = {}
-    for group, members in zip(learner.target.groups, learner.members):
-        targets.update({k: group.flat[row] for row, k in enumerate(members)})
     for k, ln in enumerate(independent):
         assert np.array_equal(learner.nets[k].flat, ln.net.flat)
-        assert np.array_equal(targets[k], ln.target.flat)
+        assert np.array_equal(learner.target.flat[k], ln.target.flat)
 
 
-def test_learner_groups_junctions_by_architecture_in_one_buffer():
+def test_learner_nets_are_views_of_params_and_the_target_a_copy():
     rng = make_rng(4)
-    initial = [qnet.init_network(sizes, rng) for sizes in [(4, 5, 3), (7, 5, 3), (4, 5, 3)]]
+    initial = [qnet.init_network((7, 5, 3), rng) for _ in range(3)]
     learner = harness._Learner(initial, Hyperparams(hidden=(5,)))
-    assert learner.params.sizes == (((4, 5, 3), 2), ((7, 5, 3), 1))
-    assert [m.tolist() for m in learner.members] == [[0, 2], [1]]
+    assert learner.params.flat.shape == (3, initial[0].flat.size)
     assert learner.buffer.states.shape == (3, Hyperparams().buffer_capacity, 7)
     for net, init in zip(learner.nets, initial):
         assert net.sizes == init.sizes and np.array_equal(net.flat, init.flat)
@@ -361,13 +354,31 @@ def test_training_policy_acts_with_the_learner_views():
     scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
     infos = harness._junction_infos(scenario)
     hp = harness.resolve_hyperparams(scenario)
-    initial = [qnet.init_network((harness.dqn.state_dim(i.n_lanes), 5, 3), make_rng(k))
-               for k, i in enumerate(infos)]
+    width = dqn.state_width([info.rows for info in infos])
+    initial = [qnet.init_network((width, 5, 3), make_rng(k)) for k in range(len(infos))]
     learner = harness._Learner(initial, hp)
     agent = harness._TrainingAgent(infos, harness._capacities(scenario, infos), learner, hp, config, decisions=10)
     assert agent.nets is learner.nets and len(agent.nets) == len(infos)
     for net in agent.nets:
         assert np.shares_memory(net.flat, learner.params.flat)
+
+
+def test_a_padded_lane_slot_keeps_its_initial_weights_through_training():
+    """mixed.xn's junction e has 2 lanes padded to w's 3 lane slots.  Its third slot always reads 0, so the
+    first-layer weights that read it get a zero gradient and a zero Adam step, and keep their initial bits."""
+    scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
+    infos = harness._junction_infos(scenario)
+    k = [info.junction.id for info in infos].index("e")
+    width = dqn.state_width([info.rows for info in infos])
+    assert infos[k].n_lanes == 2 and width == dqn.state_dim(3)
+    initial = qnet.init_network((width, *harness.resolve_hyperparams(scenario).hidden, 3),
+                                harness._generator(7, harness._NS_NET, k))
+    result = harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=4, seed=7))
+    trained = qnet.deserialize(result.weights_doc)["e"]
+    assert not math.isnan(result.curve[-1]["mean_loss"])  # the learner did take steps
+    lanes, padded = slice(0, 6), slice(6, 9)
+    assert trained.weights[0][:, padded].tobytes() == initial.weights[0][:, padded].tobytes()
+    assert not np.array_equal(trained.weights[0][:, lanes], initial.weights[0][:, lanes])
 
 
 def _count_lane_walks(monkeypatch) -> list:
@@ -463,7 +474,7 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
         def check_features(self, obs):
             for k, info in enumerate(self.infos):
                 view = oracles.junction_view(sims[-1], info.junction, capacities[k], self.states[k])
-                assert obs[k].tobytes() == oracles.featurize(view).tobytes()
+                assert obs[k].tobytes() == oracles.featurize(view, 3).tobytes()  # junction e's lanes padded to 3
                 checked["waiting"] += any(view.lane_waits)
 
         def act(self, obs):
@@ -672,6 +683,16 @@ def test_dqn_weights_entry_for_an_unknown_junction_is_rejected(single_scenario):
     text = qnet.serialize({infos[0].junction.id: net, "zz": net})
     with pytest.raises(WeightsMismatchError, match="'zz'"):
         harness.load_weights(text, infos)
+
+
+def test_dqn_weights_sized_to_a_junction_own_lanes_are_rejected():
+    """mixed.xn's 2-lane junction e takes the 13-wide state of the 3-lane junction w, not a 10-wide one."""
+    infos = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
+    nets = {"w": qnet.init_network((13, 8, 3), harness._generator(0)),
+            "e": qnet.init_network((10, 8, 3), harness._generator(1))}
+    with pytest.raises(WeightsMismatchError) as err:
+        harness.load_weights(qnet.serialize(nets), infos)
+    assert str(err.value) == "junction e: weights map input dimension 10 to 3 outputs, the scenario needs 13 to 3"
 
 
 def _report_with_means(controller, es_mean, dd_mean, es_episode_mean):

@@ -11,7 +11,6 @@ from greenlight import cli
 from greenlight.qnet import (
     Adam,
     QNetwork,
-    Stack,
     WeightsFormatError,
     Workspace,
     backward_batch,
@@ -20,7 +19,6 @@ from greenlight.qnet import (
     forward,
     forward_batch,
     init_network,
-    n_params,
     serialize,
 )
 
@@ -374,7 +372,7 @@ _PARAMETER = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def _networks(draw) -> QNetwork:
     sizes = tuple(draw(st.lists(st.integers(1, 8), min_size=2, max_size=4)))
-    n = n_params(sizes)
+    n = QNetwork(sizes).flat.size
     return QNetwork(sizes, np.array(draw(st.lists(_PARAMETER, min_size=n, max_size=n)), dtype=np.float64))
 
 
@@ -417,10 +415,10 @@ def _stacked(nets):
 
 
 @pytest.mark.parametrize("count", [1, 2, 4, 36])
-@pytest.mark.parametrize("d_in", [16, 10, 13])  # single.xn, grid2x2.xn and mixed.xn's networks (mixed also has 10)
+@pytest.mark.parametrize("d_in", [16, 10, 13])  # single.xn, grid2x2.xn and mixed.xn's networks
 def test_forward_batch_of_one_state_per_network_equals_forward_bit_for_bit(d_in, count):
-    """A (K, P) group evaluated on (K, 1, d) states gives each network's ``forward`` q-values exactly, so a
-    whole architecture group could be acted on in one call without changing any greedy action."""
+    """A (K, P) network evaluated on (K, 1, d) states gives each network's ``forward`` q-values exactly, so every
+    junction of a scenario could be acted on in one call without changing any greedy action."""
     rng = make_rng(100 * d_in + count)
     nets = [init_network((d_in, 64, 64, 3), rng) for _ in range(count)]
     xs = rng.uniform(0.0, 1.0, size=(count, 1, d_in))  # features lie in [0, 1]
@@ -486,23 +484,20 @@ def test_backward_batch_rejects_gradients_of_another_layout():
 
 
 def test_adam_over_a_stack_matches_one_adam_per_network():
+    """One Adam over a (K, P) network steps each row as an Adam of its own steps that network."""
     rng = make_rng(15)
-    nets = [init_network(sizes, rng) for sizes in [(3, 4, 2), (5, 4, 2), (3, 4, 2)]]
-    stack = Stack([((3, 4, 2), 2), ((5, 4, 2), 1)])
-    stack.groups[0].flat[...] = [nets[0].flat, nets[2].flat]
-    stack.groups[1].flat[0] = nets[1].flat
-    assert stack.flat.size == 2 * nets[0].flat.size + nets[1].flat.size
+    nets = [init_network((5, 4, 2), rng) for _ in range(3)]
+    stack = _stacked(nets)
     opt, opts = Adam(stack), [Adam(net) for net in nets]
     for _ in range(3):
-        grads = Stack(stack.sizes, rng.normal(size=stack.flat.size))
+        grads = QNetwork(stack.sizes, rng.normal(size=stack.flat.shape))
         opt.step(stack, grads, lr=0.01)
-        per_net = [grads.groups[0].flat[0], grads.groups[1].flat[0], grads.groups[0].flat[1]]
-        for net, one, g in zip(nets, opts, per_net):
+        for net, one, g in zip(nets, opts, grads.flat):
             one.step(net, QNetwork(net.sizes, g.copy()), lr=0.01)
-    assert np.array_equal(stack.groups[0].flat, np.stack([nets[0].flat, nets[2].flat]))
-    assert np.array_equal(stack.groups[1].flat[0], nets[1].flat)
+    assert np.array_equal(stack.flat, np.stack([net.flat for net in nets]))
     copy = clone(stack)
     assert copy.sizes == stack.sizes and np.array_equal(copy.flat, stack.flat)
     assert not np.shares_memory(copy.flat, stack.flat)
-    with pytest.raises(ValueError, match="sizes"):
-        opt.step(stack, Stack([((3, 4, 2), 3)]), lr=0.01)
+    for bad in (QNetwork((5, 4, 2), np.zeros((2, stack.flat.shape[1]))), QNetwork((3, 4, 2), np.zeros((3, 26)))):
+        with pytest.raises(ValueError, match="sizes"):
+            opt.step(stack, bad, lr=0.01)
