@@ -16,11 +16,35 @@ the vehicle drives at no more than the Krauss safe speed
 counts as an emergency and is clamped at ``b_emergency``; and a hard
 displacement cap (you cannot move past the obstacle) makes the update
 collision-free by construction.  The same pass accumulates the vehicle's
-waiting time and time loss.  The transfer pass then visits only the lane
-heads at their line, and a vehicle crosses at most one line per step:
-``netmodel.validate`` rejects any edge a vehicle could cross in one step.
-Due vehicles wait in one FIFO per entry edge.  ``tests/oracles.py`` keeps
-the scalar step as the reference it is checked against bit for bit.
+waiting time and time loss.
+
+Two exact fast paths run ahead of that rule, writing the bits it would:
+
+- Cruising: a vehicle at its edge's limit whose leader's moved nose (for a
+  lane head, its edge end) is at least the edge's cruise room ahead.  That
+  room is the vehicle length plus the larger of the Krauss free distance
+  ``((limit + b*tau)^2 - (b*tau)^2) / 2b`` and one step's travel, widened
+  against rounding.  Past it, for any leader speed, neither the safe speed
+  nor the hard cap is below the limit: no braking, so it moves
+  ``limit * DT`` and adds no time loss.  A lane head's edge end bounds
+  every obstacle it can have: its gap is ``end - pos`` to a line, and at
+  least ``end - pos - length - _EPS`` to a next edge's rear, which a
+  transfer leaves no farther back than ``-_EPS``.  An edge whose limit is
+  below ``HALT_SPEED`` has no cruise room: there, a vehicle at the limit
+  waits.
+- Standing: a standing vehicle whose gap, as the rule computes it, is at
+  most 0 (touching its leader's moved tail, or at or past a closed line).
+  The gap clamps to 0, so the hard cap holds it at 0 whatever its leader's
+  speed and whatever the safe speed rounds to: it stays put and adds ``DT``
+  of waiting and time loss.
+
+Either path also ends an emergency, as the rule does when it does not brake.
+
+The transfer pass then visits only the lane heads at their line, and a
+vehicle crosses at most one line per step: ``netmodel.validate`` rejects any
+edge a vehicle could cross in one step.  Due vehicles wait in one FIFO per
+entry edge.  ``tests/oracles.py`` keeps the scalar step, without the fast
+paths, as the reference it is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -122,8 +146,9 @@ class Simulation:
                 self._edge_signal[eid] = (k, 0)
             for eid in j.axis_b:
                 self._edge_signal[eid] = (k, 1)
-        # (edge, its lane, its guard or None) by edge id, in edge order
-        self._lanes = {e.id: (e, self.vehicles_on[e.id], self._edge_signal.get(e.id)) for e in self.edge_order}
+        # (edge, its lane, its guard or None, its cruise room) by edge id, in edge order
+        self._lanes = {e.id: (e, self.vehicles_on[e.id], self._edge_signal.get(e.id), self._cruise_room(e))
+                       for e in self.edge_order}
 
         self.colors: tuple[tuple[str, str], ...] = ((GREEN, RED),) * len(signalized)  # by junction position
 
@@ -134,6 +159,15 @@ class Simulation:
 
         self.inserted_count = 0
         self.arrived_count = 0
+
+    def _cruise_room(self, edge: Edge) -> float:
+        """Nose-to-obstacle distance past which no obstacle slows a vehicle at the edge's limit (module docstring)."""
+        limit = edge.speed_limit
+        if limit < HALT_SPEED:
+            return math.inf
+        length, bt, two_b = self._rule[0], self._rule[5], self._rule[7]
+        free = limit * (limit + 2.0 * bt) / two_b  # ((limit + b*tau)^2 - (b*tau)^2) / 2b
+        return (length + max(free, limit * DT)) * (1.0 + 1e-9) + 1e-6
 
     # -- queries -------------------------------------------------------------
 
@@ -193,7 +227,7 @@ class Simulation:
         colors, vehicles_on = self.colors, self.vehicles_on
         rears = {}  # each moved lane's last vehicle as it was before the move: (position, speed)
         heads = []
-        for eid, (edge, lane, guard) in self._lanes.items():
+        for eid, (edge, lane, guard, cruise_room) in self._lanes.items():
             if not lane:
                 continue
             line_open = guard is None or colors[guard[0]][guard[1]] == GREEN
@@ -201,6 +235,20 @@ class Simulation:
             lead_pos = None  # the in-lane leader's position once it has moved
             for veh in lane:
                 pos, v_prev = veh.position, veh.speed
+                # cruising: at the limit, with the edge end (a head) or the leader's nose at least the cruise room ahead
+                if v_prev == limit and (end if lead_pos is None else lead_pos) - pos >= cruise_room:
+                    veh.position = lead_pos = pos + limit * dt
+                    lead_speed = limit
+                    veh.in_emergency = False
+                    continue
+                # standing with no gap: touching the leader's moved tail, or at or past a closed line
+                if v_prev == 0.0 and (lead_pos - length - pos <= 0.0 if lead_pos is not None
+                                      else not line_open and end - pos <= 0.0):
+                    lead_pos, lead_speed = pos, 0.0
+                    veh.waiting_time += dt
+                    veh.time_loss += dt
+                    veh.in_emergency = False
+                    continue
                 v_target = v_prev + accel_dv
                 if limit < v_target:
                     v_target = limit
@@ -259,7 +307,7 @@ class Simulation:
         """Carry the lane heads at their line across it, lane by lane in edge order (as ``_move_all`` lists them)."""
         end_clock = self.clock + DT
         for eid in heads:
-            edge, lane, _ = self._lanes[eid]
+            edge, lane, _, _ = self._lanes[eid]
             end = edge.length - _EPS
             while lane and lane[0].position >= end:
                 if not self._advance_across(lane[0], end_clock):

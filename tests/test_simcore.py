@@ -432,6 +432,74 @@ def test_a_head_reads_the_pre_step_rear_of_a_lane_moved_before_it(single_scenari
     assert (veh.position, veh.speed, veh.emergency_stops) == (198.0, 3.0, 1)
 
 
+# --- the move rule's fast paths, each at its edge and checked against the whole-step oracle ---
+
+
+def _sim_like_single(single_scenario, limit=13.9, **vehicle) -> Simulation:
+    """``single.xn`` without demand, every edge at ``limit``, its vehicle parameters replaced as given."""
+    network = single_scenario.network
+    edges = tuple(dataclasses.replace(e, speed_limit=limit) for e in network.edges)
+    return _empty_sim(dataclasses.replace(
+        single_scenario, network=dataclasses.replace(network, edges=edges),
+        vehicle=dataclasses.replace(single_scenario.vehicle, **vehicle)))
+
+
+@pytest.mark.parametrize("limit, tau", [(13.9, 1.0), (5.0, 0.2)], ids=["free_distance_binds", "one_step_binds"])
+def test_a_follower_at_the_limit_at_its_cruise_room_and_one_ulp_short(single_scenario, limit, tau):
+    """At the room the cruise path moves it; one ulp short, and at the unwidened room, the full rule does; all alike.
+
+    With tau 0.2 at 5 m/s the Krauss free distance, 3.78 m, is short of one step's 5 m, so the wall, not the safe
+    speed, bounds the room: a room without it would let the follower run into its leader's tail.
+    """
+    room = _sim_like_single(single_scenario, limit=limit, tau=tau)._lanes["n_in"][3]
+    at_room = 200.0 - room
+    while 200.0 - math.nextafter(at_room, math.inf) >= room:
+        at_room = math.nextafter(at_room, math.inf)
+    while 200.0 - at_room < room:
+        at_room = math.nextafter(at_room, -math.inf)
+    free = limit * (limit + 2 * 4.5 * tau) / (2 * 4.5)
+    unwidened = 200.0 - PARAMS.length - max(free, limit)
+    for position in (at_room, math.nextafter(at_room, math.inf), unwidened):
+        sim = _sim_like_single(single_scenario, limit=limit, tau=tau)
+        _place(sim, ["n_in", "s_out"], position=200.0, speed=0.0)  # standing at its red line
+        follower = _place(sim, ["n_in", "s_out"], position=position, speed=limit)
+        _step_with_oracle_twin(sim, [ALL_GREEN_B] * 3)
+        assert follower.position <= 195.0
+
+
+def test_no_cruise_path_below_the_halting_speed(single_scenario):
+    """At a 0.05 m/s limit a vehicle at the limit, far from anything, still waits every step."""
+    sim = _sim_like_single(single_scenario, limit=0.05)
+    veh = _place(sim, ["n_in", "s_out"], position=0.0, speed=0.05)
+    _step_with_oracle_twin(sim, [ALL_GREEN_A] * 3)
+    assert (veh.speed, veh.waiting_time, veh.time_loss) == (0.05, 3.0, 0.0)
+
+
+def test_a_vehicle_leaves_its_emergency_onto_either_fast_path(single_scenario):
+    sim = _empty_sim(single_scenario)
+    cruising = _place(sim, ["n_in", "s_out"], position=0.0, speed=13.9)  # line green, s_out empty
+    head = _place(sim, ["e_in", "w_out"], position=200.0, speed=0.0)  # at its red line
+    touching = _place(sim, ["e_in", "w_out"], position=195.0, speed=0.0)  # nose to tail behind it
+    for veh in (cruising, head, touching):
+        veh.in_emergency = True
+    _step_with_oracle_twin(sim, [ALL_GREEN_A])
+    assert [v.in_emergency for v in (cruising, head, touching)] == [False] * 3
+    assert cruising.position == 13.9 and (head.waiting_time, touching.time_loss) == (1.0, 1.0)
+
+
+def test_standing_heads_at_a_closed_line_past_it_and_at_an_open_line_behind_a_full_next_edge(single_scenario):
+    sim = _empty_sim(single_scenario)
+    at_red = _place(sim, ["e_in", "w_out"], position=200.0, speed=0.0)
+    past_red = _place(sim, ["w_in", "e_out"], position=203.0, speed=0.0)
+    _place(sim, ["s_out"], position=2.0, speed=0.0)
+    at_green = _place(sim, ["n_in", "s_out"], position=200.0, speed=0.0)  # s_out has no room past the line
+    _step_with_oracle_twin(sim, [ALL_GREEN_A])
+    assert [(v.edge_index, v.position, v.speed) for v in (at_red, past_red, at_green)] == [(0, 200.0, 0.0)] * 3
+    assert [v.waiting_time for v in (at_red, past_red, at_green)] == [1.0] * 3
+    _step_with_oracle_twin(sim, [ALL_GREEN_A] * 4)
+    assert at_green.edge_index == 1
+
+
 # --- one line crossed per step -------------------------------------------------
 
 
