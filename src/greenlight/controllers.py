@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .netmodel import DT, GREEN, RED, YELLOW, FixedTimePlan, Junction
+from .netmodel import GREEN, RED, YELLOW, FixedTimePlan, Junction
 
 #: The three requests a controller may issue, in agent-action order.
 REQUESTS = ("serve_a", "serve_b", "all_red")
@@ -27,15 +27,16 @@ PHASES = {
 
 
 class SignalAssignment(NamedTuple):
-    """Per-junction signal state owned by the driving loop; immutable, and cheap to make once a step.
+    """Per-junction signal state owned by the driving loop; immutable, and made anew only when its phase changes.
 
-    phase is one of ``PHASES``; time_in_phase counts the seconds the phase
-    has been displayed so far.  During a yellow, ``pending`` is the committed
-    target; later requests only take effect once the transition has completed.
+    phase is one of ``PHASES``; since is the clock of the interlock call that
+    began it, so at clock t the phase has been displayed for t - since seconds.
+    During a yellow, ``pending`` is the committed target; later requests only
+    take effect once the transition has completed.
     """
 
     phase: str = "serve_a"
-    time_in_phase: float = 0.0
+    since: float = 0.0
     pending: str = "serve_a"
 
     def colors(self) -> tuple[str, str]:
@@ -45,32 +46,31 @@ class SignalAssignment(NamedTuple):
         return PHASES[self.phase][1]
 
 
-def apply_interlock(request: str, state: SignalAssignment, junction: Junction) -> SignalAssignment:
-    """Advance the signal one second toward the requested axis, legally.
+def apply_interlock(request: str, state: SignalAssignment, junction: Junction, clock: float) -> SignalAssignment:
+    """The signal state for the second from ``clock``, moved toward the requested axis, legally.
 
     Serving changes pass through a yellow of exactly the junction's
     yellow-duration, and a green may not be abandoned before min-green.
     Requests that would be illegal right now are deferred, never emitted.
+    A held phase returns ``state`` itself; a new phase begins at ``clock``.
     """
     if request not in REQUESTS:
         raise ValueError(f"unknown request {request!r}")
-
-    if state.phase in ("yellow_a", "yellow_b"):
-        if state.time_in_phase < junction.yellow:  # both whole steps, so exact
-            return SignalAssignment(state.phase, state.time_in_phase + DT, state.pending)
+    phase = state.phase
+    if request == phase:  # all-red or a served axis, requested again
+        return state
+    if phase == "all_red":  # leaving all-red needs no yellow
+        return SignalAssignment(request, clock, request)
+    # clock and since are whole steps, so the elapsed time is exact
+    if phase in ("yellow_a", "yellow_b"):
+        if clock - state.since < junction.yellow:
+            return state
         # yellow fully displayed: losing axis drops to red, grant the pending target
-        return SignalAssignment(phase=state.pending, time_in_phase=DT, pending=state.pending)
-
-    if state.phase == "all_red":
-        if request == "all_red":
-            return SignalAssignment(state.phase, state.time_in_phase + DT, state.pending)
-        return SignalAssignment(phase=request, time_in_phase=DT, pending=request)
-
-    # currently serving one axis: keep it, or defer a switch before min-green
-    if request == state.phase or state.time_in_phase < junction.min_green:
-        return SignalAssignment(state.phase, state.time_in_phase + DT, state.pending)
-    yellow_phase = "yellow_a" if state.phase == "serve_a" else "yellow_b"
-    return SignalAssignment(phase=yellow_phase, time_in_phase=DT, pending=request)
+        return SignalAssignment(state.pending, clock, state.pending)
+    # serving the other axis: defer a switch before min-green
+    if clock - state.since < junction.min_green:
+        return state
+    return SignalAssignment("yellow_a" if phase == "serve_a" else "yellow_b", clock, request)
 
 
 class FixedTimeController:

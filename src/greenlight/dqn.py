@@ -36,33 +36,52 @@ def state_width(rows: list[slice]) -> int:
     return state_dim(max(r.stop - r.start for r in rows))
 
 
-def featurize(stats: np.ndarray, capacities: np.ndarray, state, width: int) -> np.ndarray:
-    """One junction's ``width``-long state vector from its lane-statistics rows; every component lands in [0, 1].
+class StateLayout:
+    """Where the lane statistics of junctions with lane rows ``rows`` go in their (K, ``width``) states.
+
+    The rows tile the lane-statistics array in junction order.  ``slots`` holds each statistic's flat index into
+    the states: lane i of junction k fills slots 3i to 3i + 2 of row k.  ``scale`` divides each statistic: its
+    lane's capacity for the count and halted count, WAIT_CAP for the summed wait.
+    """
+
+    def __init__(self, rows: list[slice], capacities: np.ndarray):
+        self.width = state_width(rows)
+        self.slots = np.concatenate([k * self.width + np.arange(3 * (r.stop - r.start)) for k, r in enumerate(rows)])
+        self.scale = np.column_stack([capacities, capacities, np.full(len(capacities), WAIT_CAP)])
+
+
+def featurize(stats: np.ndarray, layout: StateLayout, states, clock: float) -> np.ndarray:
+    """Every junction's state vector at ``clock``, one row per signal state of ``states``; all components in [0, 1].
 
     Per lane min(1, count/cap), min(1, halted/cap) and min(1, wait/WAIT_CAP) = min(wait, WAIT_CAP)/WAIT_CAP, in the
-    first lane slots; the slots past the junction's lanes stay 0.
+    first lane slots; the slots past a junction's lanes stay 0.  Then the phase one-hot and the phase time
+    ``clock - since``, capped at PHASE_TIME_CAP and scaled by it.
     """
-    x = np.zeros(width)
-    lanes = x[: 3 * len(stats)].reshape(-1, 3)
-    np.divide(stats, capacities[:, None], out=lanes)
-    lanes[:, 2] = stats[:, 2] / WAIT_CAP
+    x = np.zeros((len(states), layout.width))
+    lanes = stats / layout.scale
     np.minimum(lanes, 1.0, out=lanes)
-    x[-4:-1] = state.phase_onehot()
-    x[-1] = min(state.time_in_phase, PHASE_TIME_CAP) / PHASE_TIME_CAP
+    x.ravel()[layout.slots] = lanes.ravel()
+    x[:, -4:-1] = [state.phase_onehot() for state in states]
+    x[:, -1] = [min(clock - state.since, PHASE_TIME_CAP) / PHASE_TIME_CAP for state in states]
     return x
+
+
+#: The waiting term of each waiting level: none (no vehicle waits), light and heavy.
+WAITING_PENALTIES = (0.0, -0.5, -1.0)
+
+
+def waiting_level(mean_wait: float) -> int:
+    """The index into WAITING_PENALTIES of a mean per-lane waiting time: heavy from 5 s on."""
+    return 0 if mean_wait == 0.0 else 1 if mean_wait < 5.0 else 2
 
 
 def waiting_penalty(mean_wait: float) -> float:
     """Coarse waiting term: 0 when idle-free, -0.5 for light, -1 for heavy."""
-    if mean_wait == 0.0:
-        return 0.0
-    if mean_wait < 5.0:
-        return -0.5
-    return -1.0
+    return WAITING_PENALTIES[waiting_level(mean_wait)]
 
 
-def reward_from_counts(greens: int, reds: int, mean_wait: float, mode: str = "balanced") -> float:
-    """Reward from signal counts and the mean per-lane waiting time.
+def level_rewards(greens: int, reds: int, mode: str = "balanced") -> tuple[float, ...]:
+    """The reward from signal counts at each waiting level, in the order of WAITING_PENALTIES.
 
     ``balanced`` (the default) penalizes green/red imbalance and waiting.
     ``literal`` is the square-root variant 0.2*sqrt((greens-reds)^2 + W); it
@@ -73,17 +92,28 @@ def reward_from_counts(greens: int, reds: int, mean_wait: float, mode: str = "ba
     if mode not in REWARD_MODES:
         raise ValueError(f"unknown reward mode {mode!r}")
     diff = greens - reds
-    w = waiting_penalty(mean_wait)
     if mode == "literal":
-        return 0.2 * math.sqrt(max(0.0, diff * diff + w))
-    return -0.2 * abs(diff) + w
+        return tuple(0.2 * math.sqrt(max(0.0, diff * diff + w)) for w in WAITING_PENALTIES)
+    return tuple(-0.2 * abs(diff) + w for w in WAITING_PENALTIES)
 
 
-def select_action(q_values, epsilon: float, rng) -> int:
-    """Epsilon-greedy over the q-values; greedy ties break to the lowest index."""
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(0, len(q_values)))
-    return int(np.argmax(q_values))
+def reward_from_counts(greens: int, reds: int, mean_wait: float, mode: str = "balanced") -> float:
+    """Reward from signal counts and the mean per-lane waiting time: ``level_rewards`` at its waiting level."""
+    return level_rewards(greens, reds, mode)[waiting_level(mean_wait)]
+
+
+def select_action(q: np.ndarray, epsilon: float, rng) -> list[int]:
+    """Epsilon-greedy over each row of the (K, n) q-values; greedy ties break to the lowest index.
+
+    At ``epsilon`` above 0, junction k draws ``rng.random()``, and ``rng.integers`` if it explores, before
+    junction k + 1 draws.
+    """
+    actions = q.argmax(axis=1).tolist()
+    if epsilon > 0.0:
+        for k in range(len(actions)):
+            if rng.random() < epsilon:
+                actions[k] = int(rng.integers(0, q.shape[1]))
+    return actions
 
 
 class ReplayBuffer:
@@ -151,35 +181,29 @@ class EpsilonSchedule:
 
 
 class GreedyPolicy:
-    """Controller acting on each junction's q-values on each whole multiple of the interval, from 0 in every episode.
+    """Controller acting on every junction's q-values on each whole multiple of the interval, from 0 in every episode.
 
     It keeps no decision state between episodes, so one policy runs any number of them.  Junctions are indexed
-    by position: ``nets[k]`` is junction k's network, ``rows[k]`` its lanes in the lane-statistics array and
-    ``capacities``, and ``states[k]`` its signal state; every state vector is ``state_width(rows)`` long.
-    With ``epsilon`` 0, as at evaluation, each action is the argmax; training sets ``epsilon`` and ``rng`` and
-    extends ``act``.
+    by position: row k of the (K, P) network ``net`` is junction k's network, ``rows[k]`` its lanes in the
+    lane-statistics array and ``capacities``, and ``states[k]`` its signal state.  A decision is one pass for
+    all junctions: ``featurize``, ``qnet.forward`` and ``select_action`` once each.  With ``epsilon`` 0, as at
+    evaluation, each action is the argmax; training sets ``epsilon`` and ``rng`` and extends ``act``.
     """
 
-    def __init__(self, nets: list[QNetwork], interval: float, rows: list[slice], capacities: np.ndarray):
-        self.nets = nets
+    def __init__(self, net: QNetwork, interval: float, rows: list[slice], capacities: np.ndarray):
+        self.net = net
         self.interval = interval
-        self.rows = rows
-        self.capacities = capacities
-        self.width = state_width(rows)
+        self.layout = StateLayout(rows, capacities)
         self.epsilon = 0.0
         self.rng = None
 
     def decide(self, clock: float, lane_stats, states) -> list[str]:
         """Requests in junction order; they change only at a decision."""
         if clock % self.interval == 0.0:  # both whole steps, so exact
-            self.act(self.features(lane_stats(), states))
+            self.act(featurize(lane_stats(), self.layout, states, clock))
         return self.requests
 
-    def features(self, stats: np.ndarray, states) -> list[np.ndarray]:
-        """Every junction's state vector, in junction order."""
-        width, capacities = self.width, self.capacities
-        return [featurize(stats[rows], capacities[rows], state, width) for rows, state in zip(self.rows, states)]
-
-    def act(self, obs: list[np.ndarray]) -> None:
-        self.actions = [select_action(qnet.forward(net, x), self.epsilon, self.rng) for net, x in zip(self.nets, obs)]
+    def act(self, obs: np.ndarray) -> None:
+        """Act on the (K, width) states ``obs``."""
+        self.actions = select_action(qnet.forward(self.net, obs), self.epsilon, self.rng)
         self.requests = [REQUESTS[action] for action in self.actions]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dqn, metrics, qnet
-from .controllers import REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
+from .controllers import PHASES, REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
 from .dqn import ReplayBuffer
 from .netmodel import DT, GREEN, HALT_SPEED, RED, Junction, Scenario, is_whole_steps, load_scenario, read_record
 from .simcore import Simulation
@@ -173,13 +173,15 @@ def junction_view(sim: Simulation, lanes: list[str]) -> np.ndarray:
     return np.array(flat, dtype=float).reshape(-1, 3)
 
 
-def _step_reward(colors: tuple[str, str], info: _JunctionInfo, stats: np.ndarray, mode: str) -> float:
-    color_a, color_b = colors
-    n_a, n_b = len(info.junction.axis_a), len(info.junction.axis_b)
-    greens = (n_a if color_a == GREEN else 0) + (n_b if color_b == GREEN else 0)
-    reds = (n_a if color_a == RED else 0) + (n_b if color_b == RED else 0)
-    # summed in Python: a numpy sum and numpy scalars cost more than the few lanes
-    return dqn.reward_from_counts(greens, reds, sum(stats[info.rows, 2].tolist()) / info.n_lanes, mode)
+def _phase_rewards(junction: Junction, mode: str) -> dict[str, tuple[float, ...]]:
+    """Each phase's step reward at each waiting level (``dqn.level_rewards``), from the lanes it shows green and red."""
+    n_a, n_b = len(junction.axis_a), len(junction.axis_b)
+    rewards = {}
+    for phase, ((color_a, color_b), _) in PHASES.items():
+        greens = (n_a if color_a == GREEN else 0) + (n_b if color_b == GREEN else 0)
+        reds = (n_a if color_a == RED else 0) + (n_b if color_b == RED else 0)
+        rewards[phase] = dqn.level_rewards(greens, reds, mode)
+    return rewards
 
 
 def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_step=None) -> Simulation:
@@ -188,10 +190,11 @@ def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_
     ``controller.decide(clock, lane_stats, states)`` runs before each step and ``on_step(sim, lane_stats, states,
     done)``, if given, after it; its requests and ``states`` are lists in the order of ``infos``.  ``lane_stats()``
     is the clock's ``junction_view`` array, computed at most once and shared by every caller at that clock, so
-    none may write to it.
+    none may write to it.  A junction's colors are looked up again only when its signal state changes.
     """
     sim = Simulation(scenario, rng)
     states = [SignalAssignment()] * len(infos)
+    colors = [state.colors() for state in states]
     lanes = _lane_ids(infos)
     stats_at = functools.lru_cache(maxsize=1)(lambda clock: junction_view(sim, lanes))
     lane_stats = lambda: stats_at(sim.clock)  # noqa: E731
@@ -199,10 +202,13 @@ def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_
     junctions = [info.junction for info in infos]
     total_steps = int(round(scenario.duration / DT))
     for step in range(1, total_steps + 1):
-        requests = controller.decide(sim.clock, lane_stats, states)
-        for k, junction in enumerate(junctions):
-            states[k] = apply_interlock(requests[k], states[k], junction)
-        sim.step([state.colors() for state in states])
+        clock = sim.clock
+        requests = controller.decide(clock, lane_stats, states)
+        for k, (request, state, junction) in enumerate(zip(requests, states, junctions)):
+            new = apply_interlock(request, state, junction, clock)
+            if new is not state:
+                states[k], colors[k] = new, new.colors()
+        sim.step(colors)
         if on_step is not None:
             on_step(sim, lane_stats, states, step == total_steps)
     return sim
@@ -212,8 +218,8 @@ class _Learner:
     """One independent DQN learner per junction, all stacked together.
 
     Every junction's network has the same sizes, so all of them are one (K, P)
-    QNetwork ``params`` with one Adam, one target copy and one gradient buffer;
-    ``nets[k]`` is junction k's row of it, a view that the policy acts with.
+    QNetwork ``params``, which the policy acts with, with one Adam, one target
+    copy and one gradient buffer; ``nets[k]`` is junction k's row of it, a view.
     All junctions share one replay ring.  Each update trains every junction's
     network on its own sample with one batched call, writing into
     preallocated online and target workspaces, so it allocates no per-layer
@@ -264,10 +270,12 @@ class _TrainingAgent(dqn.GreedyPolicy):
 
     def __init__(self, infos: list[_JunctionInfo], capacities: np.ndarray, learner: _Learner, hp: Hyperparams,
                  config: TrainConfig, decisions: int):
-        super().__init__(learner.nets, hp.decision_interval, [info.rows for info in infos], capacities)
+        super().__init__(learner.params, hp.decision_interval, [info.rows for info in infos], capacities)
         self.infos = infos
         self.learner = learner
-        self.reward_mode = config.reward_mode
+        # per junction: its rows, its lane count and each phase's step reward at each waiting level
+        self.step_rewards = [(info.rows, info.n_lanes, _phase_rewards(info.junction, config.reward_mode))
+                             for info in infos]
         self.rng = _generator(config.seed, _NS_ACTION)
         self.sample_rng = _generator(config.seed, _NS_SAMPLE)
         self.schedule = dqn.EpsilonSchedule(hp.eps_start, hp.eps_final, decisions, hp.eps_fraction)
@@ -281,7 +289,7 @@ class _TrainingAgent(dqn.GreedyPolicy):
         """Ready for the next episode, whose epsilon is the schedule's at its first decision."""
         self.obs, self.episode_return, self.losses, self.first_decision = None, 0.0, [], self.decisions
 
-    def act(self, obs: list) -> None:
+    def act(self, obs: np.ndarray) -> None:
         if self.obs is not None:
             self._close_interval(obs, terminal=False)
         self.epsilon = self.schedule.value(self.decisions)
@@ -289,19 +297,20 @@ class _TrainingAgent(dqn.GreedyPolicy):
         self.obs = obs
 
     def on_step(self, sim: Simulation, lane_stats, states: list, done: bool) -> None:
-        stats = lane_stats()
-        for k, (info, state) in enumerate(zip(self.infos, states)):
-            self.reward_sums[k] += _step_reward(state.colors(), info, stats, self.reward_mode)
+        stats, sums = lane_stats(), self.reward_sums
+        waits = stats[:, 2].tolist()  # summed in Python: a numpy sum and numpy scalars cost more than the few lanes
+        for k, ((rows, n_lanes, rewards), state) in enumerate(zip(self.step_rewards, states)):
+            sums[k] += rewards[state.phase][dqn.waiting_level(sum(waits[rows]) / n_lanes)]
         self.steps += 1
         if done:
-            self._close_interval(self.features(stats, states), terminal=True)
+            self._close_interval(dqn.featurize(stats, self.layout, states, sim.clock), terminal=True)
             losses = self.losses
             self.curve.append({"episode": len(self.curve), "return": self.episode_return,
                                "epsilon": self.schedule.value(self.first_decision),
                                "mean_loss": sum(losses) / len(losses) if losses else float("nan")})
             self._reset_episode()
 
-    def _close_interval(self, next_obs: list, terminal: bool) -> None:
+    def _close_interval(self, next_obs: np.ndarray, terminal: bool) -> None:
         rewards = [total / self.steps for total in self.reward_sums]
         self.learner.buffer.push(self.obs, self.actions, rewards, next_obs, terminal)
         self.reward_sums = [0.0] * len(rewards)
@@ -339,7 +348,7 @@ def train(config: TrainConfig) -> TrainResult:
 
     for episode in range(config.episodes):
         rollout(scenario, infos, agent, _generator(config.seed, _NS_EPISODE, episode), agent.on_step)
-    nets = agent.nets
+    nets = agent.learner.nets
     # one junction's network is written as a plain single-network document
     weights = nets[0] if len(nets) == 1 else {info.junction.id: net for info, net in zip(infos, nets)}
     return TrainResult(weights_doc=qnet.serialize(weights), curve=agent.curve)
@@ -364,6 +373,10 @@ def load_weights(text: str, infos: list[_JunctionInfo]) -> dict[str, qnet.QNetwo
                 f"junction {jid}: weights map input dimension {net.d_in} to {net.d_out} outputs, "
                 f"the scenario needs {width} to {len(REQUESTS)}"
             )
+        first_id, first = next(iter(nets.items()))
+        if net.sizes != first.sizes:  # the policy acts with all of them stacked as one
+            raise WeightsMismatchError(f"junction {jid}: layer widths {list(net.sizes)} differ from junction "
+                                       f"{first_id}'s {list(first.sizes)}; every junction's network needs the same")
     if loaded:
         raise WeightsMismatchError(f"weights have an entry for {next(iter(loaded))!r}, not a signalized junction")
     return nets
@@ -380,8 +393,9 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
         controller = FixedTimeController([FixedTimePlan.for_junction(info.junction) for info in infos])
     else:
         nets = list(load_weights(config.weights, infos).values())  # in the order of infos
-        rows, capacities = [info.rows for info in infos], _capacities(scenario, infos)
-        controller = dqn.GreedyPolicy(nets, hp.decision_interval, rows, capacities)
+        net = qnet.QNetwork(nets[0].sizes, np.stack([one.flat for one in nets]))
+        controller = dqn.GreedyPolicy(net, hp.decision_interval, [info.rows for info in infos],
+                                      _capacities(scenario, infos))
 
     arrived: list[int] = []
     vehicles = metrics.Vehicles.empty()

@@ -4,9 +4,9 @@ Rectifier hidden layers, linear output, 64-bit floats throughout.  The loss is
 the squared TD error on the single taken action, so the output gradient is
 zero everywhere except that action's entry.  A network's parameters, its
 gradients and Adam's moments are each one flat vector; a leading axis on that
-vector stacks several networks of one architecture, which the batched
-functions then evaluate and train together.  Weights serialize to a small
-JSON document, of one network or of one network per junction id, whose
+vector stacks several networks of one architecture, which ``forward`` and the
+batched functions then evaluate and train together.  Weights serialize to a
+small JSON document, of one network or of one network per junction id, whose
 records are read and written by netmodel's record reader and writer.
 """
 
@@ -84,12 +84,17 @@ def _check_input(net: QNetwork, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(net: QNetwork, x) -> np.ndarray:
-    """Q-values for a single state vector."""
-    a = _check_input(net, x)
+def forward(net: QNetwork, xs) -> np.ndarray:
+    """Q-values of one state per network: a (d_in,) state for a (P,) network, (K, d_in) states for a (K, P) one.
+
+    Each layer is one matrix-vector product per network, which rounds as ``w @ x`` does; ``forward_batch``'s
+    matrix-matrix product may differ from it in the last bits.
+    """
+    a = _check_input(net, xs)
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = w @ a + b
+        a = np.matmul(w, a[..., None])[..., 0]
+        a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
     return a

@@ -33,6 +33,24 @@ def straight_line_forward(sizes, weights, biases, x):
     return a
 
 
+def forward(net, x):
+    """One network's q-values for one state, layer by layer as ``w @ a + b``, rectified on hidden layers."""
+    a = np.asarray(x, dtype=np.float64)
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = w @ a + b
+        if i < last:
+            a = np.maximum(a, 0.0)
+    return a
+
+
+def select_action(q_values, epsilon, rng):
+    """Epsilon-greedy over one junction's q-values; greedy ties break to the lowest index."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(0, len(q_values)))
+    return int(np.argmax(q_values))
+
+
 def finite_difference_grads(net, x, td_target, action, eps, loss_fn):
     """Central-difference gradients of loss_fn w.r.t. every parameter."""
     grads_w, grads_b = [], []
@@ -207,7 +225,7 @@ def td_target(transition, target_net, gamma):
     """Bootstrapped target of one transition: r, plus the discounted best target-net value."""
     if transition.terminal:
         return transition.reward
-    return transition.reward + gamma * float(np.max(qnet.forward(target_net, transition.next_state)))
+    return transition.reward + gamma * float(np.max(forward(target_net, transition.next_state)))
 
 
 class IndependentLearner:
@@ -447,6 +465,32 @@ def conflicting_pairs(junction):
     return {(a, b) for a in junction.axis_a for b in junction.axis_b}
 
 
+@dataclass(frozen=True)
+class CountedAssignment:
+    """An interlock state that counts the seconds its phase has been displayed, one ``DT`` per call."""
+
+    phase: str = "serve_a"
+    time_in_phase: float = 0.0
+    pending: str = "serve_a"
+
+
+def apply_interlock(request, state, junction):
+    """Advance a ``CountedAssignment`` one second toward the requested axis: a new state on every call."""
+    if request not in ("serve_a", "serve_b", "all_red"):
+        raise ValueError(f"unknown request {request!r}")
+    if state.phase in ("yellow_a", "yellow_b"):
+        if state.time_in_phase < junction.yellow:
+            return CountedAssignment(state.phase, state.time_in_phase + DT, state.pending)
+        return CountedAssignment(state.pending, DT, state.pending)
+    if state.phase == "all_red":
+        if request == "all_red":
+            return CountedAssignment(state.phase, state.time_in_phase + DT, state.pending)
+        return CountedAssignment(request, DT, request)
+    if request == state.phase or state.time_in_phase < junction.min_green:
+        return CountedAssignment(state.phase, state.time_in_phase + DT, state.pending)
+    return CountedAssignment("yellow_a" if state.phase == "serve_a" else "yellow_b", DT, request)
+
+
 def fixed_time_decide(clock, plan):
     """Signal colors (axis A, axis B) of a fixed green/yellow/green/yellow cycle at a given time."""
     c = clock % (plan.green_a + plan.yellow + plan.green_b + plan.yellow)
@@ -476,7 +520,7 @@ class JunctionView:
 
 
 def junction_view(sim, junction, capacities, state):
-    """One junction's view, walking its lanes one statistic at a time."""
+    """One junction's view at the simulation's clock, walking its lanes one statistic at a time."""
     counts, halted, waits = [], [], []
     for eid in junction.axis_a + junction.axis_b:
         lane = sim.vehicles_on[eid]
@@ -489,7 +533,7 @@ def junction_view(sim, junction, capacities, state):
         lane_halted=tuple(halted),
         lane_waits=tuple(waits),
         phase_onehot=state.phase_onehot(),
-        time_in_phase=state.time_in_phase,
+        time_in_phase=sim.clock - state.since,
     )
 
 

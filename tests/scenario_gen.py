@@ -204,7 +204,7 @@ def run_checked(scenario: Scenario, seed: int, steps: int):
     for _ in range(steps):
         for k, j in enumerate(junctions):
             request = REQUESTS[int(request_rng.integers(0, len(REQUESTS)))]
-            states[k] = apply_interlock(request, states[k], j)
+            states[k] = apply_interlock(request, states[k], j, sim.clock)
         colors = [state.colors() for state in states]
         sim.step(colors)
         checker.after_step(colors)

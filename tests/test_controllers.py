@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import fixed_time_decide
 from greenlight.controllers import (
     GREEN,
@@ -44,37 +45,39 @@ def test_fixed_time_is_periodic(t, k):
 
 
 def test_interlock_switch_after_min_green_starts_yellow():
-    state = SignalAssignment(phase="serve_a", time_in_phase=10.0)
-    out = apply_interlock("serve_b", state, JUNCTION)
+    state = SignalAssignment(phase="serve_a", since=10.0)
+    out = apply_interlock("serve_b", state, JUNCTION, 20.0)
     assert out.colors() == (YELLOW, RED)
+    assert out == ("yellow_a", 20.0, "serve_b")  # the yellow begins at the call's clock
 
 
 def test_interlock_defers_before_min_green():
-    state = SignalAssignment(phase="serve_a", time_in_phase=2.0)
-    out = apply_interlock("serve_b", state, JUNCTION)
+    state = SignalAssignment(phase="serve_a", since=10.0)
+    out = apply_interlock("serve_b", state, JUNCTION, 12.0)
     assert out.colors() == (GREEN, RED)
-    assert out.phase == "serve_a"
+    assert out is state  # a held phase is the same state
 
 
 def test_interlock_grants_pending_after_full_yellow():
-    state = SignalAssignment(phase="yellow_a", time_in_phase=3.0, pending="serve_b")
-    out = apply_interlock("serve_b", state, JUNCTION)
+    state = SignalAssignment(phase="yellow_a", since=7.0, pending="serve_b")
+    out = apply_interlock("serve_b", state, JUNCTION, 10.0)
     assert out.colors() == (RED, GREEN)
+    assert out == ("serve_b", 10.0, "serve_b")
 
 
 def test_interlock_commits_transition_despite_changed_mind():
-    state = SignalAssignment(phase="serve_a", time_in_phase=10.0)
-    state = apply_interlock("serve_b", state, JUNCTION)  # yellow begins, target committed
-    for _ in range(3):
-        state = apply_interlock("serve_a", state, JUNCTION)  # controller changes its mind
+    state = SignalAssignment(phase="serve_a", since=-10.0)
+    state = apply_interlock("serve_b", state, JUNCTION, 0.0)  # yellow begins, target committed
+    for clock in (1.0, 2.0, 3.0):
+        state = apply_interlock("serve_a", state, JUNCTION, clock)  # controller changes its mind
     assert state.colors() == (RED, GREEN)  # pending serve_b still granted
 
 
 def test_interlock_yellow_runs_exactly_yellow_duration():
-    state = SignalAssignment(phase="serve_a", time_in_phase=10.0)
+    state = SignalAssignment(phase="serve_a", since=-10.0)
     colors = []
-    for _ in range(6):
-        state = apply_interlock("serve_b", state, JUNCTION)
+    for clock in range(6):
+        state = apply_interlock("serve_b", state, JUNCTION, float(clock))
         colors.append(state.colors())
     assert colors == [
         (YELLOW, RED),
@@ -87,19 +90,60 @@ def test_interlock_yellow_runs_exactly_yellow_duration():
 
 
 def test_interlock_all_red_request():
-    state = SignalAssignment(phase="serve_a", time_in_phase=10.0)
-    for _ in range(3):
-        state = apply_interlock("all_red", state, JUNCTION)
-    state = apply_interlock("all_red", state, JUNCTION)
+    state = SignalAssignment(phase="serve_a", since=-10.0)
+    for clock in range(3):
+        state = apply_interlock("all_red", state, JUNCTION, float(clock))
+    state = apply_interlock("all_red", state, JUNCTION, 3.0)
     assert state.colors() == (RED, RED)
     # leaving all-red needs no yellow
-    state = apply_interlock("serve_b", state, JUNCTION)
+    state = apply_interlock("serve_b", state, JUNCTION, 4.0)
     assert state.colors() == (RED, GREEN)
 
 
 def test_interlock_rejects_unknown_request():
     with pytest.raises(ValueError):
-        apply_interlock("serve_c", SignalAssignment(), JUNCTION)
+        apply_interlock("serve_c", SignalAssignment(), JUNCTION, 0.0)
+
+
+@pytest.mark.parametrize("state", [
+    SignalAssignment("yellow_a", 9.0, "serve_b"),  # mid-yellow, 1 s of 3 shown
+    SignalAssignment("yellow_b", 10.0, "all_red"),
+    SignalAssignment("all_red", 4.0, "all_red"),
+    SignalAssignment("serve_a", 0.0, "serve_a"),
+    SignalAssignment("serve_b", 9.0, "serve_b"),  # before min-green
+], ids=lambda state: state.phase)
+@pytest.mark.parametrize("request_", ["serve_c", "yellow_a", "yellow_b", "", None])
+def test_interlock_rejects_an_unknown_request_in_every_phase(state, request_):
+    """Even the phase's own name, which a held phase would otherwise match, is not a request."""
+    with pytest.raises(ValueError, match="unknown request"):
+        apply_interlock(request_, state, JUNCTION, 10.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    yellow=st.integers(1, 5),
+    min_green=st.integers(1, 10),
+    weights=st.lists(st.integers(0, 8), min_size=3, max_size=3).filter(any),
+)
+def test_interlock_equals_the_counting_oracle(seed, yellow, min_green, weights):
+    """At every step the phase, the time it has been shown and the pending target equal those of the interlock that
+    counts its phase time, and a call that keeps the phase returns the very state it was given."""
+    junction = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=float(yellow),
+                        min_green=float(min_green))
+    rng = np.random.default_rng(seed)
+    p = np.asarray(weights, dtype=float) / sum(weights)  # some streams hold one request for long runs
+    state, counted = SignalAssignment(), oracles.CountedAssignment()
+    for step in range(200):
+        clock = float(step)
+        request = REQUESTS[int(rng.choice(3, p=p))]
+        new = apply_interlock(request, state, junction, clock)
+        counted = oracles.apply_interlock(request, counted, junction)
+        assert (new.phase, clock + 1.0 - new.since, new.pending) == (counted.phase, counted.time_in_phase,
+                                                                    counted.pending)
+        if new.phase == state.phase:
+            assert new is state
+        state = new
 
 
 def _color_runs(colors):
@@ -126,9 +170,9 @@ def test_interlock_stream_is_always_legal(seed, yellow, min_green):
     rng = np.random.default_rng(seed)
     state = SignalAssignment()
     stream_a, stream_b = [], []
-    for _ in range(300):
+    for clock in range(300):
         request = REQUESTS[int(rng.integers(0, len(REQUESTS)))]
-        state = apply_interlock(request, state, junction)
+        state = apply_interlock(request, state, junction, float(clock))
         ca, cb = state.colors()
         stream_a.append(ca)
         stream_b.append(cb)
@@ -153,7 +197,7 @@ def test_fixed_controller_requests_match_decide_map():
     junction = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=3.0, min_green=5.0)
     for t in range(3 * int(PLAN.cycle)):
         [request] = controller.decide(float(t), None, None)
-        state = apply_interlock(request, state, junction)
+        state = apply_interlock(request, state, junction, float(t))
         assert state.colors() == fixed_time_decide(float(t), PLAN)
 
 

@@ -23,14 +23,17 @@ PHASES = ("serve_a", "serve_b", "all_red", "yellow_a", "yellow_b")
 
 
 def _features(counts, caps, halted, waits, phase="serve_a", t=0.0, padding=0):
-    """``featurize`` of one junction whose lanes hold the given statistics, with ``padding`` lane slots past them."""
-    stats = np.column_stack([counts, halted, waits]).astype(float)
-    state = SignalAssignment(phase=phase, time_in_phase=t)
-    return featurize(stats, np.asarray(caps, dtype=float), state, state_dim(len(counts) + padding))
+    """``featurize``'s row for a junction whose lanes hold the given statistics, ``t`` s into its phase; a second
+    junction of ``len(counts) + padding`` empty lanes sets the width, so ``padding`` lane slots lie past its lanes."""
+    n, wide = len(counts), len(counts) + padding
+    stats = np.zeros((n + wide, 3))
+    stats[:n] = np.column_stack([counts, halted, waits])
+    layout = dqn.StateLayout([slice(0, n), slice(n, n + wide)], np.array(list(caps) + [1.0] * wide))
+    return featurize(stats, layout, [SignalAssignment(phase)] * 2, t)[0]  # phase since clock 0
 
 
 def _view(counts, caps, halted, waits, phase="serve_a", t=0.0):
-    state = SignalAssignment(phase=phase, time_in_phase=t)
+    state = SignalAssignment(phase=phase)
     return oracles.JunctionView(
         lane_counts=tuple(counts),
         lane_capacities=tuple(caps),
@@ -74,8 +77,8 @@ def test_featurize_counts_from_scripted_mini_scenario(single_scenario):
     infos = harness._junction_infos(sc)
     lanes = harness._lane_ids(infos)
     stats = harness.junction_view(sim, lanes)
-    vec = featurize(stats[infos[0].rows], harness._capacities(sc, infos)[infos[0].rows], SignalAssignment(),
-                    dqn.state_width([infos[0].rows]))
+    [vec] = featurize(stats, dqn.StateLayout([info.rows for info in infos], harness._capacities(sc, infos)),
+                      [SignalAssignment()], 0.0)
     lane = lanes.index("n_in")
     assert stats[lane].tolist() == [3.0, 2.0, 20.0]
     assert vec[3 * lane + 0] == pytest.approx(0.25)  # density 3/12
@@ -153,21 +156,32 @@ def test_reward_unknown_mode_rejected():
 
 
 def test_reward_from_view_counts_lanes():
-    def step_reward(n_a, n_b, colors):
+    def step_reward(n_a, n_b, phase):
         ids = [f"e{i}" for i in range(n_a + n_b)]
         junction = netmodel.Junction("c", signalized=True, axis_a=tuple(ids[:n_a]), axis_b=tuple(ids[n_a:]))
-        info = harness._JunctionInfo(junction, slice(0, n_a + n_b))
         network = netmodel.Network(junctions=(junction,), edges=())
-        sim = types.SimpleNamespace(colors=(colors,), scenario=types.SimpleNamespace(network=network),
+        sim = types.SimpleNamespace(colors=(SignalAssignment(phase).colors(),),
+                                    scenario=types.SimpleNamespace(network=network),
                                     vehicles_on={eid: [] for eid in ids})
-        reward = harness._step_reward(colors, info, harness.junction_view(sim, ids), "balanced")
+        mean_wait = sum(harness.junction_view(sim, ids)[:, 2].tolist()) / (n_a + n_b)
+        reward = harness._phase_rewards(junction, "balanced")[phase][dqn.waiting_level(mean_wait)]
         assert reward == oracles.step_reward(sim, junction, "balanced")
         return reward
 
     # 2 green vs 1 red, no waiting
-    assert step_reward(2, 1, ("green", "red")) == pytest.approx(-0.2)
+    assert step_reward(2, 1, "serve_a") == pytest.approx(-0.2)
     # yellow counts in neither sum
-    assert step_reward(1, 1, ("yellow", "red")) == pytest.approx(-0.2)
+    assert step_reward(1, 1, "yellow_a") == pytest.approx(-0.2)
+
+
+def test_level_rewards_are_the_rewards_at_each_waiting_level():
+    assert [dqn.waiting_level(wait) for wait in (0.0, 4.9, 5.0, 7.0)] == [0, 1, 2, 2]  # none, light, heavy
+    for greens in range(5):
+        for reds in range(5):
+            d = greens - reds
+            assert dqn.level_rewards(greens, reds, "balanced") == tuple(-0.2 * abs(d) + w for w in (0.0, -0.5, -1.0))
+            literal = tuple(0.2 * math.sqrt(max(0.0, d * d + w)) for w in (0.0, -0.5, -1.0))
+            assert dqn.level_rewards(greens, reds, "literal") == literal
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,27 +202,28 @@ def test_reward_ranges_and_maximum(greens, reds, wait):
 
 
 def test_select_action_greedy_argmax():
-    assert select_action(np.array([1.0, 3.0, 2.0]), 0.0, None) == 1
+    assert select_action(np.array([[1.0, 3.0, 2.0], [0.0, 0.0, 4.0]]), 0.0, None) == [1, 2]
 
 
 def test_select_action_tie_breaks_low_index():
-    assert select_action(np.array([2.0, 2.0, 0.0]), 0.0, None) == 0
+    assert select_action(np.array([[2.0, 2.0, 0.0], [0.0, 1.0, 1.0]]), 0.0, None) == [0, 1]
 
 
 def test_select_action_greedy_invariant_under_affine_scaling():
     rng = make_rng(3)
     for _ in range(50):
-        q = rng.normal(size=3)
-        a = select_action(q, 0.0, None)
-        assert select_action(3.5 * q + 11.0, 0.0, None) == a
+        q = rng.normal(size=(4, 3))
+        actions = select_action(q, 0.0, None)
+        assert select_action(3.5 * q + 11.0, 0.0, None) == actions
 
 
 def test_select_action_uniform_at_epsilon_one():
     rng = make_rng(2024)
     counts = np.zeros(3, dtype=int)
     n = 30_000
-    for _ in range(n):
-        counts[select_action(np.array([9.0, 0.0, 0.0]), 1.0, rng)] += 1
+    for _ in range(n // 3):
+        for action in select_action(np.array([[9.0, 0.0, 0.0]] * 3), 1.0, rng):
+            counts[action] += 1
     sigma = math.sqrt(n * (1.0 / 3.0) * (2.0 / 3.0))
     for c in counts:
         assert abs(c - n / 3.0) <= 3.0 * sigma
@@ -337,3 +352,17 @@ def test_td_targets_batch_matches_scalar():
     vec = dqn.td_targets_batch(buf, 0, np.arange(6), net, 0.9)
     for i, t in enumerate(batch):
         assert vec[i] == pytest.approx(td_target(t, net, 0.9), abs=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("count", [1, 4, 36])
+def test_select_action_over_junctions_equals_one_oracle_call_per_junction(count, epsilon):
+    """The (K, 3) call returns the actions of K scalar calls in junction order and leaves the generator where they
+    leave it: junction k draws its ``random``, and its ``integers`` if it explores, before junction k + 1."""
+    qs = np.round(make_rng(count).normal(size=(40, count, 3)))  # rounded, so greedy ties come up
+    rng, oracle_rng = make_rng(11), make_rng(11)
+    for q in qs:
+        actions = select_action(q, epsilon, rng)
+        assert actions == [oracles.select_action(row, epsilon, oracle_rng) for row in q]
+        assert all(type(action) is int for action in actions)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -358,9 +358,9 @@ def test_training_policy_acts_with_the_learner_views():
     initial = [qnet.init_network((width, 5, 3), make_rng(k)) for k in range(len(infos))]
     learner = harness._Learner(initial, hp)
     agent = harness._TrainingAgent(infos, harness._capacities(scenario, infos), learner, hp, config, decisions=10)
-    assert agent.nets is learner.nets and len(agent.nets) == len(infos)
-    for net in agent.nets:
-        assert np.shares_memory(net.flat, learner.params.flat)
+    assert agent.net is learner.params and agent.net.flat.shape[0] == len(infos)
+    for net in learner.nets:
+        assert np.shares_memory(net.flat, agent.net.flat)
 
 
 def test_a_padded_lane_slot_keeps_its_initial_weights_through_training():
@@ -485,11 +485,11 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
         def on_step(self, sim, lane_stats, states, done):
             self.states = states
             for k, info in enumerate(self.infos):
-                reward = oracles.step_reward(sim, info.junction, self.reward_mode)
-                assert harness._step_reward(states[k].colors(), info, lane_stats(), self.reward_mode) == reward
-                self.oracle_sums[k] += reward
+                self.oracle_sums[k] += oracles.step_reward(sim, info.junction, mode)
             checked["steps"] += 1
             super().on_step(sim, lane_stats, states, done)
+            if not done:  # each step's lookup adds the oracle's reward to the same sum
+                assert self.reward_sums == self.oracle_sums
 
         def _close_interval(self, next_obs, terminal):
             assert self.reward_sums == self.oracle_sums
@@ -501,7 +501,7 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
 
     monkeypatch.setattr(harness, "Simulation", RecordingSimulation)
     monkeypatch.setattr(harness, "_TrainingAgent", CheckedAgent)
-    for mode in dqn.REWARD_MODES:
+    for mode in dqn.REWARD_MODES:  # read by CheckedAgent.on_step
         harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=2, seed=5, reward_mode=mode))
     assert checked["decisions"] == 2 * 2 * 80 and checked["steps"] == 2 * 2 * 400 and checked["terminal"] == 4
     assert checked["waiting"] > 0  # some decisions saw queued vehicles
@@ -513,16 +513,17 @@ def test_balanced_reward_prefers_holding_the_wrong_green_to_switching():
     A queues therefore beats switching to serve_a, which is how a trained agent locks into the wrong green."""
     junction = netmodel.Junction("c", signalized=True, axis_a=("n", "s"), axis_b=("e", "w"), yellow=3.0,
                                  min_green=5.0)
-    info = harness._JunctionInfo(junction, slice(0, 4))
     stats = np.array([[9.0, 9.0, 14.0], [7.0, 7.0, 10.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # axis A waits
     assert stats[:, 2].mean() >= 5.0
+    heavy = dqn.waiting_level(sum(stats[:, 2].tolist()) / 4)
+    phase_rewards = harness._phase_rewards(junction, "balanced")
 
     def rewards(request, steps=10):
-        state = harness.SignalAssignment("serve_b", 20.0, "serve_b")  # past min-green, free to switch
+        state = harness.SignalAssignment("serve_b", -20.0, "serve_b")  # past min-green, free to switch
         out = []
-        for _ in range(steps):
-            state = harness.apply_interlock(request, state, junction)
-            out.append(harness._step_reward(state.colors(), info, stats, "balanced"))
+        for clock in range(steps):
+            state = harness.apply_interlock(request, state, junction, float(clock))
+            out.append(phase_rewards[state.phase][heavy])
         return out, state.phase
 
     held, held_phase = rewards("serve_b")
@@ -693,6 +694,17 @@ def test_dqn_weights_sized_to_a_junction_own_lanes_are_rejected():
     with pytest.raises(WeightsMismatchError) as err:
         harness.load_weights(qnet.serialize(nets), infos)
     assert str(err.value) == "junction e: weights map input dimension 10 to 3 outputs, the scenario needs 13 to 3"
+
+
+def test_dqn_weights_of_two_shapes_are_rejected():
+    """The policy acts with every junction's network stacked as one, so their hidden widths must agree too."""
+    infos = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
+    nets = {"w": qnet.init_network((13, 8, 3), harness._generator(0)),
+            "e": qnet.init_network((13, 4, 3), harness._generator(1))}
+    with pytest.raises(WeightsMismatchError) as err:
+        harness.load_weights(qnet.serialize(nets), infos)
+    assert str(err.value) == ("junction e: layer widths [13, 4, 3] differ from junction w's [13, 8, 3]; every "
+                              "junction's network needs the same")
 
 
 def _report_with_means(controller, es_mean, dd_mean, es_episode_mean):

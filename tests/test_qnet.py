@@ -417,15 +417,16 @@ def _stacked(nets):
 @pytest.mark.parametrize("count", [1, 2, 4, 36])
 @pytest.mark.parametrize("d_in", [16, 10, 13])  # single.xn, grid2x2.xn and mixed.xn's networks
 def test_forward_batch_of_one_state_per_network_equals_forward_bit_for_bit(d_in, count):
-    """A (K, P) network evaluated on (K, 1, d) states gives each network's ``forward`` q-values exactly, so every
-    junction of a scenario could be acted on in one call without changing any greedy action."""
+    """A (K, P) network's ``forward`` of one state per network gives each network's ``w @ a + b`` q-values exactly,
+    so acting on every junction in one call changes no greedy action and no evaluation report."""
     rng = make_rng(100 * d_in + count)
     nets = [init_network((d_in, 64, 64, 3), rng) for _ in range(count)]
-    xs = rng.uniform(0.0, 1.0, size=(count, 1, d_in))  # features lie in [0, 1]
-    batch = forward_batch(_stacked(nets), xs)
-    assert batch.shape == (count, 1, 3)
+    xs = rng.uniform(0.0, 1.0, size=(count, d_in))  # features lie in [0, 1]
+    q = forward(_stacked(nets), xs)
+    assert q.shape == (count, 3)
     for k, net in enumerate(nets):
-        assert batch[k, 0].tobytes() == forward(net, xs[k, 0]).tobytes()
+        assert q[k].tobytes() == oracles.forward(net, xs[k]).tobytes()
+    assert forward(nets[0], xs[0]).tobytes() == oracles.forward(nets[0], xs[0]).tobytes()  # a (P,) network too
 
 
 def test_stacked_layers_are_views_per_network():
