@@ -49,7 +49,10 @@ def main() -> int:
     # the scenario, its hyperparameters and both configs are checked here, before any training or output
     try:
         eval_seeds = parse_seed_range(args.eval_seeds)
-        harness.resolve_hyperparams(netmodel.load_scenario(Path(args.scenario).read_text(encoding="utf-8")))
+        scenario = netmodel.load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+        harness.resolve_hyperparams(scenario)
+        if not harness._junction_infos(scenario).junctions:
+            raise ValueError(harness._NO_JUNCTION)
         train_config = harness.TrainConfig(
             scenario_path=args.scenario, episodes=args.episodes, seed=args.seed, reward_mode=args.reward_mode
         )

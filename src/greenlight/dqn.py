@@ -9,6 +9,7 @@ a raw agent action.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,26 +29,27 @@ def state_dim(n_lanes: int) -> int:
     return 3 * n_lanes + 4
 
 
-def state_width(rows: list[slice]) -> int:
-    """Every junction's state dimension, given each junction's rows: ``state_dim`` of the most lanes of any junction.
-
-    A junction with fewer lanes leaves its remaining lane slots at 0, so all of a scenario's networks have one shape.
-    """
-    return state_dim(max(r.stop - r.start for r in rows))
-
-
 class StateLayout:
-    """Where the lane statistics of junctions with lane rows ``rows`` go in their (K, ``width``) states.
+    """A scenario's signalized ``junctions``, in network order, and where their lane statistics go in their states.
 
-    The rows tile the lane-statistics array in junction order.  ``slots`` holds each statistic's flat index into
-    the states: lane i of junction k fills slots 3i to 3i + 2 of row k.  ``scale`` divides each statistic: its
-    lane's capacity for the count and halted count, WAIT_CAP for the summed wait.
+    ``lanes`` are the rows of the lane-statistics array: every junction's incoming lanes, junction by junction, axis
+    A then axis B; ``rows[k]`` are junction k's.  Every junction's state has ``width`` components, ``state_dim`` of
+    the most lanes of any junction: a junction with fewer leaves its remaining lane slots at 0, so all of a scenario's
+    networks have one shape.  ``slots`` holds each statistic's flat index into the (K, ``width``) states: lane i of
+    junction k fills slots 3i to 3i + 2 of row k.  ``scale`` divides each statistic: its lane's ``capacity(lane)``
+    for the count and halted count, WAIT_CAP for the summed wait.
     """
 
-    def __init__(self, rows: list[slice], capacities: np.ndarray):
-        self.width = state_width(rows)
-        self.slots = np.concatenate([k * self.width + np.arange(3 * (r.stop - r.start)) for k, r in enumerate(rows)])
-        self.scale = np.column_stack([capacities, capacities, np.full(len(capacities), WAIT_CAP)])
+    def __init__(self, junctions, capacity):
+        self.junctions = junctions
+        self.lanes = [lane for j in junctions for lane in j.incoming_signal_edges]
+        counts = [len(j.incoming_signal_edges) for j in junctions]
+        starts = [0, *accumulate(counts)]
+        self.rows = [slice(start, stop) for start, stop in zip(starts, starts[1:])]
+        self.width = state_dim(max(counts, default=0))
+        self.slots = np.array([k * self.width + i for k, n in enumerate(counts) for i in range(3 * n)], dtype=np.intp)
+        caps = [capacity(lane) for lane in self.lanes]
+        self.scale = np.column_stack([caps, caps, [WAIT_CAP] * len(caps)])
 
 
 def featurize(stats: np.ndarray, layout: StateLayout, states, clock: float) -> np.ndarray:
@@ -75,11 +77,6 @@ def waiting_level(mean_wait: float) -> int:
     return 0 if mean_wait == 0.0 else 1 if mean_wait < 5.0 else 2
 
 
-def waiting_penalty(mean_wait: float) -> float:
-    """Coarse waiting term: 0 when idle-free, -0.5 for light, -1 for heavy."""
-    return WAITING_PENALTIES[waiting_level(mean_wait)]
-
-
 def level_rewards(greens: int, reds: int, mode: str = "balanced") -> tuple[float, ...]:
     """The reward from signal counts at each waiting level, in the order of WAITING_PENALTIES.
 
@@ -95,11 +92,6 @@ def level_rewards(greens: int, reds: int, mode: str = "balanced") -> tuple[float
     if mode == "literal":
         return tuple(0.2 * math.sqrt(max(0.0, diff * diff + w)) for w in WAITING_PENALTIES)
     return tuple(-0.2 * abs(diff) + w for w in WAITING_PENALTIES)
-
-
-def reward_from_counts(greens: int, reds: int, mean_wait: float, mode: str = "balanced") -> float:
-    """Reward from signal counts and the mean per-lane waiting time: ``level_rewards`` at its waiting level."""
-    return level_rewards(greens, reds, mode)[waiting_level(mean_wait)]
 
 
 def select_action(q: np.ndarray, epsilon: float, rng) -> list[int]:
@@ -184,16 +176,16 @@ class GreedyPolicy:
     """Controller acting on every junction's q-values on each whole multiple of the interval, from 0 in every episode.
 
     It keeps no decision state between episodes, so one policy runs any number of them.  Junctions are indexed
-    by position: row k of the (K, P) network ``net`` is junction k's network, ``rows[k]`` its lanes in the
-    lane-statistics array and ``capacities``, and ``states[k]`` its signal state.  A decision is one pass for
-    all junctions: ``featurize``, ``qnet.forward`` and ``select_action`` once each.  With ``epsilon`` 0, as at
-    evaluation, each action is the argmax; training sets ``epsilon`` and ``rng`` and extends ``act``.
+    by their position in ``layout.junctions``: row k of the (K, P) network ``net`` is junction k's network and
+    ``states[k]`` its signal state.  A decision is one pass for all junctions: ``featurize``, ``qnet.forward`` and
+    ``select_action`` once each.  With ``epsilon`` 0, as at evaluation, each action is the argmax; training sets
+    ``epsilon`` and ``rng`` and extends ``act``.
     """
 
-    def __init__(self, net: QNetwork, interval: float, rows: list[slice], capacities: np.ndarray):
+    def __init__(self, net: QNetwork, interval: float, layout: StateLayout):
         self.net = net
         self.interval = interval
-        self.layout = StateLayout(rows, capacities)
+        self.layout = layout
         self.epsilon = 0.0
         self.rng = None
 

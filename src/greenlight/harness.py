@@ -37,6 +37,8 @@ _NS_SAMPLE = 4
 #: Evaluation controllers: the fixed-time baseline, then the trained DQN.
 CONTROLLERS = ("fixed", "dqn")
 
+_NO_JUNCTION = "scenario has no signalized junction to control"
+
 
 def integer_at_least(value, minimum: int, what: str) -> int:
     """``value``, an int of at least ``minimum``; anything else, bools and whole floats too, raises ValueError."""
@@ -126,35 +128,11 @@ class EvalConfig:
             raise ValueError("the fixed controller takes no weights document")
 
 
-@dataclass
-class _JunctionInfo:
-    """A signalized junction and its rows in the lane-statistics array."""
-
-    junction: Junction
-    rows: slice  # its incoming lanes, axis A then axis B
-
-    @property
-    def n_lanes(self) -> int:
-        return self.rows.stop - self.rows.start
-
-
-def _junction_infos(scenario: Scenario) -> list[_JunctionInfo]:
-    infos, start = [], 0
-    for j in scenario.network.signalized_junctions():
-        n = len(j.incoming_signal_edges)
-        infos.append(_JunctionInfo(j, slice(start, start + n)))
-        start += n
-    return infos
-
-
-def _lane_ids(infos: list[_JunctionInfo]) -> list[str]:
-    return [eid for info in infos for eid in info.junction.incoming_signal_edges]
-
-
-def _capacities(scenario: Scenario, infos: list[_JunctionInfo]) -> np.ndarray:
-    vehicle = scenario.vehicle
-    edges = map(scenario.network.edge, _lane_ids(infos))
-    return np.array([e.capacity(vehicle.length, vehicle.min_gap) for e in edges], dtype=float)
+def _junction_infos(scenario: Scenario) -> dqn.StateLayout:
+    """The scenario's one junction layout, which ``rollout``, both policies, the learner and ``load_weights`` read."""
+    network, vehicle = scenario.network, scenario.vehicle
+    return dqn.StateLayout(network.signalized_junctions(),
+                           lambda lane: network.edge(lane).capacity(vehicle.length, vehicle.min_gap))
 
 
 def junction_view(sim: Simulation, lanes: list[str]) -> np.ndarray:
@@ -184,22 +162,22 @@ def _phase_rewards(junction: Junction, mode: str) -> dict[str, tuple[float, ...]
     return rewards
 
 
-def rollout(scenario: Scenario, infos: list[_JunctionInfo], controller, rng, on_step=None) -> Simulation:
+def rollout(scenario: Scenario, layout: dqn.StateLayout, controller, rng, on_step=None) -> Simulation:
     """Run one episode under ``controller``; this is the only per-step loop.
 
     ``controller.decide(clock, lane_stats, states)`` runs before each step and ``on_step(sim, lane_stats, states,
-    done)``, if given, after it; its requests and ``states`` are lists in the order of ``infos``.  ``lane_stats()``
-    is the clock's ``junction_view`` array, computed at most once and shared by every caller at that clock, so
-    none may write to it.  A junction's colors are looked up again only when its signal state changes.
+    done)``, if given, after it; its requests and ``states`` are lists in the order of ``layout.junctions``.
+    ``lane_stats()`` is the clock's ``junction_view`` array over ``layout.lanes``, computed at most once and shared
+    by every caller at that clock, so none may write to it.  A junction's colors are looked up again only when its
+    signal state changes.
     """
     sim = Simulation(scenario, rng)
-    states = [SignalAssignment()] * len(infos)
+    junctions, lanes = layout.junctions, layout.lanes
+    states = [SignalAssignment()] * len(junctions)
     colors = [state.colors() for state in states]
-    lanes = _lane_ids(infos)
     stats_at = functools.lru_cache(maxsize=1)(lambda clock: junction_view(sim, lanes))
     lane_stats = lambda: stats_at(sim.clock)  # noqa: E731
 
-    junctions = [info.junction for info in infos]
     total_steps = int(round(scenario.duration / DT))
     for step in range(1, total_steps + 1):
         clock = sim.clock
@@ -268,20 +246,19 @@ class _TrainingAgent(dqn.GreedyPolicy):
     the agent ready for the next episode, so ``train`` only calls ``rollout``.
     """
 
-    def __init__(self, infos: list[_JunctionInfo], capacities: np.ndarray, learner: _Learner, hp: Hyperparams,
-                 config: TrainConfig, decisions: int):
-        super().__init__(learner.params, hp.decision_interval, [info.rows for info in infos], capacities)
-        self.infos = infos
+    def __init__(self, layout: dqn.StateLayout, learner: _Learner, hp: Hyperparams, config: TrainConfig,
+                 decisions: int):
+        super().__init__(learner.params, hp.decision_interval, layout)
         self.learner = learner
         # per junction: its rows, its lane count and each phase's step reward at each waiting level
-        self.step_rewards = [(info.rows, info.n_lanes, _phase_rewards(info.junction, config.reward_mode))
-                             for info in infos]
+        self.step_rewards = [(rows, rows.stop - rows.start, _phase_rewards(junction, config.reward_mode))
+                             for rows, junction in zip(layout.rows, layout.junctions)]
         self.rng = _generator(config.seed, _NS_ACTION)
         self.sample_rng = _generator(config.seed, _NS_SAMPLE)
         self.schedule = dqn.EpsilonSchedule(hp.eps_start, hp.eps_final, decisions, hp.eps_fraction)
         self.decisions = 0
         self.steps = 0  # in the current decision interval
-        self.reward_sums = [0.0] * len(infos)  # per junction, over the current decision interval
+        self.reward_sums = [0.0] * len(layout.junctions)  # per junction, over the current decision interval
         self.curve: list[dict] = []  # per episode: episode, return, epsilon, mean_loss
         self._reset_episode()
 
@@ -321,7 +298,7 @@ class _TrainingAgent(dqn.GreedyPolicy):
         diverged = np.flatnonzero(~np.isfinite(losses))
         if diverged.size:
             k = diverged[0]
-            raise TrainingDivergedError(f"junction {self.infos[k].junction.id}: non-finite loss at episode "
+            raise TrainingDivergedError(f"junction {self.layout.junctions[k].id}: non-finite loss at episode "
                                         f"{len(self.curve)}, decision {self.decisions}: {losses[k]}")
         self.losses.extend(losses.tolist())
 
@@ -337,41 +314,43 @@ def train(config: TrainConfig) -> TrainResult:
     with open(config.scenario_path, encoding="utf-8") as fh:
         scenario = load_scenario(fh.read())
     hp = resolve_hyperparams(scenario, config.hp_overrides)
-    infos = _junction_infos(scenario)
-    if not infos:
-        raise ValueError("scenario has no signalized junction to control")
+    layout = _junction_infos(scenario)
+    if not layout.junctions:
+        raise ValueError(_NO_JUNCTION)
 
-    sizes = (dqn.state_width([info.rows for info in infos]), *hp.hidden, len(REQUESTS))
-    initial = [qnet.init_network(sizes, _generator(config.seed, _NS_NET, idx)) for idx in range(len(infos))]
+    sizes = (layout.width, *hp.hidden, len(REQUESTS))
+    initial = [qnet.init_network(sizes, _generator(config.seed, _NS_NET, k)) for k in range(len(layout.junctions))]
     decisions = config.episodes * math.ceil(scenario.duration / hp.decision_interval)
-    agent = _TrainingAgent(infos, _capacities(scenario, infos), _Learner(initial, hp), hp, config, decisions)
+    agent = _TrainingAgent(layout, _Learner(initial, hp), hp, config, decisions)
 
     for episode in range(config.episodes):
-        rollout(scenario, infos, agent, _generator(config.seed, _NS_EPISODE, episode), agent.on_step)
+        rollout(scenario, layout, agent, _generator(config.seed, _NS_EPISODE, episode), agent.on_step)
     nets = agent.learner.nets
     # one junction's network is written as a plain single-network document
-    weights = nets[0] if len(nets) == 1 else {info.junction.id: net for info, net in zip(infos, nets)}
+    weights = nets[0] if len(nets) == 1 else {junction.id: net for junction, net in zip(layout.junctions, nets)}
     return TrainResult(weights_doc=qnet.serialize(weights), curve=agent.curve)
 
 
-def load_weights(text: str, infos: list[_JunctionInfo]) -> dict[str, qnet.QNetwork]:
+def load_weights(text: str, layout: dqn.StateLayout) -> dict[str, qnet.QNetwork]:
     """Map a weights document onto the scenario's junctions, checking ids and every network against the state width."""
+    if not layout.junctions:
+        raise WeightsMismatchError(_NO_JUNCTION)
     loaded = qnet.deserialize(text)
     if isinstance(loaded, qnet.QNetwork):
-        if len(infos) != 1:
-            raise WeightsMismatchError(f"weights hold one network; the scenario has {len(infos)} signalized junctions")
-        loaded = {infos[0].junction.id: loaded}
+        if len(layout.junctions) != 1:
+            raise WeightsMismatchError(f"weights hold one network; the scenario has {len(layout.junctions)} "
+                                       "signalized junctions")
+        loaded = {layout.junctions[0].id: loaded}
     nets: dict[str, qnet.QNetwork] = {}
-    width = dqn.state_width([info.rows for info in infos])
-    for info in infos:
-        jid = info.junction.id
+    for junction in layout.junctions:
+        jid = junction.id
         if jid not in loaded:
             raise WeightsMismatchError(f"weights document has no entry for junction {jid}")
         nets[jid] = net = loaded.pop(jid)
-        if (net.d_in, net.d_out) != (width, len(REQUESTS)):
+        if (net.d_in, net.d_out) != (layout.width, len(REQUESTS)):
             raise WeightsMismatchError(
                 f"junction {jid}: weights map input dimension {net.d_in} to {net.d_out} outputs, "
-                f"the scenario needs {width} to {len(REQUESTS)}"
+                f"the scenario needs {layout.width} to {len(REQUESTS)}"
             )
         first_id, first = next(iter(nets.items()))
         if net.sizes != first.sizes:  # the policy acts with all of them stacked as one
@@ -386,21 +365,20 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
     """Run one full simulation per seed, all under one controller, and pool the results, Table-1 shaped."""
     with open(config.scenario_path, encoding="utf-8") as fh:
         scenario = load_scenario(fh.read())
-    infos = _junction_infos(scenario)
+    layout = _junction_infos(scenario)
     hp = resolve_hyperparams(scenario)
 
     if config.controller == "fixed":
-        controller = FixedTimeController([FixedTimePlan.for_junction(info.junction) for info in infos])
+        controller = FixedTimeController([FixedTimePlan.for_junction(junction) for junction in layout.junctions])
     else:
-        nets = list(load_weights(config.weights, infos).values())  # in the order of infos
+        nets = list(load_weights(config.weights, layout).values())  # in the order of layout.junctions
         net = qnet.QNetwork(nets[0].sizes, np.stack([one.flat for one in nets]))
-        controller = dqn.GreedyPolicy(net, hp.decision_interval, [info.rows for info in infos],
-                                      _capacities(scenario, infos))
+        controller = dqn.GreedyPolicy(net, hp.decision_interval, layout)
 
     arrived: list[int] = []
     vehicles = metrics.Vehicles.empty()
     for episode, seed in enumerate(config.seeds):
-        sim = rollout(scenario, infos, controller, _generator(seed))
+        sim = rollout(scenario, layout, controller, _generator(seed))
         metrics.finalize(sim.vehicles, scenario.duration, seed, episode, vehicles)
         arrived.append(sim.arrived_count)
     return metrics.build_report(config.controller, scenario.content_id(), config.seeds, arrived, vehicles)

@@ -1,4 +1,5 @@
 import ctypes
+import json
 import os
 import pathlib
 
@@ -72,6 +73,16 @@ def grid_text() -> str:
 @pytest.fixture()
 def single_scenario(single_text) -> netmodel.Scenario:
     return netmodel.load_scenario(single_text)
+
+
+@pytest.fixture()
+def no_signal_scenario(tmp_path) -> str:
+    """The path of a copy of single.xn whose one junction is unsignalized, so it has nothing to control."""
+    doc = json.loads((SCENARIOS / "single.xn").read_text())
+    doc["network"]["junctions"][0] = {"id": "c"}
+    path = tmp_path / "no_signal.xn"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:

@@ -550,6 +550,26 @@ def featurize(view, slots):
     return np.asarray(parts, dtype=np.float64)
 
 
+def waiting_penalty(mean_wait):
+    """Coarse waiting term of a mean per-lane waiting time: 0 when no vehicle waits, -0.5 below 5 s, -1 from 5 s."""
+    if mean_wait == 0.0:
+        return 0.0
+    return -0.5 if mean_wait < 5.0 else -1.0
+
+
+def reward_from_counts(greens, reds, mean_wait, mode="balanced"):
+    """One junction's step reward from its green and red lane counts and its mean per-lane waiting time.
+
+    ``balanced`` is -0.2*|greens-reds| + W; ``literal`` is 0.2*sqrt((greens-reds)^2 + W), its radicand clamped at 0.
+    """
+    w, diff = waiting_penalty(mean_wait), greens - reds
+    if mode == "balanced":
+        return -0.2 * abs(diff) + w
+    if mode == "literal":
+        return 0.2 * math.sqrt(max(0.0, diff * diff + w))
+    raise ValueError(f"unknown reward mode {mode!r}")
+
+
 def step_reward(sim, junction, mode):
     """One junction's step reward, summing the waits vehicle by vehicle over its lanes."""
     color_a, color_b = sim.colors[sim.scenario.network.signalized_junctions().index(junction)]
@@ -560,4 +580,4 @@ def step_reward(sim, junction, mode):
     for eid in junction.axis_a + junction.axis_b:
         for v in sim.vehicles_on[eid]:
             total_wait += v.waiting_time
-    return dqn.reward_from_counts(greens, reds, total_wait / (n_a + n_b), mode)
+    return reward_from_counts(greens, reds, total_wait / (n_a + n_b), mode)

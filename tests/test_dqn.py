@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_net, make_rng
-from oracles import Transition, td_target
+from oracles import Transition, reward_from_counts, td_target
 from greenlight import dqn, harness, netmodel, qnet, simcore
 from greenlight.controllers import SignalAssignment
 from greenlight.dqn import (
     ReplayBuffer,
     featurize,
-    reward_from_counts,
     select_action,
     state_dim,
 )
@@ -28,7 +27,10 @@ def _features(counts, caps, halted, waits, phase="serve_a", t=0.0, padding=0):
     n, wide = len(counts), len(counts) + padding
     stats = np.zeros((n + wide, 3))
     stats[:n] = np.column_stack([counts, halted, waits])
-    layout = dqn.StateLayout([slice(0, n), slice(n, n + wide)], np.array(list(caps) + [1.0] * wide))
+    lanes = [f"l{i}" for i in range(n + wide)]
+    junctions = [netmodel.Junction("j0", signalized=True, axis_a=tuple(lanes[:n])),
+                 netmodel.Junction("j1", signalized=True, axis_a=tuple(lanes[n:]))]
+    layout = dqn.StateLayout(junctions, dict(zip(lanes, list(caps) + [1.0] * wide)).__getitem__)
     return featurize(stats, layout, [SignalAssignment(phase)] * 2, t)[0]  # phase since clock 0
 
 
@@ -74,12 +76,10 @@ def test_featurize_counts_from_scripted_mini_scenario(single_scenario):
         sim.vehicles.append(veh)
         sim.vehicles_on["n_in"].append(veh)
         sim.inserted_count += 1
-    infos = harness._junction_infos(sc)
-    lanes = harness._lane_ids(infos)
-    stats = harness.junction_view(sim, lanes)
-    [vec] = featurize(stats, dqn.StateLayout([info.rows for info in infos], harness._capacities(sc, infos)),
-                      [SignalAssignment()], 0.0)
-    lane = lanes.index("n_in")
+    layout = harness._junction_infos(sc)
+    stats = harness.junction_view(sim, layout.lanes)
+    [vec] = featurize(stats, layout, [SignalAssignment()], 0.0)
+    lane = layout.lanes.index("n_in")
     assert stats[lane].tolist() == [3.0, 2.0, 20.0]
     assert vec[3 * lane + 0] == pytest.approx(0.25)  # density 3/12
     assert vec[3 * lane + 1] == pytest.approx(2.0 / 12.0)  # queue
@@ -144,10 +144,10 @@ def test_reward_heavy_wait_hits_clamp():
 
 
 def test_reward_wait_branches():
-    assert dqn.waiting_penalty(0.0) == 0.0
-    assert dqn.waiting_penalty(4.9) == -0.5
-    assert dqn.waiting_penalty(5.0) == -1.0  # closed upper branch at the boundary
-    assert dqn.waiting_penalty(7.0) == -1.0
+    assert oracles.waiting_penalty(0.0) == 0.0
+    assert oracles.waiting_penalty(4.9) == -0.5
+    assert oracles.waiting_penalty(5.0) == -1.0  # closed upper branch at the boundary
+    assert oracles.waiting_penalty(7.0) == -1.0
 
 
 def test_reward_unknown_mode_rejected():
@@ -196,6 +196,8 @@ def test_reward_ranges_and_maximum(greens, reds, wait):
         assert greens == reds and wait == 0.0
     if greens == reds and wait == 0.0:
         assert balanced == 0.0
+    for mode, reward in (("literal", literal), ("balanced", balanced)):  # the table training looks rewards up in
+        assert dqn.level_rewards(greens, reds, mode)[dqn.waiting_level(wait)] == reward
 
 
 # --- action selection -----------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,13 +353,12 @@ def test_learner_update_allocates_no_per_layer_arrays():
 def test_training_policy_acts_with_the_learner_views():
     config = TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=1, seed=2)
     scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
-    infos = harness._junction_infos(scenario)
+    layout = harness._junction_infos(scenario)
     hp = harness.resolve_hyperparams(scenario)
-    width = dqn.state_width([info.rows for info in infos])
-    initial = [qnet.init_network((width, 5, 3), make_rng(k)) for k in range(len(infos))]
+    initial = [qnet.init_network((layout.width, 5, 3), make_rng(k)) for k in range(len(layout.junctions))]
     learner = harness._Learner(initial, hp)
-    agent = harness._TrainingAgent(infos, harness._capacities(scenario, infos), learner, hp, config, decisions=10)
-    assert agent.net is learner.params and agent.net.flat.shape[0] == len(infos)
+    agent = harness._TrainingAgent(layout, learner, hp, config, decisions=10)
+    assert agent.net is learner.params and agent.net.flat.shape[0] == len(layout.junctions)
     for net in learner.nets:
         assert np.shares_memory(net.flat, agent.net.flat)
 
@@ -367,11 +367,10 @@ def test_a_padded_lane_slot_keeps_its_initial_weights_through_training():
     """mixed.xn's junction e has 2 lanes padded to w's 3 lane slots.  Its third slot always reads 0, so the
     first-layer weights that read it get a zero gradient and a zero Adam step, and keep their initial bits."""
     scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
-    infos = harness._junction_infos(scenario)
-    k = [info.junction.id for info in infos].index("e")
-    width = dqn.state_width([info.rows for info in infos])
-    assert infos[k].n_lanes == 2 and width == dqn.state_dim(3)
-    initial = qnet.init_network((width, *harness.resolve_hyperparams(scenario).hidden, 3),
+    layout = harness._junction_infos(scenario)
+    k = [junction.id for junction in layout.junctions].index("e")
+    assert layout.rows[k] == slice(3, 5) and layout.width == dqn.state_dim(3)
+    initial = qnet.init_network((layout.width, *harness.resolve_hyperparams(scenario).hidden, 3),
                                 harness._generator(7, harness._NS_NET, k))
     result = harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=4, seed=7))
     trained = qnet.deserialize(result.weights_doc)["e"]
@@ -446,13 +445,13 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
     decision, the features of the per-junction lane walk, and at every step its
     rewards; the terminal features and each interval's reward sums match too."""
     scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
-    infos = harness._junction_infos(scenario)
-    assert [info.n_lanes for info in infos] == [3, 2]
+    junctions = harness._junction_infos(scenario).junctions
+    assert [len(junction.incoming_signal_edges) for junction in junctions] == [3, 2]
     vehicle = scenario.vehicle
     capacities = [
         [scenario.network.edge(eid).capacity(vehicle.length, vehicle.min_gap)
-         for eid in info.junction.axis_a + info.junction.axis_b]
-        for info in infos
+         for eid in junction.axis_a + junction.axis_b]
+        for junction in junctions
     ]
     sims = []
     checked = {"decisions": 0, "steps": 0, "terminal": 0, "waiting": 0}
@@ -465,15 +464,15 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
     class CheckedAgent(harness._TrainingAgent):
         def __init__(self, *args):
             super().__init__(*args)
-            self.oracle_sums = [0.0] * len(self.infos)
+            self.oracle_sums = [0.0] * len(self.layout.junctions)
 
         def decide(self, clock, lane_stats, states):
             self.states = states
             return super().decide(clock, lane_stats, states)
 
         def check_features(self, obs):
-            for k, info in enumerate(self.infos):
-                view = oracles.junction_view(sims[-1], info.junction, capacities[k], self.states[k])
+            for k, junction in enumerate(self.layout.junctions):
+                view = oracles.junction_view(sims[-1], junction, capacities[k], self.states[k])
                 assert obs[k].tobytes() == oracles.featurize(view, 3).tobytes()  # junction e's lanes padded to 3
                 checked["waiting"] += any(view.lane_waits)
 
@@ -484,8 +483,8 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
 
         def on_step(self, sim, lane_stats, states, done):
             self.states = states
-            for k, info in enumerate(self.infos):
-                self.oracle_sums[k] += oracles.step_reward(sim, info.junction, mode)
+            for k, junction in enumerate(self.layout.junctions):
+                self.oracle_sums[k] += oracles.step_reward(sim, junction, mode)
             checked["steps"] += 1
             super().on_step(sim, lane_stats, states, done)
             if not done:  # each step's lookup adds the oracle's reward to the same sum
@@ -493,7 +492,7 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
 
         def _close_interval(self, next_obs, terminal):
             assert self.reward_sums == self.oracle_sums
-            self.oracle_sums = [0.0] * len(self.infos)
+            self.oracle_sums = [0.0] * len(self.layout.junctions)
             if terminal:
                 self.check_features(next_obs)
                 checked["terminal"] += 1
@@ -668,43 +667,86 @@ def test_dqn_weights_dimension_mismatch(short_scenario):
 
 @pytest.mark.parametrize("outputs", [2, 5])
 def test_dqn_weights_output_width_must_match_the_requests(single_scenario, outputs):
-    infos = harness._junction_infos(single_scenario)
-    jid, d_in = infos[0].junction.id, dqn.state_dim(infos[0].n_lanes)
+    layout = harness._junction_infos(single_scenario)
+    jid, d_in = layout.junctions[0].id, dqn.state_dim(len(layout.lanes))
     net = qnet.init_network((d_in, 8, outputs), harness._generator(0))
     with pytest.raises(WeightsMismatchError) as err:
-        harness.load_weights(qnet.serialize(net), infos)
+        harness.load_weights(qnet.serialize(net), layout)
     assert str(err.value) == (
         f"junction {jid}: weights map input dimension {d_in} to {outputs} outputs, the scenario needs {d_in} to 3"
     )
 
 
 def test_dqn_weights_entry_for_an_unknown_junction_is_rejected(single_scenario):
-    infos = harness._junction_infos(single_scenario)
-    net = qnet.init_network((dqn.state_dim(infos[0].n_lanes), 8, 3), harness._generator(0))
-    text = qnet.serialize({infos[0].junction.id: net, "zz": net})
+    layout = harness._junction_infos(single_scenario)
+    net = qnet.init_network((dqn.state_dim(len(layout.lanes)), 8, 3), harness._generator(0))
+    text = qnet.serialize({layout.junctions[0].id: net, "zz": net})
     with pytest.raises(WeightsMismatchError, match="'zz'"):
-        harness.load_weights(text, infos)
+        harness.load_weights(text, layout)
 
 
 def test_dqn_weights_sized_to_a_junction_own_lanes_are_rejected():
     """mixed.xn's 2-lane junction e takes the 13-wide state of the 3-lane junction w, not a 10-wide one."""
-    infos = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
+    layout = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
     nets = {"w": qnet.init_network((13, 8, 3), harness._generator(0)),
             "e": qnet.init_network((10, 8, 3), harness._generator(1))}
     with pytest.raises(WeightsMismatchError) as err:
-        harness.load_weights(qnet.serialize(nets), infos)
+        harness.load_weights(qnet.serialize(nets), layout)
     assert str(err.value) == "junction e: weights map input dimension 10 to 3 outputs, the scenario needs 13 to 3"
 
 
 def test_dqn_weights_of_two_shapes_are_rejected():
     """The policy acts with every junction's network stacked as one, so their hidden widths must agree too."""
-    infos = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
+    layout = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
     nets = {"w": qnet.init_network((13, 8, 3), harness._generator(0)),
             "e": qnet.init_network((13, 4, 3), harness._generator(1))}
     with pytest.raises(WeightsMismatchError) as err:
-        harness.load_weights(qnet.serialize(nets), infos)
+        harness.load_weights(qnet.serialize(nets), layout)
     assert str(err.value) == ("junction e: layer widths [13, 4, 3] differ from junction w's [13, 8, 3]; every "
                               "junction's network needs the same")
+
+
+def test_the_junction_layout_of_mixed():
+    """mixed.xn's junctions w (3 lanes) and e (2 lanes): their lanes, rows, one state width and statistic scales."""
+    scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
+    layout = harness._junction_infos(scenario)
+    assert [junction.id for junction in layout.junctions] == ["w", "e"]
+    assert layout.lanes == ["n0_in", "s0_in", "west_in", "n1_in", "link"]  # junction by junction, axis A then B
+    assert layout.rows == [slice(0, 3), slice(3, 5)]
+    assert layout.width == dqn.state_dim(3)
+    assert layout.slots.tolist() == [*range(0, 9), *range(13, 19)]  # junction e's third lane slot stays empty
+    vehicle = scenario.vehicle
+    capacities = [scenario.network.edge(lane).capacity(vehicle.length, vehicle.min_gap) for lane in layout.lanes]
+    assert layout.scale[:, 0].tolist() == capacities and layout.scale[:, 1].tolist() == capacities
+    assert layout.scale[:, 2].tolist() == [dqn.WAIT_CAP] * len(capacities)
+
+
+def test_a_scenario_without_signals_has_an_empty_layout_and_runs_fixed_time(no_signal_scenario):
+    layout = harness._junction_infos(harness.load_scenario(Path(no_signal_scenario).read_text()))
+    assert (layout.junctions, layout.lanes, layout.rows) == ((), [], [])
+    assert layout.slots.size == 0 and layout.scale.shape == (0, 3)
+    report = harness.evaluate(EvalConfig(no_signal_scenario, "fixed", [1, 2]))
+    assert len(report.episodes) == 2 and report.vehicles.id
+
+
+@pytest.mark.parametrize("multi", [False, True], ids=["single", "multi"])
+def test_cli_eval_dqn_on_a_scenario_without_signals_fails_cleanly(tmp_path, no_signal_scenario, capsys, multi):
+    weights = tmp_path / "w.json"
+    net = qnet.init_network((dqn.state_dim(4), 8, 3), harness._generator(0))
+    weights.write_text(json.dumps({"format_version": 1, "multi": {}}) if multi else qnet.serialize(net))
+    argv = ["eval", "--scenario", no_signal_scenario, "--controller", "dqn", "--weights", str(weights),
+            "--seeds", "1", "--out", str(tmp_path / "out" / "r.json")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1  # one JSON error line
+    assert json.loads(err) == {"error": "scenario has no signalized junction to control",
+                               "kind": "WeightsMismatchError"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_on_a_scenario_without_signals_fails_cleanly(no_signal_scenario):
+    with pytest.raises(ValueError, match="^scenario has no signalized junction to control$"):
+        harness.train(TrainConfig(scenario_path=no_signal_scenario, episodes=1, seed=0))
 
 
 def _report_with_means(controller, es_mean, dd_mean, es_episode_mean):

@@ -98,3 +98,14 @@ def test_run_comparison_rejects_a_bad_train_value_before_training(tmp_path):
     assert "error: hyperparameters: 'lr' must be a number, got 'abc'" in done.stderr
     assert "Traceback" not in done.stderr
     assert "training" not in done.stdout and not out.exists()
+
+
+def test_run_comparison_rejects_a_scenario_without_signals_before_training(tmp_path, no_signal_scenario):
+    out = tmp_path / "out"
+    argv = [sys.executable, str(REPO / "scripts" / "run_comparison.py"), "--scenario", no_signal_scenario,
+            "--episodes", "1", "--eval-seeds", "1-2", "--out-dir", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "error: scenario has no signalized junction to control" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "training" not in done.stdout and not out.exists()
