@@ -126,6 +126,9 @@ class ReplayBuffer:
         self.next_states = np.zeros((agents, capacity, state_dim))
         self.nonterminal = np.zeros((agents, capacity))
         self.pushes = 0  # row pushes % capacity is written next, and once full is the oldest
+        self._flat = [c.reshape(agents * capacity, *c.shape[2:]) for c in  # views, so push writes through them
+                      (self.states, self.actions, self.rewards, self.next_states, self.nonterminal)]
+        self._offsets = np.arange(agents)[:, None] * capacity  # agent k's rows start at k * capacity in _flat
 
     def __len__(self) -> int:
         return min(self.pushes, self.capacity)
@@ -140,23 +143,21 @@ class ReplayBuffer:
         self.nonterminal[:, i] = 0.0 if terminal else 1.0
         self.pushes += 1
 
-    def sample(self, batch_size: int, rng) -> np.ndarray:
-        """(agents, batch_size) row indices, drawn uniformly for agent 0, then agent 1, ..."""
+    def sample(self, batch_size: int, rng) -> tuple[np.ndarray, ...]:
+        """(states, actions, rewards, next_states, nonterminal) of ``batch_size`` uniform draws per agent.
+
+        Each is (agents, batch_size, ...), [k, j] being agent k's j-th draw; agent 0 draws first, then agent 1, ..."""
         if batch_size > len(self):
             raise ValueError(f"cannot sample {batch_size} from a buffer of size {len(self)}")
-        return rng.integers(0, len(self), size=(self.agents, batch_size))
+        flat = rng.integers(0, len(self), size=(self.agents, batch_size)) + self._offsets
+        return tuple(column.take(flat, axis=0) for column in self._flat)
 
 
-def td_targets_batch(buffer: ReplayBuffer, agents, rows: np.ndarray, target_net: QNetwork, gamma: float,
+def td_targets_batch(rewards, next_states, nonterminal, target_net: QNetwork, gamma: float,
                      out: qnet.Workspace | None = None) -> np.ndarray:
-    """Bootstrapped targets of buffer rows ``rows`` of agents ``agents`` under the target network.
-
-    ``agents`` broadcasts against ``rows``: an agent index with (n,) rows and a
-    (P,) network, or a (K, 1) column of agents with (K, n) rows and a (K, P)
-    network holding agent k's target network in row k.  ``out`` is passed to ``qnet.forward_batch``.
-    """
-    best = qnet.forward_batch(target_net, buffer.next_states[agents, rows], out).max(axis=-1)
-    return buffer.rewards[agents, rows] + gamma * best * buffer.nonterminal[agents, rows]
+    """rewards + gamma * max_a target_net(next_states)[a] * nonterminal; ``out`` is ``qnet.forward_batch``'s."""
+    best = qnet.forward_batch(target_net, next_states, out).max(axis=-1)
+    return rewards + gamma * best * nonterminal
 
 
 class EpsilonSchedule:

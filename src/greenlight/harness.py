@@ -195,13 +195,11 @@ def rollout(scenario: Scenario, layout: dqn.StateLayout, controller, rng, on_ste
 class _Learner:
     """One independent DQN learner per junction, all stacked together.
 
-    Every junction's network has the same sizes, so all of them are one (K, P)
-    QNetwork ``params``, which the policy acts with, with one Adam, one target
-    copy and one gradient buffer; ``nets[k]`` is junction k's row of it, a view.
-    All junctions share one replay ring.  Each update trains every junction's
-    network on its own sample with one batched call, writing into
-    preallocated online and target workspaces, so it allocates no per-layer
-    arrays.
+    Every junction's network has the same sizes, so all of them are one (K, P) QNetwork ``params``, which the policy
+    acts with, with one Adam, one target copy and one gradient buffer; ``nets[k]`` is junction k's row of it, a view.
+    All junctions share one replay ring.  An update trains every junction's network on its own sample in one batched
+    pass, ``buffer.sample``, ``dqn.td_targets_batch``, ``qnet.backward_batch`` then ``opt.step``, the middle two
+    writing into preallocated target and online workspaces, so it allocates no per-layer arrays.
     """
 
     def __init__(self, initial: list[qnet.QNetwork], hp: Hyperparams):
@@ -213,7 +211,6 @@ class _Learner:
         self.online_work, self.target_work = qnet.Workspace(*shape), qnet.Workspace(*shape)
         self.opt = qnet.Adam(self.params)
         self.buffer = ReplayBuffer(hp.buffer_capacity, self.params.d_in, len(initial))
-        self.agents = np.arange(len(initial))[:, None]
         self.hp = hp
         self.updates = 0
 
@@ -222,12 +219,11 @@ class _Learner:
 
         Returns the junctions' losses in junction order; before warmup, no losses.
         """
-        hp, buffer, agents = self.hp, self.buffer, self.agents
-        if len(buffer) < max(hp.warmup, hp.batch_size):
+        hp = self.hp
+        if len(self.buffer) < max(hp.warmup, hp.batch_size):
             return np.empty(0)
-        rows = buffer.sample(hp.batch_size, rng)
-        targets = dqn.td_targets_batch(buffer, agents, rows, self.target, hp.gamma, self.target_work)
-        states, actions = buffer.states[agents, rows], buffer.actions[agents, rows]
+        states, actions, rewards, next_states, nonterminal = self.buffer.sample(hp.batch_size, rng)
+        targets = dqn.td_targets_batch(rewards, next_states, nonterminal, self.target, hp.gamma, self.target_work)
         losses = qnet.backward_batch(self.params, states, targets, actions, self.grads, self.online_work)
         self.opt.step(self.params, self.grads, hp.lr)
         self.updates += 1

@@ -199,7 +199,7 @@ def test_criterion_8_replay_buffer():
     counts = np.zeros(10, dtype=int)
     draws = 100_000
     for _ in range(draws // 10):  # sample() requires batch <= size, so draw in batches of 10
-        for reward in buf.rewards[0, buf.sample(10, rng)[0]]:
+        for reward in buf.sample(10, rng)[2][0]:  # agent 0's sampled rewards
             counts[int(reward)] += 1
     stat = float(((counts - draws / 10.0) ** 2 / (draws / 10.0)).sum())
     p = float(scipy.stats.chi2.sf(stat, df=9))

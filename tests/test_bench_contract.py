@@ -1,17 +1,20 @@
 """What the benchmark under perfbench/ reads from greenlight, checked here so a rename fails in the test suite.
 
 ``perfbench/spans.py`` is loaded by file path and only read: its ``TRACED`` table names every function the traced
-run wraps, and ``perfbench/job.py`` loads its fixture weights onto ``single.xn`` before it runs a job.
+run wraps, and ``perfbench/job.py`` loads its fixture weights onto ``single.xn`` before it runs a job and counts an
+episode's vehicle-steps when the next ``Simulation`` is built.
 """
 
 import importlib
+import json
 import types
 
 import numpy as np
 import pytest
 
 from conftest import REPO, SCENARIOS
-from greenlight import harness, netmodel
+from greenlight import harness, netmodel, simcore
+from greenlight.harness import EvalConfig, TrainConfig
 
 _SPANS = REPO / "perfbench" / "spans.py"
 spans = types.ModuleType("perfbench_spans")  # executed from its text, so nothing is written next to it
@@ -32,3 +35,28 @@ def test_the_fixture_weights_load_onto_single_as_the_benchmark_loads_them():
     nets = harness.load_weights(text, harness._junction_infos(scenario))
     assert list(nets) == ["c"]
     assert all(np.isfinite(a).all() for a in (*nets["c"].weights, *nets["c"].biases))
+
+
+def test_each_episode_runs_to_the_scenario_end_before_the_next_simulation_is_built(tmp_path, monkeypatch):
+    """The benchmark's episode probe closes a ``Simulation`` when the next one is constructed and counts its
+    vehicle-steps then, so training and evaluation must run their episodes one after another, each to its end."""
+    doc = json.loads((SCENARIOS / "grid2x2.xn").read_text(encoding="utf-8"))
+    doc["duration"] = 60.0  # short, and four junctions, so the stacked learner and policy run
+    path = tmp_path / "grid-short.xn"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    built = []
+    init = simcore.Simulation.__init__
+
+    def watched(sim, *args, **kwargs):
+        if built:
+            assert built[-1].clock == built[-1].scenario.duration, "a Simulation was built before the last one ended"
+        init(sim, *args, **kwargs)
+        built.append(sim)
+
+    monkeypatch.setattr(simcore.Simulation, "__init__", watched)
+    result = harness.train(TrainConfig(scenario_path=str(path), episodes=3, seed=0, hp_overrides={"warmup": 8}))
+    assert not np.isnan(result.curve[-1]["mean_loss"])  # the learner updated during the episodes
+    harness.evaluate(EvalConfig(scenario_path=str(path), controller="fixed", seeds=[1, 2, 3]))
+    harness.evaluate(EvalConfig(scenario_path=str(path), controller="dqn", seeds=[4, 5], weights=result.weights_doc))
+    assert len(built) == 3 + 3 + 2
+    assert built[-1].clock == doc["duration"]

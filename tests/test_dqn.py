@@ -249,8 +249,9 @@ def test_buffer_fifo_eviction_capacity_three():
 def test_buffer_sample_single():
     buf = ReplayBuffer(8, 1)
     _push(buf, 42)
-    out = buf.sample(1, make_rng(0))
-    assert out.shape == (1, 1) and buf.rewards[0, out[0, 0]] == 42.0
+    states, actions, rewards, next_states, nonterminal = buf.sample(1, make_rng(0))
+    assert rewards.shape == actions.shape == nonterminal.shape == (1, 1) and rewards[0, 0] == 42.0
+    assert states.shape == next_states.shape == (1, 1, 1) and states[0, 0, 0] == next_states[0, 0, 0] == 42.0
 
 
 def test_buffer_underfilled_sampling_errors():
@@ -268,7 +269,7 @@ def test_buffer_sampling_is_with_replacement():
     saw_duplicate = False
     rng = make_rng(1)
     for _ in range(20):
-        rewards = list(buf.rewards[0, buf.sample(3, rng)[0]])
+        rewards = list(buf.sample(3, rng)[2][0])
         saw_duplicate = saw_duplicate or len(set(rewards)) < 3
     assert saw_duplicate
 
@@ -290,29 +291,39 @@ def test_buffer_never_exceeds_capacity_and_drops_oldest(capacity, extra):
     capacity=st.integers(1, 12),
     pushes=st.integers(1, 40),
     batch=st.integers(1, 12),
+    agents=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_ring_buffer_matches_list_oracle(capacity, pushes, batch, seed):
+def test_ring_buffer_matches_list_oracle(capacity, pushes, batch, agents, seed):
+    """Agent k's columns of a ring sample are what a list of agent k's transitions samples, the agents drawing in
+    order from one generator; each agent's TD targets under its row of a stacked target network are the oracle's."""
     rng = make_rng(seed)
-    net = qnet.init_network((3, 5, 3), rng)
-    ring, oracle = ReplayBuffer(capacity, 3), oracles.ReplayBuffer(capacity)
+    nets = [qnet.init_network((3, 5, 3), rng) for _ in range(agents)]
+    stacked = qnet.QNetwork(nets[0].sizes, np.stack([net.flat for net in nets]))
+    ring, lists = ReplayBuffer(capacity, 3, agents), [oracles.ReplayBuffer(capacity) for _ in range(agents)]
     for _ in range(pushes):  # wraps around whenever pushes > capacity
-        t = Transition(rng.normal(size=3), int(rng.integers(0, 3)), float(rng.normal()), rng.normal(size=3),
-                       bool(rng.random() < 0.3))
-        ring.push([t.state], [t.action], [t.reward], [t.next_state], t.terminal)
-        oracle.push(t)
-    assert len(ring) == len(oracle)
-    assert list(ring.rewards[0, oracles.buffer_rows_oldest_first(ring)]) == [t.reward for t in oracle.contents()]
-    batch = min(batch, len(oracle))
-    rows = ring.sample(batch, make_rng(seed + 1))[0]
-    sampled = oracle.sample(batch, make_rng(seed + 1))
-    assert np.array_equal(ring.states[0, rows], np.stack([t.state for t in sampled]))
-    assert list(ring.actions[0, rows]) == [t.action for t in sampled]
-    assert list(ring.rewards[0, rows]) == [t.reward for t in sampled]
-    assert np.array_equal(ring.next_states[0, rows], np.stack([t.next_state for t in sampled]))
-    assert list(ring.nonterminal[0, rows]) == [0.0 if t.terminal else 1.0 for t in sampled]
-    targets = dqn.td_targets_batch(ring, 0, rows, net, 0.9)
-    assert targets == pytest.approx([td_target(t, net, 0.9) for t in sampled], abs=1e-12)
+        terminal = bool(rng.random() < 0.3)
+        ts = [Transition(rng.normal(size=3), int(rng.integers(0, 3)), float(rng.normal()), rng.normal(size=3),
+                         terminal) for _ in range(agents)]
+        ring.push([t.state for t in ts], [t.action for t in ts], [t.reward for t in ts], [t.next_state for t in ts],
+                  terminal)
+        for oracle, t in zip(lists, ts):
+            oracle.push(t)
+    assert len(ring) == len(lists[0])
+    for k, oracle in enumerate(lists):
+        assert list(ring.rewards[k, oracles.buffer_rows_oldest_first(ring)]) == [t.reward for t in oracle.contents()]
+    batch = min(batch, len(ring))
+    states, actions, rewards, next_states, nonterminal = ring.sample(batch, make_rng(seed + 1))
+    oracle_rng = make_rng(seed + 1)
+    targets = dqn.td_targets_batch(rewards, next_states, nonterminal, stacked, 0.9)
+    for k, (oracle, net) in enumerate(zip(lists, nets)):
+        sampled = oracle.sample(batch, oracle_rng)
+        assert np.array_equal(states[k], np.stack([t.state for t in sampled]))
+        assert list(actions[k]) == [t.action for t in sampled]
+        assert list(rewards[k]) == [t.reward for t in sampled]
+        assert np.array_equal(next_states[k], np.stack([t.next_state for t in sampled]))
+        assert list(nonterminal[k]) == [0.0 if t.terminal else 1.0 for t in sampled]
+        assert targets[k] == pytest.approx([td_target(t, net, 0.9) for t in sampled], abs=1e-12)
 
 
 # --- TD targets -------------------------------------------------------------------
@@ -351,7 +362,7 @@ def test_td_targets_batch_matches_scalar():
     buf = ReplayBuffer(6, 3)
     for t in batch:
         buf.push([t.state], [t.action], [t.reward], [t.next_state], t.terminal)
-    vec = dqn.td_targets_batch(buf, 0, np.arange(6), net, 0.9)
+    vec = dqn.td_targets_batch(buf.rewards[0], buf.next_states[0], buf.nonterminal[0], net, 0.9)  # rows in order
     for i, t in enumerate(batch):
         assert vec[i] == pytest.approx(td_target(t, net, 0.9), abs=1e-12)
 
