@@ -187,6 +187,7 @@ class GreedyPolicy:
         self.net = net
         self.interval = interval
         self.layout = layout
+        self.work = qnet.Workspace(net.sizes, (len(layout.junctions), 1))  # every decision's forward writes here
         self.epsilon = 0.0
         self.rng = None
 
@@ -198,5 +199,5 @@ class GreedyPolicy:
 
     def act(self, obs: np.ndarray) -> None:
         """Act on the (K, width) states ``obs``."""
-        self.actions = select_action(qnet.forward(self.net, obs), self.epsilon, self.rng)
+        self.actions = select_action(qnet.forward(self.net, obs, self.work), self.epsilon, self.rng)
         self.requests = [REQUESTS[action] for action in self.actions]

@@ -4,10 +4,10 @@ Rectifier hidden layers, linear output, 64-bit floats throughout.  The loss is
 the squared TD error on the single taken action, so the output gradient is
 zero everywhere except that action's entry.  A network's parameters, its
 gradients and Adam's moments are each one flat vector; a leading axis on that
-vector stacks several networks of one architecture, which ``forward`` and the
-batched functions then evaluate and train together.  Weights serialize to a
-small JSON document, of one network or of one network per junction id, whose
-records are read and written by netmodel's record reader and writer.
+vector stacks several networks of one architecture, which the batched functions
+(acting's ``forward`` is their one-row case) evaluate and train together.
+Weights serialize to a small JSON document, of one network or one per junction
+id, whose records are read and written by netmodel's record reader and writer.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class QNetwork:
         parts = np.split(self.flat, np.cumsum(lengths)[:-1], axis=-1)
         self.weights = [w.reshape(lead + shape) for w, shape in zip(parts[::2], shapes)]
         self.biases = parts[1::2]
+        # _forward's operands, each layer's weights transposed and its bias as a row: viewed once, not on every pass
+        self._affine = [(w.swapaxes(-1, -2), b[..., None, :]) for w, b in zip(self.weights, self.biases)]
 
     @property
     def d_in(self) -> int:
@@ -84,28 +86,12 @@ def _check_input(net: QNetwork, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(net: QNetwork, xs) -> np.ndarray:
-    """Q-values of one state per network: a (d_in,) state for a (P,) network, (K, d_in) states for a (K, P) one.
-
-    Each layer is one matrix-vector product per network, which rounds as ``w @ x`` does; ``forward_batch``'s
-    matrix-matrix product may differ from it in the last bits.
-    """
-    a = _check_input(net, xs)
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = np.matmul(w, a[..., None])[..., 0]
-        a += b
-        if i < last:
-            np.maximum(a, 0.0, out=a)
-    return a
-
-
 class Workspace:
     """Per-layer arrays for batches of one shape: each layer's output and its loss gradient.
 
     ``batch`` is the states' shape without ``d_in``: (n,) for a (P,) network, (K, n) for a (K, P) one.
-    ``forward_batch`` and ``backward_batch`` write into a workspace passed as ``out`` and into a fresh one
-    otherwise, so a caller that repeats one batch shape allocates no per-layer arrays.
+    ``forward``, ``forward_batch`` and ``backward_batch`` write into a workspace passed as ``out`` and into a fresh
+    one otherwise, so a caller that repeats one batch shape allocates no per-layer arrays.
     """
 
     def __init__(self, sizes: tuple[int, ...], batch: tuple[int, ...]):
@@ -121,12 +107,22 @@ def forward_batch(net: QNetwork, xs, out: Workspace | None = None) -> np.ndarray
     return _forward(net, xs, (out or Workspace(net.sizes, xs.shape[:-1])).activations)
 
 
+def forward(net: QNetwork, xs, out: Workspace | None = None) -> np.ndarray:
+    """Q-values of one state per network: a (d_in,) state for a (P,) network, (K, d_in) states for a (K, P) one.
+
+    The one-row case of ``forward_batch``'s pass, so acting and learning share one layer loop.  ``out`` is a
+    ``Workspace`` of batch shape (1,) or (K, 1), made fresh when None; the result is a view into it.
+    """
+    xs = _check_input(net, xs)
+    return _forward(net, xs[..., None, :], (out or Workspace(net.sizes, (*xs.shape[:-1], 1))).activations)[..., 0, :]
+
+
 def _forward(net: QNetwork, a: np.ndarray, activations: list[np.ndarray]) -> np.ndarray:
     """Each layer's output into ``activations``, rectified in place on hidden layers; returns the last."""
     last = len(net.weights) - 1
-    for i, (w, b, z) in enumerate(zip(net.weights, net.biases, activations)):
-        a = np.matmul(a, w.swapaxes(-1, -2), out=z)
-        a += b[..., None, :]
+    for i, ((w_t, b_row), z) in enumerate(zip(net._affine, activations)):
+        a = np.matmul(a, w_t, out=z)
+        a += b_row
         if i < last:
             np.maximum(a, 0.0, out=a)
     return a

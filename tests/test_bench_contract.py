@@ -7,13 +7,14 @@ episode's vehicle-steps when the next ``Simulation`` is built.
 
 import importlib
 import json
+import math
 import types
 
 import numpy as np
 import pytest
 
 from conftest import REPO, SCENARIOS
-from greenlight import harness, netmodel, simcore
+from greenlight import harness, netmodel, qnet, simcore
 from greenlight.harness import EvalConfig, TrainConfig
 
 _SPANS = REPO / "perfbench" / "spans.py"
@@ -60,3 +61,27 @@ def test_each_episode_runs_to_the_scenario_end_before_the_next_simulation_is_bui
     harness.evaluate(EvalConfig(scenario_path=str(path), controller="dqn", seeds=[4, 5], weights=result.weights_doc))
     assert len(built) == 3 + 3 + 2
     assert built[-1].clock == doc["duration"]
+
+
+def test_acting_calls_qnet_forward_once_per_decision(tmp_path, monkeypatch):
+    """The traced run times acting as the ``qnet.forward`` span, so every decision, for all junctions at once, must
+    be exactly one call of it, in training and in evaluation alike."""
+    doc = json.loads((SCENARIOS / "grid2x2.xn").read_text(encoding="utf-8"))
+    doc["duration"] = 62.0  # not a whole number of decision intervals, so the last one is cut short
+    path = tmp_path / "grid-short.xn"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    decisions_per_episode = math.ceil(doc["duration"] / harness.Hyperparams().decision_interval)
+    calls = []  # the states' shape at each call
+    forward = qnet.forward
+
+    def counted(net, xs, *rest):
+        calls.append(xs.shape)
+        return forward(net, xs, *rest)
+
+    monkeypatch.setattr(qnet, "forward", counted)
+
+    result = harness.train(TrainConfig(scenario_path=str(path), episodes=2, seed=0, hp_overrides={"warmup": 8}))
+    assert calls == [(4, 10)] * 2 * decisions_per_episode
+    calls.clear()
+    harness.evaluate(EvalConfig(scenario_path=str(path), controller="dqn", seeds=[4, 5, 6], weights=result.weights_doc))
+    assert calls == [(4, 10)] * 3 * decisions_per_episode

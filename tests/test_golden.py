@@ -59,9 +59,10 @@ DQN_GOLDEN = {
 
 
 def test_dqn_eval_artifacts_with_never_departed_rows_are_pinned(tmp_path, capsys):
-    """The greedy forward pass runs matrix products, so like the training
-    digests these hold for one BLAS build and CPU kernel (recorded with
-    OpenBLAS on x86-64, one thread) and may differ in the last bits on another.
+    """The greedy forward pass runs matrix products, yet unlike the training
+    digests these do not depend on the CPU kernel: recorded with OpenBLAS on
+    x86-64 (SkylakeX, one thread), CI checks them under the Haswell and
+    Sandybridge kernels too, with the bit-for-bit forward tests of test_qnet.
     """
     out = tmp_path / "dqn.json"
     argv = ["eval", "--scenario", str(SCENARIOS / "single.xn"), "--controller", "dqn",

@@ -417,16 +417,20 @@ def _stacked(nets):
 @pytest.mark.parametrize("count", [1, 2, 4, 36])
 @pytest.mark.parametrize("d_in", [16, 10, 13])  # single.xn, grid2x2.xn and mixed.xn's networks
 def test_forward_batch_of_one_state_per_network_equals_forward_bit_for_bit(d_in, count):
-    """A (K, P) network's ``forward`` of one state per network gives each network's ``w @ a + b`` q-values exactly,
-    so acting on every junction in one call changes no greedy action and no evaluation report."""
+    """A (K, P) network's ``forward`` of one state per network, the one-row batched product, gives each network's
+    ``w @ a + b`` q-values exactly, so acting on every junction in one call changes no greedy action and no
+    evaluation report.  A reused workspace, as the policy passes at every decision, gives the same bits."""
     rng = make_rng(100 * d_in + count)
     nets = [init_network((d_in, 64, 64, 3), rng) for _ in range(count)]
-    xs = rng.uniform(0.0, 1.0, size=(count, d_in))  # features lie in [0, 1]
-    q = forward(_stacked(nets), xs)
-    assert q.shape == (count, 3)
-    for k, net in enumerate(nets):
-        assert q[k].tobytes() == oracles.forward(net, xs[k]).tobytes()
-    assert forward(nets[0], xs[0]).tobytes() == oracles.forward(nets[0], xs[0]).tobytes()  # a (P,) network too
+    stacked = _stacked(nets)
+    work = Workspace(stacked.sizes, (count, 1))
+    for xs in rng.uniform(0.0, 1.0, size=(2, count, d_in)):  # features lie in [0, 1]
+        expected = [oracles.forward(net, x).tobytes() for net, x in zip(nets, xs)]
+        for q in (forward(stacked, xs), forward(stacked, xs, work)):
+            assert q.shape == (count, 3)
+            assert [row.tobytes() for row in q] == expected
+    one = forward(nets[0], xs[0], Workspace(nets[0].sizes, (1,)))  # a (P,) network too
+    assert one.shape == (3,) and one.tobytes() == forward(nets[0], xs[0]).tobytes() == expected[0]
 
 
 def test_stacked_layers_are_views_per_network():

@@ -204,6 +204,23 @@ def test_interlock_rejects_more_color_pairs_than_junctions_state_unchanged(singl
     assert sim.colors == ((GREEN, RED),)
 
 
+def test_interlock_rejects_a_fault_mid_run_after_unchanged_pairs_state_unchanged(single_scenario):
+    """A repeated pair is not checked again, so a fault that follows a run of them must still be caught."""
+    sim = _empty_sim(single_scenario)
+    veh = _place(sim, ["n_in", "s_out"], position=20.0, speed=10.0)
+    for _ in range(3):
+        sim.step(ALL_GREEN_A)
+    moved = (veh.position, veh.speed, sim.clock)
+    with pytest.raises(InterlockViolation, match=r"junction c: both axes non-red \(green, green\)"):
+        sim.step([(GREEN, GREEN)])
+    with pytest.raises(InterlockViolation, match=r"^2 color pairs for 1 signalized junctions$"):
+        sim.step(ALL_GREEN_A + ALL_GREEN_A)
+    assert (veh.position, veh.speed, sim.clock) == moved and sim.clock == 3.0
+    assert sim.colors == tuple(ALL_GREEN_A)
+    sim.step(ALL_GREEN_A)  # the accepted pair still steps
+    assert sim.clock == 4.0
+
+
 def test_interlock_rejects_yellow_on_both_axes(single_scenario):
     sim = _empty_sim(single_scenario)
     with pytest.raises(InterlockViolation, match=r"junction c: both axes non-red \(yellow, yellow\)"):
