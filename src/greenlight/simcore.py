@@ -40,9 +40,10 @@ Two exact fast paths run ahead of that rule, writing the bits it would:
 
 Either path also ends an emergency, as the rule does when it does not brake.
 
-The transfer pass then visits only the lane heads at their line, and a
-vehicle crosses at most one line per step: ``netmodel.validate`` rejects any
-edge a vehicle could cross in one step.  Due vehicles wait in one FIFO per
+The transfer pass then visits only the lane heads at their line, each with
+the edge, lane and line state the move pass listed it with, and a vehicle
+crosses at most one line per step: ``netmodel.validate`` rejects any edge a
+vehicle could cross in one step.  Due vehicles wait in one FIFO per
 entry edge.  ``tests/oracles.py`` keeps the scalar step, without the fast
 paths, as the reference it is checked against bit for bit.
 """
@@ -96,10 +97,6 @@ class Vehicle:
         self.time_loss = 0.0
         self.emergency_stops = 0
         self.in_emergency = False
-
-    @property
-    def edge(self) -> Edge:
-        return self.route[self.edge_index]
 
 
 def spawn_schedule(scenario: Scenario, rng) -> list[tuple[float, int]]:
@@ -220,8 +217,8 @@ class Simulation:
             if not queue:
                 del queued[eid]
 
-    def _move_all(self) -> list[str]:
-        """Move every vehicle; return the ids of the lanes whose head reached its line, in edge order.
+    def _move_all(self) -> list[tuple[Edge, list[Vehicle], bool]]:
+        """Move every vehicle; return each lane whose head reached its line as (edge, lane, line open), in edge order.
 
         An open line is reached at ``end - _EPS``, a closed one only past ``end``."""
         length, accel_dv, b, emergency_decel, emergency_dv, bt, bt2, two_b = self._rule
@@ -302,55 +299,49 @@ class Simulation:
             rears[eid] = (pos, v_prev)  # the last vehicle's, read before it moved
             head = lane[0].position
             if head > end or (line_open and head >= end - _EPS):
-                heads.append(eid)
+                heads.append((edge, lane, line_open))
         return heads
 
-    def _transfer_and_arrive(self, heads: list[str]) -> None:
-        """Carry the lane heads at their line across it, lane by lane in edge order (as ``_move_all`` lists them)."""
-        end_clock = self.clock + DT
-        for eid in heads:
-            edge, lane, _, _ = self._lanes[eid]
-            end = edge.length - _EPS
-            while lane and lane[0].position >= end:
-                if not self._advance_across(lane[0], end_clock):
-                    break
+    def _transfer_and_arrive(self, heads: list[tuple[Edge, list[Vehicle], bool]]) -> None:
+        """Carry the lane heads at their line across it, lane by lane in edge order (as ``_move_all`` lists them).
+
+        A head holds at a closed line, arrives at its route's end, or lands on
+        its next edge clipped to the room behind that edge's last vehicle,
+        holding if there is none.  Every edge is longer than one step of
+        travel from its feeders, so a transferred vehicle lands short of the
+        next line.
+        """
+        end_clock, length, vehicles_on = self.clock + DT, self.params.length, self.vehicles_on
+        for edge, lane, line_open in heads:
+            if not line_open:  # listed only past its line
+                self._hold_at_line(edge, lane)
+                continue
+            end = edge.length
+            while lane and lane[0].position >= end - _EPS:
+                veh = lane[0]
+                if veh.edge_index + 1 == len(veh.route):
+                    veh.arrived_at = end_clock
+                    self.arrived_count += 1
+                else:
+                    nxt = veh.route[veh.edge_index + 1]
+                    target_lane = vehicles_on[nxt.id]
+                    position = veh.position - end
+                    if target_lane:
+                        room = target_lane[-1].position - length
+                        if room < 0.0:
+                            self._hold_at_line(edge, lane)  # no room past the line
+                            break
+                        if position > room:
+                            position = room
+                    veh.edge_index += 1
+                    veh.position = position
+                    if veh.speed > nxt.speed_limit:
+                        veh.speed = nxt.speed_limit
+                    target_lane.append(veh)
                 lane.pop(0)
 
-    def _advance_across(self, veh: Vehicle, end_clock: float) -> bool:
-        """Carry a vehicle at its line across it, onto its next edge or off the network.
-
-        Returns False when it holds at the line (non-green axis, or no room on
-        the next edge), True when it left its edge.  Every edge is longer than
-        one step of travel from its feeders, so a transferred vehicle lands
-        short of the next line.
-        """
-        edge = veh.edge
-        if self.edge_color(edge) != GREEN:
-            self._hold_at_line(veh)
-            return False
-        if veh.edge_index + 1 == len(veh.route):
-            veh.arrived_at = end_clock
-            self.arrived_count += 1
-            return True
-        nxt = veh.route[veh.edge_index + 1]
-        overshoot = veh.position - edge.length
-        target_lane = self.vehicles_on[nxt.id]
-        if target_lane:
-            max_front = target_lane[-1].position - self.params.length
-            if max_front < 0.0:
-                self._hold_at_line(veh)  # no room past the line
-                return False
-            if overshoot > max_front:
-                overshoot = max_front
-        veh.edge_index += 1
-        veh.position = overshoot
-        if veh.speed > nxt.speed_limit:
-            veh.speed = nxt.speed_limit
-        target_lane.append(veh)
-        return True
-
-    def _hold_at_line(self, veh: Vehicle) -> None:
-        """Pin a vehicle at its edge end and re-pack any followers behind it.
+    def _hold_at_line(self, edge: Edge, lane: list[Vehicle]) -> None:
+        """Pin the lane's head at its edge end and re-pack any followers behind it.
 
         A vehicle stands past its line only when another green feeder filled
         its next edge first in the same step, or when placed there by hand.
@@ -360,16 +351,14 @@ class Simulation:
         ``test_a_head_past_a_red_line_is_pinned_and_its_followers_repacked``
         a head placed past its line by hand moves its follower back.
         """
-        if veh.position <= veh.edge.length:
+        head = lane[0]
+        if head.position <= edge.length:
             return
-        veh.position = veh.edge.length
-        veh.speed = 0.0
-        lane = self.vehicles_on[veh.edge.id]
-        ahead = veh
-        for follower in lane[lane.index(veh) + 1 :]:
-            limit = ahead.position - self.params.length
+        head.position = ahead = edge.length
+        head.speed = 0.0
+        for follower in lane[1:]:
+            limit = ahead - self.params.length
             if follower.position <= limit:
                 break
-            follower.position = limit
+            follower.position = ahead = limit
             follower.speed = 0.0
-            ahead = follower

@@ -41,7 +41,7 @@ def random_scenario(seed: int) -> Scenario:
     routes = [Route(tuple(main_path), float(rng.uniform(0.0, 0.10)))]
     for i in range(n_junctions):
         axis_a = [f"main_{i}"]
-        if rng.random() < 0.4:  # second main-axis feeder converging on the same exits
+        if rng.random() < 0.4:  # a second main-axis feeder, merging onto the main road or turning off it
             junctions.append(Junction(id=f"a2_src_{i}"))
             edges.append(Edge(f"a2_{i}", f"a2_src_{i}", f"j{i}", length(), limit()))
             axis_a.append(f"a2_{i}")
@@ -62,6 +62,8 @@ def random_scenario(seed: int) -> Scenario:
         routes.append(Route((f"cross_in_{i}", f"cross_out_{i}"), float(rng.uniform(0.0, 0.08))))
         if len(axis_a) > 1:
             routes.append(Route((f"a2_{i}", f"cross_out_{i}"), float(rng.uniform(0.0, 0.05))))
+            # green with main_{i} on axis A, so the two feeders of main_{i+1} merge in one step
+            routes.append(Route((f"a2_{i}", *main_path[i + 1 :]), float(rng.uniform(0.0, 0.05))))
 
     decel = float(rng.uniform(3.0, 5.0))
     scenario = Scenario(

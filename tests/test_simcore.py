@@ -439,6 +439,17 @@ def test_a_full_target_lane_holds_the_head_at_its_green_line(single_scenario):
     assert sim.vehicles_on["s_out"][:2] == [blocker, head]
 
 
+def test_an_overshoot_is_clipped_to_the_room_behind_a_vehicle_that_merged_first(single_scenario):
+    sim = _empty_sim(single_scenario)
+    first = _place(sim, ["n_in", "e_out"], position=196.0, speed=12.0)  # n_in crosses before s_in
+    second = _place(sim, ["s_in", "e_out"], position=199.0, speed=13.9)
+    _step_with_oracle_twin(sim, [ALL_GREEN_A])  # both lines green, e_out empty before the step
+    assert sim.vehicles_on["e_out"] == [first, second]
+    assert first.position == pytest.approx(9.9)
+    # 12.9 m past its line, clipped to the room behind the first
+    assert second.position == first.position - PARAMS.length == pytest.approx(4.9)
+
+
 def test_a_head_reads_the_pre_step_rear_of_a_lane_moved_before_it(single_scenario):
     sim = _empty_sim(single_scenario)
     ahead = _place(sim, ["n_out"], position=3.0, speed=5.0)  # n_out moves before s_in
