@@ -43,9 +43,9 @@ Either path also ends an emergency, as the rule does when it does not brake.
 The transfer pass then visits only the lane heads at their line, each with
 the edge, lane and line state the move pass listed it with, and a vehicle
 crosses at most one line per step: ``netmodel.validate`` rejects any edge a
-vehicle could cross in one step.  Due vehicles wait in one FIFO per
-entry edge.  ``tests/oracles.py`` keeps the scalar step, without the fast
-paths, as the reference it is checked against bit for bit.
+vehicle could cross in one step.  Each entry edge's vehicles wait in one
+FIFO, filled at construction.  ``tests/oracles.py`` keeps the scalar step,
+without the fast paths, as the reference it is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -131,28 +131,30 @@ class Simulation:
                       bt, bt * bt, 2.0 * p.decel)
 
         net = scenario.network
-        self.edge_order: tuple[Edge, ...] = tuple(sorted(net.edges, key=lambda e: e.id))
-        self.vehicles_on: dict[str, list[Vehicle]] = {e.id: [] for e in self.edge_order}
+        edge_order = sorted(net.edges, key=lambda e: e.id)
+        self.vehicles_on: dict[str, list[Vehicle]] = {e.id: [] for e in edge_order}
 
         # which (junction position, axis) guards each signal-controlled edge end, in signalized_junctions() order
         signalized = net.signalized_junctions()
         self._signal_ids = tuple(j.id for j in signalized)  # for messages only
-        self._edge_signal: dict[str, tuple[int, int]] = {}
+        edge_signal: dict[str, tuple[int, int]] = {}
         for k, j in enumerate(signalized):
             for eid in j.axis_a:
-                self._edge_signal[eid] = (k, 0)
+                edge_signal[eid] = (k, 0)
             for eid in j.axis_b:
-                self._edge_signal[eid] = (k, 1)
+                edge_signal[eid] = (k, 1)
         # (edge, its lane, its guard or None, its cruise room) by edge id, in edge order
-        self._lanes = {e.id: (e, self.vehicles_on[e.id], self._edge_signal.get(e.id), self._cruise_room(e))
-                       for e in self.edge_order}
+        self._lanes = {e.id: (e, self.vehicles_on[e.id], edge_signal.get(e.id), self._cruise_room(e))
+                       for e in edge_order}
 
         self.colors: tuple[tuple[str, str], ...] = ((GREEN, RED),) * len(signalized)  # by junction position
 
         routes = [tuple(map(net.edge, r.edges)) for r in scenario.routes]
         self.vehicles = [Vehicle(vid, routes[r], t, r) for vid, (t, r) in enumerate(spawn_schedule(scenario, rng))]
-        self._scheduled = deque(self.vehicles)  # not yet due, in departure order
-        self._queued: dict[str, deque[Vehicle]] = {}  # due, not yet inserted, by entry edge id; never empty
+        # not yet inserted, in departure order, by entry edge id (in route order)
+        self._waiting: dict[str, deque[Vehicle]] = {r.edges[0]: deque() for r in scenario.routes}
+        for veh in self.vehicles:
+            self._waiting[veh.route[0].id].append(veh)
 
         self.inserted_count = 0
         self.arrived_count = 0
@@ -165,16 +167,6 @@ class Simulation:
         length, bt, two_b = self._rule[0], self._rule[5], self._rule[7]
         free = limit * (limit + 2.0 * bt) / two_b  # ((limit + b*tau)^2 - (b*tau)^2) / 2b
         return (length + max(free, limit * DT)) * (1.0 + 1e-9) + 1e-6
-
-    # -- queries -------------------------------------------------------------
-
-    def edge_color(self, edge: Edge) -> str:
-        """Signal color guarding this edge's end; unsignalized ends are green."""
-        guard = self._edge_signal.get(edge.id)
-        if guard is None:
-            return GREEN
-        k, axis = guard
-        return self.colors[k][axis]
 
     # -- stepping --------------------------------------------------------------
 
@@ -198,24 +190,18 @@ class Simulation:
                 raise InterlockViolation(f"junction {jid}: {problem} ({color_a}, {color_b})")
 
     def _insert_due(self) -> None:
-        """Queue the vehicles now due by entry edge; each entry edge inserts its first queued vehicle if it has room."""
-        scheduled, queued = self._scheduled, self._queued
-        while scheduled and scheduled[0].scheduled_depart <= self.clock:
-            veh = scheduled.popleft()
-            queued.setdefault(veh.route[0].id, deque()).append(veh)
-        if not queued:
-            return  # nothing due
-        length, room = self.params.length, self.params.length + self.params.min_gap
-        for eid, queue in list(queued.items()):
+        """Each entry edge whose first waiting vehicle is due inserts it if the edge has room."""
+        clock, length, room = self.clock, self.params.length, self.params.length + self.params.min_gap
+        for eid, queue in self._waiting.items():
+            if not queue or queue[0].scheduled_depart > clock:
+                continue
             lane = self.vehicles_on[eid]
             if lane and lane[-1].position - length < room:
                 continue  # once one is inserted, the next would stand on it: at most one per step
             veh = queue.popleft()
-            veh.actual_depart = self.clock
+            veh.actual_depart = clock
             lane.append(veh)
             self.inserted_count += 1
-            if not queue:
-                del queued[eid]
 
     def _move_all(self) -> list[tuple[Edge, list[Vehicle], bool]]:
         """Move every vehicle; return each lane whose head reached its line as (edge, lane, line open), in edge order.

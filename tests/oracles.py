@@ -2,7 +2,10 @@
 
 Everything here is deliberately written straight-line (plain loops, or the
 one-sample form of a batched computation) and shares no code with what it
-checks, so a bug in the implementation cannot hide in its own oracle.
+checks, so a bug in the implementation cannot hide in its own oracle.  The
+simulation oracles call no ``Simulation`` method: they read a line's color
+from ``sim.colors`` by the junction's position in the scenario's
+``signalized_junctions()``, and walk the edges in their own sort by id.
 """
 
 import math
@@ -302,6 +305,16 @@ def record_step(tracker, speed, allowed_speed, dt):
     tracker.time_loss += (1.0 - speed / allowed_speed) * dt
 
 
+def line_color(sim, edge):
+    """The color ``sim.colors`` shows at this edge's end; unsignalized ends are green."""
+    for k, j in enumerate(sim.scenario.network.signalized_junctions()):
+        if edge.id in j.axis_a:
+            return sim.colors[k][0]
+        if edge.id in j.axis_b:
+            return sim.colors[k][1]
+    return GREEN
+
+
 def step(sim, colors):
     """One ``Simulation.step`` the long way: every edge snapshotted, moved and swept for transfers.
 
@@ -321,7 +334,7 @@ def step(sim, colors):
     rear_snapshot = {eid: (vs[-1].position, vs[-1].speed) if vs else None for eid, vs in sim.vehicles_on.items()}
     move_all(sim, rear_snapshot)
     end_clock = sim.clock + DT
-    for edge in sim.edge_order:
+    for edge in sorted(sim.scenario.network.edges, key=lambda e: e.id):
         lane = sim.vehicles_on[edge.id]
         while lane and lane[0].position >= edge.length - EPS:
             if not advance_across(sim, lane[0], end_clock):
@@ -354,7 +367,7 @@ def advance_across(sim, veh, end_clock):
     moved = False
     while veh.position >= veh.route[veh.edge_index].length - EPS:
         edge = veh.route[veh.edge_index]
-        if sim.edge_color(edge) != GREEN:
+        if line_color(sim, edge) != GREEN:
             hold_at_line(sim, veh)
             return moved
         if veh.edge_index + 1 == len(veh.route):
@@ -408,11 +421,11 @@ def move_all(sim, rear_snapshot):
     edge's last vehicle as ``rear_snapshot`` holds it from before the step.
     """
     params = sim.params
-    for edge in sim.edge_order:
+    for edge in sorted(sim.scenario.network.edges, key=lambda e: e.id):
         lane = sim.vehicles_on[edge.id]
         if not lane:
             continue
-        color = sim.edge_color(edge)
+        color = line_color(sim, edge)
         for i, veh in enumerate(lane):
             v_prev = veh.speed
             v_target = min(edge.speed_limit, v_prev + params.accel * DT)

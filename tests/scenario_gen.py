@@ -86,7 +86,7 @@ def random_scenario(seed: int) -> Scenario:
 
 def pending_count(sim: Simulation) -> int:
     """Vehicles scheduled but not yet inserted."""
-    return len(sim._scheduled) + sum(map(len, sim._queued.values()))
+    return sum(map(len, sim._waiting.values()))
 
 
 def on_network_count(sim: Simulation) -> int:
@@ -152,11 +152,12 @@ class InvariantChecker:
                 if leader.position - params.length - follower.position < -1e-9:
                     self.violations["collision"] += 1
 
+        line_color = {}  # by incoming edge id of a signalized junction; other edge ends are green
         for k, (j, (color_a, color_b)) in enumerate(zip(self.junctions, colors)):
-            edge_color = {eid: color_a for eid in j.axis_a}
-            edge_color.update({eid: color_b for eid in j.axis_b})
+            line_color.update({eid: color_a for eid in j.axis_a})
+            line_color.update({eid: color_b for eid in j.axis_b})
             for ea, eb in self.conflicts[j.id]:
-                if edge_color[ea] != RED and edge_color[eb] != RED:
+                if line_color[ea] != RED and line_color[eb] != RED:
                     self.violations["interlock"] += 1
             if self.prev_colors is not None:
                 pa, pb = self.prev_colors[k]
@@ -177,8 +178,7 @@ class InvariantChecker:
             else:
                 veh = sim.vehicles[vid]
                 for crossed in range(prev_idx, edge_idx):
-                    crossed_edge = veh.route[crossed]
-                    if sim.edge_color(crossed_edge) != GREEN:
+                    if line_color.get(veh.route[crossed].id, GREEN) != GREEN:
                         self.violations["red_crossing"] += 1
         self.prev_positions = positions
         self.prev_colors = list(colors)

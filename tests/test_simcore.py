@@ -1,7 +1,9 @@
+import ast
 import copy
 import dataclasses
 import functools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -88,6 +90,12 @@ def _place(sim: Simulation, route_eids, position=0.0, speed=0.0) -> Vehicle:
     sim.vehicles_on[route[0].id].append(veh)
     sim.inserted_count += 1
     return veh
+
+
+def _schedule(sim: Simulation, veh: Vehicle) -> None:
+    """Add a not yet inserted vehicle behind those waiting at its entry edge."""
+    sim.vehicles.append(veh)
+    sim._waiting[veh.route[0].id].append(veh)
 
 
 ALL_GREEN_A = [(GREEN, RED)]
@@ -230,7 +238,7 @@ def test_interlock_rejects_yellow_on_both_axes(single_scenario):
 
 def test_simulator_reads_colors_by_network_order_not_id(grid_text):
     """grid2x2's junctions renamed so their sorted ids run against network order: each pair still lands on the
-    junction at its position in ``signalized_junctions()``."""
+    junction at its position in ``signalized_junctions()``, so exactly the vehicles of the axes shown green cross."""
     scenario = netmodel.load_scenario(grid_text)
     junctions = scenario.network.junctions
     new = {j.id: f"j{len(junctions) - 1 - k:02d}" for k, j in enumerate(junctions)}
@@ -239,23 +247,32 @@ def test_simulator_reads_colors_by_network_order_not_id(grid_text):
         edges=tuple(dataclasses.replace(e, from_junction=new[e.from_junction], to_junction=new[e.to_junction])
                     for e in scenario.network.edges),
     )
-    sim = Simulation(dataclasses.replace(scenario, network=network), make_rng(0))
+    routes = tuple(dataclasses.replace(r, rate=0.0) for r in scenario.routes)
+    sim = Simulation(dataclasses.replace(scenario, network=network, routes=routes), make_rng(0))
     signalized = network.signalized_junctions()
     assert [j.id for j in signalized] == sorted((j.id for j in signalized), reverse=True)
     pairs = [(GREEN, RED), (RED, GREEN), (YELLOW, RED), (RED, YELLOW)]
-    sim.step(pairs)
-    assert sim.colors == tuple(pairs)
+    placed = []  # (vehicle, whether its line shows green): one at its limit 2 m short of every signal line
     for (color_a, color_b), j in zip(pairs, signalized):
-        assert [sim.edge_color(network.edge(eid)) for eid in j.axis_a] == [color_a] * len(j.axis_a)
-        assert [sim.edge_color(network.edge(eid)) for eid in j.axis_b] == [color_b] * len(j.axis_b)
+        out = next(e.id for e in network.edges if e.from_junction == j.id)
+        for axis, color in ((j.axis_a, color_a), (j.axis_b, color_b)):
+            for eid in axis:
+                edge = network.edge(eid)
+                placed.append((_place(sim, [eid, out], edge.length - 2.0, edge.speed_limit), color == GREEN))
+    _step_with_oracle_twin(sim, [pairs])
+    assert sorted(green for _, green in placed) == [False] * 6 + [True] * 2
+    for veh, green in placed:
+        if green:
+            assert veh.edge_index == 1
+        else:
+            assert (veh.edge_index, veh.position) == (0, veh.route[0].length)
 
 
 def test_insertion_blocked_until_gap_clears(single_scenario):
     sim = _empty_sim(single_scenario)
     blocker = _place(sim, ["n_in", "s_out"], position=6.0, speed=0.0)
     pending = Vehicle(len(sim.vehicles), blocker.route, 0.0, 0)
-    sim.vehicles.append(pending)
-    sim._scheduled.append(pending)
+    _schedule(sim, pending)
     sim.step(ALL_GREEN_B)  # blocker sits near the entry; 6.0 - 5.0 < 7.5 required
     assert pending.actual_depart is None
     for _ in range(30):
@@ -586,11 +603,32 @@ def test_each_entry_edge_inserts_one_due_vehicle_per_step_in_departure_order(sin
     for entry, depart in zip(entries, departs):
         route = (sim.scenario.network.edge(entry), sim.scenario.network.edge("s_out"))
         due.append(Vehicle(len(sim.vehicles), route, depart, 0))
-        sim.vehicles.append(due[-1])
-        sim._scheduled.append(due[-1])
+        _schedule(sim, due[-1])
     _step_with_oracle_twin(sim, [ALL_GREEN_A])
     assert (sim.vehicles_on["n_in"], sim.vehicles_on["e_in"]) == ([due[0]], [due[1]])
     _step_with_oracle_twin(sim, [ALL_GREEN_A] * 11)
     assert (sim.vehicles_on["n_in"], sim.vehicles_on["e_in"]) == ([due[0], due[2], due[4]], [due[1], due[3]])
     assert [v.actual_depart for v in due] == [0.0, 0.0, 3.0, 3.0, 6.0]
-    assert not sim._scheduled and not sim._queued
+    assert not any(sim._waiting.values())
+
+
+def test_two_routes_that_share_an_entry_edge_wait_in_one_fifo_from_the_start(single_scenario):
+    routes = (netmodel.Route(("n_in", "s_out"), 0.4), netmodel.Route(("e_in", "w_out"), 0.0),
+              netmodel.Route(("n_in", "e_out"), 0.4))
+    sim = Simulation(dataclasses.replace(single_scenario, routes=routes, duration=60.0), make_rng(0))
+    assert list(sim._waiting) == ["n_in", "e_in"] and not sim._waiting["e_in"]
+    assert list(sim._waiting["n_in"]) == sim.vehicles  # in vid order, the two routes interleaved
+    assert {v.route_index for v in sim.vehicles} == {0, 2}
+    _step_with_oracle_twin(sim, [ALL_GREEN_B] * 60)  # n_in red: a queue grows back from its line
+    assert [v.vid for v in sim.vehicles_on["n_in"]] == list(range(sim.inserted_count))
+    assert sim._waiting["n_in"][0].scheduled_depart < sim.clock  # due, held behind the vehicle inserted last
+
+
+def test_the_oracles_call_no_simulator_method():
+    """``tests/oracles.py`` shares no code with what it checks: it calls no ``Simulation`` method on ``sim``."""
+    methods = {name for name in dir(Simulation) if callable(getattr(Simulation, name))}
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    calls = [f"line {node.lineno}: sim.{node.func.attr}()" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "sim" and node.func.attr in methods]
+    assert calls == []
