@@ -14,7 +14,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import qnet
-from .controllers import REQUESTS
+from .controllers import PHASES, REQUESTS
+from .netmodel import GREEN, RED, YELLOW, Junction
 from .qnet import QNetwork
 
 #: Saturation constants for the normalized state components.
@@ -77,21 +78,24 @@ def waiting_level(mean_wait: float) -> int:
     return 0 if mean_wait == 0.0 else 1 if mean_wait < 5.0 else 2
 
 
-def level_rewards(greens: int, reds: int, mode: str = "balanced") -> tuple[float, ...]:
-    """The reward from signal counts at each waiting level, in the order of WAITING_PENALTIES.
+def phase_rewards(junction: Junction, mode: str) -> dict[str, tuple[float, ...]]:
+    """Each phase's step reward at each waiting level, in the order of WAITING_PENALTIES, under one of REWARD_MODES.
 
-    ``balanced`` (the default) penalizes green/red imbalance and waiting.
-    ``literal`` is the square-root variant 0.2*sqrt((greens-reds)^2 + W); it
-    rewards imbalance instead, and its radicand is clamped at 0 where a
-    negative waiting term would otherwise make it undefined.  Kept behind a
-    flag for comparison experiments.
+    A phase's difference is Σgreen − Σred, the lanes of ``junction`` its colors show green less those they show red.
+    ``balanced`` penalizes that imbalance and waiting.  ``literal`` is the square-root variant
+    0.2*sqrt(difference^2 + W); it rewards imbalance instead, and its radicand is clamped at 0 where a negative
+    waiting term would otherwise make it undefined.
     """
-    if mode not in REWARD_MODES:
-        raise ValueError(f"unknown reward mode {mode!r}")
-    diff = greens - reds
-    if mode == "literal":
-        return tuple(0.2 * math.sqrt(max(0.0, diff * diff + w)) for w in WAITING_PENALTIES)
-    return tuple(-0.2 * abs(diff) + w for w in WAITING_PENALTIES)
+    sign = {GREEN: 1, YELLOW: 0, RED: -1}
+    lanes = (len(junction.axis_a), len(junction.axis_b))
+    rewards = {}
+    for phase, (colors, _) in PHASES.items():
+        diff = sum(sign[color] * n for color, n in zip(colors, lanes))
+        if mode == "literal":
+            rewards[phase] = tuple(0.2 * math.sqrt(max(0.0, diff * diff + w)) for w in WAITING_PENALTIES)
+        else:
+            rewards[phase] = tuple(-0.2 * abs(diff) + w for w in WAITING_PENALTIES)
+    return rewards
 
 
 def select_action(q: np.ndarray, epsilon: float, rng) -> list[int]:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dqn, metrics, qnet
-from .controllers import PHASES, REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
+from .controllers import REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
 from .dqn import ReplayBuffer
-from .netmodel import DT, GREEN, HALT_SPEED, RED, Junction, Scenario, is_whole_steps, load_scenario, read_record
+from .netmodel import DT, HALT_SPEED, Scenario, is_whole_steps, load_scenario, read_record
 from .simcore import Simulation
 
 
@@ -151,17 +151,6 @@ def junction_view(sim: Simulation, lanes: list[str]) -> np.ndarray:
     return np.array(flat, dtype=float).reshape(-1, 3)
 
 
-def _phase_rewards(junction: Junction, mode: str) -> dict[str, tuple[float, ...]]:
-    """Each phase's step reward at each waiting level (``dqn.level_rewards``), from the lanes it shows green and red."""
-    n_a, n_b = len(junction.axis_a), len(junction.axis_b)
-    rewards = {}
-    for phase, ((color_a, color_b), _) in PHASES.items():
-        greens = (n_a if color_a == GREEN else 0) + (n_b if color_b == GREEN else 0)
-        reds = (n_a if color_a == RED else 0) + (n_b if color_b == RED else 0)
-        rewards[phase] = dqn.level_rewards(greens, reds, mode)
-    return rewards
-
-
 def rollout(scenario: Scenario, layout: dqn.StateLayout, controller, rng, on_step=None) -> Simulation:
     """Run one episode under ``controller``; this is the only per-step loop.
 
@@ -246,8 +235,8 @@ class _TrainingAgent(dqn.GreedyPolicy):
                  decisions: int):
         super().__init__(learner.params, hp.decision_interval, layout)
         self.learner = learner
-        # per junction: its rows, its lane count and each phase's step reward at each waiting level
-        self.step_rewards = [(rows, rows.stop - rows.start, _phase_rewards(junction, config.reward_mode))
+        # per junction: its rows, its lane count and dqn.phase_rewards' table, which on_step only looks up
+        self.step_rewards = [(rows, rows.stop - rows.start, dqn.phase_rewards(junction, config.reward_mode))
                              for rows, junction in zip(layout.rows, layout.junctions)]
         self.rng = _generator(config.seed, _NS_ACTION)
         self.sample_rng = _generator(config.seed, _NS_SAMPLE)

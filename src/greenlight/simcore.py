@@ -274,8 +274,6 @@ class Simulation:
                     veh.in_emergency = False
                 if v_target > hard_cap:  # the obstacle is a wall
                     v_target = hard_cap
-                if v_target < 0.0:
-                    v_target = 0.0
 
                 veh.position = lead_pos = pos + v_target * dt
                 veh.speed = lead_speed = v_target

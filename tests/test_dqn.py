@@ -155,16 +155,22 @@ def test_reward_unknown_mode_rejected():
         reward_from_counts(1, 1, 0.0, "quadratic")
 
 
+def _axes(greens, reds):
+    """A junction of ``greens`` axis-A lanes and ``reds`` axis-B lanes, so its serve_a phase shows that many of each."""
+    ids = [f"e{i}" for i in range(greens + reds)]
+    return netmodel.Junction("c", signalized=True, axis_a=tuple(ids[:greens]), axis_b=tuple(ids[greens:]))
+
+
 def test_reward_from_view_counts_lanes():
     def step_reward(n_a, n_b, phase):
-        ids = [f"e{i}" for i in range(n_a + n_b)]
-        junction = netmodel.Junction("c", signalized=True, axis_a=tuple(ids[:n_a]), axis_b=tuple(ids[n_a:]))
+        junction = _axes(n_a, n_b)
+        ids = junction.incoming_signal_edges
         network = netmodel.Network(junctions=(junction,), edges=())
         sim = types.SimpleNamespace(colors=(SignalAssignment(phase).colors(),),
                                     scenario=types.SimpleNamespace(network=network),
                                     vehicles_on={eid: [] for eid in ids})
         mean_wait = sum(harness.junction_view(sim, ids)[:, 2].tolist()) / (n_a + n_b)
-        reward = harness._phase_rewards(junction, "balanced")[phase][dqn.waiting_level(mean_wait)]
+        reward = dqn.phase_rewards(junction, "balanced")[phase][dqn.waiting_level(mean_wait)]
         assert reward == oracles.step_reward(sim, junction, "balanced")
         return reward
 
@@ -176,12 +182,16 @@ def test_reward_from_view_counts_lanes():
 
 def test_level_rewards_are_the_rewards_at_each_waiting_level():
     assert [dqn.waiting_level(wait) for wait in (0.0, 4.9, 5.0, 7.0)] == [0, 1, 2, 2]  # none, light, heavy
-    for greens in range(5):
-        for reds in range(5):
-            d = greens - reds
-            assert dqn.level_rewards(greens, reds, "balanced") == tuple(-0.2 * abs(d) + w for w in (0.0, -0.5, -1.0))
-            literal = tuple(0.2 * math.sqrt(max(0.0, d * d + w)) for w in (0.0, -0.5, -1.0))
-            assert dqn.level_rewards(greens, reds, "literal") == literal
+    formulas = {"balanced": lambda d, w: -0.2 * abs(d) + w,
+                "literal": lambda d, w: 0.2 * math.sqrt(max(0.0, d * d + w))}
+    for n_a in range(5):
+        for n_b in range(5):
+            # Σgreen − Σred of each phase: yellow counts in neither sum, and all-red scores every lane as red
+            diffs = {"serve_a": n_a - n_b, "serve_b": n_b - n_a, "all_red": -(n_a + n_b), "yellow_a": -n_b,
+                     "yellow_b": -n_a}
+            for mode, formula in formulas.items():
+                expected = {phase: tuple(formula(d, w) for w in (0.0, -0.5, -1.0)) for phase, d in diffs.items()}
+                assert dqn.phase_rewards(_axes(n_a, n_b), mode) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,7 +207,7 @@ def test_reward_ranges_and_maximum(greens, reds, wait):
     if greens == reds and wait == 0.0:
         assert balanced == 0.0
     for mode, reward in (("literal", literal), ("balanced", balanced)):  # the table training looks rewards up in
-        assert dqn.level_rewards(greens, reds, mode)[dqn.waiting_level(wait)] == reward
+        assert dqn.phase_rewards(_axes(greens, reds), mode)["serve_a"][dqn.waiting_level(wait)] == reward
 
 
 # --- action selection -----------------------------------------------------------
@@ -252,6 +262,11 @@ def test_buffer_sample_single():
     states, actions, rewards, next_states, nonterminal = buf.sample(1, make_rng(0))
     assert rewards.shape == actions.shape == nonterminal.shape == (1, 1) and rewards[0, 0] == 42.0
     assert states.shape == next_states.shape == (1, 1, 1) and states[0, 0, 0] == next_states[0, 0, 0] == 42.0
+
+
+def test_buffer_capacity_below_1_is_rejected():
+    with pytest.raises(ValueError, match="^capacity must be at least 1$"):
+        ReplayBuffer(0, 1)
 
 
 def test_buffer_underfilled_sampling_errors():

@@ -159,6 +159,14 @@ def test_cli_out_of_range_override_names_the_key(tmp_path, short_scenario, capsy
     assert not (tmp_path / "w.json").exists()
 
 
+def test_cli_hp_without_equals_names_the_pair(tmp_path, short_scenario, capsys):
+    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
+                   "--weights-out", str(tmp_path / "w.json"), "--hp", "warmup"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "--hp expects key=value, got 'warmup'"
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_fractional_hidden_in_train_block_is_rejected(tmp_path, single_text):
     doc = json.loads(single_text)
     doc["train"] = {"hidden": [64.5, 32.9]}
@@ -204,11 +212,25 @@ def test_train_config_rejects_episodes_that_are_not_a_positive_integer(episodes)
         ([4, 1, 4], r"^seeds: 4 is listed more than once"),
         ([2, 3, 3, 2], r"^seeds: 3 is listed more than once"),
         ([1, 2.0], r"^seeds: expected an integer of at least 0, got 2\.0$"),
+        ([], r"^at least one evaluation seed is required$"),
     ],
 )
 def test_eval_config_rejects_negative_and_repeated_seeds(seeds, message):
     with pytest.raises(ValueError, match=message):
         EvalConfig(scenario_path="s.xn", controller="fixed", seeds=seeds)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TrainConfig(scenario_path="", episodes=1, seed=0), "^scenario path must be non-empty$"),
+        (lambda: EvalConfig(scenario_path="s.xn", controller="random", seeds=[1]), "^unknown controller 'random'$"),
+    ],
+    ids=["empty scenario path", "unknown controller"],
+)
+def test_configs_reject_an_empty_scenario_path_and_an_unknown_controller(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 @pytest.mark.parametrize(
@@ -515,7 +537,7 @@ def test_balanced_reward_prefers_holding_the_wrong_green_to_switching():
     stats = np.array([[9.0, 9.0, 14.0], [7.0, 7.0, 10.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # axis A waits
     assert stats[:, 2].mean() >= 5.0
     heavy = dqn.waiting_level(sum(stats[:, 2].tolist()) / 4)
-    phase_rewards = harness._phase_rewards(junction, "balanced")
+    phase_rewards = dqn.phase_rewards(junction, "balanced")
 
     def rewards(request, steps=10):
         state = harness.SignalAssignment("serve_b", -20.0, "serve_b")  # past min-green, free to switch
@@ -693,6 +715,15 @@ def test_dqn_weights_sized_to_a_junction_own_lanes_are_rejected():
     with pytest.raises(WeightsMismatchError) as err:
         harness.load_weights(qnet.serialize(nets), layout)
     assert str(err.value) == "junction e: weights map input dimension 10 to 3 outputs, the scenario needs 13 to 3"
+
+
+def test_dqn_weights_without_a_junction_entry_are_rejected():
+    """A ``multi`` document for mixed.xn that holds junction w's network but not junction e's."""
+    layout = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
+    text = qnet.serialize({"w": qnet.init_network((13, 8, 3), harness._generator(0))})
+    with pytest.raises(WeightsMismatchError) as err:
+        harness.load_weights(text, layout)
+    assert str(err.value) == "weights document has no entry for junction e"
 
 
 def test_dqn_weights_of_two_shapes_are_rejected():

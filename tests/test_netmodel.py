@@ -280,6 +280,22 @@ MUTATIONS = [
     ),
     ("soft_emergency", lambda d: d["vehicle"].__setitem__("b_emergency", 1.0), "emergency"),
     ("zero_accel", lambda d: d["vehicle"].__setitem__("a", 0), "accel"),
+    (
+        "duplicate_junction",
+        lambda d: d["network"]["junctions"].append(dict(d["network"]["junctions"][0])),
+        "junction c: duplicate id",
+    ),
+    ("empty_axis_a", lambda d: d["network"]["junctions"][0].__setitem__("axis_a", []), "axis A has no incoming"),
+    (
+        "axis_unknown_edge",
+        lambda d: d["network"]["junctions"][0].__setitem__("axis_b", ["e_in", "ghost"]),
+        "axis references unknown edge 'ghost'",
+    ),
+    ("empty_route", lambda d: d["routes"][0].__setitem__("edges", []), "route 0: empty edge sequence"),
+    ("zero_decel", lambda d: d["vehicle"].__setitem__("b", 0), "decel b must be > 0"),
+    ("zero_length", lambda d: d["vehicle"].__setitem__("length", 0), "length must be > 0"),
+    ("negative_min_gap", lambda d: d["vehicle"].__setitem__("min_gap", -0.5), "min gap must be ≥ 0"),
+    ("zero_tau", lambda d: d["vehicle"].__setitem__("tau", 0), "tau must be > 0"),
 ]
 
 

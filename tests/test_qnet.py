@@ -240,6 +240,12 @@ def test_deserialize_wrong_arch_chain_names_layer():
     assert "weights.layers[0]" in str(err.value)
 
 
+@pytest.mark.parametrize("sizes", [(4,), (4, 0, 3), (0, 3)])
+def test_init_network_rejects_fewer_than_two_sizes_and_a_size_below_1(sizes):
+    with pytest.raises(ValueError, match=r"^need at least input and output dimensions, got \("):
+        init_network(sizes, make_rng(5))
+
+
 def test_init_network_is_deterministic_per_seed():
     a = init_network((4, 8, 3), make_rng(5))
     b = init_network((4, 8, 3), make_rng(5))
@@ -332,6 +338,7 @@ def test_deserialize_rejects_non_integral_dimensions(field, value):
         (lambda doc: doc.pop("format_version"), "weights: missing key 'format_version'"),
         (lambda doc: doc.update(format_version=99), "weights: format_version 99 is not supported, expected 1"),
         (lambda doc: doc.update(multi={"J1": dict(doc)}), "weights: unknown key 'arch'"),
+        (lambda doc: doc["layers"].pop(), "weights: arch [2, 2, 3] expects 2 layers, document has 1"),
     ],
 )
 def test_deserialize_structural_faults_name_layer_and_key(fault, where):
