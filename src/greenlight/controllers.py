@@ -74,16 +74,17 @@ def apply_interlock(request: str, state: SignalAssignment, junction: Junction, c
 
 
 class FixedTimeController:
-    """Rule-based baseline: requests follow a predetermined cycle per junction."""
+    """Rule-based baseline: each junction follows its own fixed plan, or 30 s / its yellow / 30 s."""
 
-    def __init__(self, plans: list[FixedTimePlan]):
+    def __init__(self, junctions: list[Junction]):
         # per junction, in junction order: the cycle, and the start and end of axis B's window in it
-        self.windows = [(p.cycle, p.green_a, p.green_a + p.yellow + p.green_b) for p in plans]
-        self.requests = [REQUESTS[0]] * len(plans)
+        self.windows = []
+        for junction in junctions:
+            plan = junction.fixed_plan or FixedTimePlan(green_a=30.0, yellow=junction.yellow, green_b=30.0)
+            serve_b_until = plan.green_a + plan.yellow + plan.green_b
+            self.windows.append((serve_b_until + plan.yellow, plan.green_a, serve_b_until))
 
     def decide(self, clock: float, lane_stats, states) -> list[str]:
-        """Requests in junction order; the returned list is reused between calls."""
-        requests = self.requests
-        for k, (cycle, serve_b_from, serve_b_until) in enumerate(self.windows):
-            requests[k] = "serve_b" if serve_b_from <= clock % cycle < serve_b_until else "serve_a"
-        return requests
+        """Requests in junction order."""
+        return ["serve_b" if serve_b_from <= clock % cycle < serve_b_until else "serve_a"
+                for cycle, serve_b_from, serve_b_until in self.windows]

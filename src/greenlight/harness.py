@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dqn, metrics, qnet
-from .controllers import REQUESTS, FixedTimeController, FixedTimePlan, SignalAssignment, apply_interlock
+from .controllers import REQUESTS, FixedTimeController, SignalAssignment, apply_interlock
 from .dqn import ReplayBuffer
 from .netmodel import DT, HALT_SPEED, Scenario, is_whole_steps, load_scenario, read_record
 from .simcore import Simulation
@@ -354,7 +354,7 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
     hp = resolve_hyperparams(scenario)
 
     if config.controller == "fixed":
-        controller = FixedTimeController([FixedTimePlan.for_junction(junction) for junction in layout.junctions])
+        controller = FixedTimeController(layout.junctions)
     else:
         nets = list(load_weights(config.weights, layout).values())  # in the order of layout.junctions
         net = qnet.QNetwork(nets[0].sizes, np.stack([one.flat for one in nets]))

@@ -59,15 +59,6 @@ class FixedTimePlan:
     yellow: float
     green_b: float
 
-    @property
-    def cycle(self) -> float:
-        return self.green_a + self.yellow + self.green_b + self.yellow
-
-    @classmethod
-    def for_junction(cls, junction: Junction) -> FixedTimePlan:
-        """The junction's own plan, or 30 s / junction yellow / 30 s."""
-        return junction.fixed_plan or cls(green_a=30.0, yellow=junction.yellow, green_b=30.0)
-
 
 @dataclass(frozen=True)
 class Junction:

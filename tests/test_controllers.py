@@ -10,13 +10,13 @@ from greenlight.controllers import (
     REQUESTS,
     YELLOW,
     FixedTimeController,
-    FixedTimePlan,
     SignalAssignment,
     apply_interlock,
 )
-from greenlight.netmodel import Junction
+from greenlight.netmodel import FixedTimePlan, Junction
 
 PLAN = FixedTimePlan(green_a=30.0, yellow=3.0, green_b=30.0)
+CYCLE = PLAN.green_a + PLAN.yellow + PLAN.green_b + PLAN.yellow
 JUNCTION = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=3.0, min_green=5.0)
 
 
@@ -29,7 +29,7 @@ def test_fixed_time_yellow_window():
 
 
 def test_fixed_time_wraps_at_cycle():
-    assert PLAN.cycle == 66.0
+    assert CYCLE == 66.0
     assert fixed_time_decide(66.0, PLAN) == (GREEN, RED)
 
 
@@ -41,7 +41,7 @@ def test_fixed_time_b_green_window():
 
 @given(t=st.floats(0.0, 1e6, allow_nan=False), k=st.integers(1, 50))
 def test_fixed_time_is_periodic(t, k):
-    assert fixed_time_decide(t, PLAN) == fixed_time_decide(t + k * PLAN.cycle, PLAN)
+    assert fixed_time_decide(t, PLAN) == fixed_time_decide(t + k * CYCLE, PLAN)
 
 
 def test_interlock_switch_after_min_green_starts_yellow():
@@ -192,19 +192,24 @@ def test_interlock_stream_is_always_legal(seed, yellow, min_green):
 
 
 def test_fixed_controller_requests_match_decide_map():
-    controller = FixedTimeController([PLAN])
+    junction = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=3.0, min_green=5.0, fixed_plan=PLAN)
+    controller = FixedTimeController([junction])
     state = SignalAssignment()
-    junction = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=3.0, min_green=5.0)
-    for t in range(3 * int(PLAN.cycle)):
+    for t in range(3 * int(CYCLE)):
         [request] = controller.decide(float(t), None, None)
         state = apply_interlock(request, state, junction, float(t))
         assert state.colors() == fixed_time_decide(float(t), PLAN)
 
 
 def test_plan_from_junction_prefers_scenario_plan():
-    j = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=4.0, fixed_plan=FixedTimePlan(20.0, 4.0, 40.0))
-    plan = FixedTimePlan.for_junction(j)
-    assert (plan.green_a, plan.yellow, plan.green_b) == (20.0, 4.0, 40.0)
-    bare = Junction("c", signalized=True, axis_a=("n",), axis_b=("e",), yellow=4.0)
-    assert FixedTimePlan.for_junction(bare).yellow == 4.0
-    assert FixedTimePlan.for_junction(bare) == FixedTimePlan(green_a=30.0, yellow=4.0, green_b=30.0)
+    own = FixedTimePlan(green_a=20.0, yellow=4.0, green_b=40.0)
+    planned = Junction("p", signalized=True, axis_a=("n",), axis_b=("e",), yellow=4.0, fixed_plan=own)
+    bare = Junction("b", signalized=True, axis_a=("s",), axis_b=("w",), yellow=4.0)
+    expected = [own, FixedTimePlan(green_a=30.0, yellow=4.0, green_b=30.0)]
+    controller = FixedTimeController([planned, bare])
+    states = [SignalAssignment()] * 2
+    for t in range(3 * int(own.green_a + own.yellow + own.green_b + own.yellow)):
+        requests = controller.decide(float(t), None, None)
+        for k, (request, junction, plan) in enumerate(zip(requests, (planned, bare), expected)):
+            states[k] = apply_interlock(request, states[k], junction, float(t))
+            assert states[k].colors() == fixed_time_decide(float(t), plan), (junction.id, t)

@@ -292,6 +292,7 @@ MUTATIONS = [
         "axis references unknown edge 'ghost'",
     ),
     ("empty_route", lambda d: d["routes"][0].__setitem__("edges", []), "route 0: empty edge sequence"),
+    ("routes_only_unknown", lambda d: [r.__setitem__("edges", ["ghost"]) for r in d["routes"]], "unknown edge 'ghost'"),
     ("zero_decel", lambda d: d["vehicle"].__setitem__("b", 0), "decel b must be > 0"),
     ("zero_length", lambda d: d["vehicle"].__setitem__("length", 0), "length must be > 0"),
     ("negative_min_gap", lambda d: d["vehicle"].__setitem__("min_gap", -0.5), "min gap must be ≥ 0"),
