@@ -20,21 +20,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
-def _parse_hp(pairs: list[str]) -> dict:
-    """``--hp key=value`` pairs as the ``train`` block would hold them: each value is read as JSON, and
-    ``hidden``'s as the body of a JSON list.  A value that is not JSON stays a string, for the reader to reject."""
-    overrides: dict = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--hp expects key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        try:
-            overrides[key] = json.loads(f"[{raw}]" if key == "hidden" else raw)
-        except json.JSONDecodeError:
-            overrides[key] = raw
-    return overrides
-
-
 def _parse_seeds(raw: str) -> list[int]:
     try:
         return [int(s) for s in raw.split(",")]  # an empty entry is no integer either
@@ -55,7 +40,6 @@ def _cmd_train(args) -> int:
         episodes=args.episodes,
         seed=args.seed,
         reward_mode=args.reward_mode,
-        hp_overrides=_parse_hp(args.hp),
     )
     result = harness.train(config)
     _write(args.weights_out, result.weights_doc)
@@ -102,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, required=True)
     p_train.add_argument("--reward-mode", choices=dqn.REWARD_MODES, default="balanced")
     p_train.add_argument("--weights-out", required=True)
-    p_train.add_argument("--hp", action="append", default=[], metavar="KEY=VAL")
     p_train.set_defaults(func=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a controller over held-out seeds")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +84,9 @@ class Hyperparams:
                 raise ValueError(f"hyperparameters: {key!r} must be {rule}, got {getattr(self, key)!r}")
 
 
-def resolve_hyperparams(scenario: Scenario, overrides: dict | None = None) -> Hyperparams:
-    """Defaults, overlaid key by key by the scenario's train block, then by ``overrides`` (the CLI's ``--hp``)."""
-    return read_record(Hyperparams, {**scenario.train, **(overrides or {})}, "hyperparameters", ValueError)
+def resolve_hyperparams(scenario: Scenario) -> Hyperparams:
+    """The scenario's train block, read over the defaults: the one source of a run's hyperparameters."""
+    return read_record(Hyperparams, scenario.train, "hyperparameters", ValueError)
 
 
 @dataclass
@@ -95,7 +95,6 @@ class TrainConfig:
     episodes: int
     seed: int
     reward_mode: str = "balanced"
-    hp_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.episodes = integer_at_least(self.episodes, 1, "episodes")
@@ -298,7 +297,7 @@ def train(config: TrainConfig) -> TrainResult:
     """Train one DQN agent per signalized junction through ``rollout``; return weights and curve rows."""
     with open(config.scenario_path, encoding="utf-8") as fh:
         scenario = load_scenario(fh.read())
-    hp = resolve_hyperparams(scenario, config.hp_overrides)
+    hp = resolve_hyperparams(scenario)
     layout = _junction_infos(scenario)
     if not layout.junctions:
         raise ValueError(_NO_JUNCTION)

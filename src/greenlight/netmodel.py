@@ -125,7 +125,7 @@ class Scenario:
     duration: float  # s
     vehicle: VehicleParams
     seed: int
-    train: dict = field(default_factory=dict)  # optional hyperparameter overrides
+    train: dict = field(default_factory=dict)  # the hyperparameters it sets, as read; the rest keep their defaults
 
     def content_id(self) -> str:
         """Stable identity used to pair evaluation reports."""

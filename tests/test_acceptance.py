@@ -158,6 +158,7 @@ def test_criterion_7_determinism(tmp_path):
     scenario = str(SCENARIOS / "single.xn")
     doc = json.loads((SCENARIOS / "single.xn").read_text())
     doc["duration"] = 150.0
+    doc["train"] = {"warmup": 40}
     short = tmp_path / "short.xn"
     short.write_text(json.dumps(doc))
 
@@ -167,7 +168,7 @@ def test_criterion_7_determinism(tmp_path):
         rc = cli.main(
             [
                 "train", "--scenario", str(short), "--episodes", "3", "--seed", "21",
-                "--weights-out", str(out), "--hp", "warmup=40",
+                "--weights-out", str(out),
             ]
         )
         assert rc == 0

@@ -44,6 +44,7 @@ def test_each_episode_runs_to_the_scenario_end_before_the_next_simulation_is_bui
     doc = json.loads((SCENARIOS / "grid2x2.xn").read_text(encoding="utf-8"))
     doc["duration"] = 60.0  # short, and four junctions, so the stacked learner and policy run
     path = tmp_path / "grid-short.xn"
+    doc["train"] = {"warmup": 8}  # low enough that the learner updates in the first episodes
     path.write_text(json.dumps(doc), encoding="utf-8")
     built = []
     init = simcore.Simulation.__init__
@@ -55,7 +56,7 @@ def test_each_episode_runs_to_the_scenario_end_before_the_next_simulation_is_bui
         built.append(sim)
 
     monkeypatch.setattr(simcore.Simulation, "__init__", watched)
-    result = harness.train(TrainConfig(scenario_path=str(path), episodes=3, seed=0, hp_overrides={"warmup": 8}))
+    result = harness.train(TrainConfig(scenario_path=str(path), episodes=3, seed=0))
     assert not np.isnan(result.curve[-1]["mean_loss"])  # the learner updated during the episodes
     harness.evaluate(EvalConfig(scenario_path=str(path), controller="fixed", seeds=[1, 2, 3]))
     harness.evaluate(EvalConfig(scenario_path=str(path), controller="dqn", seeds=[4, 5], weights=result.weights_doc))
@@ -68,6 +69,7 @@ def test_acting_calls_qnet_forward_once_per_decision(tmp_path, monkeypatch):
     be exactly one call of it, in training and in evaluation alike."""
     doc = json.loads((SCENARIOS / "grid2x2.xn").read_text(encoding="utf-8"))
     doc["duration"] = 62.0  # not a whole number of decision intervals, so the last one is cut short
+    doc["train"] = {"warmup": 8}
     path = tmp_path / "grid-short.xn"
     path.write_text(json.dumps(doc), encoding="utf-8")
     decisions_per_episode = math.ceil(doc["duration"] / harness.Hyperparams().decision_interval)
@@ -80,7 +82,7 @@ def test_acting_calls_qnet_forward_once_per_decision(tmp_path, monkeypatch):
 
     monkeypatch.setattr(qnet, "forward", counted)
 
-    result = harness.train(TrainConfig(scenario_path=str(path), episodes=2, seed=0, hp_overrides={"warmup": 8}))
+    result = harness.train(TrainConfig(scenario_path=str(path), episodes=2, seed=0))
     assert calls == [(4, 10)] * 2 * decisions_per_episode
     calls.clear()
     harness.evaluate(EvalConfig(scenario_path=str(path), controller="dqn", seeds=[4, 5, 6], weights=result.weights_doc))

@@ -20,31 +20,35 @@ from greenlight import cli, metrics, netmodel
 SEEDS = "1,2,3"
 
 GOLDEN = {
-    "single": {
+    "single": (SCENARIOS / "single.xn", {
         ".json": "290e93aca63c8a58619766c90ff1f9845e90c2795c24c3c5c832fe4e6a8d4cee",
         ".report.csv": "3ee6b1273261ad0af99c89347f2bc73fe841589da9063ab76ce47a878c33ad8b",
         ".summary.csv": "6db56b064f8e8f703abee08dd9a85a28dbdb898c32e51f3035d8d4ca1a01ab8f",
-    },
-    "grid2x2": {
+    }),
+    "grid2x2": (SCENARIOS / "grid2x2.xn", {
         ".json": "fa1ade5706c302b1bc9a6fbcbdfa7528d4ca162a94f0722ff9d05dd0e2084602",
         ".report.csv": "334e661e4eead61e6e0a23ef8cc4047e65971719e0b5bc36179e5bf5acfbb757",
         ".summary.csv": "a30a6df4c7f2d79411b3590d8f75fa8c77eb6bc3724ef637b4a5beaef0354e51",
-    },
+    }),
+    # single.xn under a hand-set 45/3/20 s plan in place of its 30/3/30 s one, so these pin that the fixed-time
+    # controller runs the scenario's fixed_plan: one that ignored it would score 23.33 ES/episode here, not 12.0
+    "single-plan-45-3-20": (REPO / "tests" / "data" / "single-plan-45-3-20.xn", {
+        ".json": "0793b2f510f3edbcf551da60db3ac87a3d169fe9c591428c992a248344aa7f7c",
+        ".report.csv": "e816d4129f6a8c8007c02c57fd5de4c2ac75ff21dd2e89dc2fd78aa4f20f6c35",
+        ".summary.csv": "a89545a073de29b6bfceb2cb7d34fbe9e48456f2cc431351436b13182d967cf6",
+    }),
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_fixed_time_eval_artifacts_are_pinned(tmp_path, scenario, capsys):
+    path, golden = GOLDEN[scenario]
     out = tmp_path / f"{scenario}.json"
-    argv = ["eval", "--scenario", str(SCENARIOS / f"{scenario}.xn"), "--controller", "fixed",
-            "--seeds", SEEDS, "--out", str(out)]
+    argv = ["eval", "--scenario", str(path), "--controller", "fixed", "--seeds", SEEDS, "--out", str(out)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    digests = {
-        suffix: hashlib.sha256((tmp_path / f"{scenario}{suffix}").read_bytes()).hexdigest()
-        for suffix in GOLDEN[scenario]
-    }
-    assert digests == GOLDEN[scenario]
+    digests = {suffix: hashlib.sha256((tmp_path / f"{scenario}{suffix}").read_bytes()).hexdigest() for suffix in golden}
+    assert digests == golden
 
 
 #: ``eval --controller dqn`` with the 200-episode seed-7 ``single.xn`` weights
@@ -115,6 +119,7 @@ SCENARIO_GOLDEN = {
     "scenarios/single.xn": "e51b6cb0547a8adf8f8682055e1ee2dfeea3aa0fb6825193d3af535d4211cb2d",
     "scenarios/grid2x2.xn": "919123f9d029677c70e39b27209fa904b7e2de357e4453386e14a2b92ada1c54",
     "tests/data/mixed.xn": "eaa7218c7e6f4c83cd3c7f89078ffaa00a01fcb23a7cdefa6bc908778280b244",
+    "tests/data/single-plan-45-3-20.xn": "1304e6a0c6b60583f85352a6779725513a9fe87ea9642e097d361e593f9da044",
     "perfbench/inputs/dense6x6.xn": "e740f7ecd49777f4a91d00b2a334ff332a174bed7531b1f737452ca9f08e5464",
 }
 

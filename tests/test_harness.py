@@ -27,14 +27,31 @@ def short_scenario(tmp_path_factory) -> str:
     return str(path)
 
 
-def _hp(overrides: dict) -> Hyperparams:
-    """The hyperparameters of a scenario without a ``train`` block, under ``overrides``."""
-    return harness.resolve_hyperparams(netmodel.load_scenario((SCENARIOS / "single.xn").read_text()), overrides)
+@pytest.fixture(scope="module")
+def short_with_train(tmp_path_factory, short_scenario):
+    """Writes ``short_scenario`` with the given ``train`` block to a fresh file and returns its path."""
+    def write(train: dict) -> str:
+        doc = json.loads(Path(short_scenario).read_text())
+        doc["train"] = train
+        path = tmp_path_factory.mktemp("scen") / "short_train.xn"
+        path.write_text(json.dumps(doc))
+        return str(path)
+    return write
+
+
+def _hp(train: dict) -> Hyperparams:
+    """The hyperparameters of single.xn with ``train`` as its train block."""
+    scenario = netmodel.load_scenario((SCENARIOS / "single.xn").read_text())
+    return harness.resolve_hyperparams(replace(scenario, train=train))
 
 
 def test_hyperparams_overrides_and_unknown_keys():
     hp = _hp({"lr": 0.01, "hidden": [32, 32]})
     assert hp.lr == 0.01 and hp.hidden == (32, 32)
+    scenario = netmodel.load_scenario(MIXED_SCENARIO.read_text())
+    hp = harness.resolve_hyperparams(scenario)
+    assert (hp.warmup, hp.buffer_capacity, hp.target_sync, hp.lr) == (100, 200, 50, Hyperparams().lr)
+    assert scenario.train == {"warmup": 100, "buffer_capacity": 200, "target_sync": 50}  # still partial, as read
     with pytest.raises(ValueError):
         _hp({"learning_rate": 0.01})
 
@@ -52,13 +69,13 @@ def test_hyperparams_decision_interval_must_be_whole_steps(tmp_path, single_text
         harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0))
 
 
-def test_hyperparams_non_numeric_value_names_the_key(tmp_path, short_scenario, capsys):
+def test_hyperparams_non_numeric_value_names_the_key(tmp_path, short_with_train, capsys):
     with pytest.raises(ValueError, match="lr"):
         _hp({"lr": "abc"})
     with pytest.raises(ValueError, match="warmup"):
         _hp({"warmup": True})
-    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
-                   "--weights-out", str(tmp_path / "w.json"), "--hp", "lr=abc"])
+    rc = cli.main(["train", "--scenario", short_with_train({"lr": "abc"}), "--episodes", "1", "--seed", "0",
+                   "--weights-out", str(tmp_path / "w.json")])
     assert rc == 1
     error = json.loads(capsys.readouterr().err.strip())["error"]
     assert "lr" in error and "abc" in error
@@ -128,16 +145,12 @@ def test_a_buffer_that_never_fills_a_warmup_or_a_batch_is_rejected(overrides, me
     assert str(err.value) == f"hyperparameters: {message}"
 
 
-def test_hp_overrides_win_over_the_train_block_key_by_key():
-    scenario = netmodel.load_scenario(MIXED_SCENARIO.read_text())
-    hp = harness.resolve_hyperparams(scenario, cli._parse_hp(["warmup=7"]))
-    assert (hp.warmup, hp.buffer_capacity, hp.target_sync) == (7, 200, 50)
-    assert scenario.train == {"warmup": 100, "buffer_capacity": 200, "target_sync": 50}  # still partial, as read
-
-
-@pytest.mark.parametrize("key, raw, value", [("lr", "abc", "abc"), ("warmup", "20.0", 20.0), ("gamma", "-3", -3),
-                                             ("hidden", "16,0", [16, 0]), ("hidden", "a,b", "a,b")])
-def test_a_bad_value_in_the_train_block_and_in_hp_gives_one_message(tmp_path, single_text, key, raw, value):
+@pytest.mark.parametrize("key, value", [
+    pytest.param("lr", "abc", id="lr-abc-abc"), pytest.param("warmup", 20.0, id="warmup-20.0-20.0"),
+    pytest.param("gamma", -3, id="gamma--3--3"), pytest.param("hidden", [16, 0], id="hidden-16,0-value3"),
+    pytest.param("hidden", "a,b", id="hidden-a,b-a,b")])
+def test_a_bad_value_in_the_train_block_and_in_hp_gives_one_message(tmp_path, single_text, key, value):
+    """Training on a scenario file and reading its block into a ``Hyperparams`` record give the same message."""
     doc = json.loads(single_text)
     doc["train"] = {key: value}
     path = tmp_path / "bad_train.xn"
@@ -145,25 +158,16 @@ def test_a_bad_value_in_the_train_block_and_in_hp_gives_one_message(tmp_path, si
     with pytest.raises(ValueError) as from_block:
         harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0))
     with pytest.raises(ValueError) as from_hp:
-        harness.train(TrainConfig(scenario_path=str(SCENARIOS / "single.xn"), episodes=1, seed=0,
-                                  hp_overrides=cli._parse_hp([f"{key}={raw}"])))
+        _hp({key: value})
     assert str(from_block.value) == str(from_hp.value)
     assert str(from_block.value).startswith(f"hyperparameters: '{key}")
 
 
-def test_cli_out_of_range_override_names_the_key(tmp_path, short_scenario, capsys):
-    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
-                   "--weights-out", str(tmp_path / "w.json"), "--hp", "gamma=-3"])
+def test_cli_out_of_range_override_names_the_key(tmp_path, short_with_train, capsys):
+    rc = cli.main(["train", "--scenario", short_with_train({"gamma": -3}), "--episodes", "1", "--seed", "0",
+                   "--weights-out", str(tmp_path / "w.json")])
     assert rc == 1
     assert "gamma" in json.loads(capsys.readouterr().err.strip())["error"]
-    assert not (tmp_path / "w.json").exists()
-
-
-def test_cli_hp_without_equals_names_the_pair(tmp_path, short_scenario, capsys):
-    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
-                   "--weights-out", str(tmp_path / "w.json"), "--hp", "warmup"])
-    assert rc == 1
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "--hp expects key=value, got 'warmup'"
     assert not (tmp_path / "w.json").exists()
 
 
@@ -176,19 +180,10 @@ def test_fractional_hidden_in_train_block_is_rejected(tmp_path, single_text):
         harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0))
 
 
-@pytest.mark.parametrize("raw", ["a,b", "64.5,32", "true,2"])
-def test_cli_hidden_override_names_the_key(tmp_path, short_scenario, capsys, raw):
-    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
-                   "--weights-out", str(tmp_path / "w.json"), "--hp", f"hidden={raw}"])
-    assert rc == 1
-    assert "hidden" in json.loads(capsys.readouterr().err.strip())["error"]
-    assert not (tmp_path / "w.json").exists()
-
-
-def test_cli_hidden_override_sets_the_architecture(tmp_path, short_scenario):
+def test_cli_hidden_override_sets_the_architecture(tmp_path, short_with_train):
     out = tmp_path / "w.json"
-    rc = cli.main(["train", "--scenario", short_scenario, "--episodes", "1", "--seed", "0",
-                   "--weights-out", str(out), "--hp", "hidden=16,8", "--hp", "warmup=10000"])
+    rc = cli.main(["train", "--scenario", short_with_train({"hidden": [16, 8], "warmup": 10000}),
+                   "--episodes", "1", "--seed", "0", "--weights-out", str(out)])
     assert rc == 0
     assert qnet.deserialize(out.read_text()).sizes == (harness.dqn.state_dim(4), 16, 8, 3)
 
@@ -252,12 +247,11 @@ def test_cli_bad_seeds_name_the_key(tmp_path, short_scenario, capsys, argv, mess
     assert list(tmp_path.iterdir()) == []
 
 
-def test_train_without_updates_keeps_initial_weights(short_scenario):
+def test_train_without_updates_keeps_initial_weights(short_with_train):
     config = TrainConfig(
-        scenario_path=short_scenario,
+        scenario_path=short_with_train({"warmup": 10_000}),  # larger than all transitions of the episode
         episodes=1,
         seed=11,
-        hp_overrides={"warmup": 10_000},  # larger than all transitions of the episode
     )
     result = harness.train(config)
     init = qnet.init_network(
@@ -268,12 +262,11 @@ def test_train_without_updates_keeps_initial_weights(short_scenario):
     assert math.isnan(result.curve[0]["mean_loss"])
 
 
-def test_train_is_deterministic(short_scenario):
+def test_train_is_deterministic(short_with_train):
     config = dict(
-        scenario_path=short_scenario,
+        scenario_path=short_with_train({"warmup": 20}),  # low enough that gradient steps actually run
         episodes=2,
         seed=3,
-        hp_overrides={"warmup": 20},  # low enough that gradient steps actually run
     )
     a = harness.train(TrainConfig(**config))
     b = harness.train(TrainConfig(**config))
@@ -282,16 +275,15 @@ def test_train_is_deterministic(short_scenario):
     assert not math.isnan(a.curve[-1]["mean_loss"])
 
 
-def test_curve_epsilon_is_the_schedule_at_each_episode_first_decision(short_scenario):
+def test_curve_epsilon_is_the_schedule_at_each_episode_first_decision(short_with_train):
     """120 s at interval 5 is 24 decisions an episode; 4 episodes decay over the first 48."""
-    result = harness.train(TrainConfig(scenario_path=short_scenario, episodes=4, seed=2,
-                                       hp_overrides={"eps_fraction": 0.5}))
+    result = harness.train(TrainConfig(scenario_path=short_with_train({"eps_fraction": 0.5}), episodes=4, seed=2))
     assert [row["episode"] for row in result.curve] == [0, 1, 2, 3]
     assert [row["epsilon"] for row in result.curve] == pytest.approx([1.0, 0.525, 0.05, 0.05])
 
 
-def test_train_literal_reward_mode_runs(short_scenario):
-    base = dict(scenario_path=short_scenario, episodes=1, seed=4, hp_overrides={"warmup": 20})
+def test_train_literal_reward_mode_runs(short_with_train):
+    base = dict(scenario_path=short_with_train({"warmup": 20}), episodes=1, seed=4)
     literal = harness.train(TrainConfig(reward_mode="literal", **base))
     balanced = harness.train(TrainConfig(reward_mode="balanced", **base))
     assert literal.curve[0]["return"] != balanced.curve[0]["return"]
@@ -663,10 +655,8 @@ def test_trained_dqn_evaluates_and_weights_file_untouched(tmp_path, short_scenar
     assert len(report.episodes) == 2
 
 
-def test_dqn_weights_junction_mismatch(short_scenario):
-    result = harness.train(
-        TrainConfig(scenario_path=short_scenario, episodes=1, seed=9, hp_overrides={"warmup": 10_000})
-    )
+def test_dqn_weights_junction_mismatch(short_with_train):
+    result = harness.train(TrainConfig(scenario_path=short_with_train({"warmup": 10_000}), episodes=1, seed=9))
     with pytest.raises(WeightsMismatchError):
         harness.evaluate(
             EvalConfig(
@@ -845,7 +835,8 @@ def test_curve_csv_layout():
 # --- CLI ------------------------------------------------------------------------
 
 
-def test_cli_train_eval_compare_round_trip(tmp_path, short_scenario, capsys):
+def test_cli_train_eval_compare_round_trip(tmp_path, short_with_train, capsys):
+    short_scenario = short_with_train({"warmup": 50})
     weights = tmp_path / "w.json"
     assert (
         cli.main(
@@ -855,7 +846,6 @@ def test_cli_train_eval_compare_round_trip(tmp_path, short_scenario, capsys):
                 "--episodes", "2",
                 "--seed", "3",
                 "--weights-out", str(weights),
-                "--hp", "warmup=50",
             ]
         )
         == 0
