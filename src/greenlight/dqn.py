@@ -164,19 +164,6 @@ def td_targets_batch(rewards, next_states, nonterminal, target_net: QNetwork, ga
     return rewards + gamma * best * nonterminal
 
 
-class EpsilonSchedule:
-    """Linear decay from start to final over the first ``fraction`` of steps."""
-
-    def __init__(self, start: float, final: float, total_steps: int, fraction: float):
-        self.start = start
-        self.final = final
-        self.decay_steps = max(1.0, fraction * total_steps)
-
-    def value(self, step: int) -> float:
-        frac = min(1.0, step / self.decay_steps)
-        return self.start + (self.final - self.start) * frac
-
-
 class GreedyPolicy:
     """Controller acting on every junction's q-values on each whole multiple of the interval, from 0 in every episode.
 

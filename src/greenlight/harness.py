@@ -184,15 +184,14 @@ class _Learner:
     """One independent DQN learner per junction, all stacked together.
 
     Every junction's network has the same sizes, so all of them are one (K, P) QNetwork ``params``, which the policy
-    acts with, with one Adam, one target copy and one gradient buffer; ``nets[k]`` is junction k's row of it, a view.
-    All junctions share one replay ring.  An update trains every junction's network on its own sample in one batched
-    pass, ``buffer.sample``, ``dqn.td_targets_batch``, ``qnet.backward_batch`` then ``opt.step``, the middle two
-    writing into preallocated target and online workspaces, so it allocates no per-layer arrays.
+    acts with, with one Adam, one target copy and one gradient buffer; row k of ``params.flat`` is junction k's
+    network.  All junctions share one replay ring.  An update trains every junction's network on its own sample in one
+    batched pass, ``buffer.sample``, ``dqn.td_targets_batch``, ``qnet.backward_batch`` then ``opt.step``, the middle
+    two writing into preallocated target and online workspaces, so it allocates no per-layer arrays.
     """
 
     def __init__(self, initial: list[qnet.QNetwork], hp: Hyperparams):
         self.params = qnet.QNetwork(initial[0].sizes, np.stack([net.flat for net in initial]))
-        self.nets = [qnet.QNetwork(self.params.sizes, row) for row in self.params.flat]
         self.target = qnet.clone(self.params)
         self.grads = qnet.QNetwork(self.params.sizes, np.zeros_like(self.params.flat))
         shape = (self.params.sizes, (len(initial), hp.batch_size))
@@ -200,7 +199,6 @@ class _Learner:
         self.opt = qnet.Adam(self.params)
         self.buffer = ReplayBuffer(hp.buffer_capacity, self.params.d_in, len(initial))
         self.hp = hp
-        self.updates = 0
 
     def update(self, rng) -> np.ndarray:
         """One gradient step for every junction once the replay warmup is filled.
@@ -214,16 +212,16 @@ class _Learner:
         targets = dqn.td_targets_batch(rewards, next_states, nonterminal, self.target, hp.gamma, self.target_work)
         losses = qnet.backward_batch(self.params, states, targets, actions, self.grads, self.online_work)
         self.opt.step(self.params, self.grads, hp.lr)
-        self.updates += 1
-        if self.updates % hp.target_sync == 0:
+        if self.opt.t % hp.target_sync == 0:
             self.target.flat[...] = self.params.flat
         return losses
 
 
 class _TrainingAgent(dqn.GreedyPolicy):
-    """The DQN controller while it learns, with epsilon from the schedule.
+    """The DQN controller while it learns, with epsilon decaying linearly over the run's ``decisions``.
 
-    Each decision, and the episode's end, closes the interval just ended: every
+    Each decision, and the episode's end, closes the interval just ended with
+    one push, so ``learner.buffer.pushes`` counts the earlier decisions: every
     junction stores its transition, rewarded with the interval's mean per-step
     reward, then every junction takes one gradient step once the replay warmup
     is filled.  The episode's end also appends its row to ``curve`` and leaves
@@ -239,21 +237,26 @@ class _TrainingAgent(dqn.GreedyPolicy):
                              for rows, junction in zip(layout.rows, layout.junctions)]
         self.rng = _generator(config.seed, _NS_ACTION)
         self.sample_rng = _generator(config.seed, _NS_SAMPLE)
-        self.schedule = dqn.EpsilonSchedule(hp.eps_start, hp.eps_final, decisions, hp.eps_fraction)
-        self.decisions = 0
+        self.hp = hp
+        self.decay = max(1.0, hp.eps_fraction * decisions)  # epsilon reaches eps_final after this many decisions
         self.steps = 0  # in the current decision interval
         self.reward_sums = [0.0] * len(layout.junctions)  # per junction, over the current decision interval
         self.curve: list[dict] = []  # per episode: episode, return, epsilon, mean_loss
         self._reset_episode()
 
     def _reset_episode(self) -> None:
-        """Ready for the next episode, whose epsilon is the schedule's at its first decision."""
-        self.obs, self.episode_return, self.losses, self.first_decision = None, 0.0, [], self.decisions
+        """Ready for the next episode, whose epsilon is the one at its first decision."""
+        self.obs, self.episode_return, self.losses, self.first_decision = None, 0.0, [], self.learner.buffer.pushes
+
+    def _epsilon(self, decision: int) -> float:
+        """Epsilon at the run's ``decision``-th decision, counted from 0."""
+        hp = self.hp
+        return hp.eps_start + (hp.eps_final - hp.eps_start) * min(1.0, decision / self.decay)
 
     def act(self, obs: np.ndarray) -> None:
         if self.obs is not None:
             self._close_interval(obs, terminal=False)
-        self.epsilon = self.schedule.value(self.decisions)
+        self.epsilon = self._epsilon(self.learner.buffer.pushes)
         super().act(obs)
         self.obs = obs
 
@@ -267,7 +270,7 @@ class _TrainingAgent(dqn.GreedyPolicy):
             self._close_interval(dqn.featurize(stats, self.layout, states, sim.clock), terminal=True)
             losses = self.losses
             self.curve.append({"episode": len(self.curve), "return": self.episode_return,
-                               "epsilon": self.schedule.value(self.first_decision),
+                               "epsilon": self._epsilon(self.first_decision),
                                "mean_loss": sum(losses) / len(losses) if losses else float("nan")})
             self._reset_episode()
 
@@ -277,13 +280,12 @@ class _TrainingAgent(dqn.GreedyPolicy):
         self.reward_sums = [0.0] * len(rewards)
         self.episode_return += sum(rewards) / len(rewards)
         self.steps = 0
-        self.decisions += 1
         losses = self.learner.update(self.sample_rng)
         diverged = np.flatnonzero(~np.isfinite(losses))
         if diverged.size:
             k = diverged[0]
             raise TrainingDivergedError(f"junction {self.layout.junctions[k].id}: non-finite loss at episode "
-                                        f"{len(self.curve)}, decision {self.decisions}: {losses[k]}")
+                                        f"{len(self.curve)}, decision {self.learner.buffer.pushes}: {losses[k]}")
         self.losses.extend(losses.tolist())
 
 
@@ -309,7 +311,7 @@ def train(config: TrainConfig) -> TrainResult:
 
     for episode in range(config.episodes):
         rollout(scenario, layout, agent, _generator(config.seed, _NS_EPISODE, episode), agent.on_step)
-    nets = agent.learner.nets
+    nets = [qnet.QNetwork(agent.learner.params.sizes, row) for row in agent.learner.params.flat]
     # one junction's network is written as a plain single-network document
     weights = nets[0] if len(nets) == 1 else {junction.id: net for junction, net in zip(layout.junctions, nets)}
     return TrainResult(weights_doc=qnet.serialize(weights), curve=agent.curve)
@@ -384,7 +386,7 @@ def compare(baseline: metrics.RunReport, candidate: metrics.RunReport) -> dict:
 
     def change_entry(before: float, after: float) -> dict:
         entry = {"baseline_mean": before, "candidate_mean": after}
-        entry["change_pct"] = None if before == 0 else -metrics.percent_change(before, after)
+        entry["change_pct"] = None if before == 0 else 100.0 * (after - before) / before
         return entry
 
     doc = {

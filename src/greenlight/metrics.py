@@ -106,7 +106,7 @@ class RunReport:
     seeds: list[int]
     summaries: Summaries  # per-vehicle population
     es_per_episode: StatSummary  # emergency-stop totals, one value per episode
-    episodes: list[EpisodeTotals]
+    episodes: tuple[EpisodeTotals, ...]
     vehicles: Vehicles
     format_version: int = FORMAT_VERSION
 
@@ -188,22 +188,14 @@ def build_report(
         seeds=list(seeds),
         summaries=summaries,
         es_per_episode=aggregate(es_totals) if es_totals else EMPTY_SUMMARY,
-        episodes=episodes,
+        episodes=tuple(episodes),
         vehicles=vehicles,
     )
 
 
 def report_to_json(report: RunReport) -> str:
     """The report as one line of JSON, keys sorted; without ``indent``, the C encoder writes it."""
-    doc = {
-        **vars(report),
-        "summaries": write_record(report.summaries),
-        "es_per_episode": write_record(report.es_per_episode),
-        # vars() is a record's document when no field renames its key, and it leaves the columns uncopied
-        "episodes": [vars(ep) for ep in report.episodes],
-        "vehicles": vars(report.vehicles),
-    }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(write_record(report), sort_keys=True)
 
 
 def report_from_json(text: str) -> RunReport:

@@ -282,6 +282,24 @@ def test_curve_epsilon_is_the_schedule_at_each_episode_first_decision(short_with
     assert [row["epsilon"] for row in result.curve] == pytest.approx([1.0, 0.525, 0.05, 0.05])
 
 
+def test_epsilon_at_every_decision_is_the_linear_schedule(monkeypatch, short_with_train):
+    """At interval 7, 120 s is ceil(120 / 7) = 18 decisions an episode, so 3 episodes are 54 decisions and epsilon
+    decays from 1.0 to 0.05 over the first 27; each decision acts with the value at its index in the run."""
+    epsilons = []
+
+    class RecordingAgent(harness._TrainingAgent):
+        def act(self, obs):
+            super().act(obs)
+            epsilons.append(self.epsilon)
+
+    monkeypatch.setattr(harness, "_TrainingAgent", RecordingAgent)
+    path = short_with_train({"eps_fraction": 0.5, "decision_interval": 7})
+    result = harness.train(TrainConfig(scenario_path=path, episodes=3, seed=2))
+    expected = [1.0 + (0.05 - 1.0) * min(1.0, d / 27.0) for d in range(54)]
+    assert epsilons == expected
+    assert [row["epsilon"] for row in result.curve] == expected[::18]
+
+
 def test_train_literal_reward_mode_runs(short_with_train):
     base = dict(scenario_path=short_with_train({"warmup": 20}), episodes=1, seed=4)
     literal = harness.train(TrainConfig(reward_mode="literal", **base))
@@ -325,22 +343,21 @@ def test_stacked_learner_matches_independent_learners(d, count, spare, pushes, b
         losses = learner.update(stacked_rng)
         assert losses.tolist() == oracles.independent_updates(independent, hp, oracle_rng)
     for k, ln in enumerate(independent):
-        assert np.array_equal(learner.nets[k].flat, ln.net.flat)
+        assert np.array_equal(learner.params.flat[k], ln.net.flat)
         assert np.array_equal(learner.target.flat[k], ln.target.flat)
 
 
-def test_learner_nets_are_views_of_params_and_the_target_a_copy():
+def test_learner_params_rows_are_the_initial_networks_and_the_target_a_copy():
     rng = make_rng(4)
     initial = [qnet.init_network((7, 5, 3), rng) for _ in range(3)]
     learner = harness._Learner(initial, Hyperparams(hidden=(5,)))
+    assert learner.params.sizes == initial[0].sizes
     assert learner.params.flat.shape == (3, initial[0].flat.size)
     assert learner.buffer.states.shape == (3, Hyperparams().buffer_capacity, 7)
-    for net, init in zip(learner.nets, initial):
-        assert net.sizes == init.sizes and np.array_equal(net.flat, init.flat)
-        assert np.shares_memory(net.flat, learner.params.flat)
-    learner.params.flat += 1.0  # what the optimizer writes, the policy's networks see
-    for net, init in zip(learner.nets, initial):
-        assert np.array_equal(net.flat, init.flat + 1.0)
+    for row, init in zip(learner.params.flat, initial):
+        assert np.array_equal(row, init.flat)
+        assert not np.shares_memory(row, init.flat)  # the learner trains its own stack, not the initial networks
+    assert np.array_equal(learner.target.flat, learner.params.flat)
     assert not np.shares_memory(learner.target.flat, learner.params.flat)
 
 
@@ -364,7 +381,7 @@ def test_learner_update_allocates_no_per_layer_arrays():
     assert peak < 2 * 4 * 32 * 64 * 8, peak
 
 
-def test_training_policy_acts_with_the_learner_views():
+def test_training_policy_acts_with_the_learner_params():
     config = TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=1, seed=2)
     scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
     layout = harness._junction_infos(scenario)
@@ -373,8 +390,6 @@ def test_training_policy_acts_with_the_learner_views():
     learner = harness._Learner(initial, hp)
     agent = harness._TrainingAgent(layout, learner, hp, config, decisions=10)
     assert agent.net is learner.params and agent.net.flat.shape[0] == len(layout.junctions)
-    for net in learner.nets:
-        assert np.shares_memory(net.flat, agent.net.flat)
 
 
 def test_a_padded_lane_slot_keeps_its_initial_weights_through_training():
@@ -809,8 +824,9 @@ def test_compare_totals_never_departed_over_episodes():
 def test_compare_identical_reports_zero_change():
     a = _report_with_means("fixed", 3.0, 1.0, 3.0)
     b = _report_with_means("dqn", 3.0, 1.0, 3.0)
-    doc = harness.compare(a, b)
-    assert all(entry["change_pct"] == 0.0 for entry in doc["metrics"].values())
+    text = json.dumps(harness.compare(a, b))
+    # four metrics and es_per_episode, each +0.0: -0.0 == 0.0 too, so the check reads the written text
+    assert text.count('"change_pct": 0.0') == 5 and "-0.0" not in text
 
 
 def test_compare_rejects_mismatched_runs():

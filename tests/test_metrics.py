@@ -153,10 +153,10 @@ def test_build_report_pools_departed_only():
         _vm(1, 0.0, 0.0, 0, 50.0, never=True, seed=2, episode=1),
     ])
     report = build_report("fixed", "abc", [1, 2], [2, 1], vehicles)
-    assert report.episodes == [
+    assert report.episodes == (
         metrics.EpisodeTotals(seed=1, episode=0, spawned=2, departed=2, arrived=2, never_departed=0, emergency_stops=3),
         metrics.EpisodeTotals(seed=2, episode=1, spawned=2, departed=1, arrived=1, never_departed=1, emergency_stops=1),
-    ]
+    )
     assert report.summaries.wt.n == 3
     assert report.summaries.wt.mean == pytest.approx(20.0)
     assert report.summaries.dd.mean == pytest.approx(2.0)
