@@ -42,25 +42,24 @@ def main() -> int:
     parser.add_argument("--episodes", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--eval-seeds", default="1000-1019")
-    parser.add_argument("--reward-mode", choices=dqn.REWARD_MODES, default="balanced")
+    parser.add_argument("--reward-mode", choices=dqn.REWARD_MODES, default=harness.TrainConfig.reward_mode)
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
-    # the scenario, its hyperparameters and both configs are checked here, before any training or output
+    # the scenario with its train block, both configs and --out-dir are checked here, before any training or output
     try:
         eval_seeds = parse_seed_range(args.eval_seeds)
         scenario = netmodel.load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-        harness.resolve_hyperparams(scenario)
         if not harness._junction_infos(scenario).junctions:
             raise ValueError(harness._NO_JUNCTION)
         train_config = harness.TrainConfig(
             scenario_path=args.scenario, episodes=args.episodes, seed=args.seed, reward_mode=args.reward_mode
         )
         eval_config = harness.EvalConfig(scenario_path=args.scenario, controller="fixed", seeds=eval_seeds)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     print(f"training {args.episodes} episodes (seed {args.seed}) on {args.scenario} ...")
     t0 = time.perf_counter()

@@ -29,8 +29,7 @@ def _parse_seeds(raw: str) -> list[int]:
 
 def _write(path: str, text: str) -> None:
     p = Path(path)
-    if p.parent != Path(""):
-        p.parent.mkdir(parents=True, exist_ok=True)
+    p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text(text, encoding="utf-8")
 
 
@@ -84,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--scenario", required=True)
     p_train.add_argument("--episodes", type=int, required=True)
     p_train.add_argument("--seed", type=int, required=True)
-    p_train.add_argument("--reward-mode", choices=dqn.REWARD_MODES, default="balanced")
+    p_train.add_argument("--reward-mode", choices=dqn.REWARD_MODES, default=harness.TrainConfig.reward_mode)
     p_train.add_argument("--weights-out", required=True)
     p_train.set_defaults(func=_cmd_train)
 

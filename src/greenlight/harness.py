@@ -16,7 +16,7 @@ import numpy as np
 from . import dqn, metrics, qnet
 from .controllers import REQUESTS, FixedTimeController, SignalAssignment, apply_interlock
 from .dqn import ReplayBuffer
-from .netmodel import DT, HALT_SPEED, Scenario, is_whole_steps, load_scenario, read_record
+from .netmodel import DT, HALT_SPEED, Hyperparams, Scenario, load_scenario
 from .simcore import Simulation
 
 
@@ -49,44 +49,6 @@ def integer_at_least(value, minimum: int, what: str) -> int:
 
 def _generator(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """The DQN's training hyperparameters, read as a record; ``__post_init__`` checks only their ranges."""
-
-    gamma: float = 0.95
-    buffer_capacity: int = 10_000
-    batch_size: int = 32
-    lr: float = 1e-3
-    eps_start: float = 1.0
-    eps_final: float = 0.05
-    eps_fraction: float = 0.7
-    target_sync: int = 500
-    warmup: int = 500
-    decision_interval: float = 5.0
-    hidden: tuple[int, ...] = (64, 64)
-
-    def __post_init__(self):
-        fractions = ("gamma", "eps_start", "eps_final", "eps_fraction")
-        rules = [
-            *((key, 0.0 <= getattr(self, key) <= 1.0, "in [0, 1]") for key in fractions),
-            ("lr", self.lr > 0.0, "above 0"),
-            *((key, getattr(self, key) >= 1, "at least 1") for key in ("buffer_capacity", "batch_size", "target_sync")),
-            ("warmup", self.warmup >= 0, "at least 0"),
-            *((key, getattr(self, key) <= self.buffer_capacity, f"at most 'buffer_capacity' ({self.buffer_capacity})")
-              for key in ("batch_size", "warmup")),  # the buffer never holds more, so no update would run
-            ("hidden", all(width >= 1 for width in self.hidden), "widths of at least 1"),
-            ("decision_interval", is_whole_steps(self.decision_interval), f"a positive multiple of {DT} s"),
-        ]
-        for key, ok, rule in rules:
-            if not ok:
-                raise ValueError(f"hyperparameters: {key!r} must be {rule}, got {getattr(self, key)!r}")
-
-
-def resolve_hyperparams(scenario: Scenario) -> Hyperparams:
-    """The scenario's train block, read over the defaults: the one source of a run's hyperparameters."""
-    return read_record(Hyperparams, scenario.train, "hyperparameters", ValueError)
 
 
 @dataclass
@@ -299,7 +261,7 @@ def train(config: TrainConfig) -> TrainResult:
     """Train one DQN agent per signalized junction through ``rollout``; return weights and curve rows."""
     with open(config.scenario_path, encoding="utf-8") as fh:
         scenario = load_scenario(fh.read())
-    hp = resolve_hyperparams(scenario)
+    hp = scenario.hyperparams
     layout = _junction_infos(scenario)
     if not layout.junctions:
         raise ValueError(_NO_JUNCTION)
@@ -352,14 +314,13 @@ def evaluate(config: EvalConfig) -> metrics.RunReport:
     with open(config.scenario_path, encoding="utf-8") as fh:
         scenario = load_scenario(fh.read())
     layout = _junction_infos(scenario)
-    hp = resolve_hyperparams(scenario)
 
     if config.controller == "fixed":
         controller = FixedTimeController(layout.junctions)
     else:
         nets = list(load_weights(config.weights, layout).values())  # in the order of layout.junctions
         net = qnet.QNetwork(nets[0].sizes, np.stack([one.flat for one in nets]))
-        controller = dqn.GreedyPolicy(net, hp.decision_interval, layout)
+        controller = dqn.GreedyPolicy(net, scenario.hyperparams.decision_interval, layout)
 
     arrived: list[int] = []
     vehicles = metrics.Vehicles.empty()

@@ -146,13 +146,6 @@ def aggregate(values) -> StatSummary:
     return StatSummary(mean=mean, sd=sd, vmin=lo, vmax=hi, n=n)
 
 
-def percent_change(before: float, after: float) -> float:
-    """Percent decrease from ``before`` to ``after`` (positive = decreased)."""
-    if before == 0:
-        raise ValueError("percent change is undefined for a zero baseline")
-    return 100.0 * (before - after) / before
-
-
 # --- report assembly and CSV views -----------------------------------------
 
 

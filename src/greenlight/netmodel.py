@@ -1,4 +1,4 @@
-"""Road-network and scenario data model: records, validation, JSON reading and writing.
+"""Road-network, scenario and hyperparameter data model: records, validation, JSON reading and writing.
 
 A scenario file (``*.xn``) is a single JSON document; the schema is described
 in ``docs/scenario-format.md``.  The records are the schema: the reader and
@@ -119,6 +119,39 @@ class Network:
 
 
 @dataclass(frozen=True)
+class Hyperparams:
+    """The DQN's training hyperparameters, read as a record; ``__post_init__`` checks only their ranges."""
+
+    gamma: float = 0.95
+    buffer_capacity: int = 10_000
+    batch_size: int = 32
+    lr: float = 1e-3
+    eps_start: float = 1.0
+    eps_final: float = 0.05
+    eps_fraction: float = 0.7
+    target_sync: int = 500
+    warmup: int = 500
+    decision_interval: float = 5.0
+    hidden: tuple[int, ...] = (64, 64)
+
+    def __post_init__(self):
+        fractions = ("gamma", "eps_start", "eps_final", "eps_fraction")
+        rules = [
+            *((key, 0.0 <= getattr(self, key) <= 1.0, "in [0, 1]") for key in fractions),
+            ("lr", self.lr > 0.0, "above 0"),
+            *((key, getattr(self, key) >= 1, "at least 1") for key in ("buffer_capacity", "batch_size", "target_sync")),
+            ("warmup", self.warmup >= 0, "at least 0"),
+            *((key, getattr(self, key) <= self.buffer_capacity, f"at most 'buffer_capacity' ({self.buffer_capacity})")
+              for key in ("batch_size", "warmup")),  # the buffer never holds more, so no update would run
+            ("hidden", all(width >= 1 for width in self.hidden), "widths of at least 1"),
+            ("decision_interval", is_whole_steps(self.decision_interval), f"a positive multiple of {DT} s"),
+        ]
+        for key, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"hyperparameters: {key!r} must be {rule}, got {getattr(self, key)!r}")
+
+
+@dataclass(frozen=True)
 class Scenario:
     network: Network
     routes: tuple[Route, ...]
@@ -126,6 +159,11 @@ class Scenario:
     vehicle: VehicleParams
     seed: int
     train: dict = field(default_factory=dict)  # the hyperparameters it sets, as read; the rest keep their defaults
+
+    @functools.cached_property
+    def hyperparams(self) -> Hyperparams:
+        """The ``train`` block read over the defaults: the one source of a run's hyperparameters."""
+        return read_record(Hyperparams, self.train, "hyperparameters", ValueError)
 
     def content_id(self) -> str:
         """Stable identity used to pair evaluation reports."""
@@ -383,11 +421,12 @@ def write_record(value):
 
 
 def load_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document.
+    """Parse and validate a scenario document, then read its ``train`` block, so a scenario that loads can be trained.
 
     Raises ParseError for malformed documents, naming the path and key at
-    fault, and ValidationError (with the full list of violations) when
-    invariants are broken.
+    fault, ValidationError (with the full list of violations) when
+    invariants are broken, and then ValueError naming the hyperparameter at
+    fault in the ``train`` block.
     """
     try:
         doc = json.loads(text)
@@ -397,6 +436,7 @@ def load_scenario(text: str) -> Scenario:
     violations = _validate_scenario(scenario)
     if violations:
         raise ValidationError(violations)
+    scenario.hyperparams  # noqa: B018 - read once here, and cached for every later use
     return scenario
 
 

@@ -70,14 +70,14 @@ def test_criterion_1_emergency_stop_reduction(eval_reports):
     fixed_mean = fixed.es_per_episode.mean
     dqn_mean = trained.es_per_episode.mean
     assert fixed_mean > 0, "baseline produced no emergency stops; scenario demand too low"
-    reduction = metrics.percent_change(fixed_mean, dqn_mean)
+    change = harness.compare(fixed, trained)["es_per_episode"]["change_pct"]
     assert dqn_mean <= 0.8 * fixed_mean, (
         f"DQN mean {dqn_mean:.2f} not 20% below fixed-time mean {fixed_mean:.2f}"
     )
     assert elapsed <= RUNTIME_BUDGET_S, f"train+eval took {elapsed:.0f}s, budget {RUNTIME_BUDGET_S:.0f}s"
     _ok(
         "1 emergency-stop reduction",
-        f"fixed {fixed_mean:.2f} -> dqn {dqn_mean:.2f} per episode, -{reduction:.1f}%, {elapsed:.0f}s",
+        f"fixed {fixed_mean:.2f} -> dqn {dqn_mean:.2f} per episode, {change:+.1f}%, {elapsed:.0f}s",
     )
 
 
@@ -140,6 +140,11 @@ def test_criterion_5_simulation_invariants():
     _ok("5 simulation invariants", f"{scenarios} random scenarios x 200 steps, zero violations")
 
 
+def _one_vehicle(es: float) -> metrics.Vehicles:
+    return metrics.Vehicles(id=[0], route=[0], wt=[0.0], tl=[0.0], es=[es], dd=[0.0], never_departed=[False],
+                            seed=[1], episode=[0])
+
+
 def test_criterion_6_statistics_oracle():
     rng = np.random.default_rng(99)
     for trial in range(1000):
@@ -150,8 +155,12 @@ def test_criterion_6_statistics_oracle():
         assert s.mean == pytest.approx(mean, rel=1e-9, abs=1e-12)
         assert s.sd == pytest.approx(sd, rel=1e-9, abs=1e-12)
         assert s.vmin == lo and s.vmax == hi
-    assert metrics.percent_change(165.5, 92.4091) == pytest.approx(44.1637, abs=1e-4)
-    _ok("6 statistics oracle", "1000 aggregates vs naive oracle at 1e-9; 44.1637% reproduced")
+    # the paper's emergency-stop reduction, as compare reports it between two one-vehicle reports
+    fixed, trained = (metrics.build_report(controller, "paper", [1], [1], _one_vehicle(es))
+                      for controller, es in (("fixed", 165.5), ("dqn", 92.4091)))
+    change = harness.compare(fixed, trained)["es_per_episode"]["change_pct"]
+    assert change == pytest.approx(-44.1637, abs=1e-4)
+    _ok("6 statistics oracle", f"1000 aggregates vs naive oracle at 1e-9; {change:.4f}% reproduced")
 
 
 def test_criterion_7_determinism(tmp_path):

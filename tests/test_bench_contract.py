@@ -72,7 +72,7 @@ def test_acting_calls_qnet_forward_once_per_decision(tmp_path, monkeypatch):
     doc["train"] = {"warmup": 8}
     path = tmp_path / "grid-short.xn"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    decisions_per_episode = math.ceil(doc["duration"] / harness.Hyperparams().decision_interval)
+    decisions_per_episode = math.ceil(doc["duration"] / netmodel.Hyperparams().decision_interval)
     calls = []  # the states' shape at each call
     forward = qnet.forward
 

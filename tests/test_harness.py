@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import MIXED_SCENARIO, REPO, SCENARIOS, make_rng
 from greenlight import cli, dqn, harness, metrics, netmodel, qnet, simcore
-from greenlight.harness import EvalConfig, Hyperparams, TrainConfig, WeightsMismatchError
+from greenlight.harness import EvalConfig, TrainConfig, WeightsMismatchError
 from greenlight.metrics import RunReport, StatSummary, Summaries, Vehicles
+from greenlight.netmodel import Hyperparams
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +43,14 @@ def short_with_train(tmp_path_factory, short_scenario):
 def _hp(train: dict) -> Hyperparams:
     """The hyperparameters of single.xn with ``train`` as its train block."""
     scenario = netmodel.load_scenario((SCENARIOS / "single.xn").read_text())
-    return harness.resolve_hyperparams(replace(scenario, train=train))
+    return replace(scenario, train=train).hyperparams
 
 
 def test_hyperparams_overrides_and_unknown_keys():
     hp = _hp({"lr": 0.01, "hidden": [32, 32]})
     assert hp.lr == 0.01 and hp.hidden == (32, 32)
     scenario = netmodel.load_scenario(MIXED_SCENARIO.read_text())
-    hp = harness.resolve_hyperparams(scenario)
+    hp = scenario.hyperparams
     assert (hp.warmup, hp.buffer_capacity, hp.target_sync, hp.lr) == (100, 200, 50, Hyperparams().lr)
     assert scenario.train == {"warmup": 100, "buffer_capacity": 200, "target_sync": 50}  # still partial, as read
     with pytest.raises(ValueError):
@@ -164,11 +165,17 @@ def test_a_bad_value_in_the_train_block_and_in_hp_gives_one_message(tmp_path, si
 
 
 def test_cli_out_of_range_override_names_the_key(tmp_path, short_with_train, capsys):
-    rc = cli.main(["train", "--scenario", short_with_train({"gamma": -3}), "--episodes", "1", "--seed", "0",
-                   "--weights-out", str(tmp_path / "w.json")])
-    assert rc == 1
-    assert "gamma" in json.loads(capsys.readouterr().err.strip())["error"]
-    assert not (tmp_path / "w.json").exists()
+    """train and eval, with either controller, read the block as they load the scenario and fail on it alike."""
+    scenario, weights = short_with_train({"gamma": -3}), tmp_path / "in.json"
+    weights.write_text("{}")  # never parsed: the scenario fails to load first
+    for command in (["train", "--episodes", "1", "--seed", "0", "--weights-out", str(tmp_path / "out" / "w.json")],
+                    ["eval", "--controller", "fixed", "--seeds", "1", "--out", str(tmp_path / "out" / "r.json")],
+                    ["eval", "--controller", "dqn", "--weights", str(weights), "--seeds", "1",
+                     "--out", str(tmp_path / "out" / "r.json")]):
+        assert cli.main([*command, "--scenario", scenario]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "hyperparameters: 'gamma' must be in [0, 1], got -3.0", "kind": "ValueError"}
+        assert not (tmp_path / "out").exists()
 
 
 def test_fractional_hidden_in_train_block_is_rejected(tmp_path, single_text):
@@ -385,7 +392,7 @@ def test_training_policy_acts_with_the_learner_params():
     config = TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=1, seed=2)
     scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
     layout = harness._junction_infos(scenario)
-    hp = harness.resolve_hyperparams(scenario)
+    hp = scenario.hyperparams
     initial = [qnet.init_network((layout.width, 5, 3), make_rng(k)) for k in range(len(layout.junctions))]
     learner = harness._Learner(initial, hp)
     agent = harness._TrainingAgent(layout, learner, hp, config, decisions=10)
@@ -399,7 +406,7 @@ def test_a_padded_lane_slot_keeps_its_initial_weights_through_training():
     layout = harness._junction_infos(scenario)
     k = [junction.id for junction in layout.junctions].index("e")
     assert layout.rows[k] == slice(3, 5) and layout.width == dqn.state_dim(3)
-    initial = qnet.init_network((layout.width, *harness.resolve_hyperparams(scenario).hidden, 3),
+    initial = qnet.init_network((layout.width, *scenario.hyperparams.hidden, 3),
                                 harness._generator(7, harness._NS_NET, k))
     result = harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=4, seed=7))
     trained = qnet.deserialize(result.weights_doc)["e"]
@@ -799,13 +806,16 @@ def _report_with_means(controller, es_mean, dd_mean, es_episode_mean):
 
 
 def test_compare_reference_reduction_values():
-    base = _report_with_means("fixed", 165.5, 4.3436, 165.5)
-    cand = _report_with_means("dqn", 92.4091, 4.2464, 92.4091)
-    doc = harness.compare(base, cand)
-    assert doc["metrics"]["es"]["change_pct"] == pytest.approx(-44.1637, abs=1e-4)
-    assert doc["metrics"]["dd"]["change_pct"] == pytest.approx(-2.238, abs=1e-3)
-    assert doc["es_per_episode"]["change_pct"] == pytest.approx(-44.1637, abs=1e-4)
-    assert doc["baseline"] == "fixed" and doc["candidate"] == "dqn"
+    """The paper's reduction reads negative, an increase positive, and a zero baseline gives a change of None."""
+    for before, after, change in ((165.5, 92.4091, -44.1637), (100.0, 150.0, 50.0), (0.0, 1.0, None)):
+        base = _report_with_means("fixed", before, 4.3436, before)
+        cand = _report_with_means("dqn", after, 4.2464, after)
+        doc = harness.compare(base, cand)
+        expected = None if change is None else pytest.approx(change, abs=1e-4)
+        assert doc["metrics"]["es"]["change_pct"] == expected
+        assert doc["metrics"]["dd"]["change_pct"] == pytest.approx(-2.238, abs=1e-3)
+        assert doc["es_per_episode"]["change_pct"] == expected
+        assert doc["baseline"] == "fixed" and doc["candidate"] == "dqn"
 
 
 def test_compare_totals_never_departed_over_episodes():

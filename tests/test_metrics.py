@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import record_step
 from greenlight import cli, metrics
-from greenlight.metrics import Vehicles, aggregate, build_report, finalize, percent_change
+from greenlight.metrics import Vehicles, aggregate, build_report, finalize
 
 
 class Counters:
@@ -119,20 +119,6 @@ def test_aggregate_matches_oracle_property(values):
     assert s.vmin == lo and s.vmax == hi
     assert s.vmin <= s.mean <= s.vmax
     assert s.sd >= 0.0
-
-
-def test_percent_change_reference_value():
-    assert percent_change(165.5, 92.4091) == pytest.approx(44.1637, abs=1e-4)
-
-
-def test_percent_change_identity_and_increase():
-    assert percent_change(5.0, 5.0) == 0.0
-    assert percent_change(100.0, 150.0) == pytest.approx(-50.0)
-
-
-def test_percent_change_zero_baseline_errors():
-    with pytest.raises(ValueError):
-        percent_change(0.0, 1.0)
 
 
 def _vm(vid, wt, tl, es, dd, never=False, seed=1, episode=0, route=0):

@@ -326,6 +326,36 @@ def test_disconnected_route_graph_is_caught(single_text):
     assert any("connected" in v for v in err.value.violations)
 
 
+#: The train blocks whose messages docs/scenario-format.md quotes, with those messages.
+BAD_TRAIN_BLOCKS = [
+    ("unknown_key", {"learning_rate": 0.01}, "hyperparameters: unknown key 'learning_rate'"),
+    ("lr_string", {"lr": "abc"}, "hyperparameters: 'lr' must be a number, got 'abc'"),
+    ("hidden_float", {"hidden": [64.0]}, "hyperparameters: 'hidden[0]' must be an integer, got 64.0"),
+    ("gamma_negative", {"gamma": -3}, "hyperparameters: 'gamma' must be in [0, 1], got -3.0"),
+    ("warmup_over_capacity", {"warmup": 500, "buffer_capacity": 100},
+     "hyperparameters: 'warmup' must be at most 'buffer_capacity' (100), got 500"),
+]
+
+
+@pytest.mark.parametrize("name,train,message", BAD_TRAIN_BLOCKS, ids=[case[0] for case in BAD_TRAIN_BLOCKS])
+def test_a_bad_train_block_fails_the_load_with_the_documented_message(single_text, name, train, message):
+    doc = json.loads(single_text)
+    doc["train"] = train
+    with pytest.raises(ValueError) as err:
+        load_scenario(json.dumps(doc))
+    assert type(err.value) is ValueError and str(err.value) == message
+    assert f"`{message}`" in " ".join((REPO / "docs" / "scenario-format.md").read_text().split())
+
+
+def test_a_network_fault_is_reported_before_a_bad_train_block(single_text):
+    doc = json.loads(single_text)
+    doc["train"] = {"lr": "abc"}
+    doc["vehicle"]["tau"] = 0
+    with pytest.raises(ValidationError) as err:
+        load_scenario(json.dumps(doc))
+    assert err.value.violations == ["vehicle: reaction time tau must be > 0, got 0.0"]
+
+
 COMMITTED_SCENARIOS = sorted(path for folder in ("scenarios", "tests/data", "perfbench/inputs")
                              for path in (REPO / folder).glob("*.xn"))
 

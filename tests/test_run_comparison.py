@@ -100,6 +100,18 @@ def test_run_comparison_rejects_a_bad_train_value_before_training(tmp_path):
     assert "training" not in done.stdout and not out.exists()
 
 
+def test_run_comparison_rejects_an_out_dir_that_is_a_file_before_training(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    argv = [sys.executable, str(REPO / "scripts" / "run_comparison.py"), "--scenario", str(SCENARIOS / "single.xn"),
+            "--episodes", "1", "--eval-seeds", "1-2", "--out-dir", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert f"File exists: {str(out)!r}" in done.stderr and "Traceback" not in done.stderr
+    assert "training" not in done.stdout and out.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_run_comparison_rejects_a_scenario_without_signals_before_training(tmp_path, no_signal_scenario):
     out = tmp_path / "out"
     argv = [sys.executable, str(REPO / "scripts" / "run_comparison.py"), "--scenario", no_signal_scenario,
