@@ -49,13 +49,12 @@ def main() -> int:
     # the scenario with its train block, both configs and --out-dir are checked here, before any training or output
     try:
         eval_seeds = parse_seed_range(args.eval_seeds)
-        scenario = netmodel.load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-        if not harness._junction_infos(scenario).junctions:
-            raise ValueError(harness._NO_JUNCTION)
+        with open(args.scenario, encoding="utf-8") as fh:
+            scenario = netmodel.load_scenario(fh.read())
         train_config = harness.TrainConfig(
-            scenario_path=args.scenario, episodes=args.episodes, seed=args.seed, reward_mode=args.reward_mode
+            scenario=scenario, episodes=args.episodes, seed=args.seed, reward_mode=args.reward_mode
         )
-        eval_config = harness.EvalConfig(scenario_path=args.scenario, controller="fixed", seeds=eval_seeds)
+        eval_config = harness.EvalConfig(scenario=scenario, controller="fixed", seeds=eval_seeds)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:

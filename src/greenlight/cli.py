@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import dqn, harness, metrics
+from . import dqn, harness, metrics, netmodel
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,6 +27,11 @@ def _parse_seeds(raw: str) -> list[int]:
         raise ValueError(f"--seeds expects comma-separated integers, got {raw!r}") from exc
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:  # not Path(path): Path("") is the current directory
+        return fh.read()
+
+
 def _write(path: str, text: str) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
@@ -34,12 +39,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_train(args) -> int:
-    config = harness.TrainConfig(
-        scenario_path=args.scenario,
-        episodes=args.episodes,
-        seed=args.seed,
-        reward_mode=args.reward_mode,
-    )
+    config = harness.TrainConfig(scenario=netmodel.load_scenario(_read(args.scenario)), episodes=args.episodes,
+                                 seed=args.seed, reward_mode=args.reward_mode)
     result = harness.train(config)
     _write(args.weights_out, result.weights_doc)
     curve_path = str(Path(args.weights_out).with_suffix("")) + ".curve.csv"
@@ -50,10 +51,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = harness.EvalConfig(
-        scenario_path=args.scenario,
+        scenario=netmodel.load_scenario(_read(args.scenario)),
         controller=args.controller,
         seeds=_parse_seeds(args.seeds),
-        weights=None if args.weights is None else Path(args.weights).read_text(encoding="utf-8"),
+        weights=None if args.weights is None else _read(args.weights),
     )
     report = harness.evaluate(config)
     _write(args.out, metrics.report_to_json(report))
@@ -65,8 +66,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report_a = metrics.report_from_json(Path(args.report_a).read_text(encoding="utf-8"))
-    report_b = metrics.report_from_json(Path(args.report_b).read_text(encoding="utf-8"))
+    report_a = metrics.report_from_json(_read(args.report_a))
+    report_b = metrics.report_from_json(_read(args.report_b))
     doc = harness.compare(report_a, report_b)
     _write(args.out, json.dumps(doc, sort_keys=True, indent=2))
     stem = str(Path(args.out).with_suffix(""))

@@ -2,7 +2,8 @@
 
 Everything here is deterministic in (scenario, seed, config): per-episode
 generators are split off the master seed with a counter scheme, evaluation
-seeds are used verbatim, and no output embeds wall-clock state.
+seeds are used verbatim, and no output embeds wall-clock state.  No file is
+opened here: a config holds the loaded scenario, and one that builds can run.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import dqn, metrics, qnet
 from .controllers import REQUESTS, FixedTimeController, SignalAssignment, apply_interlock
 from .dqn import ReplayBuffer
-from .netmodel import DT, HALT_SPEED, Hyperparams, Scenario, load_scenario
+from .netmodel import DT, HALT_SPEED, Hyperparams, Scenario
 from .simcore import Simulation
 
 
@@ -53,23 +54,27 @@ def _generator(*entropy: int) -> np.random.Generator:
 
 @dataclass
 class TrainConfig:
-    scenario_path: str
+    """One training run; a config that builds is a run that can start."""
+
+    scenario: Scenario
     episodes: int
     seed: int
     reward_mode: str = "balanced"
 
     def __post_init__(self):
         self.episodes = integer_at_least(self.episodes, 1, "episodes")
-        if not self.scenario_path:
-            raise ValueError("scenario path must be non-empty")
         if self.reward_mode not in dqn.REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
         self.seed = integer_at_least(self.seed, 0, "seed")
+        if not _junction_infos(self.scenario).junctions:
+            raise ValueError(_NO_JUNCTION)
 
 
 @dataclass
 class EvalConfig:
-    scenario_path: str
+    """One evaluation run; a config that builds is a run that can start, its weights checked when it does."""
+
+    scenario: Scenario
     controller: str  # one of CONTROLLERS
     seeds: list[int]
     weights: str | None = None  # weights document text; the dqn controller needs one, the fixed takes none
@@ -190,8 +195,8 @@ class _TrainingAgent(dqn.GreedyPolicy):
     the agent ready for the next episode, so ``train`` only calls ``rollout``.
     """
 
-    def __init__(self, layout: dqn.StateLayout, learner: _Learner, hp: Hyperparams, config: TrainConfig,
-                 decisions: int):
+    def __init__(self, layout: dqn.StateLayout, learner: _Learner, config: TrainConfig, decisions: int):
+        hp = self.hp = learner.hp
         super().__init__(learner.params, hp.decision_interval, layout)
         self.learner = learner
         # per junction: its rows, its lane count and dqn.phase_rewards' table, which on_step only looks up
@@ -199,7 +204,6 @@ class _TrainingAgent(dqn.GreedyPolicy):
                              for rows, junction in zip(layout.rows, layout.junctions)]
         self.rng = _generator(config.seed, _NS_ACTION)
         self.sample_rng = _generator(config.seed, _NS_SAMPLE)
-        self.hp = hp
         self.decay = max(1.0, hp.eps_fraction * decisions)  # epsilon reaches eps_final after this many decisions
         self.steps = 0  # in the current decision interval
         self.reward_sums = [0.0] * len(layout.junctions)  # per junction, over the current decision interval
@@ -259,17 +263,14 @@ class TrainResult:
 
 def train(config: TrainConfig) -> TrainResult:
     """Train one DQN agent per signalized junction through ``rollout``; return weights and curve rows."""
-    with open(config.scenario_path, encoding="utf-8") as fh:
-        scenario = load_scenario(fh.read())
+    scenario = config.scenario
     hp = scenario.hyperparams
     layout = _junction_infos(scenario)
-    if not layout.junctions:
-        raise ValueError(_NO_JUNCTION)
 
     sizes = (layout.width, *hp.hidden, len(REQUESTS))
     initial = [qnet.init_network(sizes, _generator(config.seed, _NS_NET, k)) for k in range(len(layout.junctions))]
     decisions = config.episodes * math.ceil(scenario.duration / hp.decision_interval)
-    agent = _TrainingAgent(layout, _Learner(initial, hp), hp, config, decisions)
+    agent = _TrainingAgent(layout, _Learner(initial, hp), config, decisions)
 
     for episode in range(config.episodes):
         rollout(scenario, layout, agent, _generator(config.seed, _NS_EPISODE, episode), agent.on_step)
@@ -311,8 +312,7 @@ def load_weights(text: str, layout: dqn.StateLayout) -> dict[str, qnet.QNetwork]
 
 def evaluate(config: EvalConfig) -> metrics.RunReport:
     """Run one full simulation per seed, all under one controller, and pool the results, Table-1 shaped."""
-    with open(config.scenario_path, encoding="utf-8") as fh:
-        scenario = load_scenario(fh.read())
+    scenario = config.scenario
     layout = _junction_infos(scenario)
 
     if config.controller == "fixed":
@@ -350,7 +350,7 @@ def compare(baseline: metrics.RunReport, candidate: metrics.RunReport) -> dict:
         entry["change_pct"] = None if before == 0 else 100.0 * (after - before) / before
         return entry
 
-    doc = {
+    return {
         "scenario_id": baseline.scenario_id,
         "seeds": baseline.seeds,
         "baseline": baseline.controller,
@@ -365,7 +365,6 @@ def compare(baseline: metrics.RunReport, candidate: metrics.RunReport) -> dict:
             "candidate": sum(ep.never_departed for ep in candidate.episodes),
         },
     }
-    return doc
 
 
 def curve_csv(curve: list[dict]) -> str:

@@ -2,6 +2,7 @@ import ctypes
 import json
 import os
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,30 @@ def no_signal_scenario(tmp_path) -> str:
     path = tmp_path / "no_signal.xn"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def scenario_at(path) -> netmodel.Scenario:
+    """The scenario in the file at ``path``, loaded as the command line loads it."""
+    return netmodel.load_scenario(pathlib.Path(path).read_text(encoding="utf-8"))
+
+
+def count_scenario_loads(monkeypatch) -> list:
+    """Wrap ``netmodel.load_scenario`` at every ``greenlight`` binding site, as ``perfbench/spans.install`` does.
+
+    Each call appends its text to the list returned.
+    """
+    loads, load = [], netmodel.load_scenario
+
+    def counted(text):
+        loads.append(text)
+        return load(text)
+
+    for name, module in list(sys.modules.items()):
+        if name == "greenlight" or name.startswith("greenlight."):
+            for key, value in list(vars(module).items()):
+                if value is load:
+                    monkeypatch.setattr(module, key, counted)
+    return loads
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:

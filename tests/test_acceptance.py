@@ -14,7 +14,7 @@ import scipy.stats
 
 import oracles
 import scenario_gen
-from conftest import SCENARIOS, make_rng
+from conftest import SCENARIOS, make_rng, scenario_at
 from greenlight import cli, dqn, harness, metrics, qnet
 from greenlight.dqn import ReplayBuffer
 from greenlight.harness import EvalConfig, TrainConfig
@@ -30,11 +30,16 @@ def _ok(criterion: str, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def training_run():
+def single():
+    return scenario_at(SCENARIOS / "single.xn")
+
+
+@pytest.fixture(scope="session")
+def training_run(single):
     start = time.perf_counter()
     result = harness.train(
         TrainConfig(
-            scenario_path=str(SCENARIOS / "single.xn"),
+            scenario=single,
             episodes=TRAIN_EPISODES,
             seed=TRAIN_SEED,
         )
@@ -43,15 +48,15 @@ def training_run():
 
 
 @pytest.fixture(scope="session")
-def eval_reports(training_run):
+def eval_reports(training_run, single):
     result, train_elapsed = training_run
     start = time.perf_counter()
     fixed = harness.evaluate(
-        EvalConfig(scenario_path=str(SCENARIOS / "single.xn"), controller="fixed", seeds=EVAL_SEEDS)
+        EvalConfig(scenario=single, controller="fixed", seeds=EVAL_SEEDS)
     )
     trained = harness.evaluate(
         EvalConfig(
-            scenario_path=str(SCENARIOS / "single.xn"),
+            scenario=single,
             controller="dqn",
             seeds=EVAL_SEEDS,
             weights=result.weights_doc,

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import MIXED_SCENARIO, REPO, SCENARIOS, make_rng
+from conftest import MIXED_SCENARIO, REPO, SCENARIOS, make_rng, scenario_at
 from greenlight import cli, dqn, harness, metrics, netmodel, qnet, simcore
 from greenlight.harness import EvalConfig, TrainConfig, WeightsMismatchError
 from greenlight.metrics import RunReport, StatSummary, Summaries, Vehicles
@@ -67,7 +69,7 @@ def test_hyperparams_decision_interval_must_be_whole_steps(tmp_path, single_text
     path = tmp_path / "bad_interval.xn"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="decision_interval"):
-        harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0))
+        harness.train(TrainConfig(scenario=scenario_at(path), episodes=1, seed=0))
 
 
 def test_hyperparams_non_numeric_value_names_the_key(tmp_path, short_with_train, capsys):
@@ -157,7 +159,7 @@ def test_a_bad_value_in_the_train_block_and_in_hp_gives_one_message(tmp_path, si
     path = tmp_path / "bad_train.xn"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as from_block:
-        harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0))
+        harness.train(TrainConfig(scenario=scenario_at(path), episodes=1, seed=0))
     with pytest.raises(ValueError) as from_hp:
         _hp({key: value})
     assert str(from_block.value) == str(from_hp.value)
@@ -184,7 +186,7 @@ def test_fractional_hidden_in_train_block_is_rejected(tmp_path, single_text):
     path = tmp_path / "fractional_hidden.xn"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="hidden"):
-        harness.train(TrainConfig(scenario_path=str(path), episodes=1, seed=0))
+        harness.train(TrainConfig(scenario=scenario_at(path), episodes=1, seed=0))
 
 
 def test_cli_hidden_override_sets_the_architecture(tmp_path, short_with_train):
@@ -196,15 +198,15 @@ def test_cli_hidden_override_sets_the_architecture(tmp_path, short_with_train):
 
 
 @pytest.mark.parametrize("seed", [-3, True, 2.5, 2.0])
-def test_train_config_rejects_a_seed_numpy_cannot_use(seed):
+def test_train_config_rejects_a_seed_numpy_cannot_use(single_scenario, seed):
     with pytest.raises(ValueError, match=rf"^seed: expected an integer of at least 0, got {seed}$"):
-        TrainConfig(scenario_path="s.xn", episodes=1, seed=seed)
+        TrainConfig(scenario=single_scenario, episodes=1, seed=seed)
 
 
 @pytest.mark.parametrize("episodes", [0, True, 2.5, 2.0, "3"])
-def test_train_config_rejects_episodes_that_are_not_a_positive_integer(episodes):
+def test_train_config_rejects_episodes_that_are_not_a_positive_integer(single_scenario, episodes):
     with pytest.raises(ValueError, match=rf"^episodes: expected an integer of at least 1, got {episodes!r}$"):
-        TrainConfig(scenario_path="s.xn", episodes=episodes, seed=0)
+        TrainConfig(scenario=single_scenario, episodes=episodes, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -217,22 +219,14 @@ def test_train_config_rejects_episodes_that_are_not_a_positive_integer(episodes)
         ([], r"^at least one evaluation seed is required$"),
     ],
 )
-def test_eval_config_rejects_negative_and_repeated_seeds(seeds, message):
+def test_eval_config_rejects_negative_and_repeated_seeds(single_scenario, seeds, message):
     with pytest.raises(ValueError, match=message):
-        EvalConfig(scenario_path="s.xn", controller="fixed", seeds=seeds)
+        EvalConfig(scenario=single_scenario, controller="fixed", seeds=seeds)
 
 
-@pytest.mark.parametrize(
-    "make, message",
-    [
-        (lambda: TrainConfig(scenario_path="", episodes=1, seed=0), "^scenario path must be non-empty$"),
-        (lambda: EvalConfig(scenario_path="s.xn", controller="random", seeds=[1]), "^unknown controller 'random'$"),
-    ],
-    ids=["empty scenario path", "unknown controller"],
-)
-def test_configs_reject_an_empty_scenario_path_and_an_unknown_controller(make, message):
-    with pytest.raises(ValueError, match=message):
-        make()
+def test_eval_config_rejects_an_unknown_controller(single_scenario):
+    with pytest.raises(ValueError, match="^unknown controller 'random'$"):
+        EvalConfig(scenario=single_scenario, controller="random", seeds=[1])
 
 
 @pytest.mark.parametrize(
@@ -256,7 +250,7 @@ def test_cli_bad_seeds_name_the_key(tmp_path, short_scenario, capsys, argv, mess
 
 def test_train_without_updates_keeps_initial_weights(short_with_train):
     config = TrainConfig(
-        scenario_path=short_with_train({"warmup": 10_000}),  # larger than all transitions of the episode
+        scenario=scenario_at(short_with_train({"warmup": 10_000})),  # larger than all transitions of the episode
         episodes=1,
         seed=11,
     )
@@ -271,7 +265,7 @@ def test_train_without_updates_keeps_initial_weights(short_with_train):
 
 def test_train_is_deterministic(short_with_train):
     config = dict(
-        scenario_path=short_with_train({"warmup": 20}),  # low enough that gradient steps actually run
+        scenario=scenario_at(short_with_train({"warmup": 20})),  # low enough that gradient steps actually run
         episodes=2,
         seed=3,
     )
@@ -284,7 +278,8 @@ def test_train_is_deterministic(short_with_train):
 
 def test_curve_epsilon_is_the_schedule_at_each_episode_first_decision(short_with_train):
     """120 s at interval 5 is 24 decisions an episode; 4 episodes decay over the first 48."""
-    result = harness.train(TrainConfig(scenario_path=short_with_train({"eps_fraction": 0.5}), episodes=4, seed=2))
+    scenario = scenario_at(short_with_train({"eps_fraction": 0.5}))
+    result = harness.train(TrainConfig(scenario=scenario, episodes=4, seed=2))
     assert [row["episode"] for row in result.curve] == [0, 1, 2, 3]
     assert [row["epsilon"] for row in result.curve] == pytest.approx([1.0, 0.525, 0.05, 0.05])
 
@@ -301,14 +296,14 @@ def test_epsilon_at_every_decision_is_the_linear_schedule(monkeypatch, short_wit
 
     monkeypatch.setattr(harness, "_TrainingAgent", RecordingAgent)
     path = short_with_train({"eps_fraction": 0.5, "decision_interval": 7})
-    result = harness.train(TrainConfig(scenario_path=path, episodes=3, seed=2))
+    result = harness.train(TrainConfig(scenario=scenario_at(path), episodes=3, seed=2))
     expected = [1.0 + (0.05 - 1.0) * min(1.0, d / 27.0) for d in range(54)]
     assert epsilons == expected
     assert [row["epsilon"] for row in result.curve] == expected[::18]
 
 
 def test_train_literal_reward_mode_runs(short_with_train):
-    base = dict(scenario_path=short_with_train({"warmup": 20}), episodes=1, seed=4)
+    base = dict(scenario=scenario_at(short_with_train({"warmup": 20})), episodes=1, seed=4)
     literal = harness.train(TrainConfig(reward_mode="literal", **base))
     balanced = harness.train(TrainConfig(reward_mode="balanced", **base))
     assert literal.curve[0]["return"] != balanced.curve[0]["return"]
@@ -389,26 +384,26 @@ def test_learner_update_allocates_no_per_layer_arrays():
 
 
 def test_training_policy_acts_with_the_learner_params():
-    config = TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=1, seed=2)
-    scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
+    scenario = scenario_at(MIXED_SCENARIO)
+    config = TrainConfig(scenario=scenario, episodes=1, seed=2)
     layout = harness._junction_infos(scenario)
     hp = scenario.hyperparams
     initial = [qnet.init_network((layout.width, 5, 3), make_rng(k)) for k in range(len(layout.junctions))]
     learner = harness._Learner(initial, hp)
-    agent = harness._TrainingAgent(layout, learner, hp, config, decisions=10)
+    agent = harness._TrainingAgent(layout, learner, config, decisions=10)
     assert agent.net is learner.params and agent.net.flat.shape[0] == len(layout.junctions)
 
 
 def test_a_padded_lane_slot_keeps_its_initial_weights_through_training():
     """mixed.xn's junction e has 2 lanes padded to w's 3 lane slots.  Its third slot always reads 0, so the
     first-layer weights that read it get a zero gradient and a zero Adam step, and keep their initial bits."""
-    scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
+    scenario = netmodel.load_scenario(MIXED_SCENARIO.read_text())
     layout = harness._junction_infos(scenario)
     k = [junction.id for junction in layout.junctions].index("e")
     assert layout.rows[k] == slice(3, 5) and layout.width == dqn.state_dim(3)
     initial = qnet.init_network((layout.width, *scenario.hyperparams.hidden, 3),
                                 harness._generator(7, harness._NS_NET, k))
-    result = harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=4, seed=7))
+    result = harness.train(TrainConfig(scenario=scenario_at(MIXED_SCENARIO), episodes=4, seed=7))
     trained = qnet.deserialize(result.weights_doc)["e"]
     assert not math.isnan(result.curve[-1]["mean_loss"])  # the learner did take steps
     lanes, padded = slice(0, 6), slice(6, 9)
@@ -430,22 +425,22 @@ def _count_lane_walks(monkeypatch) -> list:
 
 def test_fixed_time_rollout_computes_no_lane_statistics(monkeypatch):
     clocks = _count_lane_walks(monkeypatch)
-    report = harness.evaluate(EvalConfig(scenario_path=str(MIXED_SCENARIO), controller="fixed", seeds=[1, 2]))
+    report = harness.evaluate(EvalConfig(scenario=scenario_at(MIXED_SCENARIO), controller="fixed", seeds=[1, 2]))
     assert report.vehicles.id and clocks == []
 
 
 def test_training_walks_the_lanes_once_per_clock(monkeypatch):
     """The array computed for the reward after a step is the one the next decision reads."""
     clocks = _count_lane_walks(monkeypatch)
-    harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=2, seed=1))
-    steps = int(harness.load_scenario(MIXED_SCENARIO.read_text()).duration)
+    harness.train(TrainConfig(scenario=scenario_at(MIXED_SCENARIO), episodes=2, seed=1))
+    steps = int(netmodel.load_scenario(MIXED_SCENARIO.read_text()).duration)
     assert clocks == 2 * [float(t) for t in range(steps + 1)]
 
 
 def test_dqn_eval_walks_the_lanes_once_per_decision(monkeypatch, tmp_path):
-    weights = harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=1, seed=1)).weights_doc
+    weights = harness.train(TrainConfig(scenario=scenario_at(MIXED_SCENARIO), episodes=1, seed=1)).weights_doc
     clocks = _count_lane_walks(monkeypatch)
-    harness.evaluate(EvalConfig(str(MIXED_SCENARIO), "dqn", [4], weights=weights))
+    harness.evaluate(EvalConfig(scenario_at(MIXED_SCENARIO), "dqn", [4], weights=weights))
     assert clocks == [float(t) for t in range(0, 400, 5)]
 
 
@@ -468,11 +463,11 @@ def test_decisions_restart_at_clock_0_in_every_episode(monkeypatch, tmp_path):
             super().act(obs)
 
     monkeypatch.setattr(harness, "_TrainingAgent", RecordingAgent)
-    weights = harness.train(TrainConfig(scenario_path=str(path), episodes=2, seed=1)).weights_doc
+    weights = harness.train(TrainConfig(scenario=scenario_at(path), episodes=2, seed=1)).weights_doc
     expected = 2 * [float(t) for t in range(0, 400, 7)]
     assert decided == expected
     clocks = _count_lane_walks(monkeypatch)
-    harness.evaluate(EvalConfig(str(path), "dqn", [4, 5], weights=weights))
+    harness.evaluate(EvalConfig(scenario_at(path), "dqn", [4, 5], weights=weights))
     assert clocks == expected
 
 
@@ -480,7 +475,7 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
     """On mixed.xn (junctions with 3 and 2 lanes) the array path gives, at every
     decision, the features of the per-junction lane walk, and at every step its
     rewards; the terminal features and each interval's reward sums match too."""
-    scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
+    scenario = netmodel.load_scenario(MIXED_SCENARIO.read_text())
     junctions = harness._junction_infos(scenario).junctions
     assert [len(junction.incoming_signal_edges) for junction in junctions] == [3, 2]
     vehicle = scenario.vehicle
@@ -537,7 +532,7 @@ def test_rollout_features_and_rewards_equal_the_oracle_path(monkeypatch):
     monkeypatch.setattr(harness, "Simulation", RecordingSimulation)
     monkeypatch.setattr(harness, "_TrainingAgent", CheckedAgent)
     for mode in dqn.REWARD_MODES:  # read by CheckedAgent.on_step
-        harness.train(TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=2, seed=5, reward_mode=mode))
+        harness.train(TrainConfig(scenario=scenario_at(MIXED_SCENARIO), episodes=2, seed=5, reward_mode=mode))
     assert checked["decisions"] == 2 * 2 * 80 and checked["steps"] == 2 * 2 * 400 and checked["terminal"] == 4
     assert checked["waiting"] > 0  # some decisions saw queued vehicles
 
@@ -581,13 +576,13 @@ def test_divergence_names_the_junction(monkeypatch):
         return net
 
     monkeypatch.setattr(harness.qnet, "init_network", init_network)
-    config = TrainConfig(scenario_path=str(MIXED_SCENARIO), episodes=2, seed=1)
+    config = TrainConfig(scenario=scenario_at(MIXED_SCENARIO), episodes=2, seed=1)
     with np.errstate(all="ignore"), pytest.raises(harness.TrainingDivergedError, match="junction e: non-finite"):
         harness.train(config)
 
 
 def test_eval_is_deterministic(short_scenario):
-    config = EvalConfig(scenario_path=short_scenario, controller="fixed", seeds=[5, 6])
+    config = EvalConfig(scenario=scenario_at(short_scenario), controller="fixed", seeds=[5, 6])
     a = harness.evaluate(config)
     b = harness.evaluate(config)
     assert metrics.report_to_json(a) == metrics.report_to_json(b)
@@ -595,8 +590,8 @@ def test_eval_is_deterministic(short_scenario):
 
 
 def test_eval_seed_order_changes_layout_not_results(short_scenario):
-    fwd = harness.evaluate(EvalConfig(scenario_path=short_scenario, controller="fixed", seeds=[5, 6]))
-    rev = harness.evaluate(EvalConfig(scenario_path=short_scenario, controller="fixed", seeds=[6, 5]))
+    fwd = harness.evaluate(EvalConfig(scenario=scenario_at(short_scenario), controller="fixed", seeds=[5, 6]))
+    rev = harness.evaluate(EvalConfig(scenario=scenario_at(short_scenario), controller="fixed", seeds=[6, 5]))
     by_seed_fwd = {ep.seed: ep.emergency_stops for ep in fwd.episodes}
     by_seed_rev = {ep.seed: ep.emergency_stops for ep in rev.episodes}
     assert by_seed_fwd == by_seed_rev
@@ -609,7 +604,7 @@ def test_dqn_eval_seed_order_changes_layout_not_results():
     columns = ("id", "route", "wt", "tl", "es", "dd", "never_departed")
 
     def rows_by_seed(seeds):
-        report = harness.evaluate(EvalConfig(str(SCENARIOS / "single.xn"), "dqn", seeds, weights=weights))
+        report = harness.evaluate(EvalConfig(scenario_at(SCENARIOS / "single.xn"), "dqn", seeds, weights=weights))
         v = report.vehicles
         return {seed: [tuple(getattr(v, key)[i] for key in columns) for i in range(len(v.id)) if v.seed[i] == seed]
                 for seed in seeds}
@@ -619,7 +614,7 @@ def test_dqn_eval_seed_order_changes_layout_not_results():
 
 
 def test_eval_rows_carry_their_own_episode(short_scenario):
-    report = harness.evaluate(EvalConfig(scenario_path=short_scenario, controller="fixed", seeds=[6, 5]))
+    report = harness.evaluate(EvalConfig(scenario=scenario_at(short_scenario), controller="fixed", seeds=[6, 5]))
     assert [(ep.seed, ep.episode) for ep in report.episodes] == [(6, 0), (5, 1)]
     expected = [(ep.seed, ep.episode) for ep in report.episodes for _ in range(ep.spawned)]
     assert list(zip(report.vehicles.seed, report.vehicles.episode)) == expected
@@ -628,15 +623,15 @@ def test_eval_rows_carry_their_own_episode(short_scenario):
 
 
 def test_eval_route_column_is_the_spawn_schedule_route(single_scenario):
-    report = harness.evaluate(EvalConfig(scenario_path=str(SCENARIOS / "single.xn"), controller="fixed", seeds=[5]))
+    report = harness.evaluate(EvalConfig(scenario=scenario_at(SCENARIOS / "single.xn"), controller="fixed", seeds=[5]))
     schedule = simcore.spawn_schedule(single_scenario, harness._generator(5))
     assert report.vehicles.route == [route for _, route in schedule]
     assert set(report.vehicles.route) == set(range(len(single_scenario.routes)))
 
 
-def test_trimmed_report_with_more_seeds_than_episodes_is_rejected():
+def test_trimmed_report_with_more_seeds_than_episodes_is_rejected(single_scenario):
     """A 2-seed fixed-time report cut to 3 seeds, its first episode and 5 rows, its summaries left as they were."""
-    report = harness.evaluate(EvalConfig(scenario_path=str(SCENARIOS / "single.xn"), controller="fixed", seeds=[1, 2]))
+    report = harness.evaluate(EvalConfig(scenario=single_scenario, controller="fixed", seeds=[1, 2]))
     doc = json.loads(metrics.report_to_json(report))
     doc["seeds"] = [1, 2, 3]
     doc["episodes"] = doc["episodes"][:1]
@@ -652,7 +647,7 @@ def test_eval_empty_demand_reports_zeroes(tmp_path, single_text):
         r["rate"] = 0.0
     path = tmp_path / "empty.xn"
     path.write_text(json.dumps(doc))
-    report = harness.evaluate(EvalConfig(scenario_path=str(path), controller="fixed", seeds=[1]))
+    report = harness.evaluate(EvalConfig(scenario=scenario_at(path), controller="fixed", seeds=[1]))
     for key in metrics.METRIC_KEYS:
         s = getattr(report.summaries, key)
         assert (s.mean, s.sd, s.vmin, s.vmax, s.n) == (0.0, 0.0, 0.0, 0.0, 0)
@@ -661,7 +656,7 @@ def test_eval_empty_demand_reports_zeroes(tmp_path, single_text):
 
 def test_trained_dqn_evaluates_and_weights_file_untouched(tmp_path, short_scenario):
     result = harness.train(
-        TrainConfig(scenario_path=short_scenario, episodes=2, seed=9)
+        TrainConfig(scenario=scenario_at(short_scenario), episodes=2, seed=9)
     )
     weights = tmp_path / "w.json"
     weights.write_text(result.weights_doc)
@@ -678,11 +673,11 @@ def test_trained_dqn_evaluates_and_weights_file_untouched(tmp_path, short_scenar
 
 
 def test_dqn_weights_junction_mismatch(short_with_train):
-    result = harness.train(TrainConfig(scenario_path=short_with_train({"warmup": 10_000}), episodes=1, seed=9))
+    result = harness.train(TrainConfig(scenario=scenario_at(short_with_train({"warmup": 10_000})), episodes=1, seed=9))
     with pytest.raises(WeightsMismatchError):
         harness.evaluate(
             EvalConfig(
-                scenario_path=str(SCENARIOS / "grid2x2.xn"),
+                scenario=scenario_at(SCENARIOS / "grid2x2.xn"),
                 controller="dqn",
                 seeds=[1],
                 weights=result.weights_doc,
@@ -694,7 +689,7 @@ def test_dqn_weights_dimension_mismatch(short_scenario):
     wrong = qnet.serialize(qnet.init_network((7, 8, 3), harness._generator(0)))
     with pytest.raises(WeightsMismatchError) as err:
         harness.evaluate(
-            EvalConfig(scenario_path=short_scenario, controller="dqn", seeds=[1], weights=wrong)
+            EvalConfig(scenario=scenario_at(short_scenario), controller="dqn", seeds=[1], weights=wrong)
         )
     assert "dimension" in str(err.value)
 
@@ -721,7 +716,7 @@ def test_dqn_weights_entry_for_an_unknown_junction_is_rejected(single_scenario):
 
 def test_dqn_weights_sized_to_a_junction_own_lanes_are_rejected():
     """mixed.xn's 2-lane junction e takes the 13-wide state of the 3-lane junction w, not a 10-wide one."""
-    layout = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
+    layout = harness._junction_infos(netmodel.load_scenario(MIXED_SCENARIO.read_text()))
     nets = {"w": qnet.init_network((13, 8, 3), harness._generator(0)),
             "e": qnet.init_network((10, 8, 3), harness._generator(1))}
     with pytest.raises(WeightsMismatchError) as err:
@@ -731,7 +726,7 @@ def test_dqn_weights_sized_to_a_junction_own_lanes_are_rejected():
 
 def test_dqn_weights_without_a_junction_entry_are_rejected():
     """A ``multi`` document for mixed.xn that holds junction w's network but not junction e's."""
-    layout = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
+    layout = harness._junction_infos(netmodel.load_scenario(MIXED_SCENARIO.read_text()))
     text = qnet.serialize({"w": qnet.init_network((13, 8, 3), harness._generator(0))})
     with pytest.raises(WeightsMismatchError) as err:
         harness.load_weights(text, layout)
@@ -740,7 +735,7 @@ def test_dqn_weights_without_a_junction_entry_are_rejected():
 
 def test_dqn_weights_of_two_shapes_are_rejected():
     """The policy acts with every junction's network stacked as one, so their hidden widths must agree too."""
-    layout = harness._junction_infos(harness.load_scenario(MIXED_SCENARIO.read_text()))
+    layout = harness._junction_infos(netmodel.load_scenario(MIXED_SCENARIO.read_text()))
     nets = {"w": qnet.init_network((13, 8, 3), harness._generator(0)),
             "e": qnet.init_network((13, 4, 3), harness._generator(1))}
     with pytest.raises(WeightsMismatchError) as err:
@@ -751,7 +746,7 @@ def test_dqn_weights_of_two_shapes_are_rejected():
 
 def test_the_junction_layout_of_mixed():
     """mixed.xn's junctions w (3 lanes) and e (2 lanes): their lanes, rows, one state width and statistic scales."""
-    scenario = harness.load_scenario(MIXED_SCENARIO.read_text())
+    scenario = netmodel.load_scenario(MIXED_SCENARIO.read_text())
     layout = harness._junction_infos(scenario)
     assert [junction.id for junction in layout.junctions] == ["w", "e"]
     assert layout.lanes == ["n0_in", "s0_in", "west_in", "n1_in", "link"]  # junction by junction, axis A then B
@@ -765,10 +760,10 @@ def test_the_junction_layout_of_mixed():
 
 
 def test_a_scenario_without_signals_has_an_empty_layout_and_runs_fixed_time(no_signal_scenario):
-    layout = harness._junction_infos(harness.load_scenario(Path(no_signal_scenario).read_text()))
+    layout = harness._junction_infos(netmodel.load_scenario(Path(no_signal_scenario).read_text()))
     assert (layout.junctions, layout.lanes, layout.rows) == ((), [], [])
     assert layout.slots.size == 0 and layout.scale.shape == (0, 3)
-    report = harness.evaluate(EvalConfig(no_signal_scenario, "fixed", [1, 2]))
+    report = harness.evaluate(EvalConfig(scenario_at(no_signal_scenario), "fixed", [1, 2]))
     assert len(report.episodes) == 2 and report.vehicles.id
 
 
@@ -788,8 +783,9 @@ def test_cli_eval_dqn_on_a_scenario_without_signals_fails_cleanly(tmp_path, no_s
 
 
 def test_train_on_a_scenario_without_signals_fails_cleanly(no_signal_scenario):
+    scenario = scenario_at(no_signal_scenario)
     with pytest.raises(ValueError, match="^scenario has no signalized junction to control$"):
-        harness.train(TrainConfig(scenario_path=no_signal_scenario, episodes=1, seed=0))
+        TrainConfig(scenario=scenario, episodes=1, seed=0)
 
 
 def _report_with_means(controller, es_mean, dd_mean, es_episode_mean):
@@ -924,7 +920,8 @@ def test_cli_eval_weights_must_match_the_controller(tmp_path, short_scenario, ca
             "--out", str(tmp_path / "out" / "r.json")]
     if weights:
         path = tmp_path / "w.json"
-        path.write_text(harness.train(TrainConfig(scenario_path=short_scenario, episodes=1, seed=1)).weights_doc)
+        config = TrainConfig(scenario=scenario_at(short_scenario), episodes=1, seed=1)
+        path.write_text(harness.train(config).weights_doc)
         argv += ["--weights", str(path)]
     assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().err.strip()) == {"error": message, "kind": "ValueError"}
@@ -938,6 +935,31 @@ def test_cli_bad_scenario_path_fails_cleanly(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in json.loads(capsys.readouterr().err.strip())
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--scenario", "", "--episodes", "1", "--seed", "0", "--weights-out", "out/w.json"],
+    ["eval", "--scenario", "", "--controller", "fixed", "--seeds", "1", "--out", "out/r.json"],
+    ["eval", "--scenario", "single.xn", "--controller", "dqn", "--weights", "", "--seeds", "1", "--out", "out/r.json"],
+    ["compare", "", "b.json", "--out", "out/c.json"],
+    ["run_comparison.py", "--scenario", "", "--episodes", "1", "--eval-seeds", "1-1", "--out-dir", "out"],
+], ids=["train --scenario", "eval --scenario", "eval --weights", "compare", "run_comparison.py --scenario"])
+def test_an_empty_path_is_reported_as_no_such_file(tmp_path, short_scenario, capsys, argv):
+    """``Path("")`` is the current directory, so every input file is opened by the name the user gave."""
+    report = harness.evaluate(EvalConfig(scenario=scenario_at(short_scenario), controller="fixed", seeds=[1]))
+    (tmp_path / "b.json").write_text(metrics.report_to_json(report))
+    names = {"single.xn": str(SCENARIOS / "single.xn"), "b.json": str(tmp_path / "b.json")}
+    argv = [names.get(a, str(tmp_path / a) if a.startswith("out") else a) for a in argv]
+    message = "[Errno 2] No such file or directory: ''"
+    if argv[0] == "run_comparison.py":
+        done = subprocess.run([sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 2 and done.stderr.endswith(f"error: {message}\n") and not done.stdout
+    else:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err) == {"error": message, "kind": "FileNotFoundError"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
 
 
 def test_cli_usage_error_is_machine_readable(capsys):

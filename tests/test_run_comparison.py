@@ -1,5 +1,6 @@
 """Smoke test of the end-to-end experiment script, run as a user runs it."""
 
+import ast
 import importlib.util
 import json
 import re
@@ -8,9 +9,10 @@ import sys
 
 import pytest
 
-from conftest import REPO, SCENARIOS
+from conftest import REPO, SCENARIOS, count_scenario_loads
 
-_SPEC = importlib.util.spec_from_file_location("run_comparison", REPO / "scripts" / "run_comparison.py")
+SCRIPT = REPO / "scripts" / "run_comparison.py"
+_SPEC = importlib.util.spec_from_file_location("run_comparison", SCRIPT)
 run_comparison = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(run_comparison)
 
@@ -121,3 +123,27 @@ def test_run_comparison_rejects_a_scenario_without_signals_before_training(tmp_p
     assert "error: scenario has no signalized junction to control" in done.stderr
     assert "Traceback" not in done.stderr
     assert "training" not in done.stdout and not out.exists()
+
+
+def test_run_comparison_loads_its_scenario_once(tmp_path, monkeypatch, capsys):
+    """One load serves the pre-check, the training and both evaluations."""
+    doc = json.loads((SCENARIOS / "single.xn").read_text())
+    doc["duration"] = 60.0
+    scenario = tmp_path / "short.xn"
+    scenario.write_text(json.dumps(doc))
+    loads = count_scenario_loads(monkeypatch)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--scenario", str(scenario), "--episodes", "1",
+                                      "--eval-seeds", "1-1", "--out-dir", str(tmp_path / "out")])
+    assert run_comparison.main() == 0
+    assert len(loads) == 1
+    assert "never departed" in capsys.readouterr().out
+
+
+def test_run_comparison_uses_only_public_greenlight_names():
+    tree = ast.parse(SCRIPT.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "greenlight" for alias in node.names}
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+               and node.attr.startswith("_")]
+    assert "harness" in modules and private == []
